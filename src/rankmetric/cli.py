@@ -89,6 +89,14 @@ def _emit(out, text: str):
     out.write(text)
 
 
+def _emit_or_write(out, path, text: str):
+    """Write text to path when one is given, else to the report stream."""
+    if path:
+        _write_text(path, text)
+    else:
+        _emit(out, text)
+
+
 # -- handlers ----------------------------------------------------------------
 
 
@@ -111,10 +119,7 @@ def _cmd_gens(args, out):
     d = relation_defect(a, b, args.n)
     nums, den = d.components_over_common_denominator()
     text += "defect " + " ".join(f"{v}/{den}" for v in nums) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        _emit(out, text)
+    _emit_or_write(out, args.out, text)
 
 
 def _cmd_iota(args, out):
@@ -122,10 +127,7 @@ def _cmd_iota(args, out):
     _guard_dim(args.n)
     y = iota(args.n, args.m, x)
     text = write_matrix(y)
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        _emit(out, text)
+    _emit_or_write(out, args.out, text)
 
 
 def _read_pair(path: str):
@@ -166,10 +168,7 @@ def _cmd_homog(args, out):
     beta, residual = approximate_homogeneity(phi, psi)
     _emit(out, f"residual {residual.numerator}/{residual.denominator}\n")
     text = write_matrix(beta)
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        _emit(out, text)
+    _emit_or_write(out, args.out, text)
 
 
 def _cmd_extend(args, out):
@@ -225,10 +224,7 @@ def _cmd_conjugator(args, out):
     phi1 = _load_hom(args.phi1)
     u = skolem_noether_conjugator(phi0, phi1)
     text = write_matrix(u)
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        _emit(out, text)
+    _emit_or_write(out, args.out, text)
 
 
 def _cmd_slorder(args, out):

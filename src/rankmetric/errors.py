@@ -84,6 +84,10 @@ class InconsistentTarget(RankMetricError):
     pass
 
 
+class EmptyRoundTrip(RankMetricError):
+    """A back-and-forth round trip had no probe at or below its home stage."""
+
+
 class TowerPrefixTooShort(OutcomeError):
     pass
 
@@ -100,3 +104,7 @@ class TooLarge(OutcomeError):
 
 class NotLipschitz(RankMetricError):
     """A coloring violated its 1-Lipschitz contract on evaluated pairs."""
+
+
+class InvariantViolated(RankMetricError):
+    """An exact identity that the mathematics guarantees failed to hold."""

@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .errors import (
     DimensionMismatch,
+    EmptyRoundTrip,
     InconsistentTarget,
     MultiplicityMismatch,
     NotFactorSequence,
@@ -288,6 +289,8 @@ class BackForthCertificate:
 
     def all_bounds_hold(self) -> bool:
         for rt in self.round_trips:
+            if not rt.errors:
+                return False
             for pe in rt.errors:
                 if pe.error > rt.bound:
                     return False
@@ -307,24 +310,17 @@ class BackForthCertificate:
                 f" mult {m.embedding.mult} delta {m.embedding.delta}"
                 f" tol {m.tolerance.numerator}/{m.tolerance.denominator}"
             )
-        for rt in self.round_trips:
-            errs = " ".join(
-                f"p{pe.probe_index}={pe.error.numerator}/{pe.error.denominator}"
-                for pe in rt.errors
-            )
-            lines.append(
-                f"roundtrip {rt.map_index} bound "
-                f"{rt.bound.numerator}/{rt.bound.denominator} {errs}"
-            )
-        for rt in self.successive:
-            errs = " ".join(
-                f"p{pe.probe_index}={pe.error.numerator}/{pe.error.denominator}"
-                for pe in rt.errors
-            )
-            lines.append(
-                f"successive {rt.map_index} bound "
-                f"{rt.bound.numerator}/{rt.bound.denominator} {errs}"
-            )
+        for label, trips in (("roundtrip", self.round_trips),
+                             ("successive", self.successive)):
+            for rt in trips:
+                errs = " ".join(
+                    f"p{pe.probe_index}={pe.error.numerator}/{pe.error.denominator}"
+                    for pe in rt.errors
+                )
+                lines.append(
+                    f"{label} {rt.map_index} bound "
+                    f"{rt.bound.numerator}/{rt.bound.denominator} {errs}"
+                )
         lines.append(
             f"final_bound {self.final_bound.numerator}/{self.final_bound.denominator}"
         )
@@ -342,7 +338,9 @@ def back_and_forth(tower_x: Tower, tower_y: Tower, rounds: int, probes,
     extension the composite with the previous map is compared against
     the straight tower inclusion on every probe that lives early enough
     in the relevant tower, recording exact errors; same-direction maps
-    are also compared pairwise (the Cauchy telescoping).
+    are also compared pairwise (the Cauchy telescoping). A round trip
+    that no probe reaches would certify nothing, so it raises
+    ``EmptyRoundTrip``.
     """
     if tower_x.spec != tower_y.spec:
         raise SpecMismatch("towers over different fields")
@@ -350,61 +348,37 @@ def back_and_forth(tower_x: Tower, tower_y: Tower, rounds: int, probes,
         raise DimensionMismatch("need at least one round")
     probes = list(probes)
 
-    j = [start_x]
-    k = [start_y]
-    maps: list[MapRecord] = []
-    composites: list[DeltaEmbedding] = []  # bump-composed map used by trips
+    towers = {"x": tower_x, "y": tower_y}
+    stages = {"x": [start_x], "y": [start_y]}
     round_trips = []
     successive = []
 
     base = block_embedding(tower_x.dims[start_x], tower_y.dims[start_y],
                            tower_x.spec)
-    maps.append(MapRecord(0, "xy", base, Fraction(1)))
+    maps = [MapRecord(0, "xy", base, Fraction(1))]
     stage_pairs = [(start_x, start_y)]
 
     for t in range(1, rounds):
         tol = Fraction(1, 2 ** t)
         prev = maps[-1]
-        if prev.direction == "xy":
-            # bump Y, extend back into X
-            src_stage = k[-1] + 1
-            if src_stage >= len(tower_y.dims):
-                raise TowerPrefixTooShort("target tower prefix exhausted")
-            k.append(src_stage)
-            bump = iota_embedding(tower_y.dims[src_stage],
-                                  tower_y.dims[src_stage - 1], tower_y.spec)
-            bumped = compose(bump, prev.embedding)
-            j_new, psi, _ = approximate_extension(bumped, tower_x, tol)
-            if j_new < j[-1]:
-                raise TowerPrefixTooShort("extension landed before current stage")
-            j.append(j_new)
-            maps.append(MapRecord(t, "yx", psi, tol))
-            composites.append(bumped)
-            rt = _round_trip(psi, bumped, tower_x, j[-2], j_new, probes,
-                             prev.tolerance + tol, t)
-            round_trips.append(rt)
-        else:
-            src_stage = j[-1] + 1
-            if src_stage >= len(tower_x.dims):
-                raise TowerPrefixTooShort("target tower prefix exhausted")
-            j.append(src_stage)
-            bump = iota_embedding(tower_x.dims[src_stage],
-                                  tower_x.dims[src_stage - 1], tower_x.spec)
-            bumped = compose(bump, prev.embedding)
-            k_new, psi, _ = approximate_extension(bumped, tower_y, tol)
-            if k_new < k[-1]:
-                raise TowerPrefixTooShort("extension landed before current stage")
-            k.append(k_new)
-            maps.append(MapRecord(t, "xy", psi, tol))
-            composites.append(bumped)
-            rt = _round_trip(psi, bumped, tower_y, k[-2], k_new, probes,
-                             prev.tolerance + tol, t)
-            round_trips.append(rt)
-        stage_pairs.append((j[-1], k[-1]))
+        # bump the tower prev maps into, then extend back into its source
+        home_side, bump_side = prev.direction
+        home_stages, bump_stages = stages[home_side], stages[bump_side]
+        if bump_stages[-1] + 1 >= len(towers[bump_side].dims):
+            raise TowerPrefixTooShort("target tower prefix exhausted")
+        bumped = _bump(towers[bump_side], bump_stages[-1], prev.embedding)
+        bump_stages.append(bump_stages[-1] + 1)
+        landing, psi, _ = approximate_extension(bumped, towers[home_side], tol)
+        if landing < home_stages[-1]:
+            raise TowerPrefixTooShort("extension landed before current stage")
+        home_stages.append(landing)
+        maps.append(MapRecord(t, bump_side + home_side, psi, tol))
+        round_trips.append(_round_trip(psi, bumped, towers[home_side], home_stages[-2],
+                                       landing, probes, prev.tolerance + tol, t))
+        stage_pairs.append((stages["x"][-1], stages["y"][-1]))
 
         if t >= 2:
-            suc = _successive(maps[t - 2], maps[t], tower_x, tower_y,
-                              j, k, probes, t)
+            suc = _successive(maps[t - 2], maps[t], towers, probes, t)
             if suc is not None:
                 successive.append(suc)
 
@@ -412,8 +386,10 @@ def back_and_forth(tower_x: Tower, tower_y: Tower, rounds: int, probes,
                                 successive)
 
 
-def _probe_tower(probe: TowerElement):
-    return probe.tower
+def _bump(tower: Tower, stage: int, emb: DeltaEmbedding) -> DeltaEmbedding:
+    """emb followed by the tower inclusion from ``stage`` to the next stage."""
+    bump = iota_embedding(tower.dims[stage + 1], tower.dims[stage], tower.spec)
+    return compose(bump, emb)
 
 
 def _round_trip(psi: DeltaEmbedding, bumped_prev: DeltaEmbedding,
@@ -423,25 +399,25 @@ def _round_trip(psi: DeltaEmbedding, bumped_prev: DeltaEmbedding,
     composite = compose(psi, bumped_prev)
     errors = []
     for idx, probe in enumerate(probes):
-        if _probe_tower(probe) is not home_tower or probe.stage > home_stage:
+        if probe.tower is not home_tower or probe.stage > home_stage:
             continue
         at_home = include_to(probe, home_stage).value
         mapped = composite.apply(at_home)
         straight = iota(home_tower.dims[landing_stage],
                         home_tower.dims[home_stage], at_home)
         errors.append(ProbeError(idx, rank_distance(mapped, straight).as_fraction()))
+    if not errors:
+        raise EmptyRoundTrip(
+            f"round trip {map_index} has no probe at or below home stage {home_stage}"
+        )
     return RoundTrip(map_index, bound, errors)
 
 
-def _successive(older: MapRecord, newer: MapRecord, tower_x: Tower,
-                tower_y: Tower, j, k, probes, t: int):
+def _successive(older: MapRecord, newer: MapRecord, towers: dict, probes, t: int):
     """Distance between consecutive same-direction maps on fitting probes."""
     if older.direction != newer.direction:
         return None
-    if older.direction == "xy":
-        src_tower, dst_tower = tower_x, tower_y
-    else:
-        src_tower, dst_tower = tower_y, tower_x
+    src_tower, dst_tower = (towers[side] for side in older.direction)
     old_src = src_tower.dims.index(older.embedding.m)
     new_src = src_tower.dims.index(newer.embedding.m)
     old_dst = dst_tower.dims.index(older.embedding.n)
@@ -449,7 +425,7 @@ def _successive(older: MapRecord, newer: MapRecord, tower_x: Tower,
     bound = Fraction(2) ** (-(t - 2) + 1)
     errors = []
     for idx, probe in enumerate(probes):
-        if _probe_tower(probe) is not src_tower or probe.stage > old_src:
+        if probe.tower is not src_tower or probe.stage > old_src:
             continue
         at_old = include_to(probe, old_src).value
         via_old = iota(dst_tower.dims[new_dst], dst_tower.dims[old_dst],
@@ -467,42 +443,31 @@ def verify_certificate(cert: BackForthCertificate, tower_x: Tower,
     """Recompute every recorded error by direct rank evaluation.
 
     Replays the stored maps against the stated stage pairs and probes;
-    any mismatch with the recorded rationals, or any recorded error above
-    its bound, fails the verification.
+    any mismatch with the recorded rationals, any recorded error above
+    its bound, or a round trip that records no probe fails the
+    verification.
     """
     probes = list(probes)
+    towers = {"x": tower_x, "y": tower_y}
     for rt in cert.round_trips:
         t = rt.map_index
-        newer = cert.maps[t]
         older = cert.maps[t - 1]
-        if older.direction == "xy":
-            bump_tower, home_tower = tower_y, tower_x
-            home_stage = cert.stage_pairs[t - 1][0]
-            bump_from = cert.stage_pairs[t - 1][1]
-            landing = cert.stage_pairs[t][0]
-        else:
-            bump_tower, home_tower = tower_x, tower_y
-            home_stage = cert.stage_pairs[t - 1][1]
-            bump_from = cert.stage_pairs[t - 1][0]
-            landing = cert.stage_pairs[t][1]
-        bump = iota_embedding(bump_tower.dims[bump_from + 1],
-                              bump_tower.dims[bump_from], bump_tower.spec)
-        composite = compose(newer.embedding, compose(bump, older.embedding))
+        home_side, bump_side = older.direction
+        home, other = "xy".index(home_side), "xy".index(bump_side)
+        bumped = _bump(towers[bump_side], cert.stage_pairs[t - 1][other],
+                       older.embedding)
+        try:
+            replay = _round_trip(cert.maps[t].embedding, bumped, towers[home_side],
+                                 cert.stage_pairs[t - 1][home], cert.stage_pairs[t][home],
+                                 probes, rt.bound, t)
+        except EmptyRoundTrip:
+            return False
         recorded = {pe.probe_index: pe.error for pe in rt.errors}
-        recomputed = {}
-        for idx, probe in enumerate(probes):
-            if probe.tower is not home_tower or probe.stage > home_stage:
-                continue
-            at_home = include_to(probe, home_stage).value
-            mapped = composite.apply(at_home)
-            straight = iota(home_tower.dims[landing], home_tower.dims[home_stage],
-                            at_home)
-            recomputed[idx] = rank_distance(mapped, straight).as_fraction()
-        if recorded != recomputed:
+        if recorded != {pe.probe_index: pe.error for pe in replay.errors}:
             return False
-        if any(err > rt.bound for err in recomputed.values()):
+        if any(err > rt.bound for err in recorded.values()):
             return False
-    if cert.round_trips and cert.round_trips[-1].errors:
+    if cert.round_trips:
         worst = max(pe.error for pe in cert.round_trips[-1].errors)
         if worst > cert.final_bound:
             return False

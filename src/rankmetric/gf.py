@@ -41,15 +41,16 @@ _BUILTIN_MODULI = {
 _SPEC_CACHE: dict[tuple, "FieldSpec"] = {}
 
 
+def _least_factor(n: int) -> int:
+    """Smallest prime factor of n >= 2 (n itself when n is prime)."""
+    p = 2
+    while p * p <= n and n % p:
+        p += 1
+    return p if p * p <= n else n
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and _least_factor(n) == n
 
 
 def _poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -309,19 +310,23 @@ def field_make(p: int, k: int = 1, modulus=None) -> FieldSpec:
     return spec
 
 
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k; raises ``NonPrime`` when q is not a prime power."""
+    if q >= 2:
+        p = _least_factor(q)
+        k = 0
+        m = q
+        while m % p == 0:
+            m //= p
+            k += 1
+        if m == 1:
+            return p, k
+    raise NonPrime(f"{q} is not a prime power")
+
+
 def field_for_order(q: int) -> FieldSpec:
     """The built-in field with exactly q elements (q a prime power <= 64)."""
-    for p in range(2, q + 1):
-        if _is_prime(p) and q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise NonPrime(f"{q} is not a prime power")
-            return field_make(p, k)
-    raise NonPrime(f"{q} is not a prime power")
+    return field_make(*prime_power(q))
 
 
 _ARITH_OPS = {"add", "sub", "mul", "inv", "neg", "pow"}

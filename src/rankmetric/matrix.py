@@ -1,10 +1,15 @@
 """Exact dense linear algebra over GF(q).
 
-Matrices are immutable values storing their entries as canonical integer
-encodings; all arithmetic goes through the field's precomputed tables.
-For GF(2) the elimination and multiplication kernels transparently switch
-to a bit-packed row representation; the packed kernels are differential
-tested against the generic ones and must return bit-identical results.
+Matrices are immutable values in one of two native forms. A GF(2) matrix
+is stored as packed rows: row i is one Python int with bit j set when
+entry (i, j) is 1, and its kernels (products, sums, rank, inversion,
+elimination) read rows and return rows. Every other field stores the
+flat tuple of canonical integer encodings, and its kernels run on the
+field's precomputed tables. The other form is derived at most once per
+matrix, and only when a caller needs it: entries for text output and
+element access, rows when a matrix built from entries meets a packed
+kernel. The packed kernels are differential tested against the generic
+ones (``_FORCE_GENERIC``) and must return bit-identical results.
 
 Distances are exact: ``rank_distance`` returns a ``RankDistance`` holding
 the raw (rank, ambient) pair, compared by cross-multiplication. Subspaces
@@ -15,6 +20,7 @@ their span, so subspace equality is a plain tuple comparison.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 
 from .errors import (
     DimensionMismatch,
@@ -36,24 +42,30 @@ def _use_packed(spec: FieldSpec) -> bool:
 # ---------------------------------------------------------------------------
 # GF(2) bit-packed kernels: a row is an int, bit j = column j.
 
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _b_pack(entries, rows, cols):
-    out = []
-    for i in range(rows):
-        acc = 0
-        base = i * cols
-        for j in range(cols):
-            if entries[base + j]:
-                acc |= 1 << j
-        out.append(acc)
-    return out
+    """Row ints of a row-major sequence of 0/1 encodings."""
+    if not cols:
+        return [0] * rows
+    digits = bytes(entries).translate(_TO_DIGITS)
+    return [int(digits[i * cols:(i + 1) * cols][::-1], 2) for i in range(rows)]
 
 
 def _b_unpack(rowints, cols):
-    out = []
-    for r in rowints:
-        for j in range(cols):
-            out.append((r >> j) & 1)
-    return out
+    """Row-major 0/1 encodings of row ints, as one flat tuple."""
+    if not cols:
+        return ()
+    fmt = f"0{cols}b"
+    return tuple(b"".join(format(r, fmt)[::-1].encode() for r in rowints)
+                 .translate(_TO_BITS))
+
+
+def _bits(r, n):
+    """The n low bits of one row int as a tuple of 0/1 encodings."""
+    return tuple(format(r, f"0{n}b")[::-1].encode().translate(_TO_BITS)) if n else ()
 
 
 def _b_mul(arows, brows):
@@ -68,30 +80,60 @@ def _b_mul(arows, brows):
     return out
 
 
+def _b_insert(table, r, limit):
+    """Reduce r against an echelon table; keep it if a pivot below limit remains.
+
+    The table maps the lowest set bit of each stored row to that row, so
+    each step clears the lowest bit of r that a stored row leads with.
+    Returns whether r was independent of the stored rows and stored.
+    """
+    while r:
+        low = r & -r
+        row = table.get(low)
+        if row is None:
+            if low < limit:
+                table[low] = r
+                return True
+            return False
+        r ^= row
+    return False
+
+
+def _b_echelon(rowints, ncols):
+    """Echelon table of the rows, pivots restricted to the first ncols columns."""
+    table = {}
+    limit = 1 << ncols
+    for r in rowints:
+        _b_insert(table, r, limit)
+    return table
+
+
 def _b_rref(rowints, ncols):
-    rows = list(rowints)
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        if r == nrows:
-            break
-        bit = 1 << c
-        piv = -1
-        for i in range(r, nrows):
-            if rows[i] & bit:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i] & bit:
-                rows[i] ^= prow
-        pivots.append(c)
-        r += 1
-    return pivots, rows[:r]
+    """Pivot columns and reduced echelon rows (pivots in the first ncols columns).
+
+    Rows without a pivot among the first ncols columns are dropped, as in
+    Gauss-Jordan elimination restricted to those columns.
+    """
+    table = _b_echelon(rowints, ncols)
+    reduced = {}
+    done = 0
+    for low in sorted(table, reverse=True):
+        row = table[low]
+        # stored rows above this pivot are already free of every other pivot
+        hits = row & done
+        while hits:
+            bit = hits & -hits
+            row ^= reduced[bit]
+            hits ^= bit
+        reduced[low] = row
+        done |= low
+    order = sorted(reduced)
+    return [low.bit_length() - 1 for low in order], [reduced[low] for low in order]
+
+
+def _b_basis(rowints, ncols):
+    """Canonical reduced echelon basis of the span of row ints, as 0/1 tuples."""
+    return [_bits(r, ncols) for r in _b_rref(rowints, ncols)[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -154,20 +196,36 @@ def _g_rref(rowlists, ncols, spec):
     return pivots, rows[:r]
 
 
+def _g_insert(table, vec, spec):
+    """Generic twin of ``_b_insert``: table maps a pivot column to its monic row."""
+    q = spec.q
+    add = spec._add
+    mul = spec._mul
+    c = 0
+    n = len(vec)
+    while True:
+        while c < n and not vec[c]:
+            c += 1
+        if c == n:
+            return False
+        row = table.get(c)
+        if row is None:
+            s = spec._inv[vec[c]]
+            sm = mul[s * q:(s + 1) * q]
+            table[c] = [sm[v] for v in vec]
+            return True
+        f = spec._neg[vec[c]]
+        fm = mul[f * q:(f + 1) * q]
+        vec = [add[x * q + fm[y]] for x, y in zip(vec, row)]
+
+
 def _rref_vectors(vectors, ncols, spec):
     """Canonical reduced echelon basis of the span of the given vectors."""
     if not vectors:
         return []
     if _use_packed(spec):
-        packed = []
-        for v in vectors:
-            acc = 0
-            for j, e in enumerate(v):
-                if e:
-                    acc |= 1 << j
-            packed.append(acc)
-        _, rows = _b_rref(packed, ncols)
-        return [tuple((r >> j) & 1 for j in range(ncols)) for r in rows]
+        flat = [e for v in vectors for e in v]
+        return _b_basis(_b_pack(flat, len(vectors), ncols), ncols)
     _, rows = _g_rref(vectors, ncols, spec)
     return [tuple(r) for r in rows]
 
@@ -175,6 +233,7 @@ def _rref_vectors(vectors, ncols, spec):
 # ---------------------------------------------------------------------------
 
 
+@total_ordering
 class RankDistance:
     """Exact normalized-rank distance: numerator/denominator, never floats.
 
@@ -193,10 +252,6 @@ class RankDistance:
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
 
-    def reduced(self) -> "RankDistance":
-        f = self.as_fraction()
-        return RankDistance(f.numerator, f.denominator)
-
     @staticmethod
     def _other(value) -> Fraction:
         if isinstance(value, RankDistance):
@@ -213,18 +268,6 @@ class RankDistance:
         o = self._other(other)
         return NotImplemented if o is NotImplemented else self.as_fraction() < o
 
-    def __le__(self, other):
-        o = self._other(other)
-        return NotImplemented if o is NotImplemented else self.as_fraction() <= o
-
-    def __gt__(self, other):
-        o = self._other(other)
-        return NotImplemented if o is NotImplemented else self.as_fraction() > o
-
-    def __ge__(self, other):
-        o = self._other(other)
-        return NotImplemented if o is NotImplemented else self.as_fraction() >= o
-
     def __hash__(self):
         return hash(self.as_fraction())
 
@@ -236,9 +279,13 @@ class RankDistance:
 
 
 class Matrix:
-    """A dense exact matrix over a fixed ``FieldSpec``. Immutable."""
+    """A dense exact matrix over a fixed ``FieldSpec``. Immutable.
 
-    __slots__ = ("spec", "rows", "cols", "_e")
+    ``_rw`` holds the packed rows (GF(2)), ``_ent`` the flat entry tuple;
+    at least one is set, and each is filled in from the other on demand.
+    """
+
+    __slots__ = ("spec", "rows", "cols", "_ent", "_rw")
 
     def __init__(self, spec: FieldSpec, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
@@ -258,28 +305,55 @@ class Matrix:
         self.spec = spec
         self.rows = rows
         self.cols = cols
-        self._e = tuple(vals)
+        self._ent = tuple(vals)
+        self._rw = None
+
+    @classmethod
+    def _trusted(cls, spec: FieldSpec, rows: int, cols: int,
+                 entries=None, packed=None) -> "Matrix":
+        """Kernel output: canonical entries or packed rows, taken unchecked."""
+        m = object.__new__(cls)
+        m.spec = spec
+        m.rows = rows
+        m.cols = cols
+        m._ent = entries
+        m._rw = packed
+        return m
+
+    @property
+    def _e(self) -> tuple[int, ...]:
+        ent = self._ent
+        if ent is None:
+            ent = self._ent = _b_unpack(self._rw, self.cols)
+        return ent
+
+    def _packed(self) -> tuple[int, ...]:
+        rw = self._rw
+        if rw is None:
+            rw = self._rw = tuple(_b_pack(self._ent, self.rows, self.cols))
+        return rw
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, spec: FieldSpec, rows: int, cols: int | None = None) -> "Matrix":
         cols = rows if cols is None else cols
-        return cls(spec, rows, cols, [0] * (rows * cols))
+        if _use_packed(spec):
+            return cls._trusted(spec, rows, cols, packed=(0,) * rows)
+        return cls._trusted(spec, rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "Matrix":
-        e = [0] * (n * n)
-        for i in range(n):
-            e[i * n + i] = 1
-        return cls(spec, n, n, e)
+        if _use_packed(spec):
+            return cls._trusted(spec, n, n, packed=tuple(1 << i for i in range(n)))
+        return cls.scalar(spec, n, 1)
 
     @classmethod
     def unit(cls, spec: FieldSpec, n: int, i: int, j: int) -> "Matrix":
         """The matrix unit e_{ij} (1-based indices)."""
         e = [0] * (n * n)
         e[(i - 1) * n + (j - 1)] = 1
-        return cls(spec, n, n, e)
+        return cls._trusted(spec, n, n, tuple(e))
 
     @classmethod
     def scalar(cls, spec: FieldSpec, n: int, value) -> "Matrix":
@@ -287,18 +361,14 @@ class Matrix:
         e = [0] * (n * n)
         for i in range(n):
             e[i * n + i] = v
-        return cls(spec, n, n, e)
+        return cls._trusted(spec, n, n, tuple(e))
 
     @classmethod
     def from_columns(cls, spec: FieldSpec, columns, nrows: int) -> "Matrix":
         cols = [list(c) for c in columns]
-        e = [0] * (nrows * len(cols))
-        for j, col in enumerate(cols):
-            if len(col) != nrows:
-                raise DimensionMismatch("column of wrong height")
-            for i, v in enumerate(col):
-                e[i * len(cols) + j] = v
-        return cls(spec, nrows, len(cols), e)
+        if any(len(col) != nrows for col in cols):
+            raise DimensionMismatch("column of wrong height")
+        return cls(spec, nrows, len(cols), [col[i] for i in range(nrows) for col in cols])
 
     # -- access ---------------------------------------------------------
 
@@ -319,7 +389,7 @@ class Matrix:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return not any(self._e)
+        return not any(self._key())
 
     # -- arithmetic -----------------------------------------------------
 
@@ -333,32 +403,41 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
+        if _use_packed(self.spec):
+            return Matrix._trusted(
+                self.spec, self.rows, self.cols,
+                packed=tuple(a ^ b for a, b in zip(self._packed(), other._packed())),
+            )
         add = self.spec._add
         q = self.spec.q
-        return Matrix(
+        return Matrix._trusted(
             self.spec, self.rows, self.cols,
-            [add[a * q + b] for a, b in zip(self._e, other._e)],
+            tuple(add[a * q + b] for a, b in zip(self._e, other._e)),
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
+        if _use_packed(self.spec):
+            return self + other
         add = self.spec._add
         neg = self.spec._neg
         q = self.spec.q
-        return Matrix(
+        return Matrix._trusted(
             self.spec, self.rows, self.cols,
-            [add[a * q + neg[b]] for a, b in zip(self._e, other._e)],
+            tuple(add[a * q + neg[b]] for a, b in zip(self._e, other._e)),
         )
 
     def __neg__(self) -> "Matrix":
         neg = self.spec._neg
-        return Matrix(self.spec, self.rows, self.cols, [neg[a] for a in self._e])
+        return Matrix._trusted(self.spec, self.rows, self.cols,
+                               tuple(neg[a] for a in self._e))
 
     def scale(self, value) -> "Matrix":
         s = self.spec.element(value).val
         q = self.spec.q
         sm = self.spec._mul[s * q:(s + 1) * q]
-        return Matrix(self.spec, self.rows, self.cols, [sm[a] for a in self._e])
+        return Matrix._trusted(self.spec, self.rows, self.cols,
+                               tuple(sm[a] for a in self._e))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -370,16 +449,13 @@ class Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         if _use_packed(self.spec):
-            arows = _b_pack(self._e, self.rows, self.cols)
-            brows = _b_pack(other._e, other.rows, other.cols)
-            crows = _b_mul(arows, brows)
-            return Matrix(self.spec, self.rows, other.cols,
-                          _b_unpack(crows, other.cols))
-        arows = self.row_lists()
-        brows = other.row_lists()
-        crows = _g_mul(arows, brows, self.spec, other.cols)
-        return Matrix(self.spec, self.rows, other.cols,
-                      [v for row in crows for v in row])
+            return Matrix._trusted(
+                self.spec, self.rows, other.cols,
+                packed=tuple(_b_mul(self._packed(), other._packed())),
+            )
+        crows = _g_mul(self.row_lists(), other.row_lists(), self.spec, other.cols)
+        return Matrix._trusted(self.spec, self.rows, other.cols,
+                               tuple(v for row in crows for v in row))
 
     def __pow__(self, e: int) -> "Matrix":
         if not self.is_square():
@@ -398,15 +474,18 @@ class Matrix:
     def transpose(self) -> "Matrix":
         e = self._e
         c = self.cols
-        return Matrix(
+        return Matrix._trusted(
             self.spec, self.cols, self.rows,
-            [e[i * c + j] for j in range(c) for i in range(self.rows)],
+            tuple(e[i * c + j] for j in range(c) for i in range(self.rows)),
         )
 
     def apply_to_vector(self, vec) -> tuple[int, ...]:
         """Matrix-vector product on raw int encodings."""
         if len(vec) != self.cols:
             raise DimensionMismatch("vector of wrong length")
+        if _use_packed(self.spec):
+            v = _b_pack(vec, 1, self.cols)[0]
+            return tuple((r & v).bit_count() & 1 for r in self._packed())
         q = self.spec.q
         add = self.spec._add
         mul = self.spec._mul
@@ -422,17 +501,21 @@ class Matrix:
             out.append(acc)
         return tuple(out)
 
+    def _key(self):
+        # GF(2) compares and hashes rows whichever form it was built in
+        return self._packed() if self.spec.q == 2 else self._e
+
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.spec == other.spec
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._e == other._e
+            and self._key() == other._key()
         )
 
     def __hash__(self):
-        return hash((self.spec, self.rows, self.cols, self._e))
+        return hash((self.spec, self.rows, self.cols, self._key()))
 
     def __repr__(self):
         return f"Matrix({self.spec!r}, {self.rows}x{self.cols})"
@@ -462,6 +545,15 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("vector of wrong length")
         self.basis = tuple(_rref_vectors(vecs, ambient_dim, spec))
+
+    @classmethod
+    def _of_rows(cls, spec: FieldSpec, ambient_dim: int, rowints) -> "Subspace":
+        """The span of GF(2) row ints, echeloned without unpacking them first."""
+        s = object.__new__(cls)
+        s.spec = spec
+        s.ambient_dim = ambient_dim
+        s.basis = tuple(_b_basis(rowints, ambient_dim))
+        return s
 
     @property
     def dim(self) -> int:
@@ -495,15 +587,16 @@ class Subspace:
 
 
 def _matrix_rref(m: Matrix):
+    """Pivots and reduced rows: row ints when packed, lists of encodings otherwise."""
     if _use_packed(m.spec):
-        packed = _b_pack(m._e, m.rows, m.cols)
-        pivots, rows = _b_rref(packed, m.cols)
-        return pivots, [[(r >> j) & 1 for j in range(m.cols)] for r in rows]
+        return _b_rref(m._packed(), m.cols)
     return _g_rref(m.row_lists(), m.cols, m.spec)
 
 
 def rank(m: Matrix) -> int:
     """Exact rank by Gaussian elimination with first-nonzero pivots."""
+    if _use_packed(m.spec):
+        return len(_b_echelon(m._packed(), m.cols))
     pivots, _ = _matrix_rref(m)
     return len(pivots)
 
@@ -515,12 +608,6 @@ def rank_distance(x: Matrix, y: Matrix) -> RankDistance:
     if not (x.is_square() and y.is_square() and x.rows == y.rows):
         raise DimensionMismatch("rank distance needs equal square matrices")
     return RankDistance(rank(x - y), x.rows)
-
-
-def normalized_rank(x: Matrix) -> RankDistance:
-    if not x.is_square():
-        raise DimensionMismatch("normalized rank needs a square matrix")
-    return RankDistance(rank(x), x.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +634,7 @@ def kron(x: Matrix, y: Matrix) -> Matrix:
                 yb = i2 * y.cols
                 for j2 in range(y.cols):
                     out[ib + j2] = am[ye[yb + j2]]
-    return Matrix(x.spec, R, C, out)
+    return Matrix._trusted(x.spec, R, C, tuple(out))
 
 
 def direct_sum(blocks, pad_zeros: int = 0) -> Matrix:
@@ -565,13 +652,12 @@ def direct_sum(blocks, pad_zeros: int = 0) -> Matrix:
     out = [0] * (n * n)
     off = 0
     for b in blocks:
+        be = b._e
         for i in range(b.rows):
             base = (off + i) * n + off
-            bb = i * b.cols
-            for j in range(b.cols):
-                out[base + j] = b._e[bb + j]
+            out[base:base + b.cols] = be[i * b.cols:(i + 1) * b.cols]
         off += b.rows
-    return Matrix(spec, n, n, out)
+    return Matrix._trusted(spec, n, n, tuple(out))
 
 
 def kassabov_generators(n: int, spec: FieldSpec) -> tuple[Matrix, Matrix]:
@@ -587,12 +673,7 @@ def kassabov_generators(n: int, spec: FieldSpec) -> tuple[Matrix, Matrix]:
     for i in range(n - 1):
         a[(i + 1) * n + i] = 1
         b[i * n + (i + 1)] = 1
-    return Matrix(spec, n, n, a), Matrix(spec, n, n, b)
-
-
-def presentation_coefficient(spec: FieldSpec) -> int:
-    """The coefficient (p+1) reduced into the field's prime subfield."""
-    return (spec.p + 1) % spec.p
+    return Matrix._trusted(spec, n, n, tuple(a)), Matrix._trusted(spec, n, n, tuple(b))
 
 
 def matrix_units(a: Matrix, b: Matrix, n: int) -> list[list[Matrix]]:
@@ -648,6 +729,15 @@ def kernel_basis(m: Matrix) -> Subspace:
     pivots, rows = _matrix_rref(m)
     piv_set = set(pivots)
     free = [j for j in range(m.cols) if j not in piv_set]
+    if _use_packed(m.spec):
+        vecs = []
+        for f in free:
+            v = 1 << f
+            for r, pc in enumerate(pivots):
+                if rows[r] >> f & 1:
+                    v |= 1 << pc
+            vecs.append(v)
+        return Subspace._of_rows(m.spec, m.cols, vecs)
     neg = m.spec._neg
     vecs = []
     for f in free:
@@ -666,11 +756,11 @@ def image_basis(m: Matrix) -> Subspace:
 
 def annihilator(s: Subspace) -> Matrix:
     """Constraint matrix whose kernel is exactly s (rows kill every basis vector)."""
-    bt = Matrix(s.spec, len(s.basis), s.ambient_dim,
-                [v for vec in s.basis for v in vec])
+    bt = Matrix._trusted(s.spec, len(s.basis), s.ambient_dim,
+                         tuple(v for vec in s.basis for v in vec))
     constraints = kernel_basis(bt)
-    return Matrix(s.spec, len(constraints.basis), s.ambient_dim,
-                  [v for vec in constraints.basis for v in vec])
+    return Matrix._trusted(s.spec, len(constraints.basis), s.ambient_dim,
+                           tuple(v for vec in constraints.basis for v in vec))
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
@@ -681,8 +771,8 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
         raise DimensionMismatch("subspaces in different ambient spaces")
     c1 = annihilator(s1)
     c2 = annihilator(s2)
-    stacked = Matrix(s1.spec, c1.rows + c2.rows, s1.ambient_dim,
-                     list(c1._e) + list(c2._e))
+    stacked = Matrix._trusted(s1.spec, c1.rows + c2.rows, s1.ambient_dim,
+                              c1._e + c2._e)
     return kernel_basis(stacked)
 
 
@@ -710,50 +800,46 @@ def invert(m: Matrix) -> Matrix:
         raise DimensionMismatch("only square matrices can be inverted")
     n = m.rows
     if _use_packed(m.spec):
-        packed = _b_pack(m._e, n, n)
-        aug = [packed[i] | (1 << (n + i)) for i in range(n)]
+        aug = [r | (1 << (n + i)) for i, r in enumerate(m._packed())]
         pivots, rows = _b_rref(aug, n)
         if len(pivots) != n:
             raise Singular("matrix is singular")
-        ent = []
-        for r in rows:
-            for j in range(n):
-                ent.append((r >> (n + j)) & 1)
-        return Matrix(m.spec, n, n, ent)
-    rowls = m.row_lists()
+        return Matrix._trusted(m.spec, n, n, packed=tuple(r >> n for r in rows))
     aug = []
-    for i, row in enumerate(rowls):
+    for i, row in enumerate(m.row_lists()):
         tail = [0] * n
         tail[i] = 1
         aug.append(row + tail)
     pivots, rows = _g_rref(aug, n, m.spec)
     if len(pivots) != n:
         raise Singular("matrix is singular")
-    ent = []
-    for r in rows:
-        ent.extend(r[n:])
-    return Matrix(m.spec, n, n, ent)
+    return Matrix._trusted(m.spec, n, n, tuple(v for r in rows for v in r[n:]))
 
 
 def solve(m: Matrix, rhs) -> tuple[int, ...] | None:
     """One solution of m v = rhs (raw encodings), or None if inconsistent."""
     if len(rhs) != m.rows:
         raise DimensionMismatch("right-hand side of wrong length")
-    aug = Matrix(m.spec, m.rows, m.cols + 1,
-                 [v for i in range(m.rows)
-                  for v in (*m._e[i * m.cols:(i + 1) * m.cols], rhs[i])])
-    pivots, rows = _matrix_rref(aug)
-    if m.cols in pivots:
+    c = m.cols
+    if _use_packed(m.spec):
+        aug = [r | (v % 2) << c for r, v in zip(m._packed(), rhs)]
+        pivots, rows = _b_rref(aug, c + 1)
+        last = [r >> c & 1 for r in rows]
+    else:
+        aug = [row + [rhs[i] % m.spec.q] for i, row in enumerate(m.row_lists())]
+        pivots, rows = _g_rref(aug, c + 1, m.spec)
+        last = [r[c] for r in rows]
+    if c in pivots:
         return None
-    sol = [0] * m.cols
-    for r, pc in enumerate(pivots):
-        sol[pc] = rows[r][m.cols]
+    sol = [0] * c
+    for pc, v in zip(pivots, last):
+        sol[pc] = v
     return tuple(sol)
 
 
 def random_matrix(spec: FieldSpec, rows: int, cols: int, rng) -> Matrix:
-    return Matrix(spec, rows, cols,
-                  [rng.randrange(spec.q) for _ in range(rows * cols)])
+    return Matrix._trusted(spec, rows, cols,
+                           tuple(rng.randrange(spec.q) for _ in range(rows * cols)))
 
 
 def random_unit(spec: FieldSpec, n: int, rng) -> Matrix:
@@ -772,8 +858,9 @@ def write_matrix(m: Matrix) -> str:
     """Serialize as 'q rows cols' plus one line of encodings per row."""
     head = f"{m.spec.q} {m.rows} {m.cols}"
     lines = [head]
+    e = m._e
     for i in range(m.rows):
-        lines.append(" ".join(str(v) for v in m._e[i * m.cols:(i + 1) * m.cols]))
+        lines.append(" ".join(str(v) for v in e[i * m.cols:(i + 1) * m.cols]))
     return "\n".join(lines) + "\n"
 
 

@@ -14,12 +14,25 @@ sizes fail fast with ``TooLarge``.
 
 from __future__ import annotations
 
+import functools
 import math
+import random
 from fractions import Fraction
 
-from .errors import NotDivisor, NotLipschitz, TooLarge
-from .gf import FieldSpec
-from .matrix import Matrix, kron, rank, _b_rref, _g_rref, _use_packed
+from .errors import InvariantViolated, NotDivisor, NotLipschitz, TooLarge
+from .gf import FieldSpec, prime_power
+from .matrix import (
+    Matrix,
+    invert,
+    kron,
+    random_unit,
+    rank,
+    _b_basis,
+    _b_echelon,
+    _b_pack,
+    _rref_vectors,
+    _use_packed,
+)
 
 # An enumeration touching more than this many matrices fails fast.
 ENUMERATION_LIMIT = 1 << 20
@@ -31,10 +44,10 @@ def sl_order(n: int, q: int) -> int:
     """|SL_n(F_q)| = (1/(q-1)) * prod_{i<n} (q^n - q^i), exactly."""
     if n < 1:
         raise NotDivisor("n must be positive")
-    prod = 1
-    for i in range(n):
-        prod *= q ** n - q ** i
-    assert prod % (q - 1) == 0
+    prime_power(q)
+    prod = gl_order(n, q)
+    if prod % (q - 1):
+        raise InvariantViolated(f"q - 1 = {q - 1} does not divide |GL_{n}({q})|")
     return prod // (q - 1)
 
 
@@ -59,8 +72,22 @@ def _check_enumeration(n: int, q: int):
 
 
 def iterate_units(n: int, spec: FieldSpec):
-    """All invertible n x n matrices, in integer-encoding order (guarded)."""
+    """All invertible n x n matrices, in integer-encoding order (guarded).
+
+    Over GF(2) the bits of a code are the row-major entries, so its rows
+    are read off the code and ranked from a table; only units become
+    matrices.
+    """
     total = _check_enumeration(n, spec.q)
+    if _use_packed(spec):
+        table = _gf2_rank_table(n)
+        mask = (1 << n) - 1
+        shifts = range(0, n * n, n)
+        for code in range(total):
+            if table[code] == n:
+                yield Matrix._trusted(spec, n, n,
+                                      packed=tuple(code >> s & mask for s in shifts))
+        return
     q = spec.q
     for code in range(total):
         ents = []
@@ -73,26 +100,14 @@ def iterate_units(n: int, spec: FieldSpec):
             yield m
 
 
-def _flatten(m: Matrix) -> list[int]:
-    return list(m._e)
-
-
 def span_fingerprint(mats, spec: FieldSpec, ambient: int) -> tuple:
     """Canonical echelon basis of the linear span of flattened matrices."""
     dim = ambient * ambient
-    vectors = [_flatten(m) for m in mats]
     if _use_packed(spec):
-        packed = []
-        for v in vectors:
-            acc = 0
-            for j, e in enumerate(v):
-                if e:
-                    acc |= 1 << j
-            packed.append(acc)
-        _, rows = _b_rref(packed, dim)
-        return tuple(tuple((r >> j) & 1 for j in range(dim)) for r in rows)
-    _, rows = _g_rref(vectors, dim, spec)
-    return tuple(tuple(r) for r in rows)
+        # row i of an ambient x ambient matrix fills bits i*ambient onwards
+        flat = [sum(r << (i * ambient) for i, r in enumerate(m._packed())) for m in mats]
+        return tuple(_b_basis(flat, dim))
+    return tuple(_rref_vectors([m._e for m in mats], dim, spec))
 
 
 def base_copy_basis(a: int, b: int, spec: FieldSpec) -> list[Matrix]:
@@ -124,31 +139,24 @@ class CopySet:
         return f"CopySet({len(self.copies)} copies of M_{self.a_dim} in M_{self.c_dim})"
 
 
-_CENSUS_CACHE: dict[tuple, CopySet] = {}
+@functools.cache
+def _copy_bases(a: int, b: int, spec: FieldSpec) -> dict:
+    """Fingerprint -> first-seen conjugated basis of every copy of M_a in M_b.
+
+    The census is deterministic, so the walk runs once per (a, b, field).
+    """
+    base = base_copy_basis(a, b, spec)
+    out = {}
+    for g in iterate_units(b, spec):
+        gi = invert(g)
+        mats = [g * m * gi for m in base]
+        out.setdefault(span_fingerprint(mats, spec, b), mats)
+    return out
 
 
 def enumerate_copies(a: int, b: int, spec: FieldSpec) -> CopySet:
-    """Census of all conjugates of the standard copy (first-seen order).
-
-    Deterministic, so results are cached per (a, b, field).
-    """
-    key = (a, b, spec.p, spec.k, spec.modulus)
-    cached = _CENSUS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    from .matrix import invert
-    base = base_copy_basis(a, b, spec)
-    seen = []
-    seen_set = set()
-    for g in iterate_units(b, spec):
-        gi = invert(g)
-        fp = span_fingerprint([g * m * gi for m in base], spec, b)
-        if fp not in seen_set:
-            seen_set.add(fp)
-            seen.append(fp)
-    out = CopySet(a, b, seen, spec)
-    _CENSUS_CACHE[key] = out
-    return out
+    """Census of all conjugates of the standard copy (first-seen order)."""
+    return CopySet(a, b, _copy_bases(a, b, spec), spec)
 
 
 def count_copies(a: int, b: int, q_or_spec, method: str = "brute_force") -> int:
@@ -170,7 +178,6 @@ def count_copies(a: int, b: int, q_or_spec, method: str = "brute_force") -> int:
     if method == "orbit_stabilizer":
         base = base_copy_basis(a, b, spec)
         base_fp = span_fingerprint(base, spec, b)
-        from .matrix import invert
         stab = 0
         total_units = 0
         for g in iterate_units(b, spec):
@@ -179,12 +186,16 @@ def count_copies(a: int, b: int, q_or_spec, method: str = "brute_force") -> int:
             if span_fingerprint([g * m * gi for m in base], spec, b) == base_fp:
                 stab += 1
         q = spec.q
-        assert stab % (q - 1) == 0
         aut = sl_order(b, q)
-        stab_mod_scalars = stab // (q - 1)
-        assert aut % stab_mod_scalars == 0
-        k = aut // stab_mod_scalars
-        assert k * stab == total_units  # orbit times stabilizer is the group
+        # the q - 1 scalar units lie in the stabilizer, the stabilizer modulo
+        # them divides |SL|, and orbit times stabilizer is the unit group
+        broken = InvariantViolated(f"orbit-stabilizer fails: stabilizer {stab}, "
+                                   f"|SL| {aut}, units {total_units}")
+        if stab % (q - 1) or aut % (stab // (q - 1)):
+            raise broken
+        k = aut // (stab // (q - 1))
+        if k * stab != total_units:
+            raise broken
         return k
     raise ValueError(f"unknown method {method!r}")
 
@@ -193,24 +204,13 @@ def count_copies(a: int, b: int, q_or_spec, method: str = "brute_force") -> int:
 # the copy metric and colorings
 
 
-_RANK_TABLE_CACHE: dict[tuple, tuple] = {}
-
-
+@functools.cache
 def _gf2_rank_table(n: int) -> tuple:
     """rank of every n x n GF(2) matrix, keyed by its n^2-bit encoding."""
-    key = (2, n)
-    tbl = _RANK_TABLE_CACHE.get(key)
-    if tbl is None:
-        total = 1 << (n * n)
-        mask = (1 << n) - 1
-        out = []
-        for code in range(total):
-            rows = [(code >> (i * n)) & mask for i in range(n)]
-            pivots, _ = _b_rref(rows, n)
-            out.append(len(pivots))
-        tbl = tuple(out)
-        _RANK_TABLE_CACHE[key] = tbl
-    return tbl
+    mask = (1 << n) - 1
+    shifts = range(0, n * n, n)
+    return tuple(len(_b_echelon([code >> s & mask for s in shifts], n))
+                 for code in range(1 << (n * n)))
 
 
 def copy_elements(fp: tuple, spec: FieldSpec, ambient: int) -> list[tuple]:
@@ -238,22 +238,15 @@ def copy_elements(fp: tuple, spec: FieldSpec, ambient: int) -> list[tuple]:
     return out
 
 
-_PACKED_ELEMENTS_CACHE: dict[tuple, list] = {}
-
-
-def _packed_elements(fp: tuple, spec: FieldSpec, ambient: int) -> list[int]:
-    key = (fp, ambient)
-    cached = _PACKED_ELEMENTS_CACHE.get(key)
-    if cached is None:
-        cached = []
-        for vec in copy_elements(fp, spec, ambient):
-            acc = 0
-            for j, e in enumerate(vec):
-                if e:
-                    acc |= 1 << j
-            cached.append(acc)
-        _PACKED_ELEMENTS_CACHE[key] = cached
-    return cached
+@functools.cache
+def _packed_elements(fp: tuple, ambient: int) -> list[int]:
+    """Every element of a GF(2) span as a flattened int, in copy_elements order."""
+    if 1 << len(fp) > COPY_ELEMENT_LIMIT:
+        raise TooLarge(f"copy has {1 << len(fp)} elements")
+    out = [0]
+    for row in _b_pack([e for vec in fp for e in vec], len(fp), ambient * ambient):
+        out += [x ^ row for x in out]
+    return out
 
 
 def copy_distance(s: tuple, t: tuple, spec: FieldSpec, ambient: int) -> Fraction:
@@ -266,17 +259,17 @@ def copy_distance(s: tuple, t: tuple, spec: FieldSpec, ambient: int) -> Fraction
         return Fraction(0)
     if _use_packed(spec) and ambient * ambient <= 20:
         table = _gf2_rank_table(ambient)
-        ps = _packed_elements(s, spec, ambient)
-        pt = _packed_elements(t, spec, ambient)
+        ps = _packed_elements(s, ambient)
+        pt = _packed_elements(t, ambient)
         worst = 0
+        # both spans contain 0, so an element's distance to the other span
+        # is at most its own rank: ranks at or below worst cannot raise it
         for xa in ps:
-            best = min(table[xa ^ xb] for xb in pt)
-            if best > worst:
-                worst = best
+            if table[xa] > worst:
+                worst = max(worst, min(table[xa ^ xb] for xb in pt))
         for xb in pt:
-            best = min(table[xa ^ xb] for xa in ps)
-            if best > worst:
-                worst = best
+            if table[xb] > worst:
+                worst = max(worst, min(table[xa ^ xb] for xa in ps))
         return Fraction(worst, ambient)
     es = copy_elements(s, spec, ambient)
     et = copy_elements(t, spec, ambient)
@@ -324,9 +317,12 @@ class Coloring:
         v = Fraction(self.evaluator(fp))
         if not 0 <= v <= 1:
             raise NotLipschitz(f"coloring value {v} outside [0, 1]")
+        # distinct fingerprints are distinct spans, so one holds an element
+        # outside the other and copy_distance >= 1/c: a smaller gap is safe
+        step = Fraction(1, self.c_dim)
         for other_fp, other_v in self._cache.items():
             gap = abs(v - other_v)
-            if gap and gap > copy_distance(fp, other_fp, self.spec, self.c_dim):
+            if gap > step and gap > copy_distance(fp, other_fp, self.spec, self.c_dim):
                 raise NotLipschitz(
                     "coloring moves faster than the copy metric allows"
                 )
@@ -529,41 +525,6 @@ class SearchReport:
                 f"examined={self.examined})")
 
 
-def _copies_inside(g: Matrix, base_a_copies, c: int, b: int, spec: FieldSpec):
-    """Fingerprints of the copies of A inside g (B tensor 1) g^{-1}."""
-    from .matrix import invert
-    gi = invert(g)
-    eye = Matrix.identity(spec, c // b)
-    out = []
-    for basis in base_a_copies:
-        lifted = [g * kron(m, eye) * gi for m in basis]
-        out.append(span_fingerprint(lifted, spec, c))
-    return out
-
-
-_COPY_BASES_CACHE: dict[tuple, list] = {}
-
-
-def _base_a_copy_bases(a: int, b: int, spec: FieldSpec):
-    """Bases (as matrix lists) of every copy of M_a inside M_b (cached)."""
-    key = (a, b, spec.p, spec.k, spec.modulus)
-    cached = _COPY_BASES_CACHE.get(key)
-    if cached is not None:
-        return cached
-    from .matrix import invert
-    base = base_copy_basis(a, b, spec)
-    seen = {}
-    for g in iterate_units(b, spec):
-        gi = invert(g)
-        mats = [g * m * gi for m in base]
-        fp = span_fingerprint(mats, spec, b)
-        if fp not in seen:
-            seen[fp] = mats
-    out = list(seen.values())
-    _COPY_BASES_CACHE[key] = out
-    return out
-
-
 def monochromatic_search(b_dim: int, c_dim: int, gamma: Coloring, eps,
                          strategy: str = "exhaustive", seed: int = 0,
                          trials: int = 100) -> SearchReport:
@@ -585,52 +546,38 @@ def monochromatic_search(b_dim: int, c_dim: int, gamma: Coloring, eps,
     if b_dim < 1 or c_dim % b_dim != 0 or b_dim % a_dim != 0:
         raise NotDivisor("need a | b and b | c")
     base_b = base_copy_basis(b_dim, c_dim, spec)
-    base_a_copies = _base_a_copy_bases(a_dim, b_dim, spec)
+    # the copies of A inside the standard B, lifted once into M_c
+    eye = Matrix.identity(spec, c_dim // b_dim)
+    lifted_a_copies = [[kron(m, eye) for m in basis]
+                       for basis in _copy_bases(a_dim, b_dim, spec).values()]
+
+    if strategy == "exhaustive":
+        units, label = iterate_units(c_dim, spec), "exhaustive"
+    elif strategy == "random":
+        _check_enumeration(c_dim, spec.q)
+        rng = random.Random(seed)
+        units = (random_unit(spec, c_dim, rng) for _ in range(trials))
+        label = f"random:{seed}:{trials}"
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
 
     best_fp = None
     best_osc = None
     examined = 0
     seen = set()
-
-    def consider(g: Matrix):
-        nonlocal best_fp, best_osc, examined
-        from .matrix import invert
+    for g in units:
         gi = invert(g)
         fp_b = span_fingerprint([g * m * gi for m in base_b], spec, c_dim)
         if fp_b in seen:
-            return None
+            continue
         seen.add(fp_b)
         examined += 1
-        inside = _copies_inside(g, base_a_copies, c_dim, b_dim, spec)
+        inside = [span_fingerprint([g * m * gi for m in lifted], spec, c_dim)
+                  for lifted in lifted_a_copies]
         osc = oscillation(gamma, inside)
         if best_osc is None or osc < best_osc:
             best_osc = osc
             best_fp = fp_b
         if osc <= eps:
-            return fp_b, osc
-        return None
-
-    if strategy == "exhaustive":
-        for g in iterate_units(c_dim, spec):
-            hit = consider(g)
-            if hit is not None:
-                return SearchReport(True, hit[0], hit[1], examined,
-                                    "exhaustive", eps)
-        return SearchReport(False, best_fp, best_osc, examined,
-                            "exhaustive", eps)
-    if strategy == "random":
-        import random as _random
-        from .matrix import random_unit
-        _check_enumeration(c_dim, spec.q)
-        rng = _random.Random(seed)
-        hit_report = None
-        for _ in range(trials):
-            g = random_unit(spec, c_dim, rng)
-            hit = consider(g)
-            if hit is not None and hit_report is None:
-                hit_report = SearchReport(True, hit[0], hit[1], examined,
-                                          f"random:{seed}:{trials}", eps)
-                return hit_report
-        return SearchReport(False, best_fp, best_osc, examined,
-                            f"random:{seed}:{trials}", eps)
-    raise ValueError(f"unknown strategy {strategy!r}")
+            return SearchReport(True, fp_b, osc, examined, label, eps)
+    return SearchReport(False, best_fp, best_osc, examined, label, eps)

@@ -29,6 +29,10 @@ from .matrix import (
     rank,
     rank_distance,
     subspace_sum,
+    _b_insert,
+    _b_pack,
+    _g_insert,
+    _use_packed,
 )
 from .embeddings import DeltaEmbedding
 
@@ -187,32 +191,22 @@ class RepairCertificate:
 
 
 class _SpanTracker:
-    """Incremental independence test over accumulating column vectors."""
+    """Incremental independence test over accumulating column vectors.
+
+    Keeps an echelon table of the accepted vectors and reduces each
+    candidate against it, so an add costs one reduction, not a rebuild.
+    """
 
     def __init__(self, spec, ambient):
         self.spec = spec
         self.ambient = ambient
-        self.rows = []
-        self.pivots = []
+        self.echelon = {}
 
     def try_add(self, vec) -> bool:
-        from .matrix import _b_rref, _g_rref, _use_packed
-        vec = list(vec)
         if _use_packed(self.spec):
-            acc = 0
-            for j, e in enumerate(vec):
-                if e:
-                    acc |= 1 << j
-            cand = self.rows + [acc]
-            pivots, rows = _b_rref(cand, self.ambient)
-        else:
-            cand = self.rows + [vec]
-            pivots, rows = _g_rref(cand, self.ambient, self.spec)
-        if len(pivots) == len(self.rows) + 1:
-            self.rows = rows
-            self.pivots = pivots
-            return True
-        return False
+            return _b_insert(self.echelon, _b_pack(vec, 1, self.ambient)[0],
+                             1 << self.ambient)
+        return _g_insert(self.echelon, list(vec), self.spec)
 
 
 def repair(x: Matrix, y: Matrix, n: int):
@@ -286,11 +280,6 @@ def repair(x: Matrix, y: Matrix, n: int):
     )
     cert.check()
     return psi, b_matrix, cert
-
-
-def repaired_pair(psi: DeltaEmbedding) -> tuple[Matrix, Matrix]:
-    """The exact pair produced by a repair embedding."""
-    return psi.generator_images()
 
 
 def delta_for_target(n: int, eps: Fraction) -> Fraction:

@@ -1,5 +1,7 @@
 import io
 
+import pytest
+
 from rankmetric.cli import run
 from rankmetric.gf import field_make
 from rankmetric.matrix import (
@@ -175,6 +177,21 @@ def test_conjugator_command(tmp_path, gf2, rng):
 def test_slorder_command():
     assert _run(["slorder", "--n", "2", "--q", "2"]) == (0, "slorder 6\n")
     assert _run(["slorder", "--n", "2", "--q", "3"]) == (0, "slorder 24\n")
+
+
+@pytest.mark.parametrize("q", ["1", "6"])
+def test_slorder_rejects_non_prime_power_exit_2(q):
+    code, out = _run(["slorder", "--n", "2", "--q", q])
+    assert code == 2
+    assert out.startswith("error NonPrime:")
+
+
+def test_backforth_round_trip_without_probe_exit_2():
+    code, out = _run(["backforth", "--rounds", "3", "--q", "3",
+                      "--probes", "y:2,x:2"])
+    assert code == 2
+    assert out == ("error EmptyRoundTrip: round trip 1 has no probe at or "
+                   "below home stage 0\n")
 
 
 def test_copies_command_small():

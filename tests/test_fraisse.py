@@ -4,6 +4,7 @@ import pytest
 
 from rankmetric.errors import (
     DimensionMismatch,
+    EmptyRoundTrip,
     InconsistentTarget,
     MultiplicityMismatch,
     NotFactorSequence,
@@ -251,23 +252,45 @@ def test_back_and_forth_factorial_vs_powers(gf2):
 def test_back_and_forth_certificate_detects_tampering(gf2):
     fact = tower_make("factorial", 6, gf2)
     pows = tower_make("powers_of_2", 9, gf2)
-    probes = [pows.one_at(1)]
+    probes = [pows.one_at(1), fact.one_at(0)]  # one probe per round trip
     cert = back_and_forth(fact, pows, 3, probes)
     cert.round_trips[-1].errors[0].error += Fraction(1, 128)
     assert not verify_certificate(cert, fact, pows, probes)
+
+
+def test_back_and_forth_rejects_round_trip_no_probe_reaches(gf2):
+    fact = tower_make("factorial", 6, gf2)
+    pows = tower_make("powers_of_2", 9, gf2)
+    # round trip 1 returns to X at stage 0; the only probe lives in Y
+    with pytest.raises(EmptyRoundTrip, match="round trip 1 .* home stage 0"):
+        back_and_forth(fact, pows, 3, [pows.one_at(1)])
+
+
+def test_certificate_with_empty_round_trip_fails(gf2):
+    fact = tower_make("factorial", 6, gf2)
+    pows = tower_make("powers_of_2", 9, gf2)
+    probes = [pows.one_at(1), fact.one_at(0)]
+    cert = back_and_forth(fact, pows, 3, probes)
+    assert cert.all_bounds_hold() and verify_certificate(cert, fact, pows, probes)
+    cert.round_trips[0].errors = ()
+    assert not cert.all_bounds_hold()
+    assert not verify_certificate(cert, fact, pows, probes)
+    # replayed without the probe that round trip 1 needs, the emptied
+    # record matches its replay, and still fails
+    assert not verify_certificate(cert, fact, pows, probes[:1])
 
 
 def test_back_and_forth_prefix_too_short(gf2):
     fact = tower_make("factorial", 6, gf2)
     pows = tower_make("powers_of_2", 9, gf2)
     with pytest.raises(TowerPrefixTooShort):
-        back_and_forth(fact, pows, 4, [])
+        back_and_forth(fact, pows, 4, [fact.one_at(0), pows.one_at(1)])
 
 
 def test_back_and_forth_successive_bound(gf2):
     fact = tower_make("factorial", 6, gf2)
     pows = tower_make("powers_of_2", 9, gf2)
-    probes = [fact.one_at(0)]
+    probes = [fact.one_at(0), pows.one_at(1)]
     cert = back_and_forth(fact, pows, 3, probes)
     assert cert.successive, "same-direction pair should be recorded"
     for rt in cert.successive:

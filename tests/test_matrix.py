@@ -31,9 +31,11 @@ from rankmetric.matrix import (
     random_unit,
     read_matrices,
     read_matrix,
+    solve,
     subspace_sum,
     write_matrix,
 )
+from rankmetric.ramsey import base_copy_basis, gl_order, iterate_units, span_fingerprint
 
 from oracles import rank_by_minors, span_dimension
 
@@ -357,6 +359,72 @@ def test_gf2_bitpack_invert_matches_generic(rng, monkeypatch):
     monkeypatch.setattr(mx, "_FORCE_GENERIC", True)
     slow = [invert(u) for u in units]
     assert fast == slow
+
+
+def test_gf2_chained_kernel_outputs_match_generic(rng, monkeypatch):
+    # products, sums and inverses of kernel outputs, not of parsed inputs
+    spec = field_make(2)
+    mats = [random_matrix(spec, 6, 6, rng) for _ in range(6)]
+    units = [random_unit(spec, 6, rng) for _ in range(4)]
+    rhs = [rng.randrange(2) for _ in range(6)]
+
+    def chain():
+        prod = mats[0] * mats[1] * mats[2]
+        mixed = (prod + mats[3] - mats[4]) * mats[5]
+        invs = [invert(u * v) for u, v in zip(units, units[1:])]
+        back = [invert(w) * invert(u) for w, u in zip(invs, units)]
+        return (prod, mixed, mixed ** 3, invs, back, rank(prod * mixed),
+                kernel_basis(mixed).basis, (prod - prod).is_zero(),
+                solve(mixed, rhs), [write_matrix(m) for m in invs + back])
+
+    fast = chain()
+    monkeypatch.setattr(mx, "_FORCE_GENERIC", True)
+    slow = chain()
+    assert fast == slow
+    assert [m._e for m in fast[3] + fast[4]] == [m._e for m in slow[3] + slow[4]]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_equality_and_hash_agree_across_constructors(q, rng):
+    spec = field_make(q)
+    a = random_matrix(spec, 5, 7, rng)
+    b = random_matrix(spec, 7, 4, rng)
+    public = Matrix(spec, 5, 4, list((a * b)._e))
+    kernel = a * b
+    # hash first: comparing may fill in the other form of either side
+    assert hash(public) == hash(kernel)
+    assert public == kernel and kernel == public
+    assert len({public, kernel}) == 1
+    flipped = list(public._e)
+    flipped[3] = (flipped[3] + 1) % q
+    assert Matrix(spec, 5, 4, flipped) != kernel
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_gf2_unit_walk_matches_generic(n, monkeypatch):
+    spec = field_make(2)
+    fast = list(iterate_units(n, spec))
+    monkeypatch.setattr(mx, "_FORCE_GENERIC", True)
+    slow = list(iterate_units(n, spec))
+    assert len(fast) == gl_order(n, 2)
+    assert fast == slow
+    assert [m._e for m in fast] == [m._e for m in slow]
+
+
+def test_gf2_census_fingerprints_match_generic(rng, monkeypatch):
+    spec = field_make(2)
+    base = base_copy_basis(2, 4, spec)
+    units = [random_unit(spec, 4, rng) for _ in range(24)]
+
+    def fingerprints():
+        return [span_fingerprint([g * m * invert(g) for m in base], spec, 4)
+                for g in units]
+
+    fast = fingerprints()
+    monkeypatch.setattr(mx, "_FORCE_GENERIC", True)
+    slow = fingerprints()
+    assert fast == slow
+    assert len(set(fast)) > 1
 
 
 # -- text format -------------------------------------------------------------

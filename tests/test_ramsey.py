@@ -4,7 +4,13 @@ from itertools import combinations
 
 import pytest
 
-from rankmetric.errors import NotDivisor, NotLipschitz, TooLarge
+from rankmetric.errors import (
+    InvariantViolated,
+    NonPrime,
+    NotDivisor,
+    NotLipschitz,
+    TooLarge,
+)
 from rankmetric.gf import field_make
 from rankmetric.matrix import Matrix, rank
 from rankmetric.ramsey import (
@@ -35,6 +41,20 @@ from oracles import det_leibniz
 def test_sl_order_n1():
     for q in (2, 3, 4, 5):
         assert sl_order(1, q) == 1
+
+
+@pytest.mark.parametrize("q", [0, 1, 6, 12])
+def test_sl_order_rejects_non_prime_power(q):
+    with pytest.raises(NonPrime):
+        sl_order(2, q)
+
+
+def test_orbit_stabilizer_identity_failure_raises(gf2, monkeypatch):
+    import rankmetric.ramsey as rp
+
+    monkeypatch.setattr(rp, "sl_order", lambda n, q: 7)
+    with pytest.raises(InvariantViolated):
+        count_copies(1, 2, gf2, "orbit_stabilizer")
 
 
 def test_sl_order_22_against_enumeration(gf2):
@@ -171,6 +191,15 @@ def test_copy_distance_metric_axioms(gf2):
         assert dsu <= dst + dtu
 
 
+def test_distinct_copies_are_at_least_one_step_apart(gf2):
+    # the Lipschitz pruning in Coloring.value rests on this bound
+    copies = _copies_m2_f2(gf2)
+    assert len(copies) == 560
+    base = copies[0]
+    for fp in copies[1:]:
+        assert copy_distance(base, fp, gf2, 4) >= Fraction(1, 4)
+
+
 def test_copy_distance_guard(gf4):
     # 4 basis vectors over GF(4) is 256 elements; force the guard with a
     # fat fingerprint over a bigger field
@@ -210,6 +239,24 @@ def test_coloring_rejects_out_of_range(gf2):
     gamma = Coloring(lambda fp: Fraction(3, 2), 2, 4, gf2)
     with pytest.raises(NotLipschitz):
         gamma.value(copies[0])
+
+
+def test_coloring_gap_above_distance_raises_despite_pruning(gf2):
+    copies = _copies_m2_f2(gf2)
+    base = copies[0]
+    near = next(fp for fp in copies[1:]
+                if copy_distance(base, fp, gf2, 4) == Fraction(1, 2))
+    # gaps above 1/c are still measured: equal to the distance is allowed,
+    # beyond it is not
+    within = Coloring(lambda fp: Fraction(1, 2) if fp == near else Fraction(0),
+                      2, 4, gf2)
+    within.value(base)
+    assert within.value(near) == Fraction(1, 2)
+    beyond = Coloring(lambda fp: Fraction(3, 4) if fp == near else Fraction(0),
+                      2, 4, gf2)
+    beyond.value(base)
+    with pytest.raises(NotLipschitz):
+        beyond.value(near)
 
 
 def test_coloring_rejects_lipschitz_violation(gf2):
