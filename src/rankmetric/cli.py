@@ -191,10 +191,12 @@ def _cmd_backforth(args, out):
     for d in (*tower_x.dims, *tower_y.dims):
         _guard_dim(d)
     probes = []
-    for spec_str in args.probes.split(","):
-        side, stage_str = spec_str.split(":")
-        stage = int(stage_str)
-        tower = {"x": tower_x, "y": tower_y}[side]
+    for item in args.probes.split(","):
+        side, _, stage = item.partition(":")
+        try:
+            tower, stage = {"x": tower_x, "y": tower_y}[side], int(stage)
+        except (KeyError, ValueError):
+            raise FormatError(f"expected a probe like x:0 or y:1, got {item!r}") from None
         a, b = tower.generators_at(stage)
         probes.extend([a, b, tower.one_at(stage)])
     cert = back_and_forth(tower_x, tower_y, args.rounds, probes)

@@ -7,8 +7,10 @@ Two representations are used side by side:
   delta value (n - m*k)/n measures how much of the target it misses;
   delta = 0 means a unital embedding.
 * ``Homomorphism`` stores a map by the images of the shift generator
-  pair, validated at construction through a full matrix-unit rebuild,
-  which certifies the ring-homomorphism property once and for all.
+  pair, validated at construction by building the matrix units and
+  checking the n^2 corner identities that imply every unit product
+  identity, which certifies the ring-homomorphism property once and for
+  all.
 
 ``skolem_noether_conjugator`` produces an explicit intertwining unit for
 any two unital homomorphisms with the same source and target by aligning
@@ -48,7 +50,7 @@ def _permutation_matrix(spec: FieldSpec, images: list[int]) -> Matrix:
     e = [0] * (n * n)
     for j, i in enumerate(images):
         e[i * n + j] = 1
-    return Matrix(spec, n, n, e)
+    return Matrix._trusted(spec, n, n, tuple(e))  # 0 and 1 are canonical in every field
 
 
 def _shuffle_conjugator(spec: FieldSpec, m: int, k: int) -> Matrix:
@@ -81,6 +83,14 @@ def _merge_permutation(spec: FieldSpec, outer: int, block: int, copies: int,
     for offset, src in enumerate(range(used, total)):
         images[src] = tgt_pads[offset]
     return _permutation_matrix(spec, images)
+
+
+def _header_ints(parts) -> tuple[int, ...]:
+    """The integers after the keyword of a DELTA or HOM header line."""
+    try:
+        return tuple(int(t) for t in parts[1:])
+    except ValueError:
+        raise FormatError(f"non-integer header field in {' '.join(parts)!r}") from None
 
 
 class DeltaEmbedding:
@@ -141,7 +151,7 @@ class DeltaEmbedding:
         parts = lines[0].split()
         if len(parts) != 4:
             raise FormatError(f"bad DELTA header: {lines[0]!r}")
-        m, n, mult = (int(t) for t in parts[1:])
+        m, n, mult = _header_ints(parts)
         conj = read_matrices("\n".join(lines[1:]), 1)[0]
         return cls(m, n, mult, conj)
 
@@ -203,8 +213,8 @@ def joint_embed(a_dim: int, b_dim: int, spec: FieldSpec):
 class Homomorphism:
     """A homomorphism M_m -> M_n stored by its generator images.
 
-    Construction rebuilds the full matrix-unit system and rejects the
-    value unless every product identity holds, so an instance *is* a
+    Construction builds the matrix-unit system and rejects the value
+    unless every product identity holds, so an instance *is* a
     certificate that the map extends to a ring homomorphism. The map is
     unital when the unit images sum to the identity.
     """
@@ -275,7 +285,7 @@ class Homomorphism:
         parts = lines[0].split()
         if len(parts) != 3:
             raise FormatError(f"bad HOM header: {lines[0]!r}")
-        m, n = int(parts[1]), int(parts[2])
+        m, n = _header_ints(parts)
         img_a, img_b = read_matrices("\n".join(lines[1:]), 2)
         return cls(m, n, img_a, img_b)
 

@@ -56,6 +56,13 @@ class FormatError(RankMetricError):
     """Malformed text input (matrix blocks, headers, rationals)."""
 
 
+class InvalidParameter(RankMetricError, ValueError):
+    """An argument outside its allowed values.
+
+    Also a ``ValueError``, so callers that catch the built-in still do.
+    """
+
+
 # -- embeddings -------------------------------------------------------------
 
 class NotDivisor(RankMetricError):

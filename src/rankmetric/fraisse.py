@@ -11,8 +11,9 @@ certificates.
   defect of the triangle computed in closed form and matched by direct
   matrix evaluation.
 * ``back_and_forth``: alternating extensions between two towers with
-  tolerances 2^-t, recording exact round-trip errors per probe into a
-  replayable certificate.
+  tolerances 2^-t, recording exact round-trip and successive errors per
+  probe into a certificate; ``verify_certificate`` checks one by running
+  the deterministic construction again and comparing every field.
 * ``inner_approximate``: approximate automorphism data on probes is
   turned into a single conjugating unit via defect repair plus
   homogeneity.
@@ -26,8 +27,10 @@ from .errors import (
     DimensionMismatch,
     EmptyRoundTrip,
     InconsistentTarget,
+    InvariantViolated,
     MultiplicityMismatch,
     NotFactorSequence,
+    RankMetricError,
     SpecMismatch,
     StageOrder,
     TowerPrefixTooShort,
@@ -82,16 +85,21 @@ class Tower:
             raise NotFactorSequence("explicit towers have a fixed prefix")
         return Tower(self.dims + tuple(new), self.rule, self.spec)
 
+    def dim(self, stage: int) -> int:
+        """The dimension at a realized stage; ``StageOrder`` for any other."""
+        if not 0 <= stage < len(self.dims):
+            raise StageOrder(f"stage {stage} not realized")
+        return self.dims[stage]
+
     def element(self, stage: int, value: Matrix) -> "TowerElement":
         return TowerElement(self, stage, value)
 
     def generators_at(self, stage: int) -> tuple["TowerElement", "TowerElement"]:
-        a, b = kassabov_generators(self.dims[stage], self.spec)
+        a, b = kassabov_generators(self.dim(stage), self.spec)
         return TowerElement(self, stage, a), TowerElement(self, stage, b)
 
     def one_at(self, stage: int) -> "TowerElement":
-        return TowerElement(self, stage,
-                            Matrix.identity(self.spec, self.dims[stage]))
+        return TowerElement(self, stage, Matrix.identity(self.spec, self.dim(stage)))
 
     def __repr__(self):
         return f"Tower({self.rule}, dims={list(self.dims)})"
@@ -129,9 +137,7 @@ class TowerElement:
     __slots__ = ("tower", "stage", "value")
 
     def __init__(self, tower: Tower, stage: int, value: Matrix):
-        if not 0 <= stage < len(tower.dims):
-            raise StageOrder(f"stage {stage} not realized")
-        d = tower.dims[stage]
+        d = tower.dim(stage)
         if value.rows != d or value.cols != d:
             raise DimensionMismatch(f"value must be {d}x{d} at stage {stage}")
         if value.spec != tower.spec:
@@ -238,7 +244,7 @@ def approximate_extension(phi: DeltaEmbedding, tower: Tower,
 
     commute_error = Fraction(m_p - r * s * m_k, m_p)
     if commute_error > phi.delta_fraction + delta_prime:
-        raise AssertionError("commuting defect exceeds delta + delta_prime")
+        raise InvariantViolated("commuting defect exceeds delta + delta_prime")
     return k_prime, psi, commute_error
 
 
@@ -274,7 +280,7 @@ class RoundTrip:
 
 
 class BackForthCertificate:
-    """Exact replayable record of a back-and-forth run."""
+    """Exact record of a back-and-forth run; ``verify_certificate`` reruns it."""
 
     __slots__ = ("rounds", "stage_pairs", "maps", "round_trips",
                  "successive", "final_bound")
@@ -288,18 +294,16 @@ class BackForthCertificate:
         self.final_bound = Fraction(2) ** (-2 * rounds + 3)
 
     def all_bounds_hold(self) -> bool:
-        for rt in self.round_trips:
-            if not rt.errors:
+        """Each map within its tolerance; each round-trip and successive row
+        non-empty and within its bound; the last round trip within the
+        final bound."""
+        if any(m.embedding.delta_fraction > m.tolerance for m in self.maps):
+            return False
+        for rt in self.round_trips + self.successive:
+            if not rt.errors or any(pe.error > rt.bound for pe in rt.errors):
                 return False
-            for pe in rt.errors:
-                if pe.error > rt.bound:
-                    return False
-        if self.round_trips:
-            last = self.round_trips[-1]
-            for pe in last.errors:
-                if pe.error > self.final_bound:
-                    return False
-        return True
+        return not self.round_trips or all(
+            pe.error <= self.final_bound for pe in self.round_trips[-1].errors)
 
     def to_text(self) -> str:
         lines = [f"BACKFORTH rounds {self.rounds}"]
@@ -340,7 +344,8 @@ def back_and_forth(tower_x: Tower, tower_y: Tower, rounds: int, probes,
     in the relevant tower, recording exact errors; same-direction maps
     are also compared pairwise (the Cauchy telescoping). A round trip
     that no probe reaches would certify nothing, so it raises
-    ``EmptyRoundTrip``.
+    ``EmptyRoundTrip``. The run is deterministic, which is what
+    ``verify_certificate`` relies on.
     """
     if tower_x.spec != tower_y.spec:
         raise SpecMismatch("towers over different fields")
@@ -353,7 +358,7 @@ def back_and_forth(tower_x: Tower, tower_y: Tower, rounds: int, probes,
     round_trips = []
     successive = []
 
-    base = block_embedding(tower_x.dims[start_x], tower_y.dims[start_y],
+    base = block_embedding(tower_x.dim(start_x), tower_y.dim(start_y),
                            tower_x.spec)
     maps = [MapRecord(0, "xy", base, Fraction(1))]
     stage_pairs = [(start_x, start_y)]
@@ -373,14 +378,13 @@ def back_and_forth(tower_x: Tower, tower_y: Tower, rounds: int, probes,
             raise TowerPrefixTooShort("extension landed before current stage")
         home_stages.append(landing)
         maps.append(MapRecord(t, bump_side + home_side, psi, tol))
-        round_trips.append(_round_trip(psi, bumped, towers[home_side], home_stages[-2],
-                                       landing, probes, prev.tolerance + tol, t))
+        round_trips.append(_round_trip(prev, maps[t], bumped, towers[home_side],
+                                       home_stages[-2], probes))
         stage_pairs.append((stages["x"][-1], stages["y"][-1]))
 
         if t >= 2:
-            suc = _successive(maps[t - 2], maps[t], towers, probes, t)
-            if suc is not None:
-                successive.append(suc)
+            successive.append(_successive(maps[t - 2], maps[t], towers,
+                                          stage_pairs, probes))
 
     return BackForthCertificate(rounds, stage_pairs, maps, round_trips,
                                 successive)
@@ -392,89 +396,76 @@ def _bump(tower: Tower, stage: int, emb: DeltaEmbedding) -> DeltaEmbedding:
     return compose(bump, emb)
 
 
-def _round_trip(psi: DeltaEmbedding, bumped_prev: DeltaEmbedding,
-                home_tower: Tower, home_stage: int, landing_stage: int,
-                probes, bound: Fraction, map_index: int) -> RoundTrip:
-    """Errors of psi o (bumped prev) against the straight inclusion."""
-    composite = compose(psi, bumped_prev)
-    errors = []
-    for idx, probe in enumerate(probes):
-        if probe.tower is not home_tower or probe.stage > home_stage:
-            continue
-        at_home = include_to(probe, home_stage).value
-        mapped = composite.apply(at_home)
-        straight = iota(home_tower.dims[landing_stage],
-                        home_tower.dims[home_stage], at_home)
-        errors.append(ProbeError(idx, rank_distance(mapped, straight).as_fraction()))
+def _probe_errors(probes, tower: Tower, stage: int, pair) -> list[ProbeError]:
+    """Exact distance between the two matrices ``pair`` makes of each probe
+    of ``tower`` at or below ``stage``, included up to ``stage``."""
+    return [ProbeError(idx, rank_distance(*pair(include_to(probe, stage).value))
+                       .as_fraction())
+            for idx, probe in enumerate(probes)
+            if probe.tower is tower and probe.stage <= stage]
+
+
+def _round_trip(prev: MapRecord, new: MapRecord, bumped_prev: DeltaEmbedding,
+                home_tower: Tower, home_stage: int, probes) -> RoundTrip:
+    """Errors of new o (bumped prev) against the straight inclusion."""
+    composite = compose(new.embedding, bumped_prev)
+    errors = _probe_errors(probes, home_tower, home_stage, lambda x: (
+        composite.apply(x), iota(new.embedding.n, x.rows, x)))
     if not errors:
         raise EmptyRoundTrip(
-            f"round trip {map_index} has no probe at or below home stage {home_stage}"
+            f"round trip {new.index} has no probe at or below home stage {home_stage}"
         )
-    return RoundTrip(map_index, bound, errors)
+    return RoundTrip(new.index, prev.tolerance + new.tolerance, errors)
 
 
-def _successive(older: MapRecord, newer: MapRecord, towers: dict, probes, t: int):
-    """Distance between consecutive same-direction maps on fitting probes."""
-    if older.direction != newer.direction:
-        return None
-    src_tower, dst_tower = (towers[side] for side in older.direction)
-    old_src = src_tower.dims.index(older.embedding.m)
-    new_src = src_tower.dims.index(newer.embedding.m)
-    old_dst = dst_tower.dims.index(older.embedding.n)
-    new_dst = dst_tower.dims.index(newer.embedding.n)
-    bound = Fraction(2) ** (-(t - 2) + 1)
-    errors = []
-    for idx, probe in enumerate(probes):
-        if probe.tower is not src_tower or probe.stage > old_src:
-            continue
-        at_old = include_to(probe, old_src).value
-        via_old = iota(dst_tower.dims[new_dst], dst_tower.dims[old_dst],
-                       older.embedding.apply(at_old))
-        at_new = iota(src_tower.dims[new_src], src_tower.dims[old_src], at_old)
-        via_new = newer.embedding.apply(at_new)
-        errors.append(ProbeError(idx, rank_distance(via_old, via_new).as_fraction()))
-    if not errors:
-        return None
-    return RoundTrip(t, bound, errors)
+def _successive(older: MapRecord, newer: MapRecord, towers: dict, stage_pairs,
+                probes) -> RoundTrip:
+    """Distance between two same-direction maps on the probes that fit the
+    older one.
+
+    Those are the probes of the round trip between the two maps, so the
+    row is never empty. The older source stage comes from the stage pairs:
+    a tower may repeat a dimension (0! = 1!), so a dimension does not name
+    its stage.
+    """
+    side = older.direction[0]
+    old_src = stage_pairs[older.index]["xy".index(side)]
+    old, new = older.embedding, newer.embedding
+    errors = _probe_errors(probes, towers[side], old_src, lambda x: (
+        iota(new.n, old.n, old.apply(x)), new.apply(iota(new.m, old.m, x))))
+    return RoundTrip(newer.index, Fraction(2) ** (3 - newer.index), errors)
+
+
+def _fields(cert: BackForthCertificate):
+    """Every recorded field of a certificate, as one comparable value."""
+    maps = tuple((m.index, m.direction, m.tolerance, m.embedding.m, m.embedding.n,
+                  m.embedding.mult, m.embedding.conjugator) for m in cert.maps)
+    rows = tuple(tuple((rt.map_index, rt.bound,
+                        tuple((pe.probe_index, pe.error) for pe in rt.errors))
+                       for rt in trips)
+                 for trips in (cert.round_trips, cert.successive))
+    return cert.rounds, cert.stage_pairs, maps, rows, cert.final_bound
 
 
 def verify_certificate(cert: BackForthCertificate, tower_x: Tower,
                        tower_y: Tower, probes) -> bool:
-    """Recompute every recorded error by direct rank evaluation.
+    """Check a certificate by running ``back_and_forth`` again.
 
-    Replays the stored maps against the stated stage pairs and probes;
-    any mismatch with the recorded rationals, any recorded error above
-    its bound, or a round trip that records no probe fails the
-    verification.
+    The construction is deterministic, so a fresh run from the recorded
+    number of rounds and first stage pair must reproduce every field of
+    the record: the stage pairs; each map's index, direction, tolerance,
+    shape, multiplicity and conjugator; every round-trip and successive
+    row with its bound, probe indices and exact errors; and the final
+    bound. The fresh run must also satisfy ``all_bounds_hold``. Any
+    difference, or a run that raises, gives ``False``; this never raises.
     """
-    probes = list(probes)
-    towers = {"x": tower_x, "y": tower_y}
-    for rt in cert.round_trips:
-        t = rt.map_index
-        older = cert.maps[t - 1]
-        home_side, bump_side = older.direction
-        home, other = "xy".index(home_side), "xy".index(bump_side)
-        bumped = _bump(towers[bump_side], cert.stage_pairs[t - 1][other],
-                       older.embedding)
-        try:
-            replay = _round_trip(cert.maps[t].embedding, bumped, towers[home_side],
-                                 cert.stage_pairs[t - 1][home], cert.stage_pairs[t][home],
-                                 probes, rt.bound, t)
-        except EmptyRoundTrip:
-            return False
-        recorded = {pe.probe_index: pe.error for pe in rt.errors}
-        if recorded != {pe.probe_index: pe.error for pe in replay.errors}:
-            return False
-        if any(err > rt.bound for err in recorded.values()):
-            return False
-    if cert.round_trips:
-        worst = max(pe.error for pe in cert.round_trips[-1].errors)
-        if worst > cert.final_bound:
-            return False
-    for m in cert.maps:
-        if m.embedding.delta_fraction > m.tolerance:
-            return False
-    return True
+    try:
+        fresh = back_and_forth(tower_x, tower_y, cert.rounds, probes,
+                               *cert.stage_pairs[0])
+        return _fields(fresh) == _fields(cert) and fresh.all_bounds_hold()
+    except (RankMetricError, AttributeError, LookupError, TypeError, ValueError):
+        # an altered record may hold values of any shape
+        return False
 
 
 class InnerApproximation:

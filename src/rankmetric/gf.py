@@ -21,6 +21,7 @@ from .errors import (
     NonPrime,
     ReducibleModulus,
     SpecMismatch,
+    TooLarge,
     ZeroInverse,
 )
 
@@ -37,6 +38,10 @@ _BUILTIN_MODULI = {
     (5, 2): (2, 0, 1),
     (7, 2): (1, 0, 1),
 }
+
+# Largest order field_for_order accepts: the add and mul tables hold q^2
+# entries each, and factoring q is trial division.
+_MAX_ORDER = 256
 
 _SPEC_CACHE: dict[tuple, "FieldSpec"] = {}
 
@@ -325,7 +330,10 @@ def prime_power(q: int) -> tuple[int, int]:
 
 
 def field_for_order(q: int) -> FieldSpec:
-    """The built-in field with exactly q elements (q a prime power <= 64)."""
+    """The built-in field with exactly q elements (q a prime power; extension
+    fields up to 64, prime fields up to 256)."""
+    if q > _MAX_ORDER:
+        raise TooLarge(f"field order {q} exceeds {_MAX_ORDER}")
     return field_make(*prime_power(q))
 
 

@@ -679,16 +679,22 @@ def kassabov_generators(n: int, spec: FieldSpec) -> tuple[Matrix, Matrix]:
 def matrix_units(a: Matrix, b: Matrix, n: int) -> list[list[Matrix]]:
     """Full system of matrix units generated by a valid shift pair.
 
-    E[i][j] = b^(n-1-i) (a^(n-1) b^(n-1)) a^(n-1-j) (0-based). Raises
-    ``RelationsNotSatisfied`` unless the outputs obey every product
-    identity and reassemble the inputs, which certifies that the pair
-    generates an exact (possibly padded) copy of the n x n algebra.
+    E[i][j] = B_i C A_j (0-based) with C = a^(n-1) b^(n-1),
+    A_j = a^(n-1-j) and B_i = b^(n-1-i). Since
+    E[i][j] E[k][l] = B_i (C A_j B_k C) A_l and B_(n-1) = A_(n-1) = 1, every
+    product identity E[i][j] E[k][l] = [j = k] E[i][l] holds exactly when
+    the n^2 identities C A_j B_k C = [j = k] C do. Raises
+    ``RelationsNotSatisfied`` unless those hold and the units reassemble
+    the inputs, which certifies that the pair generates an exact
+    (possibly padded) copy of the n x n algebra.
     """
     if a.spec != b.spec:
         raise SpecMismatch("generator images over different fields")
     if not (a.is_square() and b.is_square() and a.rows == b.rows):
         raise DimensionMismatch("generator images must be square of equal size")
     amb = a.rows
+    if not 1 <= n <= amb:
+        raise DimensionMismatch(f"M_{n} does not fit in M_{amb}")
     apow = [Matrix.identity(a.spec, amb)]
     bpow = [Matrix.identity(a.spec, amb)]
     for _ in range(n):
@@ -697,19 +703,14 @@ def matrix_units(a: Matrix, b: Matrix, n: int) -> list[list[Matrix]]:
     if not apow[n].is_zero() or not bpow[n].is_zero():
         raise RelationsNotSatisfied("images are not n-step nilpotent")
     corner = apow[n - 1] * bpow[n - 1]
-    units = [[bpow[n - 1 - i] * corner * apow[n - 1 - j] for j in range(n)]
-             for i in range(n)]
+    left = [corner * apow[n - 1 - j] for j in range(n)]    # C A_j
+    right = [bpow[n - 1 - k] * corner for k in range(n)]   # B_k C
     zero = Matrix.zero(a.spec, amb)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    prod = units[i][j] * units[k][l]
-                    want = units[i][l] if j == k else zero
-                    if prod != want:
-                        raise RelationsNotSatisfied(
-                            "matrix-unit product identities fail"
-                        )
+    for j in range(n):
+        for k in range(n):
+            if left[j] * right[k] != (corner if j == k else zero):
+                raise RelationsNotSatisfied("matrix-unit product identities fail")
+    units = [[bpow[n - 1 - i] * left[j] for j in range(n)] for i in range(n)]
     rebuilt_a = zero
     rebuilt_b = zero
     for i in range(n - 1):
@@ -884,7 +885,10 @@ def _parse_matrix_lines(lines, start: int) -> tuple[Matrix, int]:
         if len(parts) != cols:
             raise FormatError(f"row {i} has {len(parts)} entries, expected {cols}")
         for t in parts:
-            v = int(t)
+            try:
+                v = int(t)
+            except ValueError:
+                raise FormatError(f"row {i} has a non-integer entry {t!r}") from None
             if not 0 <= v < q:
                 raise FormatError(f"entry {v} out of range [0, {q})")
             ents.append(v)

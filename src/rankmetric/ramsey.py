@@ -19,7 +19,7 @@ import math
 import random
 from fractions import Fraction
 
-from .errors import InvariantViolated, NotDivisor, NotLipschitz, TooLarge
+from .errors import InvalidParameter, InvariantViolated, NotDivisor, NotLipschitz, TooLarge
 from .gf import FieldSpec, prime_power
 from .matrix import (
     Matrix,
@@ -130,7 +130,7 @@ class CopySet:
         self.copies = tuple(copies)
         self.spec = spec
         if len(set(self.copies)) != len(self.copies):
-            raise AssertionError("fingerprints must be pairwise distinct")
+            raise InvariantViolated("fingerprints must be pairwise distinct")
 
     def __len__(self):
         return len(self.copies)
@@ -197,7 +197,7 @@ def count_copies(a: int, b: int, q_or_spec, method: str = "brute_force") -> int:
         if k * stab != total_units:
             raise broken
         return k
-    raise ValueError(f"unknown method {method!r}")
+    raise InvalidParameter(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +378,7 @@ def _atanh_series_bounds(num: int, den: int, terms: int) -> tuple[Fraction, Frac
 def ln_bounds(n: int, terms: int = 24) -> tuple[Fraction, Fraction]:
     """Certified rational enclosure of ln(n) for an integer n >= 1."""
     if n < 1:
-        raise ValueError("ln_bounds needs n >= 1")
+        raise InvalidParameter("ln_bounds needs n >= 1")
     if n == 1:
         return Fraction(0), Fraction(0)
     e = 0
@@ -441,14 +441,14 @@ def ramsey_dimension(a: int, b: int, q: int, eps, k_mode: str = "auto") -> Bound
     """
     eps = Fraction(eps)
     if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
+        raise InvalidParameter("eps must lie in (0, 1]")
     from .gf import field_for_order
     spec = field_for_order(q)
     if b % a != 0:
         raise NotDivisor(f"{a} does not divide {b}")
 
     if k_mode not in ("auto", "exact", "envelope"):
-        raise ValueError(f"unknown k_mode {k_mode!r}")
+        raise InvalidParameter(f"unknown k_mode {k_mode!r}")
     k_method = "envelope"
     if k_mode == "envelope":
         k = q ** (b * b)
@@ -482,7 +482,7 @@ def ramsey_dimension(a: int, b: int, q: int, eps, k_mode: str = "auto") -> Bound
             continue
         terms *= 2
         if terms > 3000:
-            raise AssertionError("log enclosure failed to separate the bound")
+            raise InvariantViolated("log enclosure failed to separate the bound")
     return BoundReport(a, b, q, eps, k, k_method, coeff, log_arg, c)
 
 
@@ -554,12 +554,14 @@ def monochromatic_search(b_dim: int, c_dim: int, gamma: Coloring, eps,
     if strategy == "exhaustive":
         units, label = iterate_units(c_dim, spec), "exhaustive"
     elif strategy == "random":
+        if trials < 1:
+            raise InvalidParameter(f"trials must be at least 1, got {trials}")
         _check_enumeration(c_dim, spec.q)
         rng = random.Random(seed)
         units = (random_unit(spec, c_dim, rng) for _ in range(trials))
         label = f"random:{seed}:{trials}"
     else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise InvalidParameter(f"unknown strategy {strategy!r}")
 
     best_fp = None
     best_osc = None

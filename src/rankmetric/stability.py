@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DimensionMismatch, NotRepairable
+from .errors import DimensionMismatch, InvariantViolated, NotRepairable
 from .matrix import (
     Matrix,
     RankDistance,
@@ -134,7 +134,7 @@ def v_space(x: Matrix, y: Matrix, n: int, w_last: Subspace) -> Subspace:
         cur = apply(y, cur)
         v = subspace_sum(v, cur)
     if v.dim != n * w_last.dim:
-        raise AssertionError(
+        raise InvariantViolated(
             f"summands not independent: dim V = {v.dim} != {n} * {w_last.dim}"
         )
     return v
@@ -165,13 +165,13 @@ class RepairCertificate:
     def check(self):
         """Internal consistency of the recorded numbers."""
         if self.dim_V != self.n * self.dims_W[-1]:
-            raise AssertionError("dim V != n * dim W_last")
+            raise InvariantViolated("dim V != n * dim W_last")
         if self.d_x.as_fraction() > self.residual_rank_bound:
-            raise AssertionError("d_x exceeds the residual rank bound")
+            raise InvariantViolated("d_x exceeds the residual rank bound")
         if self.d_y.as_fraction() > self.residual_rank_bound:
-            raise AssertionError("d_y exceeds the residual rank bound")
+            raise InvariantViolated("d_y exceeds the residual rank bound")
         if self.bound_premise_holds and self.residual_rank_bound > self.bound:
-            raise AssertionError("residual bound exceeds (4+n) n delta")
+            raise InvariantViolated("residual bound exceeds (4+n) n delta")
         return True
 
     def to_text(self) -> str:
@@ -245,7 +245,7 @@ def repair(x: Matrix, y: Matrix, n: int):
         # per-copy order: y^(n-1) w, ..., y w, w
         for vec in reversed(propagated):
             if not tracker.try_add(vec):
-                raise AssertionError("propagated basis unexpectedly dependent")
+                raise InvariantViolated("propagated basis unexpectedly dependent")
             cols.append(vec)
 
     complement_needed = amb - n * d
@@ -263,7 +263,7 @@ def repair(x: Matrix, y: Matrix, n: int):
             if tracker.try_add(cand):
                 complement.append(tuple(cand))
         if len(complement) != complement_needed:
-            raise AssertionError("complement completion failed")
+            raise InvariantViolated("complement completion failed")
 
     extra = complement[:(mult - d) * n]
     pad_cols = complement[(mult - d) * n:]

@@ -6,8 +6,9 @@ products from schoolbook polynomial arithmetic. Slow on purpose; only
 for small inputs.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
+from rankmetric.errors import RelationsNotSatisfied
 from rankmetric.gf import FieldSpec
 from rankmetric.matrix import Matrix
 
@@ -62,8 +63,6 @@ def rank_by_minors(m: Matrix) -> int:
 
 def span_dimension(vectors, spec: FieldSpec) -> int:
     """Dimension of a span by greedy exhaustive membership testing."""
-    from itertools import product
-
     q = spec.q
     chosen = []
     for v in vectors:
@@ -80,3 +79,29 @@ def span_dimension(vectors, spec: FieldSpec) -> int:
         if not in_span:
             chosen.append(v)
     return len(chosen)
+
+
+def matrix_units_by_products(a: Matrix, b: Matrix, n: int):
+    """Matrix units of a shift pair by the n^4 product check.
+
+    E[i][j] = b^(n-1-i) a^(n-1) b^(n-1) a^(n-1-j). Raises
+    ``RelationsNotSatisfied`` with the library's message for the first
+    check that fails, in the library's order: a^n = b^n = 0, then
+    E[i][j] E[k][l] = [j = k] E[i][l] for every index quadruple, then the
+    units reassembling a and b.
+    """
+    spec, amb = a.spec, a.rows
+    zero = Matrix.zero(spec, amb)
+    if a ** n != zero or b ** n != zero:
+        raise RelationsNotSatisfied("images are not n-step nilpotent")
+    corner = a ** (n - 1) * b ** (n - 1)
+    units = [[b ** (n - 1 - i) * corner * a ** (n - 1 - j) for j in range(n)]
+             for i in range(n)]
+    for i, j, k, l in product(range(n), repeat=4):
+        if units[i][j] * units[k][l] != (units[i][l] if j == k else zero):
+            raise RelationsNotSatisfied("matrix-unit product identities fail")
+    rebuilt_a = sum((units[i + 1][i] for i in range(n - 1)), zero)
+    rebuilt_b = sum((units[i][i + 1] for i in range(n - 1)), zero)
+    if rebuilt_a != a or rebuilt_b != b:
+        raise RelationsNotSatisfied("units do not reassemble the generators")
+    return units

@@ -240,12 +240,42 @@ def test_bad_rational_exit_2(tmp_path, gf2, rng):
     assert "FormatError" in out
 
 
-def test_malformed_matrix_exit_2(tmp_path):
-    path = tmp_path / "m.txt"
-    path.write_text("2 2 2\n0 1\n1 0\ntrailing\n")
-    code, out = _run(["rank", "--in", str(path)])
+_IDENTITY = "2 2 2\n1 0\n0 1\n"
+_SEARCH = ["ramsey-search", "--a", "1", "--b", "2", "--c", "4", "--q", "2",
+           "--eps", "0", "--strategy", "random", "--trials"]
+
+
+@pytest.mark.parametrize("text, argv, error", [
+    pytest.param("2 2 2\n0 1\n1 0\ntrailing\n", ["rank", "--in", "IN"], "FormatError",
+                 id="trailing-garbage"),
+    pytest.param("2 2 2\n0 x\n1 0\n", ["rank", "--in", "IN"], "FormatError",
+                 id="non-integer-entry"),
+    pytest.param("DELTA 2 x 1\n" + _IDENTITY, ["homog", "--phi", "IN", "--psi", "IN"],
+                 "FormatError", id="non-integer-delta-header"),
+    pytest.param("HOM 1 x\n" + _IDENTITY + _IDENTITY,
+                 ["conjugator", "--phi0", "IN", "--phi1", "IN"], "FormatError",
+                 id="non-integer-hom-header"),
+    pytest.param("", ["backforth", "--rounds", "2", "--q", "2", "--probes", "y"],
+                 "FormatError", id="probe-without-stage"),
+    pytest.param("", ["backforth", "--rounds", "2", "--q", "2", "--probes", "z:1"],
+                 "FormatError", id="probe-unknown-side"),
+    pytest.param("", ["backforth", "--rounds", "2", "--q", "2", "--probes", "y:40"],
+                 "StageOrder", id="probe-stage-not-realized"),
+    pytest.param("", ["backforth", "--rounds", "2", "--q", "2", "--probes", "y:a"],
+                 "FormatError", id="probe-non-integer-stage"),
+    pytest.param("", ["ramsey-bound", "--a", "1", "--b", "1", "--q", "2", "--eps", "2"],
+                 "InvalidParameter", id="eps-above-1"),
+    pytest.param("", ["ramsey-bound", "--a", "1", "--b", "1", "--q", "2", "--eps", "0"],
+                 "InvalidParameter", id="eps-zero"),
+    pytest.param("", _SEARCH + ["0"], "InvalidParameter", id="no-trials"),
+    pytest.param("", _SEARCH + ["-1"], "InvalidParameter", id="negative-trials"),
+])
+def test_malformed_matrix_exit_2(tmp_path, text, argv, error):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    code, out = _run([str(path) if a == "IN" else a for a in argv])
     assert code == 2
-    assert "FormatError" in out
+    assert out.startswith(f"error {error}:")
 
 
 def test_max_dim_guard(tmp_path, gf2, monkeypatch):

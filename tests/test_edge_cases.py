@@ -1,12 +1,15 @@
 """Degenerate sizes, junk padding, and less-traveled option paths."""
 
+import ast
 import io
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import rankmetric
 from rankmetric.cli import run
-from rankmetric.errors import NonPrime
+from rankmetric.errors import NonPrime, TooLarge
 from rankmetric.gf import enumerate_elements, field_for_order, field_make
 from rankmetric.matrix import (
     Matrix,
@@ -125,6 +128,18 @@ def test_field_for_order_rejects_non_prime_power():
         field_for_order(12)
 
 
+def test_field_for_order_caps_the_table_size(tmp_path):
+    # a prime order builds q^2-entry tables: 10007 would need 10^8 entries
+    assert field_for_order(251).q == 251
+    for q in (257, 10007, 10 ** 18 + 3):
+        with pytest.raises(TooLarge):
+            field_for_order(q)
+    path = tmp_path / "m.txt"
+    path.write_text("10007 1 1\n0\n")
+    code, out = _run(["rank", "--in", str(path)])
+    assert (code, out) == (3, "error TooLarge: field order 10007 exceeds 256\n")
+
+
 def test_matrix_arithmetic_over_extension_field(rng):
     spec = field_make(2, 2)
     for _ in range(5):
@@ -220,3 +235,15 @@ def test_cli_backforth_probe_parsing_both_sides():
                       "--probes", "x:0,y:0"])
     assert code == 0
     assert "BACKFORTH rounds 2" in out
+
+
+def test_library_has_no_assert_or_assertion_error():
+    # python -O strips assert statements, and an AssertionError escapes the
+    # CLI as a traceback: library invariants raise InvariantViolated
+    found = []
+    for path in sorted(Path(rankmetric.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assert) or (
+                    isinstance(node, ast.Name) and node.id == "AssertionError"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -280,6 +280,87 @@ def test_certificate_with_empty_round_trip_fails(gf2):
     assert not verify_certificate(cert, fact, pows, probes[:1])
 
 
+def _loosen(cert):
+    for m in cert.maps:
+        m.tolerance = Fraction(1)
+    for rt in cert.round_trips:
+        rt.bound = Fraction(2)
+
+
+def _set_successive_errors(cert, value):
+    for rt in cert.successive:
+        for pe in rt.errors:
+            pe.error = value
+
+
+def _twist_conjugator(cert):
+    emb = cert.maps[1].embedding
+    spec, n = emb.spec, emb.n
+    emb.conjugator = emb.conjugator * (Matrix.identity(spec, n) + Matrix.unit(spec, n, 1, 2))
+
+
+_ALTERATIONS = {
+    "rounds": lambda c: setattr(c, "rounds", 2),
+    "rounds without its last map": lambda c: (setattr(c, "maps", c.maps[:2]),
+                                              setattr(c, "round_trips", c.round_trips[:1])),
+    "first stage pair": lambda c: setattr(c, "stage_pairs", ((1, 0),) + c.stage_pairs[1:]),
+    "stage pair": lambda c: setattr(c, "stage_pairs", c.stage_pairs[:2] + ((5, 7),)),
+    "no stage pairs": lambda c: setattr(c, "stage_pairs", ()),
+    "map index": lambda c: setattr(c.maps[1], "index", 2),
+    "map direction": lambda c: setattr(c.maps[1], "direction", "xy"),
+    "map tolerance": lambda c: setattr(c.maps[2], "tolerance", Fraction(1, 2)),
+    "map source": lambda c: setattr(c.maps[2].embedding, "m", 6),
+    "map target": lambda c: setattr(c.maps[1].embedding, "n", 24),
+    "map multiplicity": lambda c: setattr(c.maps[2].embedding, "mult", 4),
+    "map conjugator": _twist_conjugator,
+    "all tolerances and round-trip bounds": _loosen,
+    "round-trip map index": lambda c: setattr(c.round_trips[1], "map_index", 1),
+    "round-trip bound": lambda c: setattr(c.round_trips[0], "bound", Fraction(2)),
+    "round-trip probe index": lambda c: setattr(c.round_trips[1].errors[0], "probe_index", 6),
+    "round-trip error": lambda c: setattr(c.round_trips[1].errors[0], "error", Fraction(0)),
+    "round-trip probe dropped": lambda c: setattr(c.round_trips[1], "errors",
+                                                  c.round_trips[1].errors[1:]),
+    "successive map index": lambda c: setattr(c.successive[0], "map_index", 1),
+    "successive bound": lambda c: setattr(c.successive[0], "bound", Fraction(4)),
+    "successive probe index": lambda c: setattr(c.successive[0].errors[0], "probe_index", 1),
+    "successive errors": lambda c: _set_successive_errors(c, Fraction(99, 100)),
+    "successive rows dropped": lambda c: setattr(c, "successive", ()),
+    "final bound": lambda c: setattr(c, "final_bound", Fraction(1, 4)),
+}
+
+
+@pytest.mark.parametrize("alteration", sorted(_ALTERATIONS))
+def test_verify_certificate_rejects_altered_field(gf3, alteration):
+    fact = tower_make("factorial", 6, gf3)
+    pows = tower_make("powers_of_2", 9, gf3)
+    probes = [fact.one_at(0), fact.one_at(1), pows.one_at(0),
+              *pows.generators_at(1), pows.one_at(1)]
+    cert = back_and_forth(fact, pows, 3, probes)
+    assert cert.stage_pairs == ((0, 0), (3, 1), (4, 7))
+    _ALTERATIONS[alteration](cert)
+    assert verify_certificate(cert, fact, pows, probes) is False
+
+
+def test_back_and_forth_successive_row_takes_stage_from_stage_pairs(gf2):
+    fact = tower_make("factorial", 6, gf2)
+    pows = tower_make("powers_of_2", 9, gf2)
+    probes = [fact.one_at(0), fact.one_at(1), pows.one_at(1)]
+    # 0! = 1! = 1: only the stage pairs say that map 0 starts at stage 1
+    cert = back_and_forth(fact, pows, 3, probes, start_x=1)
+    assert [pe.probe_index for pe in cert.round_trips[0].errors] == [0, 1]
+    assert [pe.probe_index for pe in cert.successive[0].errors] == [0, 1]
+    assert verify_certificate(cert, fact, pows, probes)
+
+
+@pytest.mark.parametrize("start", [(9, 0), (-1, 0), (0, 9), (0, -1)],
+                         ids=["x9", "x-1", "y9", "y-1"])
+def test_back_and_forth_start_stage_not_realized(gf2, start):
+    fact = tower_make("factorial", 6, gf2)
+    pows = tower_make("powers_of_2", 9, gf2)
+    with pytest.raises(StageOrder):
+        back_and_forth(fact, pows, 2, [fact.one_at(0)], *start)
+
+
 def test_back_and_forth_prefix_too_short(gf2):
     fact = tower_make("factorial", 6, gf2)
     pows = tower_make("powers_of_2", 9, gf2)

@@ -5,8 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rankmetric.errors import NotRepairable
+from rankmetric.errors import NotRepairable, RankMetricError
 from rankmetric.gf import field_make
 from rankmetric.matrix import (
     Matrix,
@@ -17,6 +18,7 @@ from rankmetric.matrix import (
     rank_distance,
     random_matrix,
     random_unit,
+    read_matrix,
 )
 from rankmetric.embeddings import DeltaEmbedding, Homomorphism, skolem_noether_conjugator
 from rankmetric.stability import relation_defect, repair
@@ -105,3 +107,31 @@ def test_iota_rank_scaling_fuzz():
             x = random_matrix(spec, m, m, rng)
             from rankmetric.embeddings import iota
             assert rank(iota(m * k, m, x)) == k * rank(x)
+
+
+# Text shaped like the formats (an optional DELTA/HOM header, then matrix
+# blocks "q rows cols" with rows of entries) with junk in any field, or
+# plain junk.
+_FIELD = st.one_of(st.integers(-1, 4).map(str), st.integers().map(str), st.text(max_size=3))
+_BLOCK = st.tuples(st.one_of(st.sampled_from([2, 3, 4, 6]), st.integers()),
+                   st.integers(0, 3), st.integers(0, 3)).flatmap(
+    lambda head: st.lists(st.lists(_FIELD, min_size=head[2], max_size=head[2]).map(" ".join),
+                          min_size=head[1], max_size=head[1])
+    .map(lambda rows: "\n".join([" ".join(map(str, head)), *rows])))
+_HEADER = st.tuples(st.sampled_from(["HOM", "DELTA"]), st.lists(_FIELD, max_size=4)).map(
+    lambda h: " ".join([h[0], *h[1]]))
+_TEXT = st.one_of(
+    st.text(max_size=80),
+    st.tuples(st.lists(_HEADER, max_size=1), st.lists(_BLOCK, max_size=3)).map(
+        lambda parts: "\n".join(parts[0] + parts[1])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TEXT)
+def test_text_readers_raise_only_rankmetric_errors(text):
+    for reader in (read_matrix, DeltaEmbedding.from_text, Homomorphism.from_text):
+        try:
+            reader(text)
+        except RankMetricError:
+            pass

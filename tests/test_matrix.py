@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -37,7 +39,7 @@ from rankmetric.matrix import (
 )
 from rankmetric.ramsey import base_copy_basis, gl_order, iterate_units, span_fingerprint
 
-from oracles import rank_by_minors, span_dimension
+from oracles import matrix_units_by_products, rank_by_minors, span_dimension
 
 
 # -- rank and distance -------------------------------------------------------
@@ -252,6 +254,60 @@ def test_matrix_units_rejects_bad_pair(gf2):
         matrix_units(a, a, 2)
     with pytest.raises(RelationsNotSatisfied):
         matrix_units(Matrix.identity(gf2, 2), b, 2)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_matrix_units_agree_with_product_oracle(q):
+    """The n^2 corner identities reject exactly the pairs the n^4 product
+    identities reject, and the same units come out of the pairs accepted."""
+    spec = field_make(q)
+    rng = random.Random(4100 + q)
+    seen = Counter()
+    for _ in range(200):
+        n = rng.choice([1, 2, 3])
+        copies = rng.choice([1, 2])
+        amb = n * copies + rng.choice([0, 1])
+        change = rng.choice(["none", "swap", "bump", "twist", "triangular"])
+        if change == "triangular":  # a random nilpotent pair, rarely a shift pair
+            a, b = (Matrix(spec, amb, amb, [rng.randrange(q) if j < i else 0
+                                            for i in range(amb) for j in range(amb)])
+                    for _ in range(2))
+        else:
+            a, b = kassabov_generators(n, spec)
+            if change == "swap":
+                a, b = b, a
+            a = direct_sum([a] * copies, amb - n * copies)
+            b = direct_sum([b] * copies, amb - n * copies)
+        g = random_unit(spec, amb, rng)
+        gi = invert(g)
+        a, b = g * a * gi, g * b * gi
+        if change == "twist":  # both stay nilpotent; the identities decide
+            h = random_unit(spec, amb, rng)
+            b = h * b * invert(h)
+        for _ in range(rng.choice([1, 2]) if change == "bump" else 0):
+            bump = Matrix.unit(spec, amb, rng.randrange(1, amb + 1),
+                               rng.randrange(1, amb + 1)).scale(rng.randrange(1, q))
+            if rng.randrange(2):
+                a = a + bump
+            else:
+                b = b + bump
+        outcomes = []
+        for build in (matrix_units, matrix_units_by_products):
+            try:
+                outcomes.append(build(a, b, n))
+            except RelationsNotSatisfied as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        seen[outcomes[0] if isinstance(outcomes[0], str) else "accepted"] += 1
+    # each check decides some pairs
+    assert len(seen) == 4, seen
+
+
+def test_matrix_units_rejects_source_larger_than_ambient(gf2):
+    a, b = kassabov_generators(2, gf2)
+    for n in (0, -1, 3):
+        with pytest.raises(DimensionMismatch):
+            matrix_units(a, b, n)
 
 
 # -- subspace calculus -------------------------------------------------------
