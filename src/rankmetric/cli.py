@@ -70,7 +70,7 @@ def _fraction(text: str) -> Fraction:
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="backslashreplace") as fh:
         return fh.read()
 
 
@@ -173,6 +173,7 @@ def _cmd_homog(args, out):
 
 def _cmd_extend(args, out):
     phi = _load_delta(args.phi)
+    _guard_dim(args.prefix - 1)  # a lower bound on the last stage's dimension
     tower = tower_make(args.tower, args.prefix, phi.spec)
     for d in tower.dims:
         _guard_dim(d)
@@ -186,6 +187,7 @@ def _cmd_extend(args, out):
 
 def _cmd_backforth(args, out):
     spec = field_for_order(args.q)
+    _guard_dim(max(args.prefix_x, args.prefix_y) - 1)  # as in extend
     tower_x = tower_make(args.tower_x, args.prefix_x, spec)
     tower_y = tower_make(args.tower_y, args.prefix_y, spec)
     for d in (*tower_x.dims, *tower_y.dims):
@@ -230,6 +232,7 @@ def _cmd_conjugator(args, out):
 
 
 def _cmd_slorder(args, out):
+    _guard_dim(args.n)
     _emit(out, f"slorder {_ramsey.sl_order(args.n, args.q)}\n")
 
 
@@ -250,6 +253,7 @@ def _cmd_copies(args, out):
 
 
 def _cmd_ramsey_bound(args, out):
+    _guard_dim(args.b)
     rep = _ramsey.ramsey_dimension(args.a, args.b, args.q,
                                    _fraction(args.eps), args.k_mode)
     _emit(out, f"k={rep.k} bound~{rep.bound_float:.4f} c={rep.c}\n")
@@ -341,8 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--prefix-y", dest="prefix_y", type=int, default=9)
     s.add_argument("--rounds", type=int, required=True)
     s.add_argument("--q", type=int, required=True)
-    s.add_argument("--probes", default="y:1",
-                   help="comma list side:stage, generators+1 at each")
+    s.add_argument("--probes", default="x:0,y:0",
+                   help="comma list side:stage, generators+1 at each (default %(default)s)")
     s.set_defaults(func=_cmd_backforth)
 
     s = sub.add_parser("amalgamate", help="complete two embeddings to a commuting square")

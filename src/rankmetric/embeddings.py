@@ -3,7 +3,8 @@
 Two representations are used side by side:
 
 * ``DeltaEmbedding`` stores a (possibly non-unital) block homomorphism
-  x -> y (x^{+k} (+) 0) y^{-1} by its multiplicity and conjugator. Its
+  x -> y (x^{+k} (+) 0) y^{-1} by its multiplicity and conjugator (a
+  permutation conjugator as its images, applied without products). Its
   delta value (n - m*k)/n measures how much of the target it misses;
   delta = 0 means a unital embedding.
 * ``Homomorphism`` stores a map by the images of the shift generator
@@ -21,7 +22,9 @@ subalgebra into an exactly commuting square.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from functools import reduce
 
 from .errors import (
     DimensionMismatch,
@@ -34,6 +37,7 @@ from .gf import FieldSpec
 from .matrix import (
     Matrix,
     RankDistance,
+    _use_packed,
     direct_sum,
     image_basis,
     invert,
@@ -44,7 +48,7 @@ from .matrix import (
 )
 
 
-def _permutation_matrix(spec: FieldSpec, images: list[int]) -> Matrix:
+def _permutation_matrix(spec: FieldSpec, images) -> Matrix:
     """The matrix sending basis vector j to basis vector images[j]."""
     n = len(images)
     e = [0] * (n * n)
@@ -53,36 +57,61 @@ def _permutation_matrix(spec: FieldSpec, images: list[int]) -> Matrix:
     return Matrix._trusted(spec, n, n, tuple(e))  # 0 and 1 are canonical in every field
 
 
-def _shuffle_conjugator(spec: FieldSpec, m: int, k: int) -> Matrix:
-    """Permutation Q with Q (x^{+k}) Q^{-1} = x (x) 1_k for all m x m x."""
-    images = [0] * (m * k)
-    for w in range(k):
-        for i in range(m):
-            images[w * m + i] = i * k + w
-    return _permutation_matrix(spec, images)
+def _permutation_images(a: Matrix):
+    """The images of a permutation matrix, or None for any other matrix."""
+    n, e = a.rows, a._e
+    if e.count(1) != n:
+        return None
+    nonzero = [k for k, v in enumerate(e) if v]
+    if [k // n for k in nonzero] != list(range(n)) or len({k % n for k in nonzero}) != n:
+        return None
+    return _inverse([k % n for k in nonzero])
 
 
-def _merge_permutation(spec: FieldSpec, outer: int, block: int, copies: int,
-                       inner: int, total: int) -> Matrix:
-    """Permutation P with (x^{+copies} (+) 0)^{+outer} (+) 0 = P (x^{+outer*copies} (+) 0) P^{-1}.
+def _inverse(images) -> tuple[int, ...]:
+    return tuple(sorted(range(len(images)), key=images.__getitem__))
+
+
+def _product(spec: FieldSpec, *factors):
+    """The product of conjugators given as images or matrices: composed
+    images when every factor is a permutation, else a dense product."""
+    if all(isinstance(f, tuple) for f in factors):
+        return reduce(lambda f, g: tuple(f[i] for i in g), factors)
+    return reduce(operator.mul, (_dense(spec, f) for f in factors))
+
+
+def _dense(spec: FieldSpec, conj) -> Matrix:
+    return conj if isinstance(conj, Matrix) else _permutation_matrix(spec, conj)
+
+
+def _tile(block, copies: int, total: int):
+    """``copies`` copies of a square conjugator (images or a matrix) down
+    the diagonal, then the identity up to dimension ``total``."""
+    if isinstance(block, Matrix):
+        pad = total - copies * block.rows
+        return direct_sum([block] * copies + [Matrix.identity(block.spec, pad)] * (pad > 0))
+    k = len(block)
+    return tuple(j - j % k + block[j % k] if j < copies * k else j for j in range(total))
+
+
+def _shuffle_conjugator(m: int, k: int) -> tuple[int, ...]:
+    """Images of the permutation Q with Q (x^{+k}) Q^{-1} = x (x) 1_k for all m x m x."""
+    return tuple(i * k + w for w in range(k) for i in range(m))
+
+
+def _merge_permutation(outer: int, block: int, copies: int, inner: int,
+                       total: int) -> tuple[int, ...]:
+    """Images of the permutation P with
+    (x^{+copies} (+) 0)^{+outer} (+) 0 = P (x^{+outer*copies} (+) 0) P^{-1}.
 
     ``block`` is the size of each outer block, ``inner`` the size of x,
     ``total`` the ambient dimension.
     """
-    images = [-1] * total
-    for t in range(outer):
-        for c in range(copies):
-            u = t * copies + c
-            for i in range(inner):
-                images[u * inner + i] = t * block + c * inner + i
-    used = outer * copies * inner
-    tgt_pads = []
-    for t in range(outer):
-        tgt_pads.extend(range(t * block + copies * inner, (t + 1) * block))
-    tgt_pads.extend(range(outer * block, total))
-    for offset, src in enumerate(range(used, total)):
-        images[src] = tgt_pads[offset]
-    return _permutation_matrix(spec, images)
+    used = [t * block + c * inner + i
+            for t in range(outer) for c in range(copies) for i in range(inner)]
+    taken = set(used)
+    # the padding rows go to the remaining rows, in order
+    return tuple(used + [j for j in range(total) if j not in taken])
 
 
 def _header_ints(parts) -> tuple[int, ...]:
@@ -94,25 +123,41 @@ def _header_ints(parts) -> tuple[int, ...]:
 
 
 class DeltaEmbedding:
-    """A conjugated block-diagonal homomorphism M_m -> M_n with padding."""
+    """A conjugated block-diagonal homomorphism x -> P (x^{+mult} (+) 0) P^{-1}.
 
-    __slots__ = ("m", "n", "mult", "conjugator", "conjugator_inv", "spec")
+    A permutation P is kept as its images (P e_j = e_{images[j]}): it is
+    inverted and applied by re-indexing, and made dense only when read.
+    Any other P is kept dense and inverted at construction."""
+
+    __slots__ = ("m", "n", "mult", "spec", "_conj", "_conj_inv")
 
     def __init__(self, m: int, n: int, mult: int, conjugator: Matrix):
+        self._set_shape(m, n, mult)
+        self.conjugator = conjugator
+
+    def _set_shape(self, m: int, n: int, mult: int):
         if mult < 0 or m < 1:
             raise DimensionMismatch("bad multiplicity or source dimension")
         if m * mult > n:
             raise DimensionMismatch(
                 f"{mult} copies of dimension {m} exceed target {n}"
             )
-        if conjugator.rows != n or conjugator.cols != n:
-            raise DimensionMismatch("conjugator has the wrong size")
         self.m = m
         self.n = n
         self.mult = mult
-        self.conjugator = conjugator
-        self.conjugator_inv = invert(conjugator)
-        self.spec = conjugator.spec
+
+    @property
+    def conjugator(self) -> Matrix:
+        return _dense(self.spec, self._conj)
+
+    @conjugator.setter
+    def conjugator(self, value: Matrix):
+        if value.rows != self.n or value.cols != self.n:
+            raise DimensionMismatch("conjugator has the wrong size")
+        self.spec = value.spec
+        images = _permutation_images(value)
+        self._conj = value if images is None else images
+        self._conj_inv = invert(value) if images is None else _inverse(images)
 
     @property
     def delta(self) -> RankDistance:
@@ -133,8 +178,23 @@ class DeltaEmbedding:
             raise DimensionMismatch(f"element must be {self.m}x{self.m}")
         if self.mult == 0:
             return Matrix.zero(self.spec, self.n)
-        blocks = direct_sum([x] * self.mult, self.n - self.m * self.mult)
-        return self.conjugator * blocks * self.conjugator_inv
+        if isinstance(self._conj, Matrix):
+            blocks = direct_sum([x] * self.mult, self.n - self.m * self.mult)
+            return self._conj * blocks * self._conj_inv
+        # entry (i, j) of each copy lands at (pos[i], pos[j])
+        m, n = self.m, self.n
+        copies = [self._conj[c * m:(c + 1) * m] for c in range(self.mult)]
+        if _use_packed(self.spec):
+            rows = [0] * n
+            for pos in copies:
+                for i, r in enumerate(x._packed()):
+                    rows[pos[i]] = sum(1 << pos[j] for j in range(m) if r >> j & 1)
+            return Matrix._trusted(self.spec, n, n, packed=tuple(rows))
+        out = [0] * (n * n)
+        for pos in copies:
+            for k, v in enumerate(x._e):
+                out[pos[k // m] * n + pos[k % m]] = v
+        return Matrix._trusted(self.spec, n, n, tuple(out))
 
     def generator_images(self) -> tuple[Matrix, Matrix]:
         a, b = kassabov_generators(self.m, self.spec)
@@ -164,6 +224,16 @@ def delta_apply(e: DeltaEmbedding, x: Matrix) -> Matrix:
     return e.apply(x)
 
 
+def _embedding(m: int, n: int, mult: int, spec: FieldSpec, conj) -> DeltaEmbedding:
+    """A ``DeltaEmbedding`` from a conjugator given as images or as a matrix."""
+    if isinstance(conj, Matrix):
+        return DeltaEmbedding(m, n, mult, conj)
+    e = object.__new__(DeltaEmbedding)
+    e._set_shape(m, n, mult)
+    e.spec, e._conj, e._conj_inv = spec, tuple(conj), _inverse(conj)
+    return e
+
+
 def compose(outer: DeltaEmbedding, inner: DeltaEmbedding) -> DeltaEmbedding:
     """The composite block embedding, with its explicit conjugator."""
     if outer.spec != inner.spec:
@@ -173,13 +243,10 @@ def compose(outer: DeltaEmbedding, inner: DeltaEmbedding) -> DeltaEmbedding:
     k1, k2 = inner.mult, outer.mult
     p, n, m = outer.n, inner.n, inner.m
     if k1 == 0 or k2 == 0:
-        return DeltaEmbedding(m, p, 0, Matrix.identity(outer.spec, p))
-    blocks = [inner.conjugator] * k2
-    if p > n * k2:
-        blocks.append(Matrix.identity(outer.spec, p - n * k2))
-    middle = direct_sum(blocks)
-    perm = _merge_permutation(outer.spec, k2, n, k1, m, p)
-    return DeltaEmbedding(m, p, k1 * k2, outer.conjugator * middle * perm)
+        return _embedding(m, p, 0, outer.spec, range(p))
+    conj = _product(outer.spec, outer._conj, _tile(inner._conj, k2, p),
+                    _merge_permutation(k2, n, k1, m, p))
+    return _embedding(m, p, k1 * k2, outer.spec, conj)
 
 
 def iota(n: int, m: int, x: Matrix) -> Matrix:
@@ -196,12 +263,12 @@ def iota_embedding(n: int, m: int, spec: FieldSpec) -> DeltaEmbedding:
     """The inclusion in block form: multiplicity n/m, shuffle conjugator."""
     if m < 1 or n % m != 0:
         raise NotDivisor(f"{m} does not divide {n}")
-    return DeltaEmbedding(m, n, n // m, _shuffle_conjugator(spec, m, n // m))
+    return _embedding(m, n, n // m, spec, _shuffle_conjugator(m, n // m))
 
 
 def block_embedding(m: int, n: int, spec: FieldSpec) -> DeltaEmbedding:
     """Plain block map with maximal multiplicity floor(n/m), identity conjugator."""
-    return DeltaEmbedding(m, n, n // m, Matrix.identity(spec, n))
+    return _embedding(m, n, n // m, spec, range(n))
 
 
 def joint_embed(a_dim: int, b_dim: int, spec: FieldSpec):
@@ -256,11 +323,6 @@ class Homomorphism:
                 if v:
                     out = out + self.units[i][j].scale(v)
         return out
-
-    @classmethod
-    def from_embedding(cls, e: DeltaEmbedding) -> "Homomorphism":
-        ia, ib = e.generator_images()
-        return cls(e.m, e.n, ia, ib)
 
     @classmethod
     def inclusion(cls, n: int, m: int, spec: FieldSpec) -> "Homomorphism":

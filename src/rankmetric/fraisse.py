@@ -43,9 +43,9 @@ from .embeddings import (
     compose,
     iota,
     iota_embedding,
-    _shuffle_conjugator,
-    _merge_permutation,
 )
+from .embeddings import (_dense, _embedding, _inverse, _merge_permutation, _product,
+                         _shuffle_conjugator, _tile)
 from .stability import repair
 
 _RULES = ("factorial", "powers_of_2", "explicit")
@@ -184,8 +184,8 @@ def approximate_homogeneity(phi: DeltaEmbedding, psi: DeltaEmbedding):
         raise DimensionMismatch("embeddings with different shapes")
     if phi.mult != psi.mult:
         raise MultiplicityMismatch(f"{phi.mult} != {psi.mult}")
-    beta = psi.conjugator * phi.conjugator_inv
-    return beta, Fraction(0)
+    beta = _product(phi.spec, psi._conj, phi._conj_inv)
+    return _dense(phi.spec, beta), Fraction(0)
 
 
 def approximate_extension(phi: DeltaEmbedding, tower: Tower,
@@ -230,17 +230,12 @@ def approximate_extension(phi: DeltaEmbedding, tower: Tower,
     r = phi.mult
 
     if s == 0:
-        psi = DeltaEmbedding(n, m_p, 0, Matrix.identity(phi.spec, m_p))
+        psi = _embedding(n, m_p, 0, phi.spec, range(m_p))
     else:
-        shuffle = _shuffle_conjugator(phi.spec, m_k, m_p // m_k)
-        merge = _merge_permutation(phi.spec, s, n, r, m_k, m_p)
-        blocks = [phi.conjugator_inv] * s
-        from .matrix import direct_sum
-        if m_p > n * s:
-            blocks.append(Matrix.identity(phi.spec, m_p - n * s))
-        y_inv_blocks = direct_sum(blocks)
-        z = shuffle * merge.transpose() * y_inv_blocks
-        psi = DeltaEmbedding(n, m_p, s, z)
+        z = _product(phi.spec, _shuffle_conjugator(m_k, m_p // m_k),
+                     _inverse(_merge_permutation(s, n, r, m_k, m_p)),
+                     _tile(phi._conj_inv, s, m_p))
+        psi = _embedding(n, m_p, s, phi.spec, z)
 
     commute_error = Fraction(m_p - r * s * m_k, m_p)
     if commute_error > phi.delta_fraction + delta_prime:

@@ -316,7 +316,9 @@ def field_make(p: int, k: int = 1, modulus=None) -> FieldSpec:
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """(p, k) with q = p^k; raises ``NonPrime`` when q is not a prime power."""
+    """(p, k) with q = p^k; ``NonPrime`` if none, ``TooLarge`` above 2^32."""
+    if q > 1 << 32:  # so that trial division takes at most 2^16 steps
+        raise TooLarge(f"order {q} exceeds 2^32, the limit for factoring")
     if q >= 2:
         p = _least_factor(q)
         k = 0

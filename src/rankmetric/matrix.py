@@ -471,14 +471,6 @@ class Matrix:
             e >>= 1
         return out
 
-    def transpose(self) -> "Matrix":
-        e = self._e
-        c = self.cols
-        return Matrix._trusted(
-            self.spec, self.cols, self.rows,
-            tuple(e[i * c + j] for j in range(c) for i in range(self.rows)),
-        )
-
     def apply_to_vector(self, vec) -> tuple[int, ...]:
         """Matrix-vector product on raw int encodings."""
         if len(vec) != self.cols:

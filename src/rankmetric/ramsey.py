@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 
 from .errors import InvalidParameter, InvariantViolated, NotDivisor, NotLipschitz, TooLarge
-from .gf import FieldSpec, prime_power
+from .gf import FieldSpec, field_for_order, prime_power
 from .matrix import (
     Matrix,
     invert,
@@ -38,6 +38,14 @@ from .matrix import (
 ENUMERATION_LIMIT = 1 << 20
 # Copies with more than this many elements refuse exhaustive distances.
 COPY_ELEMENT_LIMIT = 4096
+ORDER_BIT_LIMIT = 14284  # longer ints pass the 4300 digits Python prints by default
+
+
+def _power(q: int, e: int) -> int:
+    value = q ** e if e * (q - 1).bit_length() <= 2 * ORDER_BIT_LIMIT else None  # <= 2 e log2 q
+    if value is None or value.bit_length() > ORDER_BIT_LIMIT:
+        raise TooLarge(f"{q}^{e} has more than {ORDER_BIT_LIMIT} bits")
+    return value
 
 
 def sl_order(n: int, q: int) -> int:
@@ -52,6 +60,7 @@ def sl_order(n: int, q: int) -> int:
 
 
 def gl_order(n: int, q: int) -> int:
+    _power(q, n * n)  # |GL_n(q)| < q^(n^2)
     prod = 1
     for i in range(n):
         prod *= q ** n - q ** i
@@ -63,7 +72,7 @@ def gl_order(n: int, q: int) -> int:
 
 
 def _check_enumeration(n: int, q: int):
-    total = q ** (n * n)
+    total = _power(q, n * n)
     if total > ENUMERATION_LIMIT:
         raise TooLarge(
             f"enumerating {total} candidate {n}x{n} matrices over GF({q})"
@@ -112,7 +121,7 @@ def span_fingerprint(mats, spec: FieldSpec, ambient: int) -> tuple:
 
 def base_copy_basis(a: int, b: int, spec: FieldSpec) -> list[Matrix]:
     """Basis of the standard embedded copy: the a x a units tensored up."""
-    if b % a != 0:
+    if a < 1 or b < 1 or b % a != 0:
         raise NotDivisor(f"{a} does not divide {b}")
     eye = Matrix.identity(spec, b // a)
     return [kron(Matrix.unit(spec, a, i, j), eye)
@@ -167,12 +176,8 @@ def count_copies(a: int, b: int, q_or_spec, method: str = "brute_force") -> int:
     stabilizer of the standard copy (modulo scalars). Both enumerate the
     unit group, so both are guarded by ``TooLarge``.
     """
-    spec = q_or_spec if isinstance(q_or_spec, FieldSpec) else None
-    if spec is None:
-        from .gf import field_for_order
-        spec = field_for_order(q_or_spec)
-    if a < 1 or b % a != 0:
-        raise NotDivisor(f"{a} does not divide {b}")
+    spec = q_or_spec if isinstance(q_or_spec, FieldSpec) else field_for_order(q_or_spec)
+    _check_enumeration(b, spec.q)  # before base_copy_basis builds b x b matrices
     if method == "brute_force":
         return len(enumerate_copies(a, b, spec))
     if method == "orbit_stabilizer":
@@ -442,16 +447,15 @@ def ramsey_dimension(a: int, b: int, q: int, eps, k_mode: str = "auto") -> Bound
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise InvalidParameter("eps must lie in (0, 1]")
-    from .gf import field_for_order
     spec = field_for_order(q)
-    if b % a != 0:
-        raise NotDivisor(f"{a} does not divide {b}")
+    if a < 1 or b < 1 or b % a != 0:
+        raise NotDivisor(f"need positive a dividing b, got a = {a}, b = {b}")
 
     if k_mode not in ("auto", "exact", "envelope"):
         raise InvalidParameter(f"unknown k_mode {k_mode!r}")
     k_method = "envelope"
     if k_mode == "envelope":
-        k = q ** (b * b)
+        k = _power(q, b * b)
     elif a == b:
         k, k_method = 1, "exact"
     elif k_mode == "exact":
@@ -460,7 +464,7 @@ def ramsey_dimension(a: int, b: int, q: int, eps, k_mode: str = "auto") -> Bound
         try:
             k, k_method = count_copies(a, b, spec, "brute_force"), "exact"
         except TooLarge:
-            k = q ** (b * b)
+            k = _power(q, b * b)
 
     coeff = 64 * eps ** -2
     ceil_inv = -((-eps.denominator) // eps.numerator)  # ceil(1/eps)
@@ -543,7 +547,7 @@ def monochromatic_search(b_dim: int, c_dim: int, gamma: Coloring, eps,
     if c_dim != gamma.c_dim:
         from .errors import DimensionMismatch
         raise DimensionMismatch("coloring ambient does not match c")
-    if b_dim < 1 or c_dim % b_dim != 0 or b_dim % a_dim != 0:
+    if a_dim < 1 or b_dim < 1 or c_dim % b_dim != 0 or b_dim % a_dim != 0:
         raise NotDivisor("need a | b and b | c")
     base_b = base_copy_basis(b_dim, c_dim, spec)
     # the copies of A inside the standard B, lifted once into M_c

@@ -10,7 +10,7 @@ from itertools import combinations, permutations, product
 
 from rankmetric.errors import RelationsNotSatisfied
 from rankmetric.gf import FieldSpec
-from rankmetric.matrix import Matrix
+from rankmetric.matrix import Matrix, direct_sum, invert
 
 
 def poly_mul_mod(u, v, modulus, p):
@@ -105,3 +105,11 @@ def matrix_units_by_products(a: Matrix, b: Matrix, n: int):
     if rebuilt_a != a or rebuilt_b != b:
         raise RelationsNotSatisfied("units do not reassemble the generators")
     return units
+
+
+def delta_apply_dense(e, x: Matrix) -> Matrix:
+    """A block embedding evaluated by dense products: P (x^{+mult} (+) 0) P^{-1}."""
+    if e.mult == 0:
+        return Matrix.zero(x.spec, e.n)
+    blocks = direct_sum([x] * e.mult, e.n - e.m * e.mult)
+    return e.conjugator * blocks * invert(e.conjugator)

@@ -1,8 +1,10 @@
 import io
+import time
 
 import pytest
 
 from rankmetric.cli import run
+from rankmetric.fraisse import back_and_forth, tower_make, verify_certificate
 from rankmetric.gf import field_make
 from rankmetric.matrix import (
     Matrix,
@@ -179,11 +181,83 @@ def test_slorder_command():
     assert _run(["slorder", "--n", "2", "--q", "3"]) == (0, "slorder 24\n")
 
 
+@pytest.mark.parametrize("argv, size", [
+    (["--n", "2", "--q", "2305843009213693951"], "order 2305843009213693951 exceeds"),
+    (["--n", "257", "--q", "2"], "dimension 257 exceeds"),
+    (["--n", "256", "--q", "2"], "2^65536 has more than 14284 bits"),
+], ids=["q-2^61-1", "n-above-dim-cap", "order-bits"])
+def test_slorder_too_large_exit_3_fast(argv, size):
+    start = time.perf_counter()
+    code, out = _run(["slorder", *argv])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out.startswith("error TooLarge:") and size in out
+
+
+def test_slorder_largest_factored_order():
+    q = 4294967291  # the largest prime below 2^32
+    start = time.perf_counter()
+    assert _run(["slorder", "--n", "2", "--q", str(q)]) == (0, f"slorder {q * (q * q - 1)}\n")
+    assert time.perf_counter() - start < 1.0
+
+
+_BOUND = ["ramsey-bound", "--q", "2", "--eps", "1/2"]
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (_BOUND + ["--a", "0", "--b", "0"], 2, "NotDivisor"),
+    (_BOUND + ["--a", "3", "--b", "-3"], 2, "NotDivisor"),
+    (_BOUND + ["--a", "3", "--b", "120"], 3, "TooLarge"),  # the envelope 2^(120^2)
+    (["copies", "--a", "300", "--b", "0", "--q", "9"], 2, "NotDivisor"),
+    (["ramsey-search", "--a", "0", "--b", "1", "--c", "2", "--q", "2", "--eps", "1/2"],
+     2, "NotDivisor"),
+], ids=["a-zero", "b-negative", "envelope-above-cap", "copies-b-zero", "search-a-zero"])
+def test_degenerate_and_oversized_algebras(argv, code, error):
+    start = time.perf_counter()
+    assert _run(argv)[0] == code
+    assert _run(argv)[1].startswith(f"error {error}:")
+    assert time.perf_counter() - start < 2.0
+
+
+def test_ramsey_bound_envelope_below_the_cap():
+    code, out = _run(_BOUND + ["--a", "7", "--b", "119"])  # 2^(119^2) has 14162 bits
+    assert code == 0
+    assert out.startswith(f"k={2 ** (119 * 119)} ")
+
+
 @pytest.mark.parametrize("q", ["1", "6"])
 def test_slorder_rejects_non_prime_power_exit_2(q):
     code, out = _run(["slorder", "--n", "2", "--q", q])
     assert code == 2
     assert out.startswith("error NonPrime:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["backforth", "--rounds", "2", "--q", "2", "--prefix-x", "99999"],
+    ["backforth", "--rounds", "2", "--q", "2", "--prefix-y", "99999"],
+    ["extend", "--phi", "IN", "--tower", "factorial", "--prefix", "99999",
+     "--delta-prime", "1/2"],
+], ids=["prefix-x", "prefix-y", "extend-prefix"])
+def test_long_tower_prefix_refused_before_it_is_built(tmp_path, gf2, argv):
+    path = tmp_path / "phi.txt"
+    path.write_text(DeltaEmbedding(1, 2, 2, Matrix.identity(gf2, 2)).to_text())
+    start = time.perf_counter()
+    code, out = _run([str(path) if a == "IN" else a for a in argv])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "error TooLarge: dimension 99998 exceeds RANKMETRIC_MAX_DIM=256\n")
+
+
+def test_backforth_all_defaults_verify():
+    code, out = _run(["backforth", "--rounds", "3", "--q", "2"])
+    assert code == 0
+    spec = field_make(2)
+    fact, pows = tower_make("factorial", 6, spec), tower_make("powers_of_2", 9, spec)
+    probes = []
+    for tower in (fact, pows):
+        probes += [*tower.generators_at(0), tower.one_at(0)]
+    cert = back_and_forth(fact, pows, 3, probes)
+    assert cert.to_text() == out
+    assert verify_certificate(cert, fact, pows, probes)
 
 
 def test_backforth_round_trip_without_probe_exit_2():
@@ -250,6 +324,8 @@ _SEARCH = ["ramsey-search", "--a", "1", "--b", "2", "--c", "4", "--q", "2",
                  id="trailing-garbage"),
     pytest.param("2 2 2\n0 x\n1 0\n", ["rank", "--in", "IN"], "FormatError",
                  id="non-integer-entry"),
+    pytest.param("2 2 2\n0 \u00e9\n1 0\n", ["rank", "--in", "IN"], "FormatError",
+                 id="non-ascii-entry"),
     pytest.param("DELTA 2 x 1\n" + _IDENTITY, ["homog", "--phi", "IN", "--psi", "IN"],
                  "FormatError", id="non-integer-delta-header"),
     pytest.param("HOM 1 x\n" + _IDENTITY + _IDENTITY,

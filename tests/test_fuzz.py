@@ -1,12 +1,17 @@
 """Seeded randomized sweeps: every certificate a pipeline hands back is
 re-verified from scratch, whatever the input looked like."""
 
+import contextlib
+import io
+import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rankmetric.cli import run
 from rankmetric.errors import NotRepairable, RankMetricError
 from rankmetric.gf import field_make
 from rankmetric.matrix import (
@@ -19,6 +24,7 @@ from rankmetric.matrix import (
     random_matrix,
     random_unit,
     read_matrix,
+    write_matrix,
 )
 from rankmetric.embeddings import DeltaEmbedding, Homomorphism, skolem_noether_conjugator
 from rankmetric.stability import relation_defect, repair
@@ -135,3 +141,91 @@ def test_text_readers_raise_only_rankmetric_errors(text):
             reader(text)
         except RankMetricError:
             pass
+
+
+# -- argv fuzz: every subcommand keeps the exit contract ---------------------
+
+def _subcommand_options():
+    """(flag, required, kind) for every option of every subcommand, where
+    kind is "int", the tuple of choices, or "str"."""
+    from rankmetric.cli import _build_parser
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    return {name: [(act.option_strings[0], act.required,
+                    "int" if act.type is int else tuple(act.choices or ()) or "str")
+                   for act in p._actions if act.option_strings[0] != "-h"]
+            for name, p in sub.choices.items()}
+
+
+_OPTIONS = _subcommand_options()
+_GARBAGE = st.text(st.characters(exclude_characters="\0"), max_size=4)  # argv holds no NUL
+_ERROR_LINE = re.compile(r"error (io|[A-Z][A-Za-z]*):")
+_WORDS = ["1/2", "1/3", "2", "0", "1/0", "-1/3", "0.5", "x:0,y:0", "y:1", "x:0,z",
+          "constant:1/2", "constant:x", "distance-to-copy"]
+# the values each string option is meant to take, drawn most of the time
+_MEANT = {"--in": ["matrix", "pair"], "--x": ["matrix"], "--y": ["matrix"],
+          "--phi": ["delta"], "--psi": ["delta"], "--phi0": ["hom"], "--phi1": ["hom"],
+          "--out": ["out"], "--out0": ["out"], "--out1": ["out"], "--eps": ["1/2", "1/3"],
+          "--delta-prime": ["1/2", "1/3"], "--probes": ["x:0,y:0", "y:1"],
+          "--coloring": ["constant:1/2", "distance-to-copy"]}
+
+
+def _write_argv_inputs(d):
+    """Input files of every kind the subcommands read, plus bad paths; written
+    again before each run, since an --out flag may name one of them."""
+    spec = field_make(2)
+    one = Matrix.identity(spec, 2)
+    a, b = kassabov_generators(2, spec)
+    texts = {
+        "matrix": write_matrix(one),
+        "pair": write_matrix(a) + write_matrix(b),
+        "delta": DeltaEmbedding(1, 2, 2, one).to_text(),
+        "hom": Homomorphism.inclusion(2, 1, spec).to_text(),
+        "junk": "DELTA 1\n2 2 2\n0 1\n",
+    }
+    for name, text in texts.items():
+        (d / name).write_text(text)
+    (d / "bytes").write_bytes(b"2 1 1\n\xff\n")
+    files = {name: str(d / name) for name in [*texts, "bytes", "missing", "out"]}
+    files["directory"] = str(d)
+    return files
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    return _write_argv_inputs(tmp_path_factory.mktemp("argv"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_argv_fuzz_keeps_exit_contract(argv_files, data):
+    """Small ints, garbage strings, input files of every kind, dropped and
+    unknown flags: exit 0, 2 or 3, never a traceback, and a failure ends
+    with its error class (argparse reports usage errors on stderr)."""
+    command = data.draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    for flag, required, kind in _OPTIONS[command]:
+        if not data.draw(st.booleans() if not required else st.integers(0, 19).map(bool)):
+            continue
+        if data.draw(st.integers(0, 9)) == 0:
+            value = _GARBAGE
+        elif kind == "int":
+            value = st.one_of(st.integers(1, 3), st.integers(-2, 5),
+                              st.sampled_from([9, 300, 99999])).map(str)
+        elif kind == "str" and data.draw(st.integers(0, 3)):
+            value = st.sampled_from(_MEANT[flag]).map(lambda v: argv_files.get(v, v))
+        else:
+            value = st.sampled_from([*argv_files.values(), *_WORDS] if kind == "str" else kind)
+        argv += [flag, data.draw(value)]
+    if data.draw(st.integers(0, 9)) == 0:
+        argv.insert(data.draw(st.integers(1, len(argv))), "--bogus")
+    out, err = io.StringIO(), io.StringIO()
+    _write_argv_inputs(pathlib.Path(argv_files["directory"]))
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.chdir(argv_files["directory"])  # relative --out names land there
+        mp.setenv("RANKMETRIC_MAX_DIM", "2")
+        code = run(argv, out)
+    assert code in (0, 2, 3), (argv, out.getvalue())
+    if code and out.getvalue():  # the error line ends any report printed before it
+        assert _ERROR_LINE.match(out.getvalue().splitlines()[-1]), (argv, out.getvalue())
+    elif code:
+        assert "error:" in err.getvalue()

@@ -43,6 +43,18 @@ def test_sl_order_n1():
         assert sl_order(1, q) == 1
 
 
+@pytest.mark.parametrize("n, q", [(2, 2 ** 61 - 1), (2, 2 ** 32 + 15), (120, 2), (80, 5)])
+def test_sl_order_refuses_sizes_it_cannot_answer_exactly(n, q):
+    with pytest.raises(TooLarge):
+        sl_order(n, q)
+
+
+def test_sl_order_at_the_caps():
+    assert sl_order(1, 2 ** 32 - 5) == 1  # 2^32 - 5 is prime
+    assert sl_order(119, 2) == gl_order(119, 2) < 2 ** (119 * 119)
+    assert sl_order(51, 7) * 6 == gl_order(51, 7)  # 7^(51^2) has 7298 bits
+
+
 @pytest.mark.parametrize("q", [0, 1, 6, 12])
 def test_sl_order_rejects_non_prime_power(q):
     with pytest.raises(NonPrime):
