@@ -5,12 +5,14 @@ owning module; tolerances arrive as ``num/den`` rationals, never floats.
 Reports are deterministic: identical invocations produce byte-identical
 output. Exit status is 0 on success, 2 on validation errors, and 3 on
 reported outcomes such as ``TooLarge`` or ``NotRepairable``; in the
-failure cases the offending error class name is printed verbatim.
+failure cases the offending error class name is printed verbatim, and
+that error line is all a failed command prints.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from fractions import Fraction
@@ -85,16 +87,12 @@ def _load_matrix(path: str) -> Matrix:
     return m
 
 
-def _emit(out, text: str):
-    out.write(text)
-
-
 def _emit_or_write(out, path, text: str):
     """Write text to path when one is given, else to the report stream."""
     if path:
         _write_text(path, text)
     else:
-        _emit(out, text)
+        out.write(text)
 
 
 # -- handlers ----------------------------------------------------------------
@@ -102,13 +100,13 @@ def _emit_or_write(out, path, text: str):
 
 def _cmd_rank(args, out):
     m = _load_matrix(args.input)
-    _emit(out, f"rank {rank(m)}\n")
+    out.write(f"rank {rank(m)}\n")
 
 
 def _cmd_dist(args, out):
     x = _load_matrix(args.x)
     y = _load_matrix(args.y)
-    _emit(out, f"dist {rank_distance(x, y)}\n")
+    out.write(f"dist {rank_distance(x, y)}\n")
 
 
 def _cmd_gens(args, out):
@@ -139,13 +137,13 @@ def _read_pair(path: str):
 
 def _cmd_defect(args, out):
     x, y = _read_pair(args.input)
-    _emit(out, relation_defect(x, y, args.n).to_text())
+    out.write(relation_defect(x, y, args.n).to_text())
 
 
 def _cmd_repair(args, out):
     x, y = _read_pair(args.input)
     psi, _, cert = repair(x, y, args.n)
-    _emit(out, cert.to_text())
+    out.write(cert.to_text())
     if args.out:
         _write_text(args.out, psi.to_text())
 
@@ -166,7 +164,7 @@ def _cmd_homog(args, out):
     phi = _load_delta(args.phi)
     psi = _load_delta(args.psi)
     beta, residual = approximate_homogeneity(phi, psi)
-    _emit(out, f"residual {residual.numerator}/{residual.denominator}\n")
+    out.write(f"residual {residual.numerator}/{residual.denominator}\n")
     text = write_matrix(beta)
     _emit_or_write(out, args.out, text)
 
@@ -178,9 +176,9 @@ def _cmd_extend(args, out):
     for d in tower.dims:
         _guard_dim(d)
     k_prime, psi, err = approximate_extension(phi, tower, _fraction(args.delta_prime))
-    _emit(out, f"k_prime {k_prime}\n")
-    _emit(out, f"stage_dim {tower.dims[k_prime]}\n")
-    _emit(out, f"commute_error {err.numerator}/{err.denominator}\n")
+    out.write(f"k_prime {k_prime}\n")
+    out.write(f"stage_dim {tower.dims[k_prime]}\n")
+    out.write(f"commute_error {err.numerator}/{err.denominator}\n")
     if args.out:
         _write_text(args.out, psi.to_text())
 
@@ -202,7 +200,7 @@ def _cmd_backforth(args, out):
         a, b = tower.generators_at(stage)
         probes.extend([a, b, tower.one_at(stage)])
     cert = back_and_forth(tower_x, tower_y, args.rounds, probes)
-    _emit(out, cert.to_text())
+    out.write(cert.to_text())
 
 
 def _cmd_amalgamate(args, out):
@@ -210,13 +208,13 @@ def _cmd_amalgamate(args, out):
     phi1 = _load_hom(args.phi1)
     _guard_dim(phi0.n * phi1.n)
     c, psi0, psi1 = amalgamate(phi0, phi1)
-    _emit(out, f"c {c}\n")
+    out.write(f"c {c}\n")
     a_gen, b_gen = kassabov_generators(phi0.m, phi0.spec)
     ok = all(
         psi0.apply(phi0.apply(g)) == psi1.apply(phi1.apply(g))
         for g in (a_gen, b_gen)
     )
-    _emit(out, f"commutes {'exact' if ok else 'FAIL'}\n")
+    out.write(f"commutes {'exact' if ok else 'FAIL'}\n")
     if args.out0:
         _write_text(args.out0, psi0.to_text())
     if args.out1:
@@ -233,7 +231,7 @@ def _cmd_conjugator(args, out):
 
 def _cmd_slorder(args, out):
     _guard_dim(args.n)
-    _emit(out, f"slorder {_ramsey.sl_order(args.n, args.q)}\n")
+    out.write(f"slorder {_ramsey.sl_order(args.n, args.q)}\n")
 
 
 def _cmd_copies(args, out):
@@ -245,19 +243,19 @@ def _cmd_copies(args, out):
         ko = _ramsey.count_copies(args.a, args.b, spec, "orbit_stabilizer")
     if args.method == "both":
         agree = "agree" if kb == ko else "DISAGREE"
-        _emit(out, f"k {kb} brute_force {kb} orbit_stabilizer {ko} {agree}\n")
+        out.write(f"k {kb} brute_force {kb} orbit_stabilizer {ko} {agree}\n")
     elif args.method == "brute_force":
-        _emit(out, f"k {kb} method brute_force\n")
+        out.write(f"k {kb} method brute_force\n")
     else:
-        _emit(out, f"k {ko} method orbit_stabilizer\n")
+        out.write(f"k {ko} method orbit_stabilizer\n")
 
 
 def _cmd_ramsey_bound(args, out):
     _guard_dim(args.b)
     rep = _ramsey.ramsey_dimension(args.a, args.b, args.q,
                                    _fraction(args.eps), args.k_mode)
-    _emit(out, f"k={rep.k} bound~{rep.bound_float:.4f} c={rep.c}\n")
-    _emit(out, f"bound_exact {rep.exact_expression()}\n")
+    out.write(f"k={rep.k} bound~{rep.bound_float:.4f} c={rep.c}\n")
+    out.write(f"bound_exact {rep.exact_expression()}\n")
 
 
 def _cmd_ramsey_search(args, out):
@@ -275,7 +273,7 @@ def _cmd_ramsey_search(args, out):
     rep = _ramsey.monochromatic_search(args.b, args.c, gamma,
                                        _fraction(args.eps), args.strategy,
                                        seed=args.seed, trials=args.trials)
-    _emit(out, rep.to_text())
+    out.write(rep.to_text())
 
 
 # -- parser ------------------------------------------------------------------
@@ -409,17 +407,17 @@ def run(argv, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
+    # the report reaches out only once the whole command has succeeded
+    report = io.StringIO()
     try:
-        args.func(args, out)
-    except OutcomeError as exc:
-        out.write(f"error {type(exc).__name__}: {exc}\n")
-        return 3
+        args.func(args, report)
     except RankMetricError as exc:
         out.write(f"error {type(exc).__name__}: {exc}\n")
-        return 2
+        return 3 if isinstance(exc, OutcomeError) else 2
     except OSError as exc:
         out.write(f"error io: {exc}\n")
         return 2
+    out.write(report.getvalue())
     return 0
 
 

@@ -37,7 +37,6 @@ from .gf import FieldSpec
 from .matrix import (
     Matrix,
     RankDistance,
-    _use_packed,
     direct_sum,
     image_basis,
     invert,
@@ -184,12 +183,6 @@ class DeltaEmbedding:
         # entry (i, j) of each copy lands at (pos[i], pos[j])
         m, n = self.m, self.n
         copies = [self._conj[c * m:(c + 1) * m] for c in range(self.mult)]
-        if _use_packed(self.spec):
-            rows = [0] * n
-            for pos in copies:
-                for i, r in enumerate(x._packed()):
-                    rows[pos[i]] = sum(1 << pos[j] for j in range(m) if r >> j & 1)
-            return Matrix._trusted(self.spec, n, n, packed=tuple(rows))
         out = [0] * (n * n)
         for pos in copies:
             for k, v in enumerate(x._e):

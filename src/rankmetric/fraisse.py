@@ -21,6 +21,7 @@ certificates.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -48,7 +49,8 @@ from .embeddings import (_dense, _embedding, _inverse, _merge_permutation, _prod
                          _shuffle_conjugator, _tile)
 from .stability import repair
 
-_RULES = ("factorial", "powers_of_2", "explicit")
+# The dimension at stage i of each named tower rule.
+_STAGE_DIM = {"factorial": math.factorial, "powers_of_2": lambda i: 2 ** i}
 
 
 class Tower:
@@ -75,14 +77,10 @@ class Tower:
 
     def extended(self, extra: int) -> "Tower":
         """A longer realization of the same rule (explicit towers cannot grow)."""
-        if self.rule == "factorial":
-            start = len(self.dims)
-            new = [_factorial(i) for i in range(start, start + extra)]
-        elif self.rule == "powers_of_2":
-            start = len(self.dims)
-            new = [2 ** i for i in range(start, start + extra)]
-        else:
+        if not isinstance(self.rule, str) or self.rule not in _STAGE_DIM:
             raise NotFactorSequence("explicit towers have a fixed prefix")
+        start = len(self.dims)
+        new = [_STAGE_DIM[self.rule](i) for i in range(start, start + extra)]
         return Tower(self.dims + tuple(new), self.rule, self.spec)
 
     def dim(self, stage: int) -> int:
@@ -105,13 +103,6 @@ class Tower:
         return f"Tower({self.rule}, dims={list(self.dims)})"
 
 
-def _factorial(i: int) -> int:
-    out = 1
-    for j in range(2, i + 1):
-        out *= j
-    return out
-
-
 def tower_make(rule, prefix_len: int, spec: FieldSpec) -> Tower:
     """Build a tower from a named rule or an explicit dimension list."""
     if isinstance(rule, (list, tuple)):
@@ -119,11 +110,9 @@ def tower_make(rule, prefix_len: int, spec: FieldSpec) -> Tower:
         if prefix_len and prefix_len != len(dims):
             raise NotFactorSequence("prefix length does not match explicit list")
         return Tower(dims, "explicit", spec)
-    if rule == "factorial":
-        return Tower([_factorial(i) for i in range(prefix_len)], rule, spec)
-    if rule == "powers_of_2":
-        return Tower([2 ** i for i in range(prefix_len)], rule, spec)
-    raise NotFactorSequence(f"unknown tower rule {rule!r}")
+    if not isinstance(rule, str) or rule not in _STAGE_DIM:
+        raise NotFactorSequence(f"unknown tower rule {rule!r}")
+    return Tower([_STAGE_DIM[rule](i) for i in range(prefix_len)], rule, spec)
 
 
 class TowerElement:

@@ -11,6 +11,11 @@ element access, rows when a matrix built from entries meets a packed
 kernel. The packed kernels are differential tested against the generic
 ones (``_FORCE_GENERIC``) and must return bit-identical results.
 
+Elimination has one skeleton in both forms: rows are reduced into an
+echelon table keyed by pivot column, rank is the size of the table, and
+one back-substitution pass turns it into reduced echelon form. Other
+modules reach the row formats only through this module's functions.
+
 Distances are exact: ``rank_distance`` returns a ``RankDistance`` holding
 the raw (rank, ambient) pair, compared by cross-multiplication. Subspaces
 are kept in reduced echelon form, the unique canonical representative of
@@ -111,8 +116,8 @@ def _b_echelon(rowints, ncols):
 def _b_rref(rowints, ncols):
     """Pivot columns and reduced echelon rows (pivots in the first ncols columns).
 
-    Rows without a pivot among the first ncols columns are dropped, as in
-    Gauss-Jordan elimination restricted to those columns.
+    The echelon table followed by one back-substitution pass, highest
+    pivot first; rows without a pivot among the first ncols columns drop out.
     """
     table = _b_echelon(rowints, ncols)
     reduced = {}
@@ -159,45 +164,8 @@ def _g_mul(arows, brows, spec, out_cols):
     return out
 
 
-def _g_rref(rowlists, ncols, spec):
-    rows = [list(r) for r in rowlists]
-    q = spec.q
-    add = spec._add
-    mul = spec._mul
-    neg = spec._neg
-    inv = spec._inv
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = -1
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][c]
-        if lead != 1:
-            s = inv[lead]
-            sm = mul[s * q:(s + 1) * q]
-            rows[r] = [sm[v] for v in rows[r]]
-        prow = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = neg[rows[i][c]]
-                fm = mul[f * q:(f + 1) * q]
-                rows[i] = [add[x * q + fm[y]] for x, y in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-    return pivots, rows[:r]
-
-
-def _g_insert(table, vec, spec):
-    """Generic twin of ``_b_insert``: table maps a pivot column to its monic row."""
+def _g_insert(table, vec, limit, spec):
+    """Generic twin of ``_b_insert``: the table maps a pivot column to its monic row."""
     q = spec.q
     add = spec._add
     mul = spec._mul
@@ -210,13 +178,45 @@ def _g_insert(table, vec, spec):
             return False
         row = table.get(c)
         if row is None:
-            s = spec._inv[vec[c]]
-            sm = mul[s * q:(s + 1) * q]
-            table[c] = [sm[v] for v in vec]
+            if c >= limit:
+                return False
+            if vec[c] != 1:
+                s = spec._inv[vec[c]]
+                sm = mul[s * q:(s + 1) * q]
+                vec = [sm[v] for v in vec]
+            table[c] = vec
             return True
         f = spec._neg[vec[c]]
         fm = mul[f * q:(f + 1) * q]
         vec = [add[x * q + fm[y]] for x, y in zip(vec, row)]
+
+
+def _g_echelon(rowlists, ncols, spec):
+    """Echelon table of the rows, pivots restricted to the first ncols columns."""
+    table = {}
+    for r in rowlists:
+        _g_insert(table, r, ncols, spec)
+    return table
+
+
+def _g_rref(rowlists, ncols, spec):
+    """Generic twin of ``_b_rref``: the echelon table, then back-substitution."""
+    table = _g_echelon(rowlists, ncols, spec)
+    q = spec.q
+    add = spec._add
+    mul = spec._mul
+    neg = spec._neg
+    pivots = sorted(table)
+    for i in range(len(pivots) - 1, -1, -1):
+        row = table[pivots[i]]
+        # rows with a later pivot are already free of every other pivot column
+        for d in pivots[i + 1:]:
+            if row[d]:
+                f = neg[row[d]]
+                fm = mul[f * q:(f + 1) * q]
+                row = [add[x * q + fm[y]] for x, y in zip(row, table[d])]
+        table[pivots[i]] = row
+    return pivots, [table[c] for c in pivots]
 
 
 def _rref_vectors(vectors, ncols, spec):
@@ -228,6 +228,15 @@ def _rref_vectors(vectors, ncols, spec):
         return _b_basis(_b_pack(flat, len(vectors), ncols), ncols)
     _, rows = _g_rref(vectors, ncols, spec)
     return [tuple(r) for r in rows]
+
+
+def echelon_insert(table, vec, spec: FieldSpec) -> bool:
+    """Store a vector of encodings in an echelon table (an empty dict at
+    first, filled only by this function) if it is independent of it."""
+    n = len(vec)
+    if _use_packed(spec):
+        return _b_insert(table, _b_pack(vec, 1, n)[0], 1 << n)
+    return _g_insert(table, list(vec), n, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +383,6 @@ class Matrix:
 
     def at(self, i: int, j: int) -> FieldElement:
         return FieldElement(self.spec, self._e[i * self.cols + j])
-
-    @property
-    def entries(self) -> tuple[FieldElement, ...]:
-        return tuple(FieldElement(self.spec, v) for v in self._e)
 
     def row_lists(self):
         return _g_rows(self._e, self.rows, self.cols)
@@ -555,10 +560,6 @@ class Subspace:
         probe = Subspace(self.spec, self.ambient_dim, list(self.basis) + [list(vec)])
         return probe.dim == self.dim
 
-    def basis_matrix(self) -> Matrix:
-        """Basis vectors as the columns of an ambient_dim x dim matrix."""
-        return Matrix.from_columns(self.spec, self.basis, self.ambient_dim)
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -578,19 +579,11 @@ class Subspace:
 # rank / distance
 
 
-def _matrix_rref(m: Matrix):
-    """Pivots and reduced rows: row ints when packed, lists of encodings otherwise."""
-    if _use_packed(m.spec):
-        return _b_rref(m._packed(), m.cols)
-    return _g_rref(m.row_lists(), m.cols, m.spec)
-
-
 def rank(m: Matrix) -> int:
-    """Exact rank by Gaussian elimination with first-nonzero pivots."""
+    """Exact rank: the size of the echelon table of the rows."""
     if _use_packed(m.spec):
         return len(_b_echelon(m._packed(), m.cols))
-    pivots, _ = _matrix_rref(m)
-    return len(pivots)
+    return len(_g_echelon(m.row_lists(), m.cols, m.spec))
 
 
 def rank_distance(x: Matrix, y: Matrix) -> RankDistance:
@@ -719,10 +712,12 @@ def matrix_units(a: Matrix, b: Matrix, n: int) -> list[list[Matrix]]:
 
 def kernel_basis(m: Matrix) -> Subspace:
     """Canonical basis of the right kernel; dim = cols - rank."""
-    pivots, rows = _matrix_rref(m)
+    packed = _use_packed(m.spec)
+    pivots, rows = (_b_rref(m._packed(), m.cols) if packed
+                    else _g_rref(m.row_lists(), m.cols, m.spec))
     piv_set = set(pivots)
     free = [j for j in range(m.cols) if j not in piv_set]
-    if _use_packed(m.spec):
+    if packed:
         vecs = []
         for f in free:
             v = 1 << f
@@ -785,6 +780,16 @@ def apply(m: Matrix, s: Subspace) -> Subspace:
     if m.cols != s.ambient_dim:
         raise DimensionMismatch("map domain does not match ambient space")
     return Subspace(m.spec, m.rows, [m.apply_to_vector(v) for v in s.basis])
+
+
+def span_fingerprint(mats, spec: FieldSpec, ambient: int) -> tuple:
+    """Canonical echelon basis of the linear span of flattened matrices."""
+    dim = ambient * ambient
+    if _use_packed(spec):
+        # row i of an ambient x ambient matrix fills bits i*ambient onwards
+        flat = [sum(r << (i * ambient) for i, r in enumerate(m._packed())) for m in mats]
+        return tuple(_b_basis(flat, dim))
+    return tuple(_rref_vectors([m._e for m in mats], dim, spec))
 
 
 def invert(m: Matrix) -> Matrix:

@@ -27,10 +27,9 @@ from .matrix import (
     kron,
     random_unit,
     rank,
-    _b_basis,
+    span_fingerprint,
     _b_echelon,
     _b_pack,
-    _rref_vectors,
     _use_packed,
 )
 
@@ -107,16 +106,6 @@ def iterate_units(n: int, spec: FieldSpec):
         m = Matrix(spec, n, n, ents)
         if rank(m) == n:
             yield m
-
-
-def span_fingerprint(mats, spec: FieldSpec, ambient: int) -> tuple:
-    """Canonical echelon basis of the linear span of flattened matrices."""
-    dim = ambient * ambient
-    if _use_packed(spec):
-        # row i of an ambient x ambient matrix fills bits i*ambient onwards
-        flat = [sum(r << (i * ambient) for i, r in enumerate(m._packed())) for m in mats]
-        return tuple(_b_basis(flat, dim))
-    return tuple(_rref_vectors([m._e for m in mats], dim, spec))
 
 
 def base_copy_basis(a: int, b: int, spec: FieldSpec) -> list[Matrix]:

@@ -23,16 +23,13 @@ from .matrix import (
     RankDistance,
     Subspace,
     apply,
+    echelon_insert,
     intersect,
     kassabov_generators,
     kernel_basis,
     rank,
     rank_distance,
     subspace_sum,
-    _b_insert,
-    _b_pack,
-    _g_insert,
-    _use_packed,
 )
 from .embeddings import DeltaEmbedding
 
@@ -197,16 +194,12 @@ class _SpanTracker:
     candidate against it, so an add costs one reduction, not a rebuild.
     """
 
-    def __init__(self, spec, ambient):
+    def __init__(self, spec):
         self.spec = spec
-        self.ambient = ambient
         self.echelon = {}
 
     def try_add(self, vec) -> bool:
-        if _use_packed(self.spec):
-            return _b_insert(self.echelon, _b_pack(vec, 1, self.ambient)[0],
-                             1 << self.ambient)
-        return _g_insert(self.echelon, list(vec), self.spec)
+        return echelon_insert(self.echelon, vec, self.spec)
 
 
 def repair(x: Matrix, y: Matrix, n: int):
@@ -237,7 +230,7 @@ def repair(x: Matrix, y: Matrix, n: int):
     pad = amb - n * mult
 
     cols = []
-    tracker = _SpanTracker(x.spec, amb)
+    tracker = _SpanTracker(x.spec)
     for w in w_last.basis:
         propagated = [tuple(w)]
         for _ in range(n - 1):

@@ -9,6 +9,7 @@ from rankmetric.gf import field_make
 from rankmetric.matrix import (
     Matrix,
     kassabov_generators,
+    kron,
     random_matrix,
     random_unit,
     read_matrix,
@@ -161,6 +162,27 @@ def test_amalgamate_command(tmp_path, gf2, rng):
     code, out = _run(["amalgamate", "--phi0", str(p0), "--phi1", str(p1)])
     assert code == 0
     assert "c 24" in out and "commutes exact" in out
+
+
+@pytest.mark.parametrize("command", ["homog", "repair", "extend", "amalgamate"])
+def test_unwritable_output_prints_only_the_error(command, tmp_path, gf2):
+    # the report is complete before the output file fails to open; none of it may show
+    delta, pair, hom = tmp_path / "delta.txt", tmp_path / "pair.txt", tmp_path / "hom.txt"
+    delta.write_text(DeltaEmbedding(2, 4, 2, Matrix.identity(gf2, 4)).to_text())
+    a, b = kassabov_generators(2, gf2)
+    eye = Matrix.identity(gf2, 2)
+    pair.write_text(write_matrix(kron(a, eye)) + write_matrix(kron(b, eye)))
+    hom.write_text(Homomorphism.inclusion(4, 2, gf2).to_text())
+    argv = {
+        "homog": ["homog", "--phi", str(delta), "--psi", str(delta), "--out"],
+        "repair": ["repair", "--n", "2", "--in", str(pair), "--out"],
+        "extend": ["extend", "--phi", str(delta), "--tower", "factorial", "--prefix", "5",
+                   "--delta-prime", "1/4", "--out"],
+        "amalgamate": ["amalgamate", "--phi0", str(hom), "--phi1", str(hom), "--out0"],
+    }[command]
+    code, out = _run(argv + [str(tmp_path)])
+    assert code == 2
+    assert out.startswith("error io: ") and out.count("\n") == 1 and out.endswith("\n")
 
 
 def test_conjugator_command(tmp_path, gf2, rng):

@@ -13,7 +13,7 @@ from rankmetric.errors import (
     Singular,
     SpecMismatch,
 )
-from rankmetric.gf import field_make
+from rankmetric.gf import field_for_order, field_make
 from rankmetric.matrix import (
     Matrix,
     RankDistance,
@@ -60,12 +60,15 @@ def test_rank_kassabov_lower_shift(gf2):
     assert rank_by_minors(a) == 2
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_rank_matches_minor_oracle(q, rng):
-    spec = field_make(q)
+    spec = field_for_order(q)
     for _ in range(25):
-        m = random_matrix(spec, rng.randrange(1, 5), rng.randrange(1, 5), rng)
+        rows, cols, inner = rng.randrange(1, 5), rng.randrange(1, 5), rng.randrange(1, 3)
+        m = random_matrix(spec, rows, cols, rng)
+        low = random_matrix(spec, rows, inner, rng) * random_matrix(spec, inner, cols, rng)
         assert rank(m) == rank_by_minors(m)
+        assert rank(low) == rank_by_minors(low)
 
 
 def test_rank_distance_identity_of_indiscernibles(gf2):
@@ -387,6 +390,90 @@ def test_invert_roundtrip(rng):
 def test_invert_singular(gf2):
     with pytest.raises(Singular):
         invert(Matrix.zero(gf2, 3))
+
+
+# -- generic elimination -----------------------------------------------------
+
+
+def _elimination_cases(spec, rng):
+    """(row lists, ncols): random, low-rank, sparse, wide, tall and augmented inputs."""
+    q = spec.q
+    low = (random_matrix(spec, 7, 2, rng) * random_matrix(spec, 2, 9, rng)).row_lists()
+    sparse = [[rng.randrange(1, q) if rng.random() < 0.15 else 0 for _ in range(8)]
+              for _ in range(8)]
+    wide = random_matrix(spec, 3, 11, rng).row_lists()
+    tall = random_matrix(spec, 11, 4, rng).row_lists()
+
+    def augmented(m):
+        return [row + [int(i == j) for j in range(m.cols)] for i, row in enumerate(m.row_lists())]
+
+    singular = random_matrix(spec, 5, 3, rng) * random_matrix(spec, 3, 5, rng)
+    # the last two rows have no pivot among the first 4 columns
+    no_pivot = random_matrix(spec, 3, 8, rng).row_lists() + [
+        [0] * 4 + [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(3)] for _ in range(2)]
+    return [(random_matrix(spec, 6, 6, rng).row_lists(), 6), (low, 9), (low, 5), (sparse, 8),
+            (wide, 11), (wide, 6), (tall, 4), (augmented(random_unit(spec, 5, rng)), 5),
+            (augmented(singular), 5), (augmented(singular), 10), (no_pivot, 4), (no_pivot, 8)]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_generic_rref_is_the_reduced_echelon_form(q, rng):
+    spec = field_for_order(q)
+    add, mul = spec._add, spec._mul
+
+    def left_rank(vectors, ncols):
+        return rank(Matrix(spec, len(vectors), ncols, [v for vec in vectors for v in vec[:ncols]]))
+
+    for _ in range(3):
+        for rows, ncols in _elimination_cases(spec, rng):
+            width = len(rows[0])
+            pivots, reduced = mx._g_rref(rows, ncols, spec)
+            assert len(pivots) == len(reduced)
+            assert all(a < b for a, b in zip(pivots, pivots[1:]))
+            assert all(pc < ncols for pc in pivots)
+            for k, (pc, row) in enumerate(zip(pivots, reduced)):
+                assert len(row) == width
+                assert not any(row[:pc]) and row[pc] == 1
+                assert all(other[pc] == 0 for i, other in enumerate(reduced) if i != k)
+            # a vector in the span of reduced rows is the sum of those rows weighted
+            # by its entries at the pivot columns: the input lies in their span
+            for vec in rows:
+                comb = [0] * width
+                for pc, row in zip(pivots, reduced):
+                    comb = [add[x * q + mul[vec[pc] * q + y]] for x, y in zip(comb, row)]
+                assert comb[:ncols] == list(vec[:ncols])
+                if ncols == width:
+                    assert comb == list(vec)
+            # ... and the reduced rows lie in the input's span, as many as its rank
+            assert len(reduced) == left_rank(rows, ncols)
+            assert left_rank(rows + reduced, width) == left_rank(rows, width)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_invert_and_solve_round_trips(q, rng):
+    spec = field_for_order(q)
+    for n in range(1, 8):
+        u = random_unit(spec, n, rng)
+        one = Matrix.identity(spec, n)
+        assert u * invert(u) == one and invert(u) * u == one
+        assert invert(invert(u)) == u
+        if n > 1:
+            with pytest.raises(Singular):
+                invert(random_matrix(spec, n, n - 1, rng) * random_matrix(spec, n - 1, n, rng))
+    for _ in range(20):
+        r, c, inner = rng.randrange(1, 7), rng.randrange(1, 7), rng.randrange(1, 7)
+        m = random_matrix(spec, r, inner, rng) * random_matrix(spec, inner, c, rng)
+        x = [rng.randrange(q) for _ in range(c)]
+        image = m.apply_to_vector(x)
+        sol = solve(m, image)
+        assert sol is not None and m.apply_to_vector(sol) == image
+        rhs = [rng.randrange(q) for _ in range(r)]
+        aug = Matrix(spec, r, c + 1, [v for row, b in zip(m.row_lists(), rhs) for v in row + [b]])
+        sol = solve(m, rhs)
+        if rank(aug) > rank(m):
+            assert sol is None
+        else:
+            assert sol is not None and m.apply_to_vector(sol) == tuple(rhs)
 
 
 # -- bit-packed differential tests -------------------------------------------
