@@ -414,7 +414,7 @@ def run(argv, out=None) -> int:
     except RankMetricError as exc:
         out.write(f"error {type(exc).__name__}: {exc}\n")
         return 3 if isinstance(exc, OutcomeError) else 2
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:  # a path the file system cannot encode
         out.write(f"error io: {exc}\n")
         return 2
     out.write(report.getvalue())

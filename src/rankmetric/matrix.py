@@ -1,17 +1,17 @@
 """Exact dense linear algebra over GF(q).
 
-Matrices are immutable values in one of two native forms. A GF(2) matrix
-is stored as packed rows: row i is one Python int with bit j set when
-entry (i, j) is 1, and its kernels (products, sums, rank, inversion,
-elimination) read rows and return rows. Every other field stores the
-flat tuple of canonical integer encodings, and its kernels run on the
-field's precomputed tables. The other form is derived at most once per
-matrix, and only when a caller needs it: entries for text output and
-element access, rows when a matrix built from entries meets a packed
-kernel. The packed kernels are differential tested against the generic
-ones (``_FORCE_GENERIC``) and must return bit-identical results.
+Matrices are immutable values in one of three native forms, chosen by q.
+A GF(2) matrix stores rows as ints, bit j of row i set when entry (i, j)
+is 1. A GF(3) matrix stores each row as two ints (plus, minus) with
+disjoint bits, set where the entry is 1 and where it is 2, so a row sum
+is a few bitwise operations and negation swaps the two. Their kernels
+(products, sums, rank, inversion, elimination) read and return rows.
+Larger fields store the flat tuple of canonical integer encodings, and
+their kernels run on the field's tables. The other form is derived at
+most once per matrix, when a caller needs it. The row kernels are
+differential tested against the table kernels (``_FORCE_GENERIC``).
 
-Elimination has one skeleton in both forms: rows are reduced into an
+Elimination has one skeleton in every form: rows are reduced into an
 echelon table keyed by pivot column, rank is the size of the table, and
 one back-substitution pass turns it into reduced echelon form. Other
 modules reach the row formats only through this module's functions.
@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
+from itertools import chain
+from operator import xor
 
 from .errors import (
     DimensionMismatch,
@@ -36,12 +38,18 @@ from .errors import (
 )
 from .gf import FieldElement, FieldSpec, field_for_order
 
-# Tests flip this to force the generic kernels for differential checks.
+# Tests flip this to force the table kernels for differential checks.
 _FORCE_GENERIC = False
 
 
+# The row family follows from q alone: GF(2) row ints, GF(3) plus/minus planes,
+# tables for q >= 4. Hot paths test GF(2) first: the census makes ~800k GF(2) products.
 def _use_packed(spec: FieldSpec) -> bool:
     return spec.q == 2 and not _FORCE_GENERIC
+
+
+def _use_planes(spec: FieldSpec) -> bool:
+    return spec.q == 3 and not _FORCE_GENERIC
 
 
 # ---------------------------------------------------------------------------
@@ -66,11 +74,6 @@ def _b_unpack(rowints, cols):
     fmt = f"0{cols}b"
     return tuple(b"".join(format(r, fmt)[::-1].encode() for r in rowints)
                  .translate(_TO_BITS))
-
-
-def _bits(r, n):
-    """The n low bits of one row int as a tuple of 0/1 encodings."""
-    return tuple(format(r, f"0{n}b")[::-1].encode().translate(_TO_BITS)) if n else ()
 
 
 def _b_mul(arows, brows):
@@ -104,12 +107,12 @@ def _b_insert(table, r, limit):
     return False
 
 
-def _b_echelon(rowints, ncols):
-    """Echelon table of the rows, pivots restricted to the first ncols columns."""
+def _b_echelon(rowints, ncols, insert=_b_insert):
+    """Echelon table of the rows, pivots in the first ncols columns; GF(3) passes ``_t_insert``."""
     table = {}
     limit = 1 << ncols
     for r in rowints:
-        _b_insert(table, r, limit)
+        insert(table, r, limit)
     return table
 
 
@@ -136,9 +139,88 @@ def _b_rref(rowints, ncols):
     return [low.bit_length() - 1 for low in order], [reduced[low] for low in order]
 
 
-def _b_basis(rowints, ncols):
-    """Canonical reduced echelon basis of the span of row ints, as 0/1 tuples."""
-    return [_bits(r, ncols) for r in _b_rref(rowints, ncols)[1]]
+# ---------------------------------------------------------------------------
+# GF(3) bit-sliced kernels: a row is a pair of ints (plus, minus) with disjoint
+# bits; bit j of plus is set when entry j is 1, bit j of minus when it is 2.
+
+_PLUS = bytes.maketrans(b"\x00\x01\x02", b"010")
+_MINUS = bytes.maketrans(b"\x00\x01\x02", b"001")
+
+
+def _t_pack(entries, rows, cols):
+    """Plane pairs of a row-major sequence of 0/1/2 encodings."""
+    raw = bytes(entries)
+    plus, minus = raw.translate(_PLUS), raw.translate(_MINUS)
+    return [(int(plus[i * cols:(i + 1) * cols][::-1] or b"0", 2),
+             int(minus[i * cols:(i + 1) * cols][::-1] or b"0", 2)) for i in range(rows)]
+
+
+def _t_unpack(planes, cols):
+    """Row-major 0/1/2 encodings of plane pairs, as one flat tuple."""
+    fmt = f"0{cols}b"
+    plus, minus = (int.from_bytes(b"".join(format(r[k], fmt)[::-1].encode() for r in planes)
+                                  .translate(_TO_BITS), "big") for k in (0, 1))
+    # one byte per entry, 0 or 1 in each plane, so plus + 2 * minus never carries
+    return tuple((plus + 2 * minus).to_bytes(len(planes) * cols, "big"))
+
+
+def _t_add(a, b):
+    """Entrywise sum of two plane pairs; a - b is ``_t_add(a, b[::-1])``."""
+    t = (a[0] | b[1]) ^ (a[1] | b[0])
+    return (a[1] | b[1]) ^ t, (a[0] | b[0]) ^ t
+
+
+def _t_mul(arows, brows):
+    """Each row of a adds the rows of b at its plus bits and subtracts those at its minus bits."""
+    out = []
+    for ap, am in arows:
+        cp = cm = 0
+        while ap:
+            low = ap & -ap
+            bp, bm = brows[low.bit_length() - 1]
+            t = (cp | bm) ^ (cm | bp)
+            cp, cm = (cm | bm) ^ t, (cp | bp) ^ t
+            ap ^= low
+        while am:
+            low = am & -am
+            bp, bm = brows[low.bit_length() - 1]
+            t = (cp | bp) ^ (cm | bm)  # the sum with (bm, bp), which is -(bp, bm)
+            cp, cm = (cm | bp) ^ t, (cp | bm) ^ t
+            am ^= low
+        out.append((cp, cm))
+    return out
+
+
+def _t_insert(table, row, limit):
+    """GF(3) twin of ``_b_insert``; a row leading with 2 is stored negated (planes swapped)."""
+    while x := row[0] | row[1]:
+        low = x & -x
+        stored = table.get(low)
+        if stored is None:
+            if low < limit:
+                table[low] = row if row[0] & low else row[::-1]
+                return True
+            return False
+        row = _t_add(row, stored if row[1] & low else stored[::-1])
+    return False
+
+
+def _t_rref(planes, ncols):
+    """GF(3) twin of ``_b_rref``: the echelon table, then back-substitution."""
+    table = _b_echelon(planes, ncols, _t_insert)
+    reduced = {}
+    done = 0
+    for low in sorted(table, reverse=True):
+        row = table[low]
+        hits = (row[0] | row[1]) & done
+        while hits:
+            bit = hits & -hits
+            row = _t_add(row, reduced[bit] if row[1] & bit else reduced[bit][::-1])
+            hits ^= bit
+        reduced[low] = row
+        done |= low
+    order = sorted(reduced)
+    return [low.bit_length() - 1 for low in order], [reduced[low] for low in order]
 
 
 # ---------------------------------------------------------------------------
@@ -219,23 +301,25 @@ def _g_rref(rowlists, ncols, spec):
     return pivots, [table[c] for c in pivots]
 
 
-def _rref_vectors(vectors, ncols, spec):
-    """Canonical reduced echelon basis of the span of the given vectors."""
-    if not vectors:
-        return []
-    if _use_packed(spec):
-        flat = [e for v in vectors for e in v]
-        return _b_basis(_b_pack(flat, len(vectors), ncols), ncols)
-    _, rows = _g_rref(vectors, ncols, spec)
-    return [tuple(r) for r in rows]
+def _rref_rows(rowlists, ncols, spec):
+    """``_g_rref`` of rows ncols long, run in the field's row family; rows come back as tuples."""
+    if not (_use_packed(spec) or _use_planes(spec)):
+        pivots, rows = _g_rref(rowlists, ncols, spec)
+        return pivots, [tuple(r) for r in rows]
+    gf2 = spec.q == 2
+    pack, rref, unpack = (_b_pack, _b_rref, _b_unpack) if gf2 else (_t_pack, _t_rref, _t_unpack)
+    pivots, rows = rref(pack(chain.from_iterable(rowlists), len(rowlists), ncols), ncols)
+    flat = unpack(rows, ncols)
+    return pivots, [flat[i * ncols:(i + 1) * ncols] for i in range(len(rows))]
 
 
 def echelon_insert(table, vec, spec: FieldSpec) -> bool:
     """Store a vector of encodings in an echelon table (an empty dict at
     first, filled only by this function) if it is independent of it."""
     n = len(vec)
-    if _use_packed(spec):
-        return _b_insert(table, _b_pack(vec, 1, n)[0], 1 << n)
+    if _use_packed(spec) or _use_planes(spec):
+        insert, pack = (_b_insert, _b_pack) if spec.q == 2 else (_t_insert, _t_pack)
+        return insert(table, pack(vec, 1, n)[0], 1 << n)
     return _g_insert(table, list(vec), n, spec)
 
 
@@ -290,8 +374,8 @@ class RankDistance:
 class Matrix:
     """A dense exact matrix over a fixed ``FieldSpec``. Immutable.
 
-    ``_rw`` holds the packed rows (GF(2)), ``_ent`` the flat entry tuple;
-    at least one is set, and each is filled in from the other on demand.
+    ``_rw`` holds the rows (GF(2) ints, GF(3) plane pairs), ``_ent`` the flat
+    entry tuple; at least one is set, and each is filled in from the other on demand.
     """
 
     __slots__ = ("spec", "rows", "cols", "_ent", "_rw")
@@ -320,7 +404,7 @@ class Matrix:
     @classmethod
     def _trusted(cls, spec: FieldSpec, rows: int, cols: int,
                  entries=None, packed=None) -> "Matrix":
-        """Kernel output: canonical entries or packed rows, taken unchecked."""
+        """Kernel output: canonical entries or rows, taken unchecked."""
         m = object.__new__(cls)
         m.spec = spec
         m.rows = rows
@@ -333,13 +417,14 @@ class Matrix:
     def _e(self) -> tuple[int, ...]:
         ent = self._ent
         if ent is None:
-            ent = self._ent = _b_unpack(self._rw, self.cols)
+            ent = self._ent = (_b_unpack if self.spec.q == 2 else _t_unpack)(self._rw, self.cols)
         return ent
 
     def _packed(self) -> tuple[int, ...]:
         rw = self._rw
         if rw is None:
-            rw = self._rw = tuple(_b_pack(self._ent, self.rows, self.cols))
+            pack = _b_pack if self.spec.q == 2 else _t_pack
+            rw = self._rw = tuple(pack(self._ent, self.rows, self.cols))
         return rw
 
     # -- constructors -------------------------------------------------------
@@ -347,14 +432,15 @@ class Matrix:
     @classmethod
     def zero(cls, spec: FieldSpec, rows: int, cols: int | None = None) -> "Matrix":
         cols = rows if cols is None else cols
-        if _use_packed(spec):
-            return cls._trusted(spec, rows, cols, packed=(0,) * rows)
+        if _use_packed(spec) or _use_planes(spec):
+            return cls._trusted(spec, rows, cols, packed=(0 if spec.q == 2 else (0, 0),) * rows)
         return cls._trusted(spec, rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "Matrix":
-        if _use_packed(spec):
-            return cls._trusted(spec, n, n, packed=tuple(1 << i for i in range(n)))
+        if _use_packed(spec) or _use_planes(spec):
+            rows = (1 << i if spec.q == 2 else (1 << i, 0) for i in range(n))
+            return cls._trusted(spec, n, n, packed=tuple(rows))
         return cls.scalar(spec, n, 1)
 
     @classmethod
@@ -394,7 +480,7 @@ class Matrix:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return not any(self._key())
+        return not any(chain.from_iterable(self._key()) if self.spec.q == 3 else self._key())
 
     # -- arithmetic -----------------------------------------------------
 
@@ -408,11 +494,10 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        if _use_packed(self.spec):
-            return Matrix._trusted(
-                self.spec, self.rows, self.cols,
-                packed=tuple(a ^ b for a, b in zip(self._packed(), other._packed())),
-            )
+        if _use_packed(self.spec) or _use_planes(self.spec):
+            add = xor if self.spec.q == 2 else _t_add
+            return Matrix._trusted(self.spec, self.rows, self.cols,
+                                   packed=tuple(map(add, self._packed(), other._packed())))
         add = self.spec._add
         q = self.spec.q
         return Matrix._trusted(
@@ -422,8 +507,8 @@ class Matrix:
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        if _use_packed(self.spec):
-            return self + other
+        if _use_packed(self.spec) or _use_planes(self.spec):
+            return self + (other if self.spec.q == 2 else -other)
         add = self.spec._add
         neg = self.spec._neg
         q = self.spec.q
@@ -433,12 +518,17 @@ class Matrix:
         )
 
     def __neg__(self) -> "Matrix":
+        if _use_planes(self.spec):
+            return Matrix._trusted(self.spec, self.rows, self.cols,
+                                   packed=tuple(r[::-1] for r in self._packed()))
         neg = self.spec._neg
         return Matrix._trusted(self.spec, self.rows, self.cols,
                                tuple(neg[a] for a in self._e))
 
     def scale(self, value) -> "Matrix":
         s = self.spec.element(value).val
+        if _use_planes(self.spec):
+            return -self if s == 2 else self if s else Matrix.zero(self.spec, self.rows, self.cols)
         q = self.spec.q
         sm = self.spec._mul[s * q:(s + 1) * q]
         return Matrix._trusted(self.spec, self.rows, self.cols,
@@ -453,11 +543,10 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        if _use_packed(self.spec):
-            return Matrix._trusted(
-                self.spec, self.rows, other.cols,
-                packed=tuple(_b_mul(self._packed(), other._packed())),
-            )
+        if _use_packed(self.spec) or _use_planes(self.spec):
+            mul = _b_mul if self.spec.q == 2 else _t_mul
+            return Matrix._trusted(self.spec, self.rows, other.cols,
+                                   packed=tuple(mul(self._packed(), other._packed())))
         crows = _g_mul(self.row_lists(), other.row_lists(), self.spec, other.cols)
         return Matrix._trusted(self.spec, self.rows, other.cols,
                                tuple(v for row in crows for v in row))
@@ -483,6 +572,11 @@ class Matrix:
         if _use_packed(self.spec):
             v = _b_pack(vec, 1, self.cols)[0]
             return tuple((r & v).bit_count() & 1 for r in self._packed())
+        if _use_planes(self.spec):
+            # p and m are disjoint, so each sign's matches are one popcount of an or
+            vp, vm = _t_pack(vec, 1, self.cols)[0]
+            return tuple((((p & vp) | (m & vm)).bit_count() - ((p & vm) | (m & vp)).bit_count()) % 3
+                         for p, m in self._packed())
         q = self.spec.q
         add = self.spec._add
         mul = self.spec._mul
@@ -499,8 +593,8 @@ class Matrix:
         return tuple(out)
 
     def _key(self):
-        # GF(2) compares and hashes rows whichever form it was built in
-        return self._packed() if self.spec.q == 2 else self._e
+        # GF(2) and GF(3) compare and hash rows whichever form they were built in
+        return self._packed() if self.spec.q <= 3 else self._e
 
     def __eq__(self, other):
         return (
@@ -541,15 +635,13 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("vector of wrong length")
-        self.basis = tuple(_rref_vectors(vecs, ambient_dim, spec))
+        self.basis = tuple(_rref_rows(vecs, ambient_dim, spec)[1])
 
     @classmethod
-    def _of_rows(cls, spec: FieldSpec, ambient_dim: int, rowints) -> "Subspace":
-        """The span of GF(2) row ints, echeloned without unpacking them first."""
+    def _canonical(cls, spec: FieldSpec, ambient_dim: int, basis) -> "Subspace":
+        """A subspace whose basis is already in reduced echelon form."""
         s = object.__new__(cls)
-        s.spec = spec
-        s.ambient_dim = ambient_dim
-        s.basis = tuple(_b_basis(rowints, ambient_dim))
+        s.spec, s.ambient_dim, s.basis = spec, ambient_dim, tuple(basis)
         return s
 
     @property
@@ -581,8 +673,8 @@ class Subspace:
 
 def rank(m: Matrix) -> int:
     """Exact rank: the size of the echelon table of the rows."""
-    if _use_packed(m.spec):
-        return len(_b_echelon(m._packed(), m.cols))
+    if _use_packed(m.spec) or _use_planes(m.spec):
+        return len(_b_echelon(m._packed(), m.cols, _b_insert if m.spec.q == 2 else _t_insert))
     return len(_g_echelon(m.row_lists(), m.cols, m.spec))
 
 
@@ -710,31 +802,39 @@ def matrix_units(a: Matrix, b: Matrix, n: int) -> list[list[Matrix]]:
 # subspace calculus
 
 
-def kernel_basis(m: Matrix) -> Subspace:
-    """Canonical basis of the right kernel; dim = cols - rank."""
-    packed = _use_packed(m.spec)
-    pivots, rows = (_b_rref(m._packed(), m.cols) if packed
-                    else _g_rref(m.row_lists(), m.cols, m.spec))
+def _null_vectors(pivots, rows, n, neg):
+    """Per free column f of reduced echelon rows, f descending: 1 at f, -row[f] at each pivot."""
     piv_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in piv_set]
-    if packed:
-        vecs = []
-        for f in free:
-            v = 1 << f
-            for r, pc in enumerate(pivots):
-                if rows[r] >> f & 1:
-                    v |= 1 << pc
-            vecs.append(v)
-        return Subspace._of_rows(m.spec, m.cols, vecs)
-    neg = m.spec._neg
-    vecs = []
-    for f in free:
-        v = [0] * m.cols
-        v[f] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = neg[rows[r][f]]
-        vecs.append(v)
-    return Subspace(m.spec, m.cols, vecs)
+    out = []
+    for f in range(n - 1, -1, -1):
+        if f not in piv_set:
+            v = [0] * n
+            v[f] = 1
+            for row, pc in zip(rows, pivots):
+                v[pc] = neg[row[f]]
+            out.append(v)
+    return out
+
+
+def kernel_basis(m: Matrix) -> Subspace:
+    """Canonical basis of the right kernel; dim = cols - rank. One elimination, of the
+    column-reversed matrix: there each free column's vector ends in a 1 and is 0 at the
+    other free columns, so read backwards they are already the reduced echelon basis."""
+    n = m.cols
+    spec = m.spec
+    if _use_packed(spec) or _use_planes(spec):
+        gf2 = spec.q == 2
+        ints = m._packed() if gf2 else chain.from_iterable(m._packed())
+        # each row int (each plane) read backwards reverses the columns
+        flip = [int(format(r, f"0{n}b")[::-1], 2) for r in ints]
+        pivots, rows = _b_rref(flip, n) if gf2 else _t_rref(list(zip(flip[::2], flip[1::2])), n)
+        red = (_b_unpack if gf2 else _t_unpack)(rows, n)
+        rows = [red[i * n:(i + 1) * n] for i in range(len(rows))]
+    else:
+        # reversing the flat entries reverses every row (and the row order, which the span ignores)
+        pivots, rows = _g_rref(_g_rows(m._e[::-1], m.rows, n), n, spec)
+    basis = [tuple(v[::-1]) for v in _null_vectors(pivots, rows, n, spec._neg)]
+    return Subspace._canonical(spec, n, basis)
 
 
 def image_basis(m: Matrix) -> Subspace:
@@ -743,12 +843,11 @@ def image_basis(m: Matrix) -> Subspace:
 
 
 def annihilator(s: Subspace) -> Matrix:
-    """Constraint matrix whose kernel is exactly s (rows kill every basis vector)."""
-    bt = Matrix._trusted(s.spec, len(s.basis), s.ambient_dim,
-                         tuple(v for vec in s.basis for v in vec))
-    constraints = kernel_basis(bt)
-    return Matrix._trusted(s.spec, len(constraints.basis), s.ambient_dim,
-                           tuple(v for vec in constraints.basis for v in vec))
+    """Constraint rows whose kernel is exactly s, read off its reduced echelon basis
+    (a basis vector's first nonzero entry, its pivot, is 1)."""
+    n = s.ambient_dim
+    vecs = _null_vectors([v.index(1) for v in s.basis], s.basis, n, s.spec._neg)
+    return Matrix._trusted(s.spec, len(vecs), n, tuple(chain.from_iterable(vecs)))
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
@@ -788,8 +887,9 @@ def span_fingerprint(mats, spec: FieldSpec, ambient: int) -> tuple:
     if _use_packed(spec):
         # row i of an ambient x ambient matrix fills bits i*ambient onwards
         flat = [sum(r << (i * ambient) for i, r in enumerate(m._packed())) for m in mats]
-        return tuple(_b_basis(flat, dim))
-    return tuple(_rref_vectors([m._e for m in mats], dim, spec))
+        return tuple(tuple(format(r, f"0{dim}b")[::-1].encode().translate(_TO_BITS))
+                     for r in _b_rref(flat, dim)[1])
+    return tuple(_rref_rows([m._e for m in mats], dim, spec)[1])
 
 
 def invert(m: Matrix) -> Matrix:
@@ -803,6 +903,11 @@ def invert(m: Matrix) -> Matrix:
         if len(pivots) != n:
             raise Singular("matrix is singular")
         return Matrix._trusted(m.spec, n, n, packed=tuple(r >> n for r in rows))
+    if _use_planes(m.spec):
+        pivots, rows = _t_rref([(p | 1 << (n + i), r) for i, (p, r) in enumerate(m._packed())], n)
+        if len(pivots) != n:
+            raise Singular("matrix is singular")
+        return Matrix._trusted(m.spec, n, n, packed=tuple((p >> n, r >> n) for p, r in rows))
     aug = []
     for i, row in enumerate(m.row_lists()):
         tail = [0] * n
@@ -819,19 +924,13 @@ def solve(m: Matrix, rhs) -> tuple[int, ...] | None:
     if len(rhs) != m.rows:
         raise DimensionMismatch("right-hand side of wrong length")
     c = m.cols
-    if _use_packed(m.spec):
-        aug = [r | (v % 2) << c for r, v in zip(m._packed(), rhs)]
-        pivots, rows = _b_rref(aug, c + 1)
-        last = [r >> c & 1 for r in rows]
-    else:
-        aug = [row + [rhs[i] % m.spec.q] for i, row in enumerate(m.row_lists())]
-        pivots, rows = _g_rref(aug, c + 1, m.spec)
-        last = [r[c] for r in rows]
+    aug = [row + [rhs[i] % m.spec.q] for i, row in enumerate(m.row_lists())]
+    pivots, rows = _rref_rows(aug, c + 1, m.spec)
     if c in pivots:
         return None
     sol = [0] * c
-    for pc, v in zip(pivots, last):
-        sol[pc] = v
+    for pc, row in zip(pivots, rows):
+        sol[pc] = row[c]
     return tuple(sol)
 
 

@@ -185,6 +185,16 @@ def test_unwritable_output_prints_only_the_error(command, tmp_path, gf2):
     assert out.startswith("error io: ") and out.count("\n") == 1 and out.endswith("\n")
 
 
+@pytest.mark.parametrize("argv", [["rank", "--in", "\udd00"],
+                                  ["gens", "--n", "2", "--q", "2", "--out", "\udd00"]])
+def test_unencodable_path_exits_2(argv):
+    # a lone surrogate cannot be encoded as a file name (no OS argv holds one,
+    # but run() takes any strings)
+    code, out = _run(argv)
+    assert code == 2
+    assert out.startswith("error io: ") and out.count("\n") == 1
+
+
 def test_conjugator_command(tmp_path, gf2, rng):
     inc = Homomorphism.inclusion(4, 2, gf2)
     tw = inc.conjugate(random_unit(gf2, 4, rng))

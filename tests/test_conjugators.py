@@ -99,6 +99,18 @@ def test_packed_apply_matches_generic(monkeypatch):
     assert packed == [delta_apply_dense(e, x) for x in xs]
 
 
+def test_gf3_planes_apply_matches_generic(monkeypatch):
+    spec = field_for_order(3)
+    rng = random.Random(7)
+    e = DeltaEmbedding(3, 20, 5, _random_permutation(spec, 20, rng))
+    xs = [random_matrix(spec, 3, 3, rng) for _ in range(5)] + [Matrix(spec, 3, 3, [2] * 9)]
+    fast = [e.apply(x) for x in xs]
+    dense = [delta_apply_dense(e, x) for x in xs]
+    monkeypatch.setattr(mx, "_FORCE_GENERIC", True)
+    assert [e.apply(x) for x in xs] == fast
+    assert fast == dense == [delta_apply_dense(e, x) for x in xs]
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_dense_conjugators_keep_the_dense_path(q):
     spec = field_for_order(q)

@@ -373,6 +373,19 @@ def test_intersect_sum_dimension_formula(rng):
             assert s1.contains(b) and s2.contains(b)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_annihilator_and_intersect_over_every_field(q, rng):
+    spec = field_for_order(q)
+    for _ in range(25):
+        n = rng.randrange(1, 8)
+        s1, s2 = (image_basis(random_matrix(spec, n, rng.randrange(0, n + 1), rng)) for _ in range(2))
+        assert kernel_basis(mx.annihilator(s1)) == s1
+        inter = intersect(s1, s2)
+        # inside both, and as large as s1 + s2 allows: the whole intersection
+        assert all(s1.contains(b) and s2.contains(b) for b in inter.basis)
+        assert inter.dim == s1.dim + s2.dim - subspace_sum(s1, s2).dim
+
+
 def test_apply_image(gf2, rng):
     m = random_matrix(gf2, 5, 5, rng)
     full = image_basis(Matrix.identity(gf2, 5))
@@ -568,6 +581,134 @@ def test_gf2_census_fingerprints_match_generic(rng, monkeypatch):
     slow = fingerprints()
     assert fast == slow
     assert len(set(fast)) > 1
+
+
+# -- GF(3) bit-sliced differential tests -------------------------------------
+
+# empty shapes, 1 x 1, and widths on both sides of a 64-bit word
+_GF3_SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 63), (3, 64), (2, 65), (63, 2),
+               (65, 3), (5, 5)]
+
+
+def _gf3_cases(spec, rng):
+    """(a, b, d, v): a * b, a + d, a - d and a v are defined; a is random or all 2."""
+    cases = []
+    shapes = _GF3_SHAPES + [(rng.randrange(1, 8), rng.randrange(1, 8)) for _ in range(20)]
+    for r, c in shapes:
+        for a in (random_matrix(spec, r, c, rng), Matrix(spec, r, c, [2] * (r * c))):
+            b = random_matrix(spec, c, rng.randrange(0, 8), rng)
+            v = [rng.choice((2, rng.randrange(3))) for _ in range(c)]
+            cases.append((a, b, random_matrix(spec, r, c, rng), v))
+    return cases
+
+
+def test_gf3_planes_match_generic(rng, monkeypatch):
+    spec = field_make(3)
+    cases = _gf3_cases(spec, rng)
+
+    def outputs():
+        return [(a * b, a + d, a - d, -a, a.scale(2), a.scale(1), a.scale(0),
+                 rank(a), kernel_basis(a).basis, image_basis(a).basis,
+                 a.apply_to_vector(v), a.is_zero(), (a - a).is_zero(), solve(a, a.apply_to_vector(v)))
+                for a, b, d, v in cases]
+
+    fast = outputs()
+    # kernel outputs hold planes only
+    assert all(m._ent is None for row in fast for m in row[:5])
+    assert all(row[12] and row[11] == (not any(a._e)) for row, (a, *_) in zip(fast, cases))
+    monkeypatch.setattr(mx, "_FORCE_GENERIC", True)
+    slow = outputs()
+    assert fast == slow
+    fast_mats = [m for row in fast for m in row[:7]]
+    slow_mats = [m for row in slow for m in row[:7]]
+    assert [m._e for m in fast_mats] == [m._e for m in slow_mats]
+    # a matrix built from planes equals and hashes as one built from entries
+    for m in fast_mats:
+        public = Matrix(m.spec, m.rows, m.cols, list(m._e))
+        assert hash(public) == hash(m) and public == m and m == public
+
+
+def test_gf3_planes_invert_matches_generic(rng, monkeypatch):
+    spec = field_make(3)
+    units = [Matrix.identity(spec, 0), Matrix(spec, 1, 1, [2])]
+    units += [random_unit(spec, n, rng) for n in (1, 2, 5, 63, 64, 65)]
+    singular = [Matrix.zero(spec, 1), Matrix(spec, 3, 3, [2] * 9),
+                random_matrix(spec, 64, 3, rng) * random_matrix(spec, 3, 64, rng)]
+
+    def outputs():
+        for m in singular:
+            with pytest.raises(Singular):
+                invert(m)
+        return [invert(u) for u in units]
+
+    fast = outputs()
+    monkeypatch.setattr(mx, "_FORCE_GENERIC", True)
+    slow = outputs()
+    assert fast == slow
+    assert [m._e for m in fast] == [m._e for m in slow]
+    assert all(u * w == Matrix.identity(spec, u.rows) for u, w in zip(units, fast))
+
+
+def test_gf3_chained_kernel_outputs_match_generic(rng, monkeypatch):
+    # products, sums and inverses of kernel outputs, not of parsed inputs
+    spec = field_make(3)
+    mats = [random_matrix(spec, 6, 6, rng) for _ in range(6)]
+    units = [random_unit(spec, 6, rng) for _ in range(4)]
+    rhs = [rng.randrange(3) for _ in range(6)]
+    # rank 2, and a right-hand side outside its column space
+    low = random_matrix(spec, 6, 2, rng) * random_matrix(spec, 2, 6, rng)
+    outside = next(w for w in ([rng.randrange(3) for _ in range(6)] for _ in range(100))
+                   if solve(low, w) is None)
+    base = base_copy_basis(2, 4, spec)
+    conj = [random_unit(spec, 4, rng) for _ in range(12)]
+    vectors = {}
+    for n in (1, 64, 65):
+        vecs = [[rng.randrange(3) for _ in range(n)] for _ in range(4)]
+        vecs += [[2] * n, [0] * n, [(x + 2 * y) % 3 for x, y in zip(vecs[0], vecs[1])]]
+        vectors[n] = vecs + [vecs[2]]
+
+    def chain():
+        prod = mats[0] * mats[1] * mats[2]
+        mixed = (prod + mats[3] - mats[4]) * mats[5]
+        invs = [invert(u * v) for u, v in zip(units, units[1:])]
+        back = [invert(w) * invert(u) for w, u in zip(invs, units)]
+        inserted = {}
+        for n, vecs in vectors.items():
+            table = {}
+            inserted[n] = [mx.echelon_insert(table, v, spec) for v in vecs]
+        fingerprints = [span_fingerprint([g * m * invert(g) for m in base], spec, 4)
+                        for g in conj]
+        return (prod, mixed, mixed ** 3, -mixed, invs, back, rank(prod * mixed),
+                kernel_basis(mixed).basis, (prod - prod).is_zero(), solve(mixed, rhs),
+                solve(low, outside), inserted, fingerprints,
+                [write_matrix(m) for m in invs + back])
+
+    fast = chain()
+    monkeypatch.setattr(mx, "_FORCE_GENERIC", True)
+    slow = chain()
+    assert fast == slow
+    assert [m._e for m in fast[4] + fast[5]] == [m._e for m in slow[4] + slow[5]]
+    assert fast[10] is None
+    assert fast[11][64][-1] is False and fast[11][65][-3:] == [False, False, False]
+    assert len(set(fast[12])) > 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_kernel_basis_is_the_canonical_kernel_basis(q, rng):
+    # the basis spans the kernel and re-echeloning leaves it unchanged, so it
+    # is the kernel's reduced echelon basis
+    spec = field_for_order(q)
+    mats = [Matrix.zero(spec, 3, 5), Matrix.identity(spec, 4), Matrix.zero(spec, 0, 4),
+            Matrix.zero(spec, 4, 0)]
+    for _ in range(12):
+        r, c, inner = rng.randrange(1, 9), rng.randrange(1, 13), rng.randrange(1, 5)
+        mats += [random_matrix(spec, r, c, rng),
+                 random_matrix(spec, r, inner, rng) * random_matrix(spec, inner, c, rng)]
+    for m in mats:
+        basis = kernel_basis(m).basis
+        assert len(basis) == m.cols - rank(m)
+        assert all(not any(m.apply_to_vector(v)) for v in basis)
+        assert Subspace(spec, m.cols, basis).basis == basis
 
 
 # -- text format -------------------------------------------------------------
