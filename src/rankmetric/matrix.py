@@ -25,13 +25,14 @@ their span, so subspace equality is a plain tuple comparison.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
+from functools import cache, total_ordering
 from itertools import chain
 from operator import xor
 
 from .errors import (
     DimensionMismatch,
     FormatError,
+    NotDivisor,
     RelationsNotSatisfied,
     Singular,
     SpecMismatch,
@@ -883,13 +884,109 @@ def apply(m: Matrix, s: Subspace) -> Subspace:
 
 def span_fingerprint(mats, spec: FieldSpec, ambient: int) -> tuple:
     """Canonical echelon basis of the linear span of flattened matrices."""
-    dim = ambient * ambient
-    if _use_packed(spec):
-        # row i of an ambient x ambient matrix fills bits i*ambient onwards
-        flat = [sum(r << (i * ambient) for i, r in enumerate(m._packed())) for m in mats]
-        return tuple(tuple(format(r, f"0{dim}b")[::-1].encode().translate(_TO_BITS))
-                     for r in _b_rref(flat, dim)[1])
-    return tuple(_rref_rows([m._e for m in mats], dim, spec)[1])
+    return tuple(_rref_rows([m._e for m in mats], ambient * ambient, spec)[1])
+
+
+# ---------------------------------------------------------------------------
+# the copy census: units in encoding order, conjugated copies as span keys
+
+
+def base_copy_basis(a: int, b: int, spec: FieldSpec) -> list[Matrix]:
+    """Basis of the standard embedded copy of M_a in M_b: the a x a units tensored up."""
+    if a < 1 or b < 1 or b % a != 0:
+        raise NotDivisor(f"{a} does not divide {b}")
+    eye = Matrix.identity(spec, b // a)
+    return [kron(Matrix.unit(spec, a, i, j), eye)
+            for i in range(1, a + 1) for j in range(1, a + 1)]
+
+
+@cache
+def _b_rank_table(n):
+    # rows join low row first; the span so far is a 2^n-bit set (bit v for vector v),
+    # which a row r outside it doubles by adding v ^ r for each v, so its size gives the rank
+    spans, grown = [1], {}
+    for _ in range(n):
+        for sp in set(spans) - grown.keys():
+            grown[sp] = [sp | sum(1 << (v ^ r) for v in range(1 << n) if sp >> v & 1)
+                         for r in range(1 << n)]
+        spans = [grown[sp][r] for r in range(1 << n) for sp in spans]
+    return tuple(sp.bit_count().bit_length() - 1 for sp in spans)
+
+
+def rank_table(spec: FieldSpec, n: int):
+    """Ranks of n x n matrices by code (bit i*n + j: entry i, j) if packed GF(2), n^2 <= 20."""
+    return _b_rank_table(n) if _use_packed(spec) and n * n <= 20 else None
+
+
+def code_units(spec: FieldSpec, n: int):
+    """Every invertible n x n matrix in integer-encoding order: the base-q digits of
+    the code, least significant first, are the row-major entries. Unguarded."""
+    total = spec.q ** (n * n)
+    table = rank_table(spec, n)
+    if table is not None:  # GF(2): the rows are read off the code
+        mask = (1 << n) - 1
+        shifts = range(0, n * n, n)
+        for code in range(total):
+            if table[code] == n:
+                yield Matrix._trusted(spec, n, n, packed=tuple(code >> s & mask for s in shifts))
+        return
+    powers = [spec.q ** k for k in range(n * n)]
+    for code in range(total):
+        m = Matrix(spec, n, n, [code // p % spec.q for p in powers])
+        if rank(m) == n:
+            yield m
+
+
+def span_codes(fp, ambient: int) -> list[int]:
+    """Each element of a GF(2) span of flattened matrices as a code, by coefficient code."""
+    out = [0]
+    for row in _b_pack([e for vec in fp for e in vec], len(fp), ambient * ambient):
+        out += [x ^ row for x in out]
+    return out
+
+
+def conjugated_span_keys(units, s: int):
+    """(g, key) per unit g (all b x b over one field), the key hashable and canonical
+    for the span of g (M_a (x) I_s) g^-1, a = b / s; ``copy_fingerprint`` reads it.
+
+    Over GF(2) with b <= 8 no Matrix is built: g (E_ij (x) I_s) g^-1 = G_i H_j, for
+    G_i the i-th block of s columns of g and H_j the j-th block of s rows of g^-1,
+    and G_i H_j maps each row byte of g through a 2^s-entry XOR table of H_j's
+    rows (``bytes.translate``) into one flat int, row r at bit 8r; the key is the
+    reduced echelon rows of the a^2 ints. Other fields key by ``span_fingerprint``.
+    """
+    cuts = base = None
+    for g in units:
+        b = g.rows
+        if _use_packed(g.spec) and b <= 8:
+            if cuts is None:  # per block of columns, byte -> its s bits in that block
+                cuts = [bytes(v >> i & (1 << s) - 1 for v in range(256)) for i in range(0, b, s)]
+            rows = g._packed()
+            pivots, inv = _b_rref([r | 1 << (b + i) for i, r in enumerate(rows)], b)
+            if len(pivots) != b:
+                raise Singular("matrix is singular")
+            blocks = [bytes(rows).translate(cut) for cut in cuts]
+            flats = []
+            for j in range(0, b, s):
+                table = [0]
+                for h in inv[j:j + s]:
+                    table += [x ^ h >> b for x in table]
+                table = bytes(table).ljust(256, b"\0")
+                flats += [int.from_bytes(block.translate(table), "little") for block in blocks]
+            yield g, tuple(_b_rref(flats, 8 * b)[1])
+        else:
+            if base is None:
+                base = base_copy_basis(b // s, b, g.spec)
+            gi = invert(g)
+            yield g, span_fingerprint([g * m * gi for m in base], g.spec, b)
+
+
+def copy_fingerprint(key, spec: FieldSpec, ambient: int) -> tuple:
+    """The ``span_fingerprint`` of the span a ``conjugated_span_keys`` key stands for."""
+    if _use_packed(spec) and ambient <= 8:
+        flat = _b_unpack(b"".join(k.to_bytes(ambient, "little") for k in key), ambient)
+        return tuple(flat[i:i + ambient * ambient] for i in range(0, len(flat), ambient * ambient))
+    return key
 
 
 def invert(m: Matrix) -> Matrix:

@@ -2,35 +2,40 @@
 
 Embedded copies of a small matrix algebra inside a larger one are
 fingerprinted by the canonical echelon basis of their linear span, so a
-copy is a hashable value and censuses are exact. Counting runs two ways,
-a direct conjugation census and the orbit-stabilizer quotient, which must
-agree. The dimension bound 64 eps^-2 max(log 2k, log 6 ceil(1/eps)) is
-evaluated with certified rational log enclosures, so the returned
-multiple of b is exact, never a float artifact.
-
-Everything that enumerates a general linear group is guarded: infeasible
-sizes fail fast with ``TooLarge``.
+copy is a hashable value and censuses are exact. Each walk over a unit
+group keys every unit by its copy's span (``conjugated_span_keys``, on
+packed rows over GF(2)) and builds bases and fingerprints only for the
+first unit of each copy. Counting runs two ways, a conjugation census and
+the orbit-stabilizer quotient, which must agree. The bound 64 eps^-2
+max(log 2k, log 6 ceil(1/eps)) uses certified rational log enclosures, so
+the returned multiple of b is exact. Every enumeration of a general
+linear group is guarded: infeasible sizes fail fast with ``TooLarge``.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import random
 from fractions import Fraction
 
-from .errors import InvalidParameter, InvariantViolated, NotDivisor, NotLipschitz, TooLarge
+from .errors import (DimensionMismatch, InvalidParameter, InvariantViolated, NotDivisor,
+                     NotLipschitz, TooLarge)
 from .gf import FieldSpec, field_for_order, prime_power
 from .matrix import (
     Matrix,
+    base_copy_basis,
+    code_units,
+    conjugated_span_keys,
+    copy_fingerprint,
     invert,
     kron,
     random_unit,
     rank,
+    rank_table,
+    span_codes,
     span_fingerprint,
-    _b_echelon,
-    _b_pack,
-    _use_packed,
 )
 
 # An enumeration touching more than this many matrices fails fast.
@@ -80,41 +85,9 @@ def _check_enumeration(n: int, q: int):
 
 
 def iterate_units(n: int, spec: FieldSpec):
-    """All invertible n x n matrices, in integer-encoding order (guarded).
-
-    Over GF(2) the bits of a code are the row-major entries, so its rows
-    are read off the code and ranked from a table; only units become
-    matrices.
-    """
-    total = _check_enumeration(n, spec.q)
-    if _use_packed(spec):
-        table = _gf2_rank_table(n)
-        mask = (1 << n) - 1
-        shifts = range(0, n * n, n)
-        for code in range(total):
-            if table[code] == n:
-                yield Matrix._trusted(spec, n, n,
-                                      packed=tuple(code >> s & mask for s in shifts))
-        return
-    q = spec.q
-    for code in range(total):
-        ents = []
-        c = code
-        for _ in range(n * n):
-            ents.append(c % q)
-            c //= q
-        m = Matrix(spec, n, n, ents)
-        if rank(m) == n:
-            yield m
-
-
-def base_copy_basis(a: int, b: int, spec: FieldSpec) -> list[Matrix]:
-    """Basis of the standard embedded copy: the a x a units tensored up."""
-    if a < 1 or b < 1 or b % a != 0:
-        raise NotDivisor(f"{a} does not divide {b}")
-    eye = Matrix.identity(spec, b // a)
-    return [kron(Matrix.unit(spec, a, i, j), eye)
-            for i in range(1, a + 1) for j in range(1, a + 1)]
+    """All invertible n x n matrices, in integer-encoding order (guarded)."""
+    _check_enumeration(n, spec.q)
+    yield from code_units(spec, n)
 
 
 class CopySet:
@@ -141,15 +114,16 @@ class CopySet:
 def _copy_bases(a: int, b: int, spec: FieldSpec) -> dict:
     """Fingerprint -> first-seen conjugated basis of every copy of M_a in M_b.
 
-    The census is deterministic, so the walk runs once per (a, b, field).
+    The census is deterministic, so the walk runs once per (a, b, field);
+    a basis and fingerprint are built only for a copy's first unit.
     """
     base = base_copy_basis(a, b, spec)
-    out = {}
-    for g in iterate_units(b, spec):
-        gi = invert(g)
-        mats = [g * m * gi for m in base]
-        out.setdefault(span_fingerprint(mats, spec, b), mats)
-    return out
+    bases = {}
+    for g, key in conjugated_span_keys(iterate_units(b, spec), b // a):
+        if key not in bases:
+            gi = invert(g)
+            bases[key] = [g * m * gi for m in base]
+    return {copy_fingerprint(key, spec, b): mats for key, mats in bases.items()}
 
 
 def enumerate_copies(a: int, b: int, spec: FieldSpec) -> CopySet:
@@ -170,15 +144,13 @@ def count_copies(a: int, b: int, q_or_spec, method: str = "brute_force") -> int:
     if method == "brute_force":
         return len(enumerate_copies(a, b, spec))
     if method == "orbit_stabilizer":
-        base = base_copy_basis(a, b, spec)
-        base_fp = span_fingerprint(base, spec, b)
-        stab = 0
-        total_units = 0
-        for g in iterate_units(b, spec):
+        base_copy_basis(a, b, spec)  # a must divide b
+        walk = conjugated_span_keys(iterate_units(b, spec), b // a)
+        base_key = next(conjugated_span_keys([Matrix.identity(spec, b)], b // a))[1]
+        stab = total_units = 0
+        for _, key in walk:
             total_units += 1
-            gi = invert(g)
-            if span_fingerprint([g * m * gi for m in base], spec, b) == base_fp:
-                stab += 1
+            stab += key == base_key
         q = spec.q
         aut = sl_order(b, q)
         # the q - 1 scalar units lie in the stabilizer, the stabilizer modulo
@@ -196,15 +168,6 @@ def count_copies(a: int, b: int, q_or_spec, method: str = "brute_force") -> int:
 
 # ---------------------------------------------------------------------------
 # the copy metric and colorings
-
-
-@functools.cache
-def _gf2_rank_table(n: int) -> tuple:
-    """rank of every n x n GF(2) matrix, keyed by its n^2-bit encoding."""
-    mask = (1 << n) - 1
-    shifts = range(0, n * n, n)
-    return tuple(len(_b_echelon([code >> s & mask for s in shifts], n))
-                 for code in range(1 << (n * n)))
 
 
 def copy_elements(fp: tuple, spec: FieldSpec, ambient: int) -> list[tuple]:
@@ -237,10 +200,7 @@ def _packed_elements(fp: tuple, ambient: int) -> list[int]:
     """Every element of a GF(2) span as a flattened int, in copy_elements order."""
     if 1 << len(fp) > COPY_ELEMENT_LIMIT:
         raise TooLarge(f"copy has {1 << len(fp)} elements")
-    out = [0]
-    for row in _b_pack([e for vec in fp for e in vec], len(fp), ambient * ambient):
-        out += [x ^ row for x in out]
-    return out
+    return span_codes(fp, ambient)
 
 
 def copy_distance(s: tuple, t: tuple, spec: FieldSpec, ambient: int) -> Fraction:
@@ -251,8 +211,8 @@ def copy_distance(s: tuple, t: tuple, spec: FieldSpec, ambient: int) -> Fraction
     """
     if s == t:
         return Fraction(0)
-    if _use_packed(spec) and ambient * ambient <= 20:
-        table = _gf2_rank_table(ambient)
+    table = rank_table(spec, ambient)
+    if table is not None:
         ps = _packed_elements(s, ambient)
         pt = _packed_elements(t, ambient)
         worst = 0
@@ -290,10 +250,11 @@ class Coloring:
 
     Values are cached; every new evaluation is checked against every
     previous one and the coloring is rejected (``NotLipschitz``) the
-    moment a pair violates the contract.
+    moment a pair violates the contract. The cached fingerprints are also
+    grouped by value, so each distinct value's gap is computed once.
     """
 
-    __slots__ = ("evaluator", "a_dim", "c_dim", "spec", "name", "_cache")
+    __slots__ = ("evaluator", "a_dim", "c_dim", "spec", "name", "_cache", "_by_value")
 
     def __init__(self, evaluator, a_dim: int, c_dim: int, spec: FieldSpec,
                  name: str = "custom"):
@@ -303,6 +264,8 @@ class Coloring:
         self.spec = spec
         self.name = name
         self._cache: dict[tuple, Fraction] = {}
+        # value -> [(evaluation index, fingerprint, value)] in evaluation order
+        self._by_value: dict[Fraction, list] = {}
 
     def value(self, fp: tuple) -> Fraction:
         cached = self._cache.get(fp)
@@ -314,12 +277,15 @@ class Coloring:
         # distinct fingerprints are distinct spans, so one holds an element
         # outside the other and copy_distance >= 1/c: a smaller gap is safe
         step = Fraction(1, self.c_dim)
-        for other_fp, other_v in self._cache.items():
-            gap = abs(v - other_v)
-            if gap > step and gap > copy_distance(fp, other_fp, self.spec, self.c_dim):
+        gaps = {w: abs(v - w) for w in self._by_value}
+        far = [group for w, group in self._by_value.items() if gaps[w] > step]
+        # merged by evaluation index, the pairs are measured in evaluation order
+        for _, other_fp, other_v in heapq.merge(*far):
+            if gaps[other_v] > copy_distance(fp, other_fp, self.spec, self.c_dim):
                 raise NotLipschitz(
                     "coloring moves faster than the copy metric allows"
                 )
+        self._by_value.setdefault(v, []).append((len(self._cache), fp, v))
         self._cache[fp] = v
         return v
 
@@ -498,13 +464,8 @@ class SearchReport:
         self.eps = eps
 
     def __eq__(self, other):
-        return (isinstance(other, SearchReport)
-                and self.found == other.found
-                and self.fingerprint == other.fingerprint
-                and self.oscillation == other.oscillation
-                and self.examined == other.examined
-                and self.strategy == other.strategy
-                and self.eps == other.eps)
+        return isinstance(other, SearchReport) and all(
+            getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
     def to_text(self) -> str:
         status = "found" if self.found else "exhausted"
@@ -534,11 +495,9 @@ def monochromatic_search(b_dim: int, c_dim: int, gamma: Coloring, eps,
     spec = gamma.spec
     a_dim = gamma.a_dim
     if c_dim != gamma.c_dim:
-        from .errors import DimensionMismatch
         raise DimensionMismatch("coloring ambient does not match c")
     if a_dim < 1 or b_dim < 1 or c_dim % b_dim != 0 or b_dim % a_dim != 0:
         raise NotDivisor("need a | b and b | c")
-    base_b = base_copy_basis(b_dim, c_dim, spec)
     # the copies of A inside the standard B, lifted once into M_c
     eye = Matrix.identity(spec, c_dim // b_dim)
     lifted_a_copies = [[kron(m, eye) for m in basis]
@@ -560,15 +519,19 @@ def monochromatic_search(b_dim: int, c_dim: int, gamma: Coloring, eps,
     best_osc = None
     examined = 0
     seen = set()
-    for g in units:
-        gi = invert(g)
-        fp_b = span_fingerprint([g * m * gi for m in base_b], spec, c_dim)
-        if fp_b in seen:
+    for g, key in conjugated_span_keys(units, c_dim // b_dim):
+        if key in seen:
             continue
-        seen.add(fp_b)
+        seen.add(key)
         examined += 1
-        inside = [span_fingerprint([g * m * gi for m in lifted], spec, c_dim)
-                  for lifted in lifted_a_copies]
+        fp_b = copy_fingerprint(key, spec, c_dim)
+        if a_dim == b_dim:
+            # the one lifted copy spans M_b (x) I, the standard B-copy itself
+            inside = [fp_b]
+        else:
+            gi = invert(g)
+            inside = [span_fingerprint([g * m * gi for m in lifted], spec, c_dim)
+                      for lifted in lifted_a_copies]
         osc = oscillation(gamma, inside)
         if best_osc is None or osc < best_osc:
             best_osc = osc

@@ -1,16 +1,20 @@
 """Independent brute-force oracles used to freeze expected test values.
 
-Nothing here shares code with the library's elimination kernels: ranks
-come from minor determinants expanded over permutations, and field
-products from schoolbook polynomial arithmetic. Slow on purpose; only
-for small inputs.
+Ranks come from minor determinants expanded over permutations, and field
+products from schoolbook polynomial arithmetic, so those share no code with
+the library's elimination kernels. The copy-census walks at the end keep
+the conjugation census by dense Matrix products that the packed span-key
+walk replaced. Slow on purpose; only for small inputs.
 """
 
+import random
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
+import rankmetric.ramsey as rp
 from rankmetric.errors import RelationsNotSatisfied
 from rankmetric.gf import FieldSpec
-from rankmetric.matrix import Matrix, direct_sum, invert
+from rankmetric.matrix import Matrix, direct_sum, invert, kron, random_unit, span_fingerprint
 
 
 def poly_mul_mod(u, v, modulus, p):
@@ -113,3 +117,99 @@ def delta_apply_dense(e, x: Matrix) -> Matrix:
         return Matrix.zero(x.spec, e.n)
     blocks = direct_sum([x] * e.mult, e.n - e.m * e.mult)
     return e.conjugator * blocks * invert(e.conjugator)
+
+
+# -- the copy census by Matrix products ----------------------------------------
+# The walks below run every unit through public Matrix products, invert and
+# span_fingerprint, one conjugated basis matrix at a time: the reference for
+# the packed span-key walk of rankmetric.matrix.conjugated_span_keys.
+
+
+def product_copy_bases(a: int, b: int, spec: FieldSpec) -> dict:
+    """Fingerprint -> first-seen conjugated basis of every copy of M_a in M_b."""
+    base = rp.base_copy_basis(a, b, spec)
+    out = {}
+    for g in rp.iterate_units(b, spec):
+        gi = invert(g)
+        mats = [g * m * gi for m in base]
+        out.setdefault(span_fingerprint(mats, spec, b), mats)
+    return out
+
+
+def product_count_copies(a: int, b: int, spec: FieldSpec, method: str) -> int:
+    """Copies of M_a in M_b by the census or by the orbit-stabilizer quotient."""
+    if method == "brute_force":
+        return len(product_copy_bases(a, b, spec))
+    base = rp.base_copy_basis(a, b, spec)
+    base_fp = span_fingerprint(base, spec, b)
+    stab = total = 0
+    for g in rp.iterate_units(b, spec):
+        total += 1
+        gi = invert(g)
+        stab += span_fingerprint([g * m * gi for m in base], spec, b) == base_fp
+    k = rp.sl_order(b, spec.q) // (stab // (spec.q - 1))
+    if k * stab != total:
+        raise AssertionError(f"orbit-stabilizer fails: stabilizer {stab}, units {total}")
+    return k
+
+
+def product_search(b_dim: int, c_dim: int, gamma, eps, strategy="exhaustive",
+                   seed=0, trials=100):
+    """monochromatic_search with every fingerprint built from Matrix products.
+
+    The oscillation comes from ``rankmetric.ramsey.oscillation`` as the library
+    looks it up, so a test may replace it on both sides at once.
+    """
+    eps = Fraction(eps)
+    spec = gamma.spec
+    base_b = rp.base_copy_basis(b_dim, c_dim, spec)
+    eye = Matrix.identity(spec, c_dim // b_dim)
+    lifted_a_copies = [[kron(m, eye) for m in basis]
+                       for basis in product_copy_bases(gamma.a_dim, b_dim, spec).values()]
+    if strategy == "exhaustive":
+        units, label = rp.iterate_units(c_dim, spec), "exhaustive"
+    else:
+        rng = random.Random(seed)
+        units = (random_unit(spec, c_dim, rng) for _ in range(trials))
+        label = f"random:{seed}:{trials}"
+    best_fp = best_osc = None
+    examined = 0
+    seen = set()
+    for g in units:
+        gi = invert(g)
+        fp_b = span_fingerprint([g * m * gi for m in base_b], spec, c_dim)
+        if fp_b in seen:
+            continue
+        seen.add(fp_b)
+        examined += 1
+        inside = [span_fingerprint([g * m * gi for m in lifted], spec, c_dim)
+                  for lifted in lifted_a_copies]
+        osc = rp.oscillation(gamma, inside)
+        if best_osc is None or osc < best_osc:
+            best_osc, best_fp = osc, fp_b
+        if osc <= eps:
+            return rp.SearchReport(True, fp_b, osc, examined, label, eps)
+    return rp.SearchReport(False, best_fp, best_osc, examined, label, eps)
+
+
+def lipschitz_checks(evaluator, fps, c_dim, distance):
+    """The pairs a Coloring measures, by comparing each new value with every earlier one.
+
+    Returns the (new, earlier) fingerprint pairs passed to ``distance``, in
+    order, and the index of the fingerprint whose check fails (None if none does).
+    """
+    step = Fraction(1, c_dim)
+    values = {}
+    pairs = []
+    for idx, fp in enumerate(fps):
+        if fp in values:
+            continue
+        v = Fraction(evaluator(fp))
+        for other_fp, other_v in values.items():
+            gap = abs(v - other_v)
+            if gap > step:
+                pairs.append((fp, other_fp))
+                if gap > distance(fp, other_fp):
+                    return pairs, idx
+        values[fp] = v
+    return pairs, None

@@ -1,0 +1,253 @@
+"""The packed span-key walk of the copy census against the product walk.
+
+``tests/oracles.py`` keeps the census as it ran by dense ``Matrix``
+products: every unit g conjugates each basis matrix, and each copy is the
+``span_fingerprint`` of the products. The library walk keys each unit by
+``conjugated_span_keys`` instead and must give the same copies, in the same
+order, with the same first-seen bases, counts and search reports.
+"""
+
+import ast
+import functools
+import pathlib
+import random
+from fractions import Fraction
+
+import pytest
+
+import rankmetric.matrix as mx
+import rankmetric.ramsey as rp
+from rankmetric.errors import NotLipschitz, Singular
+from rankmetric.gf import field_make
+from rankmetric.matrix import (
+    Matrix,
+    conjugated_span_keys,
+    copy_fingerprint,
+    invert,
+    kron,
+    random_matrix,
+    random_unit,
+    rank,
+    rank_table,
+    span_fingerprint,
+)
+
+from oracles import (
+    lipschitz_checks,
+    product_copy_bases,
+    product_count_copies,
+    product_search,
+)
+
+CASES = ([(2, a, b) for a, b in [(1, 2), (2, 2), (1, 3), (3, 3), (1, 4), (2, 4)]]
+         + [(3, a, b) for a, b in [(1, 2), (2, 2), (1, 3)]])
+
+
+@functools.cache
+def _oracle_bases(q, a, b):
+    return product_copy_bases(a, b, field_make(q))
+
+
+def _same_bases(lib: dict, ref: dict):
+    assert list(lib) == list(ref)
+    for mats, ref_mats in zip(lib.values(), ref.values()):
+        assert [m._e for m in mats] == [m._e for m in ref_mats]
+
+
+@pytest.mark.parametrize("q, a, b", CASES)
+def test_copy_bases_match_product_walk(q, a, b):
+    spec = field_make(q)
+    _same_bases(rp._copy_bases.__wrapped__(a, b, spec), _oracle_bases(q, a, b))
+    assert rp.enumerate_copies(a, b, spec).copies == tuple(_oracle_bases(q, a, b))
+
+
+@pytest.mark.parametrize("q, a, b", CASES)
+def test_count_copies_match_product_walk(q, a, b):
+    spec = field_make(q)
+    assert rp.count_copies(a, b, spec, "brute_force") == len(_oracle_bases(q, a, b))
+    assert (rp.count_copies(a, b, spec, "orbit_stabilizer")
+            == product_count_copies(a, b, spec, "orbit_stabilizer"))
+
+
+def _recording(monkeypatch, stop_at):
+    """Replace ramsey.oscillation: record each inside list, return 0 from call stop_at on."""
+    calls = []
+
+    def osc(gamma, inside):
+        calls.append(list(inside))
+        return Fraction(0) if len(calls) >= stop_at else Fraction(1)
+
+    monkeypatch.setattr(rp, "oscillation", osc)
+    return calls
+
+
+def _coloring(q, a, c, kind):
+    spec = field_make(q)
+    if kind == "constant":
+        return rp.constant_coloring(Fraction(1, 3), a, c, spec)
+    base = span_fingerprint(rp.base_copy_basis(a, c, spec), spec, c)
+    return rp.distance_to_copy_coloring(base, a, c, spec)
+
+
+@pytest.mark.parametrize("q, b, c", CASES)
+def test_exhausted_search_matches_product_walk(q, b, c):
+    # a = b: the inside copy is the B-copy's own fingerprint
+    lib = rp.monochromatic_search(b, c, _coloring(q, b, c, "distance"), -1)
+    gamma = _coloring(q, b, c, "distance")
+    ref = product_search(b, c, gamma, -1)
+    assert lib == ref and not lib.found
+    assert lib.examined == len(_oracle_bases(q, b, c))
+
+
+@pytest.mark.parametrize("q, b, c", CASES)
+@pytest.mark.parametrize("a_is_b", [False, True])
+def test_search_stopping_early_matches_product_walk(q, b, c, a_is_b, monkeypatch):
+    a = b if a_is_b else 1
+    k = len(_oracle_bases(q, b, c))
+    stop_at = min(7, k)  # strictly between 1 and k where k allows it
+    lib_calls = _recording(monkeypatch, stop_at)
+    lib = rp.monochromatic_search(b, c, _coloring(q, a, c, "constant"), 0)
+    ref_calls = _recording(monkeypatch, stop_at)
+    ref = product_search(b, c, _coloring(q, a, c, "constant"), 0)
+    assert lib == ref and lib.found and lib.examined == stop_at
+    assert lib_calls == ref_calls
+    if k > 2:
+        assert 1 < lib.examined < k
+
+
+@pytest.mark.parametrize("q, b, c", CASES)
+@pytest.mark.parametrize("a_is_b", [False, True])
+def test_random_search_matches_product_walk(q, b, c, a_is_b):
+    a = b if a_is_b else 1
+    lib = rp.monochromatic_search(b, c, _coloring(q, a, c, "distance"), -1,
+                                  "random", seed=17, trials=30)
+    ref = product_search(b, c, _coloring(q, a, c, "distance"), -1, "random", seed=17, trials=30)
+    assert lib == ref and lib.strategy == "random:17:30"
+
+
+def test_equal_a_and_b_reuses_the_b_copy_fingerprint():
+    # the one lifted A-copy spans M_b (x) I, so its product-built fingerprint is fp_b
+    spec = field_make(2)
+    rng = random.Random(23)
+    for b, c in [(1, 2), (2, 2), (2, 4), (1, 4)]:
+        (basis,) = rp._copy_bases(b, b, spec).values()
+        eye = Matrix.identity(spec, c // b)
+        lifted = [kron(m, eye) for m in basis]
+        units = [random_unit(spec, c, rng) for _ in range(12)]
+        for g, key in conjugated_span_keys(units, c // b):
+            gi = invert(g)
+            assert copy_fingerprint(key, spec, c) == span_fingerprint(
+                [g * m * gi for m in lifted], spec, c)
+
+
+@pytest.mark.parametrize("b, s", [(2, 1), (3, 3), (4, 2), (4, 4), (6, 2), (6, 3), (8, 2),
+                                  (8, 4), (9, 3), (10, 5)])
+def test_packed_keys_match_products_and_generic(b, s, monkeypatch):
+    # b <= 8 takes the packed branch, 9 and 10 the product branch
+    spec = field_make(2)
+    rng = random.Random(b * 31 + s)
+    units = [random_unit(spec, b, rng) for _ in range(6)] + [Matrix.identity(spec, b)]
+    base = rp.base_copy_basis(b // s, b, spec)
+
+    def fingerprints():
+        return [copy_fingerprint(key, spec, b) for _, key in conjugated_span_keys(units, s)]
+
+    fast = fingerprints()
+    assert fast == [span_fingerprint([g * m * invert(g) for m in base], spec, b) for g in units]
+    monkeypatch.setattr(mx, "_FORCE_GENERIC", True)
+    assert fingerprints() == fast
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (2, 2), (1, 3), (3, 3)])
+def test_gf2_copy_bases_match_forced_generic(a, b, monkeypatch):
+    spec = field_make(2)
+    fast = rp._copy_bases.__wrapped__(a, b, spec)
+    monkeypatch.setattr(mx, "_FORCE_GENERIC", True)
+    _same_bases(rp._copy_bases.__wrapped__(a, b, spec), fast)
+
+
+@pytest.mark.parametrize("q, b, s", [(2, 4, 2), (2, 9, 3), (3, 2, 1), (4, 2, 2)])
+def test_singular_unit_raises(q, b, s):
+    spec = field_make(q) if q != 4 else field_make(2, 2)
+    rng = random.Random(5)
+    low = random_matrix(spec, b, b - 1, rng) * random_matrix(spec, b - 1, b, rng)
+    for m in (Matrix.zero(spec, b), low):
+        with pytest.raises(Singular):
+            list(conjugated_span_keys([Matrix.identity(spec, b), m], s))
+
+
+def test_rank_table_matches_rank():
+    spec = field_make(2)
+    for n in (1, 2, 3, 4):
+        table = rank_table(spec, n)
+        assert len(table) == 1 << (n * n)
+        shifts = range(n * n)
+        assert all(table[code] == rank(Matrix(spec, n, n, [code >> i & 1 for i in shifts]))
+                   for code in range(1 << (n * n)))
+    assert rank_table(spec, 5) is None and rank_table(field_make(3), 2) is None
+
+
+def test_rank_table_is_none_when_forced_generic(monkeypatch):
+    monkeypatch.setattr(mx, "_FORCE_GENERIC", True)
+    assert rank_table(field_make(2), 2) is None
+
+
+def _lipschitz_runs(evaluator, fps, monkeypatch):
+    measured = []
+    real = rp.copy_distance
+
+    def recording(s, t, spec, ambient):
+        measured.append((s, t))
+        return real(s, t, spec, ambient)
+
+    monkeypatch.setattr(rp, "copy_distance", recording)
+    gamma = rp.Coloring(evaluator, 2, 4, field_make(2))
+    failed = None
+    for idx, fp in enumerate(fps):
+        try:
+            gamma.value(fp)
+        except NotLipschitz:
+            failed = idx
+            break
+    monkeypatch.setattr(rp, "copy_distance", real)
+    ref_pairs, ref_failed = lipschitz_checks(evaluator, fps, 4,
+                                             lambda s, t: real(s, t, field_make(2), 4))
+    return measured, failed, gamma, ref_pairs, ref_failed
+
+
+@pytest.mark.parametrize("kind", ["distance", "sum-mod-5", "eighths"])
+def test_coloring_measures_the_same_pairs_in_order(kind, monkeypatch):
+    spec = field_make(2)
+    copies = rp.enumerate_copies(2, 4, spec).copies
+    rng = random.Random(kind)
+    fps = list(copies[:200]) + rng.sample(copies, 60)  # repeats hit the cache
+    distance = rp.copy_distance  # the evaluator's own distances are not checks
+    evaluator = {
+        "distance": lambda fp: distance(fp, copies[0], spec, 4),
+        "sum-mod-5": lambda fp: Fraction(sum(map(sum, fp)) % 5, 4),
+        # distinct copies here lie 1/2 or 3/4 apart, so values in [0, 1/2] never fail,
+        # and a value 1/2 meets two earlier far groups (0 and 1/8) in turn
+        "eighths": lambda fp: Fraction(copies.index(fp) % 5, 8),
+    }[kind]
+    measured, failed, gamma, ref_pairs, ref_failed = _lipschitz_runs(evaluator, fps, monkeypatch)
+    assert measured == ref_pairs
+    assert failed == ref_failed
+    if failed is None:
+        expected = list(dict.fromkeys(fps))
+        assert list(gamma.evaluated()) == expected
+        assert list(gamma.evaluated().values()) == [evaluator(fp) for fp in expected]
+    if kind == "distance":
+        assert failed is None and len({gamma.value(fp) for fp in fps}) == 3
+
+
+def test_only_matrix_imports_underscore_names_from_matrix():
+    package = pathlib.Path(rp.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "matrix.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in ("matrix", "rankmetric.matrix"):
+                offenders += [f"{path.name}: {alias.name}" for alias in node.names
+                              if alias.name.startswith("_")]
+    assert offenders == []
