@@ -13,6 +13,10 @@ Two representations are used side by side:
   identity, which certifies the ring-homomorphism property once and for
   all.
 
+Only this module knows how a conjugator is stored: the tower code asks it
+for ``back_embedding`` and ``intertwining_unit``. The inclusion ``iota``
+is ``iota_embedding`` applied, a permutation scatter.
+
 ``skolem_noether_conjugator`` produces an explicit intertwining unit for
 any two unital homomorphisms with the same source and target by aligning
 the module decompositions cut out by the matrix-unit images, and
@@ -29,6 +33,7 @@ from functools import reduce
 from .errors import (
     DimensionMismatch,
     FormatError,
+    MultiplicityMismatch,
     NotDivisor,
     NotUnital,
     SpecMismatch,
@@ -242,14 +247,38 @@ def compose(outer: DeltaEmbedding, inner: DeltaEmbedding) -> DeltaEmbedding:
     return _embedding(m, p, k1 * k2, outer.spec, conj)
 
 
+def intertwining_unit(phi: DeltaEmbedding, psi: DeltaEmbedding) -> Matrix:
+    """The unit B_psi B_phi^{-1}, which conjugates phi onto psi exactly.
+
+    Both must share field, source, target and multiplicity."""
+    if phi.spec != psi.spec:
+        raise SpecMismatch("embeddings over different fields")
+    if phi.m != psi.m or phi.n != psi.n:
+        raise DimensionMismatch("embeddings with different shapes")
+    if phi.mult != psi.mult:
+        raise MultiplicityMismatch(f"{phi.mult} != {psi.mult}")
+    return _dense(phi.spec, _product(phi.spec, psi._conj, phi._conj_inv))
+
+
+def back_embedding(phi: DeltaEmbedding, total: int) -> DeltaEmbedding:
+    """The block map psi: M_n -> M_total with s = floor(total/n) copies that
+    undoes phi: psi o phi is the inclusion iota(total, m) cut down to r*s of
+    its total/m diagonal copies (r = phi's multiplicity)."""
+    m, n = phi.m, phi.n
+    if total % m != 0:
+        raise NotDivisor(f"{m} does not divide {total}")
+    s = total // n
+    if s == 0:
+        return _embedding(n, total, 0, phi.spec, range(total))
+    z = _product(phi.spec, _shuffle_conjugator(m, total // m),
+                 _inverse(_merge_permutation(s, n, phi.mult, m, total)),
+                 _tile(phi._conj_inv, s, total))
+    return _embedding(n, total, s, phi.spec, z)
+
+
 def iota(n: int, m: int, x: Matrix) -> Matrix:
     """The inclusion x -> x (x) 1_{n/m}; isometric for the rank metric."""
-    if m < 1 or n % m != 0:
-        raise NotDivisor(f"{m} does not divide {n}")
-    if x.rows != m or x.cols != m:
-        raise DimensionMismatch(f"element must be {m}x{m}")
-    from .matrix import kron
-    return kron(x, Matrix.identity(x.spec, n // m))
+    return iota_embedding(n, m, x.spec).apply(x)
 
 
 def iota_embedding(n: int, m: int, spec: FieldSpec) -> DeltaEmbedding:
@@ -408,8 +437,8 @@ def amalgamate(phi0: Homomorphism, phi1: Homomorphism):
 
     def leg(phi: Homomorphism, b: int) -> Homomorphism:
         straight = Homomorphism.inclusion(b, a, spec)
-        u = skolem_noether_conjugator(straight, phi)
-        lifted_u = iota(c, b, u)
-        return Homomorphism.inclusion(c, b, spec).conjugate(invert(lifted_u))
+        # the unit that straightens phi: the inverse of the one that twists straight onto phi
+        u = skolem_noether_conjugator(phi, straight)
+        return Homomorphism.inclusion(c, b, spec).conjugate(iota(c, b, u))
 
     return c, leg(phi0, b0), leg(phi1, b1)

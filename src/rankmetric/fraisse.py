@@ -16,7 +16,11 @@ certificates.
   the deterministic construction again and comparing every field.
 * ``inner_approximate``: approximate automorphism data on probes is
   turned into a single conjugating unit via defect repair plus
-  homogeneity.
+  homogeneity; its linear map is the reduced echelon basis of the
+  probes' (element | image) rows.
+
+Conjugators come from ``embeddings`` (``intertwining_unit``,
+``back_embedding``), the one module that knows how they are stored.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .errors import (
     EmptyRoundTrip,
     InconsistentTarget,
     InvariantViolated,
-    MultiplicityMismatch,
     NotFactorSequence,
     RankMetricError,
     SpecMismatch,
@@ -37,16 +40,17 @@ from .errors import (
     TowerPrefixTooShort,
 )
 from .gf import FieldSpec
-from .matrix import Matrix, invert, kassabov_generators, rank_distance, solve
+from .matrix import (Matrix, Subspace, echelon_insert, invert, kassabov_generators,
+                     rank_distance)
 from .embeddings import (
     DeltaEmbedding,
+    back_embedding,
     block_embedding,
     compose,
+    intertwining_unit,
     iota,
     iota_embedding,
 )
-from .embeddings import (_dense, _embedding, _inverse, _merge_permutation, _product,
-                         _shuffle_conjugator, _tile)
 from .stability import repair
 
 # The dimension at stage i of each named tower rule.
@@ -167,14 +171,7 @@ def approximate_homogeneity(phi: DeltaEmbedding, psi: DeltaEmbedding):
     Approximation enters only through the certificates of the maps being
     compared, which the caller composes.
     """
-    if phi.spec != psi.spec:
-        raise SpecMismatch("embeddings over different fields")
-    if phi.m != psi.m or phi.n != psi.n:
-        raise DimensionMismatch("embeddings with different shapes")
-    if phi.mult != psi.mult:
-        raise MultiplicityMismatch(f"{phi.mult} != {psi.mult}")
-    beta = _product(phi.spec, psi._conj, phi._conj_inv)
-    return _dense(phi.spec, beta), Fraction(0)
+    return intertwining_unit(phi, psi), Fraction(0)
 
 
 def approximate_extension(phi: DeltaEmbedding, tower: Tower,
@@ -215,18 +212,8 @@ def approximate_extension(phi: DeltaEmbedding, tower: Tower,
             f"no realized stage satisfies {delta_prime} * m > {n}"
         )
     m_p = tower.dims[k_prime]
-    s = m_p // n
-    r = phi.mult
-
-    if s == 0:
-        psi = _embedding(n, m_p, 0, phi.spec, range(m_p))
-    else:
-        z = _product(phi.spec, _shuffle_conjugator(m_k, m_p // m_k),
-                     _inverse(_merge_permutation(s, n, r, m_k, m_p)),
-                     _tile(phi._conj_inv, s, m_p))
-        psi = _embedding(n, m_p, s, phi.spec, z)
-
-    commute_error = Fraction(m_p - r * s * m_k, m_p)
+    psi = back_embedding(phi, m_p)
+    commute_error = Fraction(m_p - phi.mult * psi.mult * m_k, m_p)
     if commute_error > phi.delta_fraction + delta_prime:
         raise InvariantViolated("commuting defect exceeds delta + delta_prime")
     return k_prime, psi, commute_error
@@ -476,11 +463,13 @@ def inner_approximate(targets, eps) -> InnerApproximation:
 
     ``targets`` is a list of (element, image) tower-element pairs, all in
     one tower. The elements must generate the stage algebra that contains
-    them (together with 1, which is implicitly sent to 1): the associated
-    generator images are extracted by closing the probes under products
-    with expression tracking, the resulting approximate pair is repaired
-    to an exact embedding, and homogeneity against the straight inclusion
-    turns that into a single inner unit. Residuals are exact per pair.
+    them (together with 1, which is implicitly sent to 1): the probes are
+    closed under products, one echelon table over their entries keeping
+    each new product with the product of its factors' images. The reduced
+    echelon basis of the (element | image) rows is then the linear map,
+    row j being (e_j | image of e_j). The generator images it gives are
+    repaired to an exact embedding, and homogeneity against the straight
+    inclusion turns that into a single inner unit. Residuals are exact.
 
     Raises ``InconsistentTarget`` when dependent probes carry conflicting
     images or the probes fail to generate, and propagates
@@ -499,68 +488,37 @@ def inner_approximate(targets, eps) -> InnerApproximation:
     n_s = tower.dims[src_stage]
     n_k = tower.dims[dst_stage]
     spec = tower.spec
+    full = n_s * n_s
 
     seed = [(Matrix.identity(spec, n_s), Matrix.identity(spec, n_k))]
     for y, img in pairs:
         seed.append((include_to(y, src_stage).value,
                      include_to(img, dst_stage).value))
 
-    basis: list[tuple[Matrix, Matrix]] = []
+    table = {}
+    basis = [(mat, img) for mat, img in seed if echelon_insert(table, _entries(mat), spec)]
+    # a seed dependent on earlier ones must carry the same combination of images
+    if _graph(seed).dim != len(basis):
+        raise InconsistentTarget("dependent probes carry conflicting images")
 
-    def coords_in_basis(mat: Matrix):
-        if not basis:
-            return None
-        cols = Matrix.from_columns(spec, [m._e for m, _ in basis], n_s * n_s)
-        return solve(cols, mat._e)
-
-    def try_insert(mat: Matrix, img: Matrix, hard: bool) -> bool:
-        coords = coords_in_basis(mat)
-        if coords is not None:
-            if hard:
-                expect = Matrix.zero(spec, n_k)
-                for c, (_, bimg) in zip(coords, basis):
-                    if c:
-                        expect = expect + bimg.scale(c)
-                if expect != img:
-                    raise InconsistentTarget(
-                        "dependent probes carry conflicting images"
-                    )
-            return False
-        basis.append((mat, img))
-        return True
-
-    for mat, img in seed:
-        try_insert(mat, img, hard=True)
-
-    full = n_s * n_s
-    grew = True
-    while grew and len(basis) < full:
-        grew = False
+    while len(basis) < full:
+        before = len(basis)
         snapshot = list(basis)
         for m1, i1 in snapshot:
             for m2, i2 in snapshot:
                 if len(basis) == full:
                     break
-                if try_insert(m1 * m2, i1 * i2, hard=False):
-                    grew = True
-    if len(basis) < full:
-        raise InconsistentTarget(
-            "probes do not generate the stage algebra"
-        )
+                prod = m1 * m2
+                if echelon_insert(table, _entries(prod), spec):
+                    basis.append((prod, i1 * i2))
+        if len(basis) == before:
+            raise InconsistentTarget("probes do not generate the stage algebra")
 
+    images = Matrix(spec, full, n_k * n_k,
+                    [v for row in _graph(basis).basis for v in row[full:]])
     gen_a, gen_b = kassabov_generators(n_s, spec)
-    cols = Matrix.from_columns(spec, [m._e for m, _ in basis], n_s * n_s)
-
-    def image_of(mat: Matrix) -> Matrix:
-        coords = solve(cols, mat._e)
-        out = Matrix.zero(spec, n_k)
-        for c, (_, bimg) in zip(coords, basis):
-            if c:
-                out = out + bimg.scale(c)
-        return out
-
-    x_img = image_of(gen_a)
-    y_img = image_of(gen_b)
+    gens = Matrix(spec, 2, full, _entries(gen_a) + _entries(gen_b))
+    x_img, y_img = (Matrix(spec, n_k, n_k, row) for row in (gens * images).row_lists())
 
     psi, _, cert = repair(x_img, y_img, n_s)
     straight = iota_embedding(n_k, n_s, spec)
@@ -574,3 +532,14 @@ def inner_approximate(targets, eps) -> InnerApproximation:
         want = include_to(img, dst_stage).value
         residuals.append(rank_distance(moved, want).as_fraction())
     return InnerApproximation(beta, dst_stage, residuals, eps, cert)
+
+
+def _entries(m: Matrix) -> list[int]:
+    return [v for row in m.row_lists() for v in row]
+
+
+def _graph(pairs) -> Subspace:
+    """The span of the (element | image) rows of a non-empty list of pairs."""
+    m, i = pairs[0]
+    return Subspace(m.spec, m.rows * m.rows + i.rows * i.rows,
+                    [_entries(m) + _entries(i) for m, i in pairs])

@@ -30,13 +30,13 @@ from .matrix import (
     conjugated_span_keys,
     copy_fingerprint,
     invert,
-    kron,
     random_unit,
     rank,
     rank_table,
     span_codes,
     span_fingerprint,
 )
+from .embeddings import iota
 
 # An enumeration touching more than this many matrices fails fast.
 ENUMERATION_LIMIT = 1 << 20
@@ -498,10 +498,11 @@ def monochromatic_search(b_dim: int, c_dim: int, gamma: Coloring, eps,
         raise DimensionMismatch("coloring ambient does not match c")
     if a_dim < 1 or b_dim < 1 or c_dim % b_dim != 0 or b_dim % a_dim != 0:
         raise NotDivisor("need a | b and b | c")
-    # the copies of A inside the standard B, lifted once into M_c
-    eye = Matrix.identity(spec, c_dim // b_dim)
-    lifted_a_copies = [[kron(m, eye) for m in basis]
-                       for basis in _copy_bases(a_dim, b_dim, spec).values()]
+    # the copies of A inside the standard B, lifted once into M_c; a = b needs
+    # none, as its one lifted copy is the standard B-copy itself
+    lifted_a_copies = [] if a_dim == b_dim else [
+        [iota(c_dim, b_dim, m) for m in basis]
+        for basis in _copy_bases(a_dim, b_dim, spec).values()]
 
     if strategy == "exhaustive":
         units, label = iterate_units(c_dim, spec), "exhaustive"
@@ -526,7 +527,6 @@ def monochromatic_search(b_dim: int, c_dim: int, gamma: Coloring, eps,
         examined += 1
         fp_b = copy_fingerprint(key, spec, c_dim)
         if a_dim == b_dim:
-            # the one lifted copy spans M_b (x) I, the standard B-copy itself
             inside = [fp_b]
         else:
             gi = invert(g)

@@ -2,9 +2,11 @@
 
 Ranks come from minor determinants expanded over permutations, and field
 products from schoolbook polynomial arithmetic, so those share no code with
-the library's elimination kernels. The copy-census walks at the end keep
-the conjugation census by dense Matrix products that the packed span-key
-walk replaced. Slow on purpose; only for small inputs.
+the library's elimination kernels. The copy-census walks keep the
+conjugation census by dense Matrix products that the packed span-key walk
+replaced, and ``inner_approximate_by_solve`` keeps the probe closure that
+re-solved its whole basis on every insertion. Slow on purpose; only for
+small inputs.
 """
 
 import random
@@ -12,9 +14,13 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import rankmetric.ramsey as rp
-from rankmetric.errors import RelationsNotSatisfied
+from rankmetric.embeddings import iota_embedding
+from rankmetric.errors import InconsistentTarget, RelationsNotSatisfied
+from rankmetric.fraisse import InnerApproximation, approximate_homogeneity, include_to
 from rankmetric.gf import FieldSpec
-from rankmetric.matrix import Matrix, direct_sum, invert, kron, random_unit, span_fingerprint
+from rankmetric.matrix import (Matrix, direct_sum, invert, kassabov_generators, kron,
+                               random_unit, rank_distance, solve, span_fingerprint)
+from rankmetric.stability import repair
 
 
 def poly_mul_mod(u, v, modulus, p):
@@ -213,3 +219,115 @@ def lipschitz_checks(evaluator, fps, c_dim, distance):
                     return pairs, idx
         values[fp] = v
     return pairs, None
+
+
+# -- inner approximation by per-insertion solves --------------------------------
+# The probe closure as first written: every insertion re-solves the whole
+# probe basis, and generator images are read off solved coordinates. The
+# reference for rankmetric.fraisse.inner_approximate, which keeps one echelon
+# table instead.
+
+
+def inner_approximate_by_solve(targets, eps) -> InnerApproximation:
+    """Find a conjugating unit realizing approximate automorphism data.
+
+    ``targets`` is a list of (element, image) tower-element pairs, all in
+    one tower. The elements must generate the stage algebra that contains
+    them (together with 1, which is implicitly sent to 1): the associated
+    generator images are extracted by closing the probes under products
+    with expression tracking, the resulting approximate pair is repaired
+    to an exact embedding, and homogeneity against the straight inclusion
+    turns that into a single inner unit. Residuals are exact per pair.
+
+    Raises ``InconsistentTarget`` when dependent probes carry conflicting
+    images or the probes fail to generate, and propagates
+    ``NotRepairable`` when the data is too far from any homomorphism.
+    """
+    eps = Fraction(eps)
+    pairs = list(targets)
+    if not pairs:
+        raise InconsistentTarget("no target pairs supplied")
+    tower = pairs[0][0].tower
+    for y, img in pairs:
+        if y.tower is not tower or img.tower is not tower:
+            raise InconsistentTarget("all pairs must live in one tower")
+    src_stage = max(y.stage for y, _ in pairs)
+    dst_stage = max(max(img.stage for _, img in pairs), src_stage)
+    n_s = tower.dims[src_stage]
+    n_k = tower.dims[dst_stage]
+    spec = tower.spec
+
+    seed = [(Matrix.identity(spec, n_s), Matrix.identity(spec, n_k))]
+    for y, img in pairs:
+        seed.append((include_to(y, src_stage).value,
+                     include_to(img, dst_stage).value))
+
+    basis: list[tuple[Matrix, Matrix]] = []
+
+    def coords_in_basis(mat: Matrix):
+        if not basis:
+            return None
+        cols = Matrix.from_columns(spec, [m._e for m, _ in basis], n_s * n_s)
+        return solve(cols, mat._e)
+
+    def try_insert(mat: Matrix, img: Matrix, hard: bool) -> bool:
+        coords = coords_in_basis(mat)
+        if coords is not None:
+            if hard:
+                expect = Matrix.zero(spec, n_k)
+                for c, (_, bimg) in zip(coords, basis):
+                    if c:
+                        expect = expect + bimg.scale(c)
+                if expect != img:
+                    raise InconsistentTarget(
+                        "dependent probes carry conflicting images"
+                    )
+            return False
+        basis.append((mat, img))
+        return True
+
+    for mat, img in seed:
+        try_insert(mat, img, hard=True)
+
+    full = n_s * n_s
+    grew = True
+    while grew and len(basis) < full:
+        grew = False
+        snapshot = list(basis)
+        for m1, i1 in snapshot:
+            for m2, i2 in snapshot:
+                if len(basis) == full:
+                    break
+                if try_insert(m1 * m2, i1 * i2, hard=False):
+                    grew = True
+    if len(basis) < full:
+        raise InconsistentTarget(
+            "probes do not generate the stage algebra"
+        )
+
+    gen_a, gen_b = kassabov_generators(n_s, spec)
+    cols = Matrix.from_columns(spec, [m._e for m, _ in basis], n_s * n_s)
+
+    def image_of(mat: Matrix) -> Matrix:
+        coords = solve(cols, mat._e)
+        out = Matrix.zero(spec, n_k)
+        for c, (_, bimg) in zip(coords, basis):
+            if c:
+                out = out + bimg.scale(c)
+        return out
+
+    x_img = image_of(gen_a)
+    y_img = image_of(gen_b)
+
+    psi, _, cert = repair(x_img, y_img, n_s)
+    straight = iota_embedding(n_k, n_s, spec)
+    beta, _ = approximate_homogeneity(straight, psi)
+
+    beta_inv = invert(beta)
+    residuals = []
+    for y, img in pairs:
+        lifted = include_to(y, dst_stage).value
+        moved = beta * lifted * beta_inv
+        want = include_to(img, dst_stage).value
+        residuals.append(rank_distance(moved, want).as_fraction())
+    return InnerApproximation(beta, dst_stage, residuals, eps, cert)

@@ -240,6 +240,22 @@ def test_coloring_measures_the_same_pairs_in_order(kind, monkeypatch):
         assert failed is None and len({gamma.value(fp) for fp in fps}) == 3
 
 
+@pytest.mark.parametrize("b, c", [(2, 4), (4, 4)])
+def test_equal_a_and_b_walks_only_gl_c(b, c, monkeypatch):
+    rp._copy_bases.cache_clear()
+    walks = []
+    real = rp.iterate_units
+
+    def counting(n, spec):
+        walks.append(n)
+        return real(n, spec)
+
+    monkeypatch.setattr(rp, "iterate_units", counting)
+    spec = field_make(2)
+    report = rp.monochromatic_search(b, c, rp.constant_coloring(Fraction(1, 2), b, c, spec), -1)
+    assert walks == [c] and not report.found
+
+
 def test_only_matrix_imports_underscore_names_from_matrix():
     package = pathlib.Path(rp.__file__).parent
     offenders = []
@@ -250,4 +266,19 @@ def test_only_matrix_imports_underscore_names_from_matrix():
             if isinstance(node, ast.ImportFrom) and node.module in ("matrix", "rankmetric.matrix"):
                 offenders += [f"{path.name}: {alias.name}" for alias in node.names
                               if alias.name.startswith("_")]
+    assert offenders == []
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    package = pathlib.Path(rp.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module.startswith("rankmetric")):
+                offenders += [f"{path.name}: {alias.name}" for alias in node.names
+                              if alias.name.startswith("_")]
+            if (path.name == "fraisse.py" and isinstance(node, ast.Attribute)
+                    and node.attr in ("_conj", "_conj_inv", "_e")):
+                offenders.append(f"{path.name}: .{node.attr}")
     assert offenders == []

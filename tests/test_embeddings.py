@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from rankmetric.matrix import (
     random_matrix,
     random_unit,
 )
+from rankmetric.gf import field_for_order
 from rankmetric.embeddings import (
     DeltaEmbedding,
     Homomorphism,
@@ -282,6 +284,21 @@ def test_amalgamate_random_twists(gf2, rng):
     a, b = kassabov_generators(2, gf2)
     for x in (a, b):
         assert psi0.apply(phi0.apply(x)) == psi1.apply(phi1.apply(x))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_amalgamate_legs_equal_inverted_lift(q):
+    # each leg once conjugated by the inverse of the lifted unit that twists
+    # the inclusion onto phi
+    spec = field_for_order(q)
+    rng = random.Random(q)
+    phis = [Homomorphism.inclusion(b, 2, spec).conjugate(random_unit(spec, b, rng))
+            for b in (4, 6)]
+    c, *legs = amalgamate(*phis)
+    for phi, leg in zip(phis, legs):
+        u = skolem_noether_conjugator(Homomorphism.inclusion(phi.n, 2, spec), phi)
+        old = Homomorphism.inclusion(c, phi.n, spec).conjugate(invert(iota(c, phi.n, u)))
+        assert leg == old
 
 
 def test_amalgamate_rejects_nonunital(gf2, rng):

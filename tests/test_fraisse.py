@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from rankmetric.errors import (
     MultiplicityMismatch,
     NotFactorSequence,
     NotRepairable,
+    RankMetricError,
     StageOrder,
     TowerPrefixTooShort,
 )
@@ -30,7 +32,10 @@ from rankmetric.fraisse import (
     tower_make,
     verify_certificate,
 )
+from rankmetric.gf import field_for_order
 from rankmetric.stability import repair
+
+from oracles import inner_approximate_by_solve
 
 
 # -- towers --------------------------------------------------------------------
@@ -470,3 +475,51 @@ def test_eps_third_assembly(gf2, rng):
     total = rank_distance(psi_unit * x * invert(psi_unit), phi_x).as_fraction()
     assert total <= 2 * d_probe + d_target + eps / 3
     assert total < eps
+
+
+# -- inner approximation against the per-insertion solve ----------------------
+
+
+def _inner_targets(q, src, dst, variant):
+    """Generator pairs at stage ``src`` of the factorial tower (dims 1, 1, 2,
+    6, 24), or their conjugates by a seeded unit, sent to a seeded conjugate
+    of their inclusion at stage ``dst``."""
+    spec = field_for_order(q)
+    t = tower_make("factorial", 5, spec)
+    rng = random.Random(f"{q}:{src}:{dst}:{variant}")
+    n_s, n_k = t.dims[src], t.dims[dst]
+    g = random_unit(spec, n_k, rng)
+    gi = invert(g)
+    a, b = t.generators_at(src)
+    if variant.startswith("twisted"):
+        # probes other than the generators: their images come from products
+        h = random_unit(spec, n_s, rng)
+        hi = invert(h)
+        a, b = (t.element(src, h * x.value * hi) for x in (a, b))
+    img_a, img_b = (g * iota(n_k, n_s, x.value) * gi for x in (a, b))
+    if variant.endswith("perturbed"):
+        img_a = img_a + Matrix.unit(spec, n_k, 1, min(2, n_k))
+    pairs = [(a, t.element(dst, img_a)), (b, t.element(dst, img_b))]
+    if variant == "identity":
+        pairs.append((t.one_at(src), t.one_at(dst)))
+    if variant == "one generator":
+        pairs = pairs[:1]
+    return pairs
+
+
+def _inner_outcome(inner, pairs):
+    try:
+        r = inner(pairs, Fraction(1, 3))
+    except RankMetricError as exc:
+        return type(exc), str(exc)
+    return r.unit, r.stage, r.residuals, r.within, r.certificate.to_text()
+
+
+@pytest.mark.parametrize("variant", ["exact", "perturbed", "identity", "one generator",
+                                     "twisted", "twisted perturbed"])
+@pytest.mark.parametrize("src, dst", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4)])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_inner_approximate_matches_solve_oracle(q, src, dst, variant):
+    pairs = _inner_targets(q, src, dst, variant)
+    assert (_inner_outcome(inner_approximate, pairs)
+            == _inner_outcome(inner_approximate_by_solve, pairs))
