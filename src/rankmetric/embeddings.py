@@ -63,7 +63,7 @@ def _permutation_matrix(spec: FieldSpec, images) -> Matrix:
 
 def _permutation_images(a: Matrix):
     """The images of a permutation matrix, or None for any other matrix."""
-    n, e = a.rows, a._e
+    n, e = a.rows, a.entries
     if e.count(1) != n:
         return None
     nonzero = [k for k, v in enumerate(e) if v]
@@ -190,7 +190,7 @@ class DeltaEmbedding:
         copies = [self._conj[c * m:(c + 1) * m] for c in range(self.mult)]
         out = [0] * (n * n)
         for pos in copies:
-            for k, v in enumerate(x._e):
+            for k, v in enumerate(x.entries):
                 out[pos[k // m] * n + pos[k % m]] = v
         return Matrix._trusted(self.spec, n, n, tuple(out))
 
@@ -341,7 +341,7 @@ class Homomorphism:
         out = Matrix.zero(self.spec, self.n)
         for i in range(self.m):
             for j in range(self.m):
-                v = x._e[i * self.m + j]
+                v = x.entries[i * self.m + j]
                 if v:
                     out = out + self.units[i][j].scale(v)
         return out

@@ -496,7 +496,7 @@ def inner_approximate(targets, eps) -> InnerApproximation:
                      include_to(img, dst_stage).value))
 
     table = {}
-    basis = [(mat, img) for mat, img in seed if echelon_insert(table, _entries(mat), spec)]
+    basis = [(mat, img) for mat, img in seed if echelon_insert(table, mat.entries, spec)]
     # a seed dependent on earlier ones must carry the same combination of images
     if _graph(seed).dim != len(basis):
         raise InconsistentTarget("dependent probes carry conflicting images")
@@ -509,7 +509,7 @@ def inner_approximate(targets, eps) -> InnerApproximation:
                 if len(basis) == full:
                     break
                 prod = m1 * m2
-                if echelon_insert(table, _entries(prod), spec):
+                if echelon_insert(table, prod.entries, spec):
                     basis.append((prod, i1 * i2))
         if len(basis) == before:
             raise InconsistentTarget("probes do not generate the stage algebra")
@@ -517,7 +517,7 @@ def inner_approximate(targets, eps) -> InnerApproximation:
     images = Matrix(spec, full, n_k * n_k,
                     [v for row in _graph(basis).basis for v in row[full:]])
     gen_a, gen_b = kassabov_generators(n_s, spec)
-    gens = Matrix(spec, 2, full, _entries(gen_a) + _entries(gen_b))
+    gens = Matrix(spec, 2, full, gen_a.entries + gen_b.entries)
     x_img, y_img = (Matrix(spec, n_k, n_k, row) for row in (gens * images).row_lists())
 
     psi, _, cert = repair(x_img, y_img, n_s)
@@ -534,12 +534,8 @@ def inner_approximate(targets, eps) -> InnerApproximation:
     return InnerApproximation(beta, dst_stage, residuals, eps, cert)
 
 
-def _entries(m: Matrix) -> list[int]:
-    return [v for row in m.row_lists() for v in row]
-
-
 def _graph(pairs) -> Subspace:
     """The span of the (element | image) rows of a non-empty list of pairs."""
     m, i = pairs[0]
     return Subspace(m.spec, m.rows * m.rows + i.rows * i.rows,
-                    [_entries(m) + _entries(i) for m, i in pairs])
+                    [m.entries + i.entries for m, i in pairs])

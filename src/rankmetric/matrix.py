@@ -32,6 +32,7 @@ from operator import xor
 from .errors import (
     DimensionMismatch,
     FormatError,
+    InvariantViolated,
     NotDivisor,
     RelationsNotSatisfied,
     Singular,
@@ -415,11 +416,14 @@ class Matrix:
         return m
 
     @property
-    def _e(self) -> tuple[int, ...]:
+    def entries(self) -> tuple[int, ...]:
+        """The row-major canonical encodings as one flat tuple, kept and shared, not copied."""
         ent = self._ent
         if ent is None:
             ent = self._ent = (_b_unpack if self.spec.q == 2 else _t_unpack)(self._rw, self.cols)
         return ent
+
+    _e = entries
 
     def _packed(self) -> tuple[int, ...]:
         rw = self._rw
@@ -932,7 +936,7 @@ def code_units(spec: FieldSpec, n: int):
         return
     powers = [spec.q ** k for k in range(n * n)]
     for code in range(total):
-        m = Matrix(spec, n, n, [code // p % spec.q for p in powers])
+        m = Matrix._trusted(spec, n, n, tuple([code // p % spec.q for p in powers]))
         if rank(m) == n:
             yield m
 
@@ -979,6 +983,48 @@ def conjugated_span_keys(units, s: int):
                 base = base_copy_basis(b // s, b, g.spec)
             gi = invert(g)
             yield g, span_fingerprint([g * m * gi for m in base], g.spec, b)
+
+
+def _stabilizer(spec: FieldSpec, b: int, s: int):
+    """Distinct units of GL_a (x) GL_s, a = b / s; if a or s is 1, GL_b (one coset) in one pass."""
+    if s in (1, b):
+        return code_units(spec, b)
+    pairs = (kron(v, w) for v in code_units(spec, b // s) for w in code_units(spec, s))
+    return list({h._key(): h for h in pairs}.values())  # kron(cv, w / c) = kron(v, w)
+
+
+def coset_span_keys(units, s: int):
+    """(g, key, n) for the first unit g of each coset g H, H = GL_a (x) GL_s (a = b / s), in
+    ``units`` (whole cosets of b x b units); ``conjugated_span_keys`` gives the key, which all
+    of g H shares: (v (x) w)(E_ij (x) I_s)(v (x) w)^-1 = v E_ij v^-1 (x) I_s. The codes of its n
+    units g h are marked in a q^(b^2)-byte array and marked units skipped; ``InvariantViolated``
+    when two cosets meet or the marked units are not those walked."""
+    sizes = []
+
+    def firsts():
+        marks, walked = None, 0
+        for walked, g in enumerate(units, 1):
+            if marks is None:
+                spec, b, q = g.spec, g.rows, g.spec.q
+                packed = _use_packed(spec)  # codes: rows as base-2^b digits, else entries
+                weights = [(1 << b if packed else q) ** i for i in range(b if packed else b * b)]
+                hs, marks = _stabilizer(spec, b, s), bytearray(q ** (b * b))
+            x = g._packed() if packed else g._e
+            if marks[sum(map(int.__mul__, x, weights))]:
+                continue
+            n = 0
+            for n, h in enumerate(hs, 1):
+                c = sum(map(int.__mul__, _b_mul(x, h._packed()) if packed else (g * h)._e, weights))
+                if marks[c]:
+                    raise InvariantViolated(f"unit code {c} lies in two cosets")
+                marks[c] = 1
+            sizes.append(n)
+            yield g
+        if walked and marks.count(1) != walked:
+            raise InvariantViolated(f"{walked} units walked, {marks.count(1)} marked")
+
+    for g, key in conjugated_span_keys(firsts(), s):
+        yield g, key, sizes.pop(0)
 
 
 def copy_fingerprint(key, spec: FieldSpec, ambient: int) -> tuple:

@@ -2,11 +2,11 @@
 
 Embedded copies of a small matrix algebra inside a larger one are
 fingerprinted by the canonical echelon basis of their linear span, so a
-copy is a hashable value and censuses are exact. Each walk over a unit
-group keys every unit by its copy's span (``conjugated_span_keys``, on
-packed rows over GF(2)) and builds bases and fingerprints only for the
-first unit of each copy. Counting runs two ways, a conjugation census and
-the orbit-stabilizer quotient, which must agree. The bound 64 eps^-2
+copy is a hashable value and censuses are exact. A census walks the unit
+group once but keys only the first unit of each coset of the standard
+copy's stabilizer GL_a (x) GL_(b/a), all of whose units give one copy
+(``coset_span_keys``). Counting runs two ways, distinct keys and the
+orbit-stabilizer quotient, which must agree. The bound 64 eps^-2
 max(log 2k, log 6 ceil(1/eps)) uses certified rational log enclosures, so
 the returned multiple of b is exact. Every enumeration of a general
 linear group is guarded: infeasible sizes fail fast with ``TooLarge``.
@@ -29,6 +29,7 @@ from .matrix import (
     code_units,
     conjugated_span_keys,
     copy_fingerprint,
+    coset_span_keys,
     invert,
     random_unit,
     rank,
@@ -119,7 +120,7 @@ def _copy_bases(a: int, b: int, spec: FieldSpec) -> dict:
     """
     base = base_copy_basis(a, b, spec)
     bases = {}
-    for g, key in conjugated_span_keys(iterate_units(b, spec), b // a):
+    for g, key, _ in coset_span_keys(iterate_units(b, spec), b // a):
         if key not in bases:
             gi = invert(g)
             bases[key] = [g * m * gi for m in base]
@@ -134,36 +135,32 @@ def enumerate_copies(a: int, b: int, spec: FieldSpec) -> CopySet:
 def count_copies(a: int, b: int, q_or_spec, method: str = "brute_force") -> int:
     """Number of embedded copies of M_a in M_b.
 
-    ``brute_force`` runs the conjugation census; ``orbit_stabilizer``
-    divides the automorphism count sl_order(b, q) by the brute-counted
-    stabilizer of the standard copy (modulo scalars). Both enumerate the
-    unit group, so both are guarded by ``TooLarge``.
+    Both walk the units once by cosets of H = GL_a (x) GL_(b/a) (``coset_span_keys``).
+    ``brute_force`` counts distinct keys; ``orbit_stabilizer`` divides sl_order(b, q)
+    by the stabilizer of the standard copy modulo scalars, |H| times the cosets keyed
+    like it, and checks orbit times stabilizer against the units walked. ``TooLarge`` guards both.
     """
     spec = q_or_spec if isinstance(q_or_spec, FieldSpec) else field_for_order(q_or_spec)
     _check_enumeration(b, spec.q)  # before base_copy_basis builds b x b matrices
+    if method not in ("brute_force", "orbit_stabilizer"):
+        raise InvalidParameter(f"unknown method {method!r}")
+    base_copy_basis(a, b, spec)  # a must divide b
+    walk = coset_span_keys(iterate_units(b, spec), b // a)
     if method == "brute_force":
-        return len(enumerate_copies(a, b, spec))
-    if method == "orbit_stabilizer":
-        base_copy_basis(a, b, spec)  # a must divide b
-        walk = conjugated_span_keys(iterate_units(b, spec), b // a)
-        base_key = next(conjugated_span_keys([Matrix.identity(spec, b)], b // a))[1]
-        stab = total_units = 0
-        for _, key in walk:
-            total_units += 1
-            stab += key == base_key
-        q = spec.q
-        aut = sl_order(b, q)
-        # the q - 1 scalar units lie in the stabilizer, the stabilizer modulo
-        # them divides |SL|, and orbit times stabilizer is the unit group
-        broken = InvariantViolated(f"orbit-stabilizer fails: stabilizer {stab}, "
-                                   f"|SL| {aut}, units {total_units}")
-        if stab % (q - 1) or aut % (stab // (q - 1)):
-            raise broken
-        k = aut // (stab // (q - 1))
-        if k * stab != total_units:
-            raise broken
-        return k
-    raise InvalidParameter(f"unknown method {method!r}")
+        return len({key for _, key, _ in walk})
+    base_key = next(conjugated_span_keys([Matrix.identity(spec, b)], b // a))[1]
+    stab = total_units = 0
+    for _, key, size in walk:
+        total_units += size
+        stab += size * (key == base_key)
+    q, aut = spec.q, sl_order(b, spec.q)
+    # the q - 1 scalar units lie in the stabilizer, the stabilizer modulo
+    # them divides |SL|, and orbit times stabilizer is the unit group
+    k, rest = divmod(aut, stab // (q - 1) or 1)
+    if not stab or stab % (q - 1) or rest or k * stab != total_units:
+        raise InvariantViolated(f"orbit-stabilizer fails: stabilizer {stab}, "
+                                f"|SL| {aut}, units {total_units}")
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -484,12 +481,12 @@ def monochromatic_search(b_dim: int, c_dim: int, gamma: Coloring, eps,
                          trials: int = 100) -> SearchReport:
     """Look for a conjugate of M_b in M_c on which the coloring barely moves.
 
-    Exhaustive strategy: walk every unit of GL_c in encoding order,
-    deduplicate the resulting copies of B, and return the first whose
-    induced set of A-copies has oscillation at most eps; if none
-    qualifies, report the minimum oscillation observed. Random strategy:
-    seeded unit sampling for a fixed number of trials, deterministic and
-    reproducible.
+    Exhaustive strategy: walk GL_c in encoding order by cosets of the B-copy's
+    stabilizer (``coset_span_keys``), deduplicate the copies of B, and return the
+    first whose induced set of A-copies has oscillation at most eps; if none
+    qualifies, report the minimum oscillation observed. Random strategy: seeded
+    unit sampling for a fixed number of trials, each sample keyed (samples may
+    repeat and need not fill a coset), deterministic and reproducible.
     """
     eps = Fraction(eps)
     spec = gamma.spec
@@ -504,14 +501,15 @@ def monochromatic_search(b_dim: int, c_dim: int, gamma: Coloring, eps,
         [iota(c_dim, b_dim, m) for m in basis]
         for basis in _copy_bases(a_dim, b_dim, spec).values()]
 
+    s = c_dim // b_dim
     if strategy == "exhaustive":
-        units, label = iterate_units(c_dim, spec), "exhaustive"
+        keyed, label = coset_span_keys(iterate_units(c_dim, spec), s), "exhaustive"
     elif strategy == "random":
         if trials < 1:
             raise InvalidParameter(f"trials must be at least 1, got {trials}")
         _check_enumeration(c_dim, spec.q)
         rng = random.Random(seed)
-        units = (random_unit(spec, c_dim, rng) for _ in range(trials))
+        keyed = conjugated_span_keys((random_unit(spec, c_dim, rng) for _ in range(trials)), s)
         label = f"random:{seed}:{trials}"
     else:
         raise InvalidParameter(f"unknown strategy {strategy!r}")
@@ -520,7 +518,7 @@ def monochromatic_search(b_dim: int, c_dim: int, gamma: Coloring, eps,
     best_osc = None
     examined = 0
     seen = set()
-    for g, key in conjugated_span_keys(units, c_dim // b_dim):
+    for g, key, *_ in keyed:
         if key in seen:
             continue
         seen.add(key)

@@ -17,12 +17,13 @@ import pytest
 
 import rankmetric.matrix as mx
 import rankmetric.ramsey as rp
-from rankmetric.errors import NotLipschitz, Singular
-from rankmetric.gf import field_make
+from rankmetric.errors import InvariantViolated, NotLipschitz, Singular
+from rankmetric.gf import field_for_order, field_make
 from rankmetric.matrix import (
     Matrix,
     conjugated_span_keys,
     copy_fingerprint,
+    coset_span_keys,
     invert,
     kron,
     random_matrix,
@@ -39,13 +40,14 @@ from oracles import (
     product_search,
 )
 
-CASES = ([(2, a, b) for a, b in [(1, 2), (2, 2), (1, 3), (3, 3), (1, 4), (2, 4)]]
-         + [(3, a, b) for a, b in [(1, 2), (2, 2), (1, 3)]])
+CASES = ([(2, a, b) for a, b in [(1, 2), (2, 2), (1, 3), (3, 3), (1, 4), (2, 4), (4, 4)]]
+         + [(3, a, b) for a, b in [(1, 2), (2, 2), (1, 3), (3, 3)]]
+         + [(4, a, b) for a, b in [(1, 2), (2, 2)]])
 
 
 @functools.cache
 def _oracle_bases(q, a, b):
-    return product_copy_bases(a, b, field_make(q))
+    return product_copy_bases(a, b, field_for_order(q))
 
 
 def _same_bases(lib: dict, ref: dict):
@@ -56,17 +58,60 @@ def _same_bases(lib: dict, ref: dict):
 
 @pytest.mark.parametrize("q, a, b", CASES)
 def test_copy_bases_match_product_walk(q, a, b):
-    spec = field_make(q)
+    spec = field_for_order(q)
     _same_bases(rp._copy_bases.__wrapped__(a, b, spec), _oracle_bases(q, a, b))
     assert rp.enumerate_copies(a, b, spec).copies == tuple(_oracle_bases(q, a, b))
 
 
 @pytest.mark.parametrize("q, a, b", CASES)
 def test_count_copies_match_product_walk(q, a, b):
-    spec = field_make(q)
+    spec = field_for_order(q)
     assert rp.count_copies(a, b, spec, "brute_force") == len(_oracle_bases(q, a, b))
     assert (rp.count_copies(a, b, spec, "orbit_stabilizer")
             == product_count_copies(a, b, spec, "orbit_stabilizer"))
+
+
+def test_coset_walk_keys_one_unit_per_copy(monkeypatch):
+    # every unit of a coset of GL_2 (x) GL_2 gives the same copy of M_2 in M_4
+    keyed = []
+    real = mx.conjugated_span_keys
+
+    def counting(units, s):
+        for g, key in real(units, s):
+            keyed.append(g)
+            yield g, key
+
+    monkeypatch.setattr(mx, "conjugated_span_keys", counting)
+    spec = field_make(2)
+    assert len(rp._copy_bases.__wrapped__(2, 4, spec)) == 560 and len(keyed) == 560
+    keyed.clear()
+    assert rp.count_copies(2, 4, spec, "brute_force") == 560 and len(keyed) == 560
+
+
+@pytest.mark.parametrize("q, b, s", [(2, 4, 2), (2, 2, 1), (2, 3, 3), (3, 2, 2), (4, 2, 1)])
+def test_coset_walk_partition_check(q, b, s):
+    spec = field_for_order(q)
+    units = list(rp.iterate_units(b, spec))
+    firsts = {}
+    for g, key in conjugated_span_keys(units, s):
+        firsts.setdefault(key, g)
+    whole = list(coset_span_keys(iter(units), s))
+    assert [(g, key) for g, key, _ in whole] == [(g, key) for key, g in firsts.items()]
+    assert {size * len(whole) for _, _, size in whole} == {len(units)}
+    for stream in (units + [units[-1]], units[:-1], [units[0]] * 2):
+        with pytest.raises(InvariantViolated, match="walked"):
+            list(coset_span_keys(iter(stream), s))
+
+
+def test_coset_walk_rejects_overlapping_cosets(monkeypatch):
+    # one unit outside GL_2 (x) GL_2 makes the "cosets" overlap
+    spec = field_make(2)
+    real = mx._stabilizer
+    group = real(spec, 4, 2)
+    extra = next(g for g in rp.iterate_units(4, spec) if g not in group)
+    monkeypatch.setattr(mx, "_stabilizer", lambda *args: real(*args) + [extra])
+    with pytest.raises(InvariantViolated, match="two cosets"):
+        list(coset_span_keys(rp.iterate_units(4, spec), 2))
 
 
 def _recording(monkeypatch, stop_at):
@@ -82,7 +127,7 @@ def _recording(monkeypatch, stop_at):
 
 
 def _coloring(q, a, c, kind):
-    spec = field_make(q)
+    spec = field_for_order(q)
     if kind == "constant":
         return rp.constant_coloring(Fraction(1, 3), a, c, spec)
     base = span_fingerprint(rp.base_copy_basis(a, c, spec), spec, c)
@@ -278,7 +323,8 @@ def test_no_module_reaches_into_another_modules_private_names():
                     node.level or node.module.startswith("rankmetric")):
                 offenders += [f"{path.name}: {alias.name}" for alias in node.names
                               if alias.name.startswith("_")]
-            if (path.name == "fraisse.py" and isinstance(node, ast.Attribute)
-                    and node.attr in ("_conj", "_conj_inv", "_e")):
+            if isinstance(node, ast.Attribute) and (
+                    (path.name == "fraisse.py" and node.attr in ("_conj", "_conj_inv"))
+                    or (path.name != "matrix.py" and node.attr == "_e")):
                 offenders.append(f"{path.name}: .{node.attr}")
     assert offenders == []
