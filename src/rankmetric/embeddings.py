@@ -8,10 +8,13 @@ Two representations are used side by side:
   delta value (n - m*k)/n measures how much of the target it misses;
   delta = 0 means a unital embedding.
 * ``Homomorphism`` stores a map by the images of the shift generator
-  pair, validated at construction by building the matrix units and
-  checking the n^2 corner identities that imply every unit product
-  identity, which certifies the ring-homomorphism property once and for
-  all.
+  pair and by its matrix units. The public constructor and ``from_text``
+  validate: they build the units and check the n^2 corner identities
+  that imply every unit product identity. ``inclusion``, ``conjugate``
+  and the ``amalgamate`` legs skip that check, as their units hold by
+  construction: they are iota(E_ij), or u E_ij u^-1 with u invertible
+  (``invert`` proves it), and the ring homomorphisms iota and
+  x -> u x u^-1 carry a unit system to a unit system.
 
 Only this module knows how a conjugator is stored: the tower code asks it
 for ``back_embedding`` and ``intertwining_unit``. The inclusion ``iota``
@@ -300,12 +303,13 @@ def joint_embed(a_dim: int, b_dim: int, spec: FieldSpec):
 
 
 class Homomorphism:
-    """A homomorphism M_m -> M_n stored by its generator images.
+    """A homomorphism M_m -> M_n stored by its generator images and its
+    matrix units, ``units[i][j]`` the image of the standard unit E_ij.
 
-    Construction builds the matrix-unit system and rejects the value
-    unless every product identity holds, so an instance *is* a
-    certificate that the map extends to a ring homomorphism. The map is
-    unital when the unit images sum to the identity.
+    The public constructor validates the units, so its instances *are*
+    certificates that the map extends to a ring homomorphism; the derived
+    maps carry units that hold by construction (see the module docstring).
+    The map is unital when the diagonal units sum to the identity.
     """
 
     __slots__ = ("m", "n", "img_a", "img_b", "units", "spec")
@@ -316,46 +320,53 @@ class Homomorphism:
         for img in (img_a, img_b):
             if img.rows != n or img.cols != n:
                 raise DimensionMismatch("generator image has the wrong size")
-        self.m = m
-        self.n = n
-        self.img_a = img_a
-        self.img_b = img_b
+        self.m, self.n, self.img_a, self.img_b = m, n, img_a, img_b
         self.units = matrix_units(img_a, img_b, m)
         self.spec = img_a.spec
 
-    @property
-    def unit_image(self) -> Matrix:
-        out = self.units[0][0]
-        for i in range(1, self.m):
-            out = out + self.units[i][i]
-        return out
+    @classmethod
+    def _from_units(cls, m: int, n: int, spec: FieldSpec, units) -> "Homomorphism":
+        """The map with these units, taken unchecked: they hold by construction.
+        Its generator images are the sums of the E_(i+1,i) and of the E_(i,i+1)."""
+        h = object.__new__(cls)
+        zero = Matrix.zero(spec, n)
+        h.m, h.n, h.spec, h.units = m, n, spec, units
+        h.img_a = sum((units[i + 1][i] for i in range(m - 1)), zero)
+        h.img_b = sum((units[i][i + 1] for i in range(m - 1)), zero)
+        return h
 
     @property
     def unital(self) -> bool:
-        return self.unit_image == Matrix.identity(self.spec, self.n)
+        diagonal = (self.units[i][i] for i in range(1, self.m))
+        return sum(diagonal, self.units[0][0]) == Matrix.identity(self.spec, self.n)
 
     def apply(self, x: Matrix) -> Matrix:
         """Evaluate on an arbitrary element via its matrix-unit coordinates."""
         if x.rows != self.m or x.cols != self.m:
             raise DimensionMismatch(f"element must be {self.m}x{self.m}")
-        out = Matrix.zero(self.spec, self.n)
-        for i in range(self.m):
-            for j in range(self.m):
-                v = x.entries[i * self.m + j]
-                if v:
-                    out = out + self.units[i][j].scale(v)
-        return out
+        m = self.m
+        terms = (self.units[k // m][k % m].scale(v) for k, v in enumerate(x.entries) if v)
+        return sum(terms, Matrix.zero(self.spec, self.n))
 
     @classmethod
     def inclusion(cls, n: int, m: int, spec: FieldSpec) -> "Homomorphism":
-        a, b = kassabov_generators(m, spec)
-        return cls(m, n, iota(n, m, a), iota(n, m, b))
+        """The map x -> x (x) 1_{n/m}, with units scattered by ``iota``."""
+        units = [[Matrix.unit(spec, m, i, j) for j in range(1, m + 1)] for i in range(1, m + 1)]
+        return cls._from_units(m, m, spec, units)._included(n)
+
+    def _included(self, total: int) -> "Homomorphism":
+        """This map followed by iota(total, n): its units scattered, not multiplied."""
+        emb = iota_embedding(total, self.n, self.spec)
+        return Homomorphism._from_units(self.m, total, self.spec,
+                                        [[emb.apply(e) for e in row] for row in self.units])
 
     def conjugate(self, u: Matrix) -> "Homomorphism":
-        """The map x -> u phi(x) u^{-1}."""
+        """The map x -> u phi(x) u^{-1}, with units (u E_i0)(E_0j u^{-1})."""
         uinv = invert(u)
-        return Homomorphism(self.m, self.n, u * self.img_a * uinv,
-                            u * self.img_b * uinv)
+        left = [u * row[0] for row in self.units]
+        right = [e * uinv for e in self.units[0]]
+        return Homomorphism._from_units(self.m, self.n, self.spec,
+                                        [[x * y for y in right] for x in left])
 
     def to_text(self) -> str:
         return (f"HOM {self.m} {self.n}\n" + write_matrix(self.img_a)
@@ -404,12 +415,9 @@ def skolem_noether_conjugator(phi0: Homomorphism, phi1: Homomorphism) -> Matrix:
     m, n = phi0.m, phi0.n
 
     def adapted_basis(phi: Homomorphism) -> Matrix:
-        top = image_basis(phi.units[0][0])
-        cols = []
-        for v in top.basis:
-            for i in range(m):
-                cols.append(phi.units[i][0].apply_to_vector(v))
-        return Matrix.from_columns(phi.spec, cols, n)
+        cols = [phi.units[i][0].apply_to_vector(v)
+                for v in image_basis(phi.units[0][0]).basis for i in range(m)]
+        return Matrix._trusted_columns(phi.spec, cols, n)
 
     u0 = adapted_basis(phi0)
     u1 = adapted_basis(phi1)
@@ -436,9 +444,9 @@ def amalgamate(phi0: Homomorphism, phi1: Homomorphism):
     spec = phi0.spec
 
     def leg(phi: Homomorphism, b: int) -> Homomorphism:
-        straight = Homomorphism.inclusion(b, a, spec)
-        # the unit that straightens phi: the inverse of the one that twists straight onto phi
-        u = skolem_noether_conjugator(phi, straight)
-        return Homomorphism.inclusion(c, b, spec).conjugate(iota(c, b, u))
+        # the unit that straightens phi: the inverse of the one that twists the inclusion onto phi
+        u = skolem_noether_conjugator(phi, Homomorphism.inclusion(b, a, spec))
+        # x -> iota(u x u^-1) is the inclusion conjugated by iota(u), twisted at size b
+        return Homomorphism.inclusion(b, b, spec).conjugate(u)._included(c)
 
     return c, leg(phi0, b0), leg(phi1, b1)

@@ -470,6 +470,11 @@ class Matrix:
             raise DimensionMismatch("column of wrong height")
         return cls(spec, nrows, len(cols), [col[i] for i in range(nrows) for col in cols])
 
+    @classmethod
+    def _trusted_columns(cls, spec: FieldSpec, columns, nrows: int) -> "Matrix":
+        """``from_columns`` for computed columns of canonical encodings, taken unchecked."""
+        return cls._trusted(spec, nrows, len(columns), tuple(chain.from_iterable(zip(*columns))))
+
     # -- access ---------------------------------------------------------
 
     def at(self, i: int, j: int) -> FieldElement:

@@ -227,7 +227,6 @@ def repair(x: Matrix, y: Matrix, n: int):
     v = v_space(x, y, n, w_last)
     d = w_last.dim
     mult = amb // n
-    pad = amb - n * mult
 
     cols = []
     tracker = _SpanTracker(x.spec)
@@ -258,9 +257,7 @@ def repair(x: Matrix, y: Matrix, n: int):
         if len(complement) != complement_needed:
             raise InvariantViolated("complement completion failed")
 
-    extra = complement[:(mult - d) * n]
-    pad_cols = complement[(mult - d) * n:]
-    b_matrix = Matrix.from_columns(x.spec, cols + list(extra) + list(pad_cols), amb)
+    b_matrix = Matrix._trusted_columns(x.spec, cols + complement, amb)
     psi = DeltaEmbedding(n, amb, mult, b_matrix)
 
     gen_a, gen_b = kassabov_generators(n, x.spec)

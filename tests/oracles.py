@@ -9,9 +9,11 @@ re-solved its whole basis on every insertion. Slow on purpose; only for
 small inputs.
 """
 
+import functools
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from types import MappingProxyType
 
 import rankmetric.ramsey as rp
 from rankmetric.embeddings import iota_embedding
@@ -131,15 +133,20 @@ def delta_apply_dense(e, x: Matrix) -> Matrix:
 # the packed span-key walk of rankmetric.matrix.conjugated_span_keys.
 
 
-def product_copy_bases(a: int, b: int, spec: FieldSpec) -> dict:
-    """Fingerprint -> first-seen conjugated basis of every copy of M_a in M_b."""
+@functools.cache
+def product_copy_bases(a: int, b: int, spec: FieldSpec) -> MappingProxyType:
+    """Fingerprint -> first-seen conjugated basis of every copy of M_a in M_b.
+
+    The walk runs once per (a, b, field); every caller shares the result,
+    so it is read-only: a mapping proxy of tuples.
+    """
     base = rp.base_copy_basis(a, b, spec)
     out = {}
     for g in rp.iterate_units(b, spec):
         gi = invert(g)
-        mats = [g * m * gi for m in base]
+        mats = tuple(g * m * gi for m in base)
         out.setdefault(span_fingerprint(mats, spec, b), mats)
-    return out
+    return MappingProxyType(out)
 
 
 def product_count_copies(a: int, b: int, spec: FieldSpec, method: str) -> int:

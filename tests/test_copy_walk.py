@@ -8,7 +8,6 @@ order, with the same first-seen bases, counts and search reports.
 """
 
 import ast
-import functools
 import pathlib
 import random
 from fractions import Fraction
@@ -45,7 +44,6 @@ CASES = ([(2, a, b) for a, b in [(1, 2), (2, 2), (1, 3), (3, 3), (1, 4), (2, 4),
          + [(4, a, b) for a, b in [(1, 2), (2, 2)]])
 
 
-@functools.cache
 def _oracle_bases(q, a, b):
     return product_copy_bases(a, b, field_for_order(q))
 

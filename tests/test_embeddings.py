@@ -8,6 +8,9 @@ from rankmetric.errors import (
     FormatError,
     NotDivisor,
     NotUnital,
+    RelationsNotSatisfied,
+    Singular,
+    SpecMismatch,
 )
 from rankmetric.matrix import (
     Matrix,
@@ -17,7 +20,9 @@ from rankmetric.matrix import (
     rank_distance,
     random_matrix,
     random_unit,
+    write_matrix,
 )
+from rankmetric import embeddings
 from rankmetric.gf import field_for_order
 from rankmetric.embeddings import (
     DeltaEmbedding,
@@ -206,6 +211,98 @@ def test_homomorphism_text_roundtrip(gf2, rng):
 def test_homomorphism_rejects_garbage(gf2):
     with pytest.raises(FormatError):
         Homomorphism.from_text("HOM 2\n")
+
+
+# -- derived maps against the validating constructor --------------------------
+# inclusion, conjugate and the amalgamate legs build their units unchecked;
+# Homomorphism(m, n, img_a, img_b) rebuilds them with every identity checked.
+
+
+def _same_as_validated(h, rng):
+    v = Homomorphism(h.m, h.n, h.img_a, h.img_b)
+    assert v.units == h.units
+    assert (v.img_a, v.img_b, v.unital) == (h.img_a, h.img_b, h.unital)
+    assert v == h and hash(v) == hash(h)
+    for _ in range(3):
+        x = random_matrix(h.spec, h.m, h.m, rng)
+        assert v.apply(x) == h.apply(x)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("n, m", [(4, 2), (6, 3), (8, 4), (5, 1), (3, 3)])
+def test_inclusion_and_conjugates_match_validating_constructor(q, n, m):
+    spec = field_for_order(q)
+    rng = random.Random(f"derived/{q}/{n}/{m}")
+    inc = Homomorphism.inclusion(n, m, spec)
+    once = inc.conjugate(random_unit(spec, n, rng))
+    twice = once.conjugate(random_unit(spec, n, rng))
+    for h in (inc, once, twice):
+        _same_as_validated(h, rng)
+    assert inc.unital and twice.unital
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("a, b0, b1", [(2, 4, 6), (1, 3, 2), (3, 3, 6)])
+def test_amalgamate_legs_match_validating_constructor(q, a, b0, b1):
+    spec = field_for_order(q)
+    rng = random.Random(f"legs/{q}/{a}/{b0}/{b1}")
+    phis = [Homomorphism.inclusion(b, a, spec).conjugate(random_unit(spec, b, rng))
+            for b in (b0, b1)]
+    c, psi0, psi1 = amalgamate(*phis)
+    for psi in (psi0, psi1):
+        _same_as_validated(psi, rng)
+    x = random_matrix(spec, a, a, rng)
+    assert psi0.apply(phis[0].apply(x)) == psi1.apply(phis[1].apply(x))
+
+
+def test_derived_maps_build_no_unit_check(gf3, rng, monkeypatch):
+    phis = [Homomorphism.inclusion(b, 2, gf3).conjugate(random_unit(gf3, b, rng))
+            for b in (4, 6)]
+
+    def refuse(*args):
+        raise AssertionError("matrix_units called")
+
+    monkeypatch.setattr(embeddings, "matrix_units", refuse)
+    amalgamate(*phis)
+    Homomorphism.inclusion(8, 4, gf3).conjugate(random_unit(gf3, 8, rng))
+    with pytest.raises(AssertionError, match="matrix_units called"):
+        Homomorphism(2, 4, phis[0].img_a, phis[0].img_b)
+
+
+def test_conjugate_rejects_singular_unit(gf3, rng):
+    inc = Homomorphism.inclusion(4, 2, gf3)
+    rank_one = random_matrix(gf3, 4, 4, rng) * Matrix.unit(gf3, 4, 2, 3)
+    for u in (Matrix.zero(gf3, 4), Matrix.unit(gf3, 4, 1, 1), rank_one):
+        with pytest.raises(Singular):
+            inc.conjugate(u)
+
+
+def test_conjugate_rejects_wrong_sized_unit(gf3, rng):
+    inc = Homomorphism.inclusion(4, 2, gf3)
+    for u in (random_unit(gf3, 6, rng), random_unit(gf3, 2, rng),
+              random_matrix(gf3, 4, 3, rng)):
+        with pytest.raises(DimensionMismatch):
+            inc.conjugate(u)
+    with pytest.raises(SpecMismatch):
+        inc.conjugate(random_unit(field_for_order(5), 4, rng))
+
+
+@pytest.mark.parametrize("n, m", [(5, 2), (4, 3), (2, 4), (4, 0)])
+def test_inclusion_rejects_non_divisor(gf2, n, m):
+    with pytest.raises(NotDivisor):
+        Homomorphism.inclusion(n, m, gf2)
+
+
+def test_validating_constructor_rejects_bad_images(gf3, rng):
+    h = Homomorphism.inclusion(4, 2, gf3).conjugate(random_unit(gf3, 4, rng))
+    bad = [(Matrix.identity(gf3, 4), h.img_b),  # not nilpotent
+           (h.img_a, h.img_a),                 # ba + ab = 2a^2 = 0, not 1
+           (h.img_a.scale(2), h.img_b)]        # ba + ab = 2, not 1
+    for img_a, img_b in bad:
+        with pytest.raises(RelationsNotSatisfied):
+            Homomorphism(2, 4, img_a, img_b)
+        with pytest.raises(RelationsNotSatisfied):
+            Homomorphism.from_text("HOM 2 4\n" + write_matrix(img_a) + write_matrix(img_b))
 
 
 # -- skolem-noether -----------------------------------------------------------
