@@ -24,8 +24,9 @@ their span, so subspace equality is a plain tuple comparison.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
-from functools import cache, total_ordering
+from functools import cache, reduce, total_ordering
 from itertools import chain
 from operator import xor
 
@@ -927,23 +928,31 @@ def rank_table(spec: FieldSpec, n: int):
     return _b_rank_table(n) if _use_packed(spec) and n * n <= 20 else None
 
 
+def _rank_bytes(spec: FieldSpec, n: int) -> bytearray:
+    """A byte per n x n code: its rank by ``rank_table``, else n until ``_code_walk`` ranks it."""
+    return bytearray(rank_table(spec, n) or bytes([n]) * spec.q ** (n * n))
+
+
+def _code_walk(spec: FieldSpec, n: int, todo: bytearray):
+    """(code, unit) per code whose byte in ``todo`` is n when reached, in encoding order (its
+    base-q digits, least significant first, are the row-major entries); a code that
+    ``rank_table`` did not rank is ranked here, and cleared if singular."""
+    q, ranked = spec.q, rank_table(spec, n) is not None
+    mask, shifts, powers = (1 << n) - 1, range(0, n * n, n), [q ** k for k in range(n * n)]
+    pos = todo.find(n)
+    while pos >= 0:
+        if ranked:  # GF(2): the rows are read off the code
+            yield pos, Matrix._trusted(spec, n, n, packed=tuple(pos >> s & mask for s in shifts))
+        elif rank(m := Matrix._trusted(spec, n, n, tuple([pos // p % q for p in powers]))) == n:
+            yield pos, m
+        else:
+            todo[pos] = 0
+        pos = todo.find(n, pos + 1)
+
+
 def code_units(spec: FieldSpec, n: int):
-    """Every invertible n x n matrix in integer-encoding order: the base-q digits of
-    the code, least significant first, are the row-major entries. Unguarded."""
-    total = spec.q ** (n * n)
-    table = rank_table(spec, n)
-    if table is not None:  # GF(2): the rows are read off the code
-        mask = (1 << n) - 1
-        shifts = range(0, n * n, n)
-        for code in range(total):
-            if table[code] == n:
-                yield Matrix._trusted(spec, n, n, packed=tuple(code >> s & mask for s in shifts))
-        return
-    powers = [spec.q ** k for k in range(n * n)]
-    for code in range(total):
-        m = Matrix._trusted(spec, n, n, tuple([code // p % spec.q for p in powers]))
-        if rank(m) == n:
-            yield m
+    """Every invertible n x n matrix in integer-encoding order (``_code_walk``). Unguarded."""
+    return (m for _, m in _code_walk(spec, n, _rank_bytes(spec, n)))
 
 
 def span_codes(fp, ambient: int) -> list[int]:
@@ -990,43 +999,47 @@ def conjugated_span_keys(units, s: int):
             yield g, span_fingerprint([g * m * gi for m in base], g.spec, b)
 
 
-def _stabilizer(spec: FieldSpec, b: int, s: int):
-    """Distinct units of GL_a (x) GL_s, a = b / s; if a or s is 1, GL_b (one coset) in one pass."""
-    if s in (1, b):
-        return code_units(spec, b)
-    pairs = (kron(v, w) for v in code_units(spec, b // s) for w in code_units(spec, s))
-    return list({h._key(): h for h in pairs}.values())  # kron(cv, w / c) = kron(v, w)
+def coset_span_keys(hs, spec: FieldSpec, b: int, s: int, order: int):
+    """(g, key, |H|) for the first unit g of each coset g H in GL_b, in encoding order; H =
+    GL_a (x) GL_s (a = b / s) comes as its units ``hs`` (``ramsey`` draws them from
+    ``iterate_units``). All of g H share the key (``conjugated_span_keys``), as
+    (v (x) w)(E_ij (x) I_s)(v (x) w)^-1 = v E_ij v^-1 (x) I_s.
 
-
-def coset_span_keys(units, s: int):
-    """(g, key, n) for the first unit g of each coset g H, H = GL_a (x) GL_s (a = b / s), in
-    ``units`` (whole cosets of b x b units); ``conjugated_span_keys`` gives the key, which all
-    of g H shares: (v (x) w)(E_ij (x) I_s)(v (x) w)^-1 = v E_ij v^-1 (x) I_s. The codes of its n
-    units g h are marked in a q^(b^2)-byte array and marked units skipped; ``InvariantViolated``
-    when two cosets meet or the marked units are not those walked."""
-    sizes = []
+    The walk runs on codes (``_code_walk``), builds a Matrix only for each g and clears the
+    codes of g H: over GF(2) from packed rows, H read once; otherwise from products, H read
+    per coset (a one-pass GL_b serves, being one coset). ``InvariantViolated`` if a code is
+    already clear (cosets meet or, over GF(2), a product is singular) or the marked units
+    miss or pass ``order`` = |GL_b|; at ``order`` the walk stops, every code left singular.
+    """
+    sizes, table = [], rank_table(spec, b)
+    todo, powers = _rank_bytes(spec, b), [spec.q ** k for k in range(b * b)]
+    if table is not None:  # row j of the k-th unit of H in 16-bit slot k of slots[j]
+        rows = [h._packed() for h in hs]
+        fmt, spread = f"<{len(rows)}H", sum(1 << b * i for i in range(b))  # b^2 <= 16
+        slots = [int.from_bytes(struct.pack(fmt, *col), "little") for col in zip(*rows)]
 
     def firsts():
-        marks, walked = None, 0
-        for walked, g in enumerate(units, 1):
-            if marks is None:
-                spec, b, q = g.spec, g.rows, g.spec.q
-                packed = _use_packed(spec)  # codes: rows as base-2^b digits, else entries
-                weights = [(1 << b if packed else q) ** i for i in range(b if packed else b * b)]
-                hs, marks = _stabilizer(spec, b, s), bytearray(q ** (b * b))
-            x = g._packed() if packed else g._e
-            if marks[sum(map(int.__mul__, x, weights))]:
-                continue
+        marked = 0
+        for pos, g in _code_walk(spec, b, todo):
+            if table is not None:
+                # code(g h) = XOR_j (column j of g at stride b) * (row j of h): the shifted
+                # copies of a row never overlap, so slot k holds the code of g h_k
+                both = reduce(xor, [(pos >> j & spread) * c for j, c in enumerate(slots)], 0)
+                codes = struct.unpack(fmt, both.to_bytes(2 * len(rows), "little"))
+            else:
+                codes = (sum(map(int.__mul__, (g * h)._e, powers)) for h in hs)
             n = 0
-            for n, h in enumerate(hs, 1):
-                c = sum(map(int.__mul__, _b_mul(x, h._packed()) if packed else (g * h)._e, weights))
-                if marks[c]:
+            for n, c in enumerate(codes, 1):
+                if todo[c] != b:
                     raise InvariantViolated(f"unit code {c} lies in two cosets")
-                marks[c] = 1
+                todo[c] = 0
+            marked += n
             sizes.append(n)
             yield g
-        if walked and marks.count(1) != walked:
-            raise InvariantViolated(f"{walked} units walked, {marks.count(1)} marked")
+            if marked >= order:
+                break
+        if marked != order:
+            raise InvariantViolated(f"{marked} units marked, |GL_{b}({spec.q})| = {order}")
 
     for g, key in conjugated_span_keys(firsts(), s):
         yield g, key, sizes.pop(0)

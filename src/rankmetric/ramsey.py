@@ -2,9 +2,10 @@
 
 Embedded copies of a small matrix algebra inside a larger one are
 fingerprinted by the canonical echelon basis of their linear span, so a
-copy is a hashable value and censuses are exact. A census walks the unit
-group once but keys only the first unit of each coset of the standard
-copy's stabilizer GL_a (x) GL_(b/a), all of whose units give one copy
+copy is a hashable value and censuses are exact. A census walks GL_b on
+unit codes by cosets of the standard copy's stabilizer H = GL_a (x)
+GL_(b/a), drawn from ``iterate_units`` (GL_b itself if a is 1 or b), keys
+one unit per coset and checks that the cosets tile GL_b
 (``coset_span_keys``). Counting runs two ways, distinct keys and the
 orbit-stabilizer quotient, which must agree. The bound 64 eps^-2
 max(log 2k, log 6 ceil(1/eps)) uses certified rational log enclosures, so
@@ -31,6 +32,7 @@ from .matrix import (
     copy_fingerprint,
     coset_span_keys,
     invert,
+    kron,
     random_unit,
     rank,
     rank_table,
@@ -91,6 +93,15 @@ def iterate_units(n: int, spec: FieldSpec):
     yield from code_units(spec, n)
 
 
+def _coset_walk(b: int, s: int, spec: FieldSpec):
+    """``coset_span_keys`` over GL_b (guarded) by H = GL_(b/s) (x) GL_s from ``iterate_units``
+    (kron(cv, w / c) = kron(v, w) kept once), or H = GL_b in one pass if b/s or s is 1."""
+    _check_enumeration(b, spec.q)
+    pairs = (kron(v, w) for v in iterate_units(b // s, spec) for w in iterate_units(s, spec))
+    hs = iterate_units(b, spec) if s in (1, b) else list(dict.fromkeys(pairs))
+    return coset_span_keys(hs, spec, b, s, gl_order(b, spec.q))
+
+
 class CopySet:
     """The embedded copies of M_a inside M_c, as distinct fingerprints."""
 
@@ -120,7 +131,7 @@ def _copy_bases(a: int, b: int, spec: FieldSpec) -> dict:
     """
     base = base_copy_basis(a, b, spec)
     bases = {}
-    for g, key, _ in coset_span_keys(iterate_units(b, spec), b // a):
+    for g, key, _ in _coset_walk(b, b // a, spec):
         if key not in bases:
             gi = invert(g)
             bases[key] = [g * m * gi for m in base]
@@ -138,28 +149,25 @@ def count_copies(a: int, b: int, q_or_spec, method: str = "brute_force") -> int:
     Both walk the units once by cosets of H = GL_a (x) GL_(b/a) (``coset_span_keys``).
     ``brute_force`` counts distinct keys; ``orbit_stabilizer`` divides sl_order(b, q)
     by the stabilizer of the standard copy modulo scalars, |H| times the cosets keyed
-    like it, and checks orbit times stabilizer against the units walked. ``TooLarge`` guards both.
+    like it, and checks orbit times stabilizer against |GL_b|. ``TooLarge`` guards both.
     """
     spec = q_or_spec if isinstance(q_or_spec, FieldSpec) else field_for_order(q_or_spec)
     _check_enumeration(b, spec.q)  # before base_copy_basis builds b x b matrices
     if method not in ("brute_force", "orbit_stabilizer"):
         raise InvalidParameter(f"unknown method {method!r}")
     base_copy_basis(a, b, spec)  # a must divide b
-    walk = coset_span_keys(iterate_units(b, spec), b // a)
+    walk = _coset_walk(b, b // a, spec)
     if method == "brute_force":
         return len({key for _, key, _ in walk})
     base_key = next(conjugated_span_keys([Matrix.identity(spec, b)], b // a))[1]
-    stab = total_units = 0
-    for _, key, size in walk:
-        total_units += size
-        stab += size * (key == base_key)
-    q, aut = spec.q, sl_order(b, spec.q)
+    stab = sum(size for _, key, size in walk if key == base_key)
+    q, aut, units = spec.q, sl_order(b, spec.q), gl_order(b, spec.q)
     # the q - 1 scalar units lie in the stabilizer, the stabilizer modulo
     # them divides |SL|, and orbit times stabilizer is the unit group
     k, rest = divmod(aut, stab // (q - 1) or 1)
-    if not stab or stab % (q - 1) or rest or k * stab != total_units:
+    if not stab or stab % (q - 1) or rest or k * stab != units:
         raise InvariantViolated(f"orbit-stabilizer fails: stabilizer {stab}, "
-                                f"|SL| {aut}, units {total_units}")
+                                f"|SL| {aut}, units {units}")
     return k
 
 
@@ -503,7 +511,7 @@ def monochromatic_search(b_dim: int, c_dim: int, gamma: Coloring, eps,
 
     s = c_dim // b_dim
     if strategy == "exhaustive":
-        keyed, label = coset_span_keys(iterate_units(c_dim, spec), s), "exhaustive"
+        keyed, label = _coset_walk(c_dim, s, spec), "exhaustive"
     elif strategy == "random":
         if trials < 1:
             raise InvalidParameter(f"trials must be at least 1, got {trials}")

@@ -134,32 +134,38 @@ def delta_apply_dense(e, x: Matrix) -> Matrix:
 
 
 @functools.cache
+def _product_walk(a: int, b: int, spec: FieldSpec) -> tuple:
+    """One walk of GL_b by products, kept read-only: fingerprint -> (first unit g, its
+    conjugated basis) in first-seen order, the units fixing the standard copy, all units."""
+    base = rp.base_copy_basis(a, b, spec)
+    base_fp = span_fingerprint(base, spec, b)
+    firsts = {}
+    stab = total = 0
+    for g in rp.iterate_units(b, spec):
+        total += 1
+        gi = invert(g)
+        mats = tuple(g * m * gi for m in base)
+        fp = span_fingerprint(mats, spec, b)
+        firsts.setdefault(fp, (g, mats))
+        stab += fp == base_fp
+    return MappingProxyType(firsts), stab, total
+
+
+@functools.cache
 def product_copy_bases(a: int, b: int, spec: FieldSpec) -> MappingProxyType:
     """Fingerprint -> first-seen conjugated basis of every copy of M_a in M_b.
 
     The walk runs once per (a, b, field); every caller shares the result,
     so it is read-only: a mapping proxy of tuples.
     """
-    base = rp.base_copy_basis(a, b, spec)
-    out = {}
-    for g in rp.iterate_units(b, spec):
-        gi = invert(g)
-        mats = tuple(g * m * gi for m in base)
-        out.setdefault(span_fingerprint(mats, spec, b), mats)
-    return MappingProxyType(out)
+    return MappingProxyType({fp: mats for fp, (_, mats) in _product_walk(a, b, spec)[0].items()})
 
 
 def product_count_copies(a: int, b: int, spec: FieldSpec, method: str) -> int:
     """Copies of M_a in M_b by the census or by the orbit-stabilizer quotient."""
     if method == "brute_force":
         return len(product_copy_bases(a, b, spec))
-    base = rp.base_copy_basis(a, b, spec)
-    base_fp = span_fingerprint(base, spec, b)
-    stab = total = 0
-    for g in rp.iterate_units(b, spec):
-        total += 1
-        gi = invert(g)
-        stab += span_fingerprint([g * m * gi for m in base], spec, b) == base_fp
+    _, stab, total = _product_walk(a, b, spec)
     k = rp.sl_order(b, spec.q) // (stab // (spec.q - 1))
     if k * stab != total:
         raise AssertionError(f"orbit-stabilizer fails: stabilizer {stab}, units {total}")
@@ -180,7 +186,9 @@ def product_search(b_dim: int, c_dim: int, gamma, eps, strategy="exhaustive",
     lifted_a_copies = [[kron(m, eye) for m in basis]
                        for basis in product_copy_bases(gamma.a_dim, b_dim, spec).values()]
     if strategy == "exhaustive":
-        units, label = rp.iterate_units(c_dim, spec), "exhaustive"
+        # a unit whose B-copy an earlier unit reached is skipped below: walk only first units
+        units = (g for g, _ in _product_walk(b_dim, c_dim, spec)[0].values())
+        label = "exhaustive"
     else:
         rng = random.Random(seed)
         units = (random_unit(spec, c_dim, rng) for _ in range(trials))

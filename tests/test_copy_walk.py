@@ -86,30 +86,65 @@ def test_coset_walk_keys_one_unit_per_copy(monkeypatch):
     assert rp.count_copies(2, 4, spec, "brute_force") == 560 and len(keyed) == 560
 
 
+def _walk_args(q, b, s):
+    """The arguments ramsey's walk passes to coset_span_keys: (H as a list, spec, b, s, order)."""
+    calls = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rp, "coset_span_keys", lambda hs, *rest: calls.append((list(hs), *rest)) or [])
+        list(rp._coset_walk(b, s, field_for_order(q)))
+    return calls[0]
+
+
 @pytest.mark.parametrize("q, b, s", [(2, 4, 2), (2, 2, 1), (2, 3, 3), (3, 2, 2), (4, 2, 1)])
-def test_coset_walk_partition_check(q, b, s):
+def test_coset_walk_partition_check(q, b, s, monkeypatch):
     spec = field_for_order(q)
     units = list(rp.iterate_units(b, spec))
     firsts = {}
     for g, key in conjugated_span_keys(units, s):
         firsts.setdefault(key, g)
-    whole = list(coset_span_keys(iter(units), s))
+    whole = list(rp._coset_walk(b, s, spec))
     assert [(g, key) for g, key, _ in whole] == [(g, key) for key, g in firsts.items()]
     assert {size * len(whole) for _, _, size in whole} == {len(units)}
-    for stream in (units + [units[-1]], units[:-1], [units[0]] * 2):
-        with pytest.raises(InvariantViolated, match="walked"):
-            list(coset_span_keys(iter(stream), s))
+    hs, _, _, _, order = _walk_args(q, b, s)
+    assert order == len(units) and len(hs) == len(units) // len(whole)
+    # H one unit short, H without the identity, |GL_b| off by one either way
+    for tampered, total in [(hs[:-1], order), ([h for h in hs if h != Matrix.identity(spec, b)],
+                                               order), (hs, order + 1), (hs, order - 1)]:
+        with pytest.raises(InvariantViolated):
+            list(coset_span_keys(tampered, spec, b, s, total))
+    table = rank_table(spec, b)
+    if table is not None:
+        # one unit code read as singular, and the zero code read as a unit
+        unit = next(code for code in range(len(table)) if table[code] == b)
+        for code, r in [(unit, b - 1), (0, b)]:
+            monkeypatch.setattr(mx, "rank_table", lambda *_, c=code, r=r: (
+                table[:c] + (r,) + table[c + 1:]))
+            with pytest.raises(InvariantViolated, match="two cosets"):
+                list(coset_span_keys(hs, spec, b, s, order))
 
 
-def test_coset_walk_rejects_overlapping_cosets(monkeypatch):
+def test_coset_walk_rejects_overlapping_cosets():
     # one unit outside GL_2 (x) GL_2 makes the "cosets" overlap
     spec = field_make(2)
-    real = mx._stabilizer
-    group = real(spec, 4, 2)
-    extra = next(g for g in rp.iterate_units(4, spec) if g not in group)
-    monkeypatch.setattr(mx, "_stabilizer", lambda *args: real(*args) + [extra])
+    hs, *rest = _walk_args(2, 4, 2)
+    extra = next(g for g in rp.iterate_units(4, spec) if g not in hs)
     with pytest.raises(InvariantViolated, match="two cosets"):
-        list(coset_span_keys(rp.iterate_units(4, spec), 2))
+        list(coset_span_keys(hs + [extra], *rest))
+
+
+def test_coset_walk_builds_a_matrix_per_coset(monkeypatch):
+    # over GF(2) only each coset's first unit becomes a Matrix: 560 of 20,160 for (2, 4)
+    hs, *rest = _walk_args(2, 4, 2)
+    built = []
+    real = Matrix._trusted.__func__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Matrix, "_trusted", classmethod(counting))
+    assert len(list(coset_span_keys(hs, *rest))) == 560
+    assert len(built) <= 560 + len(hs)
 
 
 def _recording(monkeypatch, stop_at):
@@ -287,16 +322,16 @@ def test_coloring_measures_the_same_pairs_in_order(kind, monkeypatch):
 def test_equal_a_and_b_walks_only_gl_c(b, c, monkeypatch):
     rp._copy_bases.cache_clear()
     walks = []
-    real = rp.iterate_units
+    real = rp.coset_span_keys
 
-    def counting(n, spec):
-        walks.append(n)
-        return real(n, spec)
+    def recording(hs, spec, n, s, order):
+        walks.append((n, s))
+        return real(hs, spec, n, s, order)
 
-    monkeypatch.setattr(rp, "iterate_units", counting)
+    monkeypatch.setattr(rp, "coset_span_keys", recording)
     spec = field_make(2)
     report = rp.monochromatic_search(b, c, rp.constant_coloring(Fraction(1, 2), b, c, spec), -1)
-    assert walks == [c] and not report.found
+    assert walks == [(c, c // b)] and not report.found
 
 
 def test_only_matrix_imports_underscore_names_from_matrix():
