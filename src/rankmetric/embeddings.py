@@ -1,30 +1,27 @@
 """Embedding calculus for matrix algebras under the rank metric.
 
-Two representations are used side by side:
+One representation, with a validating front:
 
 * ``DeltaEmbedding`` stores a (possibly non-unital) block homomorphism
-  x -> y (x^{+k} (+) 0) y^{-1} by its multiplicity and conjugator (a
+  x -> B (x^{+k} (+) 0) B^{-1} by its multiplicity and conjugator (a
   permutation conjugator as its images, applied without products). Its
   delta value (n - m*k)/n measures how much of the target it misses;
   delta = 0 means a unital embedding.
-* ``Homomorphism`` stores a map by the images of the shift generator
-  pair and by its matrix units. The public constructor and ``from_text``
-  validate: they build the units and check the n^2 corner identities
-  that imply every unit product identity. ``inclusion``, ``conjugate``
-  and the ``amalgamate`` legs skip that check, as their units hold by
-  construction: they are iota(E_ij), or u E_ij u^-1 with u invertible
-  (``invert`` proves it), and the ring homomorphisms iota and
-  x -> u x u^-1 carry a unit system to a unit system.
+* ``Homomorphism`` is a map given by shift generator images, held as the
+  ``DeltaEmbedding`` that Skolem-Noether says it is. The public constructor
+  and ``from_text`` build the matrix units, check the n^2 corner
+  identities that imply every unit product identity, and read the
+  conjugator off the units; ``inclusion``, ``conjugate`` and the
+  ``amalgamate`` legs are block embeddings by construction.
 
 Only this module knows how a conjugator is stored: the tower code asks it
 for ``back_embedding`` and ``intertwining_unit``. The inclusion ``iota``
 is ``iota_embedding`` applied, a permutation scatter.
 
-``skolem_noether_conjugator`` produces an explicit intertwining unit for
-any two unital homomorphisms with the same source and target by aligning
-the module decompositions cut out by the matrix-unit images, and
-``amalgamate`` uses it to complete any two embeddings of a common
-subalgebra into an exactly commuting square.
+``skolem_noether_conjugator`` is the intertwining unit of two unital
+homomorphisms with the same source and target, and ``amalgamate`` uses
+it to complete any two embeddings of a common subalgebra into an exactly
+commuting square.
 """
 
 from __future__ import annotations
@@ -49,6 +46,7 @@ from .matrix import (
     image_basis,
     invert,
     kassabov_generators,
+    kernel_basis,
     matrix_units,
     read_matrices,
     write_matrix,
@@ -121,10 +119,16 @@ def _merge_permutation(outer: int, block: int, copies: int, inner: int,
     return tuple(used + [j for j in range(total) if j not in taken])
 
 
-def _header_ints(parts) -> tuple[int, ...]:
-    """The integers after the keyword of a DELTA or HOM header line."""
+def _read_header(text: str, keyword: str, fields: int):
+    """The integers of a DELTA or HOM header line, and the text after it."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith(keyword):
+        raise FormatError(f"expected a {keyword} header")
+    parts = lines[0].split()
+    if len(parts) != fields + 1:
+        raise FormatError(f"bad {keyword} header: {lines[0]!r}")
     try:
-        return tuple(int(t) for t in parts[1:])
+        return tuple(int(t) for t in parts[1:]), "\n".join(lines[1:])
     except ValueError:
         raise FormatError(f"non-integer header field in {' '.join(parts)!r}") from None
 
@@ -206,15 +210,8 @@ class DeltaEmbedding:
 
     @classmethod
     def from_text(cls, text: str) -> "DeltaEmbedding":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("DELTA"):
-            raise FormatError("expected a DELTA header")
-        parts = lines[0].split()
-        if len(parts) != 4:
-            raise FormatError(f"bad DELTA header: {lines[0]!r}")
-        m, n, mult = _header_ints(parts)
-        conj = read_matrices("\n".join(lines[1:]), 1)[0]
-        return cls(m, n, mult, conj)
+        (m, n, mult), body = _read_header(text, "DELTA", 3)
+        return cls(m, n, mult, read_matrices(body, 1)[0])
 
     def __repr__(self):
         return (f"DeltaEmbedding(M_{self.m} -> M_{self.n}, mult {self.mult}, "
@@ -303,16 +300,18 @@ def joint_embed(a_dim: int, b_dim: int, spec: FieldSpec):
 
 
 class Homomorphism:
-    """A homomorphism M_m -> M_n stored by its generator images and its
-    matrix units, ``units[i][j]`` the image of the standard unit E_ij.
+    """A homomorphism M_m -> M_n, held as the block embedding
+    x -> B (x^{+k} (+) 0) B^{-1} that Skolem-Noether says it is.
 
-    The public constructor validates the units, so its instances *are*
-    certificates that the map extends to a ring homomorphism; the derived
-    maps carry units that hold by construction (see the module docstring).
-    The map is unital when the diagonal units sum to the identity.
+    The public constructor and ``from_text`` validate the generator images
+    (so their instances *are* certificates that the map extends to a ring
+    homomorphism) and read B off the units: the canonical basis of the E_11
+    image carried by each E_i1, then a basis of the kernel of the image of 1.
+    Images, units (``units[i][j]`` the image of E_ij) and values are read
+    through the embedding.
     """
 
-    __slots__ = ("m", "n", "img_a", "img_b", "units", "spec")
+    __slots__ = ("m", "n", "spec", "embedding")
 
     def __init__(self, m: int, n: int, img_a: Matrix, img_b: Matrix):
         if img_a.spec != img_b.spec:
@@ -320,53 +319,52 @@ class Homomorphism:
         for img in (img_a, img_b):
             if img.rows != n or img.cols != n:
                 raise DimensionMismatch("generator image has the wrong size")
-        self.m, self.n, self.img_a, self.img_b = m, n, img_a, img_b
-        self.units = matrix_units(img_a, img_b, m)
-        self.spec = img_a.spec
+        units = matrix_units(img_a, img_b, m)
+        cols = [units[i][0].apply_to_vector(v)
+                for v in image_basis(units[0][0]).basis for i in range(m)]
+        mult = len(cols) // m
+        one = sum((units[i][i] for i in range(1, m)), units[0][0])
+        cols += kernel_basis(one).basis
+        self.m, self.n, self.spec = m, n, img_a.spec
+        self.embedding = DeltaEmbedding(m, n, mult, Matrix._trusted_columns(self.spec, cols, n))
 
     @classmethod
-    def _from_units(cls, m: int, n: int, spec: FieldSpec, units) -> "Homomorphism":
-        """The map with these units, taken unchecked: they hold by construction.
-        Its generator images are the sums of the E_(i+1,i) and of the E_(i,i+1)."""
+    def _of(cls, e: DeltaEmbedding) -> "Homomorphism":
+        """The map that is this block embedding, taken unchecked."""
         h = object.__new__(cls)
-        zero = Matrix.zero(spec, n)
-        h.m, h.n, h.spec, h.units = m, n, spec, units
-        h.img_a = sum((units[i + 1][i] for i in range(m - 1)), zero)
-        h.img_b = sum((units[i][i + 1] for i in range(m - 1)), zero)
+        h.m, h.n, h.spec, h.embedding = e.m, e.n, e.spec, e
         return h
 
     @property
+    def img_a(self) -> Matrix:
+        return self.embedding.apply(kassabov_generators(self.m, self.spec)[0])
+
+    @property
+    def img_b(self) -> Matrix:
+        return self.embedding.apply(kassabov_generators(self.m, self.spec)[1])
+
+    @property
+    def units(self) -> list[list[Matrix]]:
+        m = self.m
+        return [[self.embedding.apply(Matrix.unit(self.spec, m, i, j)) for j in range(1, m + 1)]
+                for i in range(1, m + 1)]
+
+    @property
     def unital(self) -> bool:
-        diagonal = (self.units[i][i] for i in range(1, self.m))
-        return sum(diagonal, self.units[0][0]) == Matrix.identity(self.spec, self.n)
+        return self.embedding.unital
 
     def apply(self, x: Matrix) -> Matrix:
-        """Evaluate on an arbitrary element via its matrix-unit coordinates."""
-        if x.rows != self.m or x.cols != self.m:
-            raise DimensionMismatch(f"element must be {self.m}x{self.m}")
-        m = self.m
-        terms = (self.units[k // m][k % m].scale(v) for k, v in enumerate(x.entries) if v)
-        return sum(terms, Matrix.zero(self.spec, self.n))
+        return self.embedding.apply(x)
 
     @classmethod
     def inclusion(cls, n: int, m: int, spec: FieldSpec) -> "Homomorphism":
-        """The map x -> x (x) 1_{n/m}, with units scattered by ``iota``."""
-        units = [[Matrix.unit(spec, m, i, j) for j in range(1, m + 1)] for i in range(1, m + 1)]
-        return cls._from_units(m, m, spec, units)._included(n)
-
-    def _included(self, total: int) -> "Homomorphism":
-        """This map followed by iota(total, n): its units scattered, not multiplied."""
-        emb = iota_embedding(total, self.n, self.spec)
-        return Homomorphism._from_units(self.m, total, self.spec,
-                                        [[emb.apply(e) for e in row] for row in self.units])
+        """The map x -> x (x) 1_{n/m}."""
+        return cls._of(iota_embedding(n, m, spec))
 
     def conjugate(self, u: Matrix) -> "Homomorphism":
-        """The map x -> u phi(x) u^{-1}, with units (u E_i0)(E_0j u^{-1})."""
-        uinv = invert(u)
-        left = [u * row[0] for row in self.units]
-        right = [e * uinv for e in self.units[0]]
-        return Homomorphism._from_units(self.m, self.n, self.spec,
-                                        [[x * y for y in right] for x in left])
+        """The map x -> u phi(x) u^{-1}: the same blocks, conjugator u B."""
+        e = self.embedding
+        return Homomorphism._of(DeltaEmbedding(self.m, self.n, e.mult, u * e.conjugator))
 
     def to_text(self) -> str:
         return (f"HOM {self.m} {self.n}\n" + write_matrix(self.img_a)
@@ -374,15 +372,8 @@ class Homomorphism:
 
     @classmethod
     def from_text(cls, text: str) -> "Homomorphism":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("HOM"):
-            raise FormatError("expected a HOM header")
-        parts = lines[0].split()
-        if len(parts) != 3:
-            raise FormatError(f"bad HOM header: {lines[0]!r}")
-        m, n = _header_ints(parts)
-        img_a, img_b = read_matrices("\n".join(lines[1:]), 2)
-        return cls(m, n, img_a, img_b)
+        (m, n), body = _read_header(text, "HOM", 2)
+        return cls(m, n, *read_matrices(body, 2))
 
     def __eq__(self, other):
         return (isinstance(other, Homomorphism) and self.m == other.m
@@ -400,11 +391,8 @@ class Homomorphism:
 def skolem_noether_conjugator(phi0: Homomorphism, phi1: Homomorphism) -> Matrix:
     """An explicit unit u with u phi0(x) u^{-1} = phi1(x) for all x.
 
-    Both maps must be unital with the same source and target. The target
-    column space splits into n/m copies of the standard column module
-    under either map; picking the canonical basis of the E_11 image and
-    transporting it through the E_i1 images yields a full basis adapted
-    to each map, and u is the change of basis between the two.
+    Both maps must be unital with the same source and target. Each is
+    x -> B_i x^{+n/m} B_i^{-1} (see ``Homomorphism``), so u = B_1 B_0^{-1}.
     """
     if phi0.spec != phi1.spec:
         raise SpecMismatch("homomorphisms over different fields")
@@ -412,16 +400,7 @@ def skolem_noether_conjugator(phi0: Homomorphism, phi1: Homomorphism) -> Matrix:
         raise DimensionMismatch("homomorphisms with different shapes")
     if not phi0.unital or not phi1.unital:
         raise NotUnital("conjugator construction needs unital maps")
-    m, n = phi0.m, phi0.n
-
-    def adapted_basis(phi: Homomorphism) -> Matrix:
-        cols = [phi.units[i][0].apply_to_vector(v)
-                for v in image_basis(phi.units[0][0]).basis for i in range(m)]
-        return Matrix._trusted_columns(phi.spec, cols, n)
-
-    u0 = adapted_basis(phi0)
-    u1 = adapted_basis(phi1)
-    return u1 * invert(u0)
+    return intertwining_unit(phi0.embedding, phi1.embedding)
 
 
 def amalgamate(phi0: Homomorphism, phi1: Homomorphism):
@@ -438,15 +417,14 @@ def amalgamate(phi0: Homomorphism, phi1: Homomorphism):
     for phi in (phi0, phi1):
         if not phi.unital:
             raise NotUnital("amalgamation needs unital embeddings")
-    a = phi0.m
-    b0, b1 = phi0.n, phi1.n
-    c = b0 * b1
-    spec = phi0.spec
+    a, spec = phi0.m, phi0.spec
+    c = phi0.n * phi1.n
 
-    def leg(phi: Homomorphism, b: int) -> Homomorphism:
+    def leg(phi: Homomorphism) -> Homomorphism:
         # the unit that straightens phi: the inverse of the one that twists the inclusion onto phi
-        u = skolem_noether_conjugator(phi, Homomorphism.inclusion(b, a, spec))
-        # x -> iota(u x u^-1) is the inclusion conjugated by iota(u), twisted at size b
-        return Homomorphism.inclusion(b, b, spec).conjugate(u)._included(c)
+        u = skolem_noether_conjugator(phi, Homomorphism.inclusion(phi.n, a, spec))
+        # x -> iota(u x u^-1)
+        return Homomorphism._of(compose(iota_embedding(c, phi.n, spec),
+                                        DeltaEmbedding(phi.n, phi.n, 1, u)))
 
-    return c, leg(phi0, b0), leg(phi1, b1)
+    return c, leg(phi0), leg(phi1)

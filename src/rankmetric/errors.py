@@ -99,6 +99,10 @@ class TowerPrefixTooShort(OutcomeError):
     pass
 
 
+class BoundsNotMet(OutcomeError):
+    """A back-and-forth run produced a certificate that fails its own bounds."""
+
+
 class NotRepairable(OutcomeError):
     pass
 

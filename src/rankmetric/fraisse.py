@@ -12,8 +12,9 @@ certificates.
   matrix evaluation.
 * ``back_and_forth``: alternating extensions between two towers with
   tolerances 2^-t, recording exact round-trip and successive errors per
-  probe into a certificate; ``verify_certificate`` checks one by running
-  the deterministic construction again and comparing every field.
+  probe into a certificate, or refusing one that fails its own bounds;
+  ``verify_certificate`` checks one by running the deterministic
+  construction again and comparing every field.
 * ``inner_approximate``: approximate automorphism data on probes is
   turned into a single conjugating unit via defect repair plus
   homogeneity; its linear map is the reduced echelon basis of the
@@ -29,6 +30,7 @@ import math
 from fractions import Fraction
 
 from .errors import (
+    BoundsNotMet,
     DimensionMismatch,
     EmptyRoundTrip,
     InconsistentTarget,
@@ -283,23 +285,31 @@ class BackForthCertificate:
             lines.append(
                 f"map {m.index} {m.direction} M_{m.embedding.m}->M_{m.embedding.n}"
                 f" mult {m.embedding.mult} delta {m.embedding.delta}"
-                f" tol {m.tolerance.numerator}/{m.tolerance.denominator}"
+                f" tol {_ratio(m.tolerance)}"
             )
         for label, trips in (("roundtrip", self.round_trips),
                              ("successive", self.successive)):
             for rt in trips:
-                errs = " ".join(
-                    f"p{pe.probe_index}={pe.error.numerator}/{pe.error.denominator}"
-                    for pe in rt.errors
-                )
-                lines.append(
-                    f"{label} {rt.map_index} bound "
-                    f"{rt.bound.numerator}/{rt.bound.denominator} {errs}"
-                )
-        lines.append(
-            f"final_bound {self.final_bound.numerator}/{self.final_bound.denominator}"
-        )
+                errs = " ".join(f"p{pe.probe_index}={_ratio(pe.error)}" for pe in rt.errors)
+                lines.append(f"{label} {rt.map_index} bound {_ratio(rt.bound)} {errs}")
+        lines.append(f"final_bound {_ratio(self.final_bound)}")
         return "\n".join(lines) + "\n"
+
+    def _failures(self):
+        """A line for each probe error above its bound, in report order. (A
+        run's maps meet their tolerances and its rows have probes.)"""
+        rows = [("roundtrip", rt, "bound", rt.bound) for rt in self.round_trips]
+        rows += [("successive", rt, "bound", rt.bound) for rt in self.successive]
+        rows += [("roundtrip", rt, "final_bound", self.final_bound) for rt in self.round_trips[-1:]]
+        for label, rt, name, bound in rows:
+            for pe in rt.errors:
+                if pe.error > bound:
+                    yield (f"{label} {rt.map_index} p{pe.probe_index}={_ratio(pe.error)}"
+                           f" exceeds {name} {_ratio(bound)}")
+
+
+def _ratio(f: Fraction) -> str:
+    return f"{f.numerator}/{f.denominator}"
 
 
 def back_and_forth(tower_x: Tower, tower_y: Tower, rounds: int, probes,
@@ -315,8 +325,9 @@ def back_and_forth(tower_x: Tower, tower_y: Tower, rounds: int, probes,
     in the relevant tower, recording exact errors; same-direction maps
     are also compared pairwise (the Cauchy telescoping). A round trip
     that no probe reaches would certify nothing, so it raises
-    ``EmptyRoundTrip``. The run is deterministic, which is what
-    ``verify_certificate`` relies on.
+    ``EmptyRoundTrip``; a certificate that fails ``all_bounds_hold`` is
+    refused with ``BoundsNotMet``, naming the first failing row. The run
+    is deterministic, which is what ``verify_certificate`` relies on.
     """
     if tower_x.spec != tower_y.spec:
         raise SpecMismatch("towers over different fields")
@@ -357,8 +368,10 @@ def back_and_forth(tower_x: Tower, tower_y: Tower, rounds: int, probes,
             successive.append(_successive(maps[t - 2], maps[t], towers,
                                           stage_pairs, probes))
 
-    return BackForthCertificate(rounds, stage_pairs, maps, round_trips,
-                                successive)
+    cert = BackForthCertificate(rounds, stage_pairs, maps, round_trips, successive)
+    if not cert.all_bounds_hold():
+        raise BoundsNotMet(next(cert._failures()))
+    return cert
 
 
 def _bump(tower: Tower, stage: int, emb: DeltaEmbedding) -> DeltaEmbedding:
@@ -427,13 +440,13 @@ def verify_certificate(cert: BackForthCertificate, tower_x: Tower,
     the record: the stage pairs; each map's index, direction, tolerance,
     shape, multiplicity and conjugator; every round-trip and successive
     row with its bound, probe indices and exact errors; and the final
-    bound. The fresh run must also satisfy ``all_bounds_hold``. Any
-    difference, or a run that raises, gives ``False``; this never raises.
+    bound. Any difference, or a run that raises (``BoundsNotMet`` for one
+    whose bounds fail), gives ``False``; this never raises.
     """
     try:
         fresh = back_and_forth(tower_x, tower_y, cert.rounds, probes,
                                *cert.stage_pairs[0])
-        return _fields(fresh) == _fields(cert) and fresh.all_bounds_hold()
+        return _fields(fresh) == _fields(cert)
     except (RankMetricError, AttributeError, LookupError, TypeError, ValueError):
         # an altered record may hold values of any shape
         return False

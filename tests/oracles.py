@@ -4,9 +4,10 @@ Ranks come from minor determinants expanded over permutations, and field
 products from schoolbook polynomial arithmetic, so those share no code with
 the library's elimination kernels. The copy-census walks keep the
 conjugation census by dense Matrix products that the packed span-key walk
-replaced, and ``inner_approximate_by_solve`` keeps the probe closure that
-re-solved its whole basis on every insertion. Slow on purpose; only for
-small inputs.
+replaced, ``adapted_basis`` keeps the basis that Skolem-Noether conjugators
+were read from before homomorphisms became block embeddings, and
+``inner_approximate_by_solve`` keeps the probe closure that re-solved its
+whole basis on every insertion. Slow on purpose; only for small inputs.
 """
 
 import functools
@@ -20,8 +21,8 @@ from rankmetric.embeddings import iota_embedding
 from rankmetric.errors import InconsistentTarget, RelationsNotSatisfied
 from rankmetric.fraisse import InnerApproximation, approximate_homogeneity, include_to
 from rankmetric.gf import FieldSpec
-from rankmetric.matrix import (Matrix, direct_sum, invert, kassabov_generators, kron,
-                               random_unit, rank_distance, solve, span_fingerprint)
+from rankmetric.matrix import (Matrix, direct_sum, image_basis, invert, kassabov_generators,
+                               kron, random_unit, rank_distance, solve, span_fingerprint)
 from rankmetric.stability import repair
 
 
@@ -117,6 +118,21 @@ def matrix_units_by_products(a: Matrix, b: Matrix, n: int):
     if rebuilt_a != a or rebuilt_b != b:
         raise RelationsNotSatisfied("units do not reassemble the generators")
     return units
+
+
+def adapted_basis(phi) -> Matrix:
+    """The basis adapted to a unital homomorphism: the canonical basis of the
+    E_11 image, each vector carried through every E_i1 image, from units
+    rebuilt by the product check."""
+    units = matrix_units_by_products(phi.img_a, phi.img_b, phi.m)
+    cols = [units[i][0].apply_to_vector(v)
+            for v in image_basis(units[0][0]).basis for i in range(phi.m)]
+    return Matrix.from_columns(phi.spec, cols, phi.n)
+
+
+def skolem_noether_by_adapted_bases(phi0, phi1) -> Matrix:
+    """The change of basis between the adapted bases of two unital maps."""
+    return adapted_basis(phi1) * invert(adapted_basis(phi0))
 
 
 def delta_apply_dense(e, x: Matrix) -> Matrix:

@@ -16,6 +16,7 @@ from rankmetric.matrix import (
     Matrix,
     invert,
     kassabov_generators,
+    matrix_units,
     rank,
     rank_distance,
     random_matrix,
@@ -35,6 +36,8 @@ from rankmetric.embeddings import (
     joint_embed,
     skolem_noether_conjugator,
 )
+
+from oracles import skolem_noether_by_adapted_bases
 
 
 # -- iota ---------------------------------------------------------------------
@@ -202,6 +205,15 @@ def test_homomorphism_apply_is_multiplicative(gf2, rng):
         assert h.apply(x + y) == h.apply(x) + h.apply(y)
 
 
+def test_homomorphism_is_its_block_embedding(gf2, gf3):
+    assert Homomorphism.__slots__ == ("m", "n", "spec", "embedding")
+    h = Homomorphism.inclusion(4, 2, gf2)
+    with pytest.raises(SpecMismatch):
+        h.apply(Matrix.identity(gf3, 2))
+    with pytest.raises(DimensionMismatch):
+        h.apply(Matrix.identity(gf2, 3))
+
+
 def test_homomorphism_text_roundtrip(gf2, rng):
     h = Homomorphism.inclusion(4, 2, gf2).conjugate(random_unit(gf2, 4, rng))
     again = Homomorphism.from_text(h.to_text())
@@ -214,18 +226,23 @@ def test_homomorphism_rejects_garbage(gf2):
 
 
 # -- derived maps against the validating constructor --------------------------
-# inclusion, conjugate and the amalgamate legs build their units unchecked;
-# Homomorphism(m, n, img_a, img_b) rebuilds them with every identity checked.
+# inclusion, conjugate and the amalgamate legs are block embeddings by
+# construction; Homomorphism(m, n, img_a, img_b) checks every unit identity
+# and reads its block embedding off the units.
 
 
-def _same_as_validated(h, rng):
+def _same_as_validated(h, rng, block=None):
+    """h agrees with the map validated from its generator images: units (also
+    those of matrix_units), images, multiplicity, unitality and values; so
+    does ``block``, the DeltaEmbedding h was built from, when given."""
     v = Homomorphism(h.m, h.n, h.img_a, h.img_b)
-    assert v.units == h.units
+    assert v.units == h.units == matrix_units(h.img_a, h.img_b, h.m)
     assert (v.img_a, v.img_b, v.unital) == (h.img_a, h.img_b, h.unital)
+    assert v.embedding.mult == h.embedding.mult == (block or h.embedding).mult
     assert v == h and hash(v) == hash(h)
     for _ in range(3):
         x = random_matrix(h.spec, h.m, h.m, rng)
-        assert v.apply(x) == h.apply(x)
+        assert v.apply(x) == h.apply(x) == (block or h).apply(x)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -253,6 +270,30 @@ def test_amalgamate_legs_match_validating_constructor(q, a, b0, b1):
         _same_as_validated(psi, rng)
     x = random_matrix(spec, a, a, rng)
     assert psi0.apply(phis[0].apply(x)) == psi1.apply(phis[1].apply(x))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("m, n", [(2, 5), (3, 7), (2, 4), (4, 8)])
+def test_validating_constructor_reads_any_block_embedding(q, m, n):
+    # multiplicity 0 (the zero map) up to n // m, unital only when k m = n
+    spec = field_for_order(q)
+    rng = random.Random(f"blocks/{q}/{m}/{n}")
+    for k in range(n // m + 1):
+        e = DeltaEmbedding(m, n, k, random_unit(spec, n, rng))
+        h = Homomorphism(m, n, *e.generator_images())
+        assert h.embedding.mult == k
+        assert h.unital == (k * m == n)
+        _same_as_validated(h, rng, e)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_validating_constructor_scalar_source_is_unital(q):
+    spec = field_for_order(q)
+    zero = Matrix.zero(spec, 3)
+    h = Homomorphism(1, 3, zero, zero)
+    assert h.unital and h.embedding.mult == 3
+    assert h.units == [[Matrix.identity(spec, 3)]]
+    assert h.apply(Matrix.scalar(spec, 1, q - 1)) == Matrix.scalar(spec, 3, q - 1)
 
 
 def test_derived_maps_build_no_unit_check(gf3, rng, monkeypatch):
@@ -337,6 +378,24 @@ def test_conjugator_random_pair_many(gf2, gf3, rng):
         ui = invert(u)
         assert u * phi0.img_a * ui == phi1.img_a
         assert u * phi0.img_b * ui == phi1.img_b
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_conjugator_is_the_adapted_basis_change(q):
+    # validated maps and inclusions hold the basis that the oracle builds from
+    # their units, so the conjugator is the oracle's change of basis; the
+    # pinned CLI conjugator and amalgamate outputs rest on this
+    spec = field_for_order(q)
+    rng = random.Random(f"adapted/{q}")
+    for n, m in [(4, 2), (6, 3), (6, 2), (3, 1)]:
+        inc = Homomorphism.inclusion(n, m, spec)
+        twisted = [inc.conjugate(random_unit(spec, n, rng)) for _ in range(2)]
+        maps = [inc, Homomorphism.from_text(twisted[0].to_text()),
+                *(Homomorphism(m, n, h.img_a, h.img_b) for h in twisted)]
+        for phi0 in maps:
+            for phi1 in maps:
+                u = skolem_noether_conjugator(phi0, phi1)
+                assert u == skolem_noether_by_adapted_bases(phi0, phi1)
 
 
 def test_conjugator_requires_unital(gf2, rng):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rankmetric.errors import (
+    BoundsNotMet,
     DimensionMismatch,
     EmptyRoundTrip,
     InconsistentTarget,
@@ -382,6 +383,33 @@ def test_back_and_forth_successive_bound(gf2):
     for rt in cert.successive:
         for pe in rt.errors:
             assert pe.error <= rt.bound
+
+
+_SURVEY_TOWERS = {"factorial": 7, "powers_of_2": 10}
+
+
+@pytest.mark.parametrize("rule_y", sorted(_SURVEY_TOWERS))
+@pytest.mark.parametrize("rule_x", sorted(_SURVEY_TOWERS))
+def test_back_and_forth_returns_only_certificates_that_hold(gf2, rule_x, rule_y):
+    # every run over rounds 1-2 and start stages 0-2 holds or raises
+    tx = tower_make(rule_x, _SURVEY_TOWERS[rule_x], gf2)
+    ty = tower_make(rule_y, _SURVEY_TOWERS[rule_y], gf2)
+    probes = [*tx.generators_at(0), tx.one_at(0), ty.one_at(0)]
+    for rounds in (1, 2):
+        for start in ((sx, sy) for sx in range(3) for sy in range(3)):
+            try:
+                cert = back_and_forth(tx, ty, rounds, probes, *start)
+            except BoundsNotMet:
+                continue
+            assert cert.all_bounds_hold()
+            assert verify_certificate(cert, tx, ty, probes)
+
+
+def test_back_and_forth_refuses_final_error_above_bound(gf2):
+    fact = tower_make("factorial", 7, gf2)
+    probes = [*fact.generators_at(0), fact.one_at(0), fact.one_at(0)]
+    with pytest.raises(BoundsNotMet, match="^roundtrip 1 p2=1/1 exceeds final_bound 1/2$"):
+        back_and_forth(fact, fact, 2, probes, 2, 0)
 
 
 # -- inner approximation -----------------------------------------------------------
