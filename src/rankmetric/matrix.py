@@ -1,17 +1,26 @@
 """Exact dense linear algebra over GF(q).
 
-Matrices are immutable values in one of three native forms, chosen by q.
-A GF(2) matrix stores rows as ints, bit j of row i set when entry (i, j)
-is 1. A GF(3) matrix stores each row as two ints (plus, minus) with
-disjoint bits, set where the entry is 1 and where it is 2, so a row sum
-is a few bitwise operations and negation swaps the two. Their kernels
-(products, sums, rank, inversion, elimination) read and return rows.
-Larger fields store the flat tuple of canonical integer encodings, and
-their kernels run on the field's tables. The other form is derived at
-most once per matrix, when a caller needs it. The row kernels are
-differential tested against the table kernels (``_FORCE_GENERIC``).
+Each field runs in one row family, looked up from q by ``_family`` at
+every call. GF(2) rows are ints, bit j set when entry j is 1. GF(3) rows
+are int pairs (plus, minus) with disjoint bits, set where the entry is 1
+and where it is 2 (Boothby & Bradshaw, arXiv:0901.1413), so a row sum is
+a few bitwise operations and negation swaps the two. Larger fields, and
+every field while tests set ``_FORCE_GENERIC``, run the table family: flat
+tuples of canonical encodings, worked through the field's tables.
 
-Elimination has one skeleton in every form: rows are reduced into an
+A family is one entry of the ``_Family`` table: how a matrix keeps it,
+and whole-matrix pack, unpack, zero, identity, sum, difference, negation,
+scaling, product, mat-vec, echelon insert, rref, and the augment, cut and
+flip steps of ``invert`` and ``kernel_basis``. So each ``Matrix``
+operation has one code path, and a new family is one more entry. No
+matrix stores its family, since a matrix built before a test sets
+``_FORCE_GENERIC`` must run in the table family after it. A matrix holds
+its rows (GF(2), GF(3)), its flat entries or both, and derives one from
+the other at most once. ``_b_pack``, ``_b_unpack``, ``_b_rref`` and
+``_g_rref`` stay module-level and the table calls them by name, so that
+the benchmark's layer tracing can wrap them.
+
+Elimination has one skeleton in every family: rows are reduced into an
 echelon table keyed by pivot column, rank is the size of the table, and
 one back-substitution pass turns it into reduced echelon form. Other
 modules reach the row formats only through this module's functions.
@@ -25,10 +34,12 @@ their span, so subspace equality is a plain tuple comparison.
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
 from fractions import Fraction
 from functools import cache, reduce, total_ordering
 from itertools import chain
 from operator import xor
+from typing import NamedTuple
 
 from .errors import (
     DimensionMismatch,
@@ -41,18 +52,16 @@ from .errors import (
 )
 from .gf import FieldElement, FieldSpec, field_for_order
 
-# Tests flip this to force the table kernels for differential checks.
+# Tests flip this to force the table family for differential checks.
 _FORCE_GENERIC = False
 
 
-# The row family follows from q alone: GF(2) row ints, GF(3) plus/minus planes,
-# tables for q >= 4. Hot paths test GF(2) first: the census makes ~800k GF(2) products.
-def _use_packed(spec: FieldSpec) -> bool:
-    return spec.q == 2 and not _FORCE_GENERIC
-
-
-def _use_planes(spec: FieldSpec) -> bool:
-    return spec.q == 3 and not _FORCE_GENERIC
+def _family(spec: FieldSpec, native: bool = False) -> _Family:
+    """The row family that runs this field's kernels; with ``native``, the one its
+    matrices keep rows in, which ``_FORCE_GENERIC`` does not change."""
+    if _FORCE_GENERIC and not native:
+        return _TABLE
+    return _BITS if spec.q == 2 else _PLANES if spec.q == 3 else _TABLE
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +69,7 @@ def _use_planes(spec: FieldSpec) -> bool:
 
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_CODES = bytes(range(256))  # every encoding of every field, q <= 256
 
 
 def _b_pack(entries, rows, cols):
@@ -88,7 +98,7 @@ def _b_mul(arows, brows):
             acc ^= brows[lsb.bit_length() - 1]
             a ^= lsb
         out.append(acc)
-    return out
+    return tuple(out)
 
 
 def _b_insert(table, r, limit):
@@ -191,7 +201,7 @@ def _t_mul(arows, brows):
             cp, cm = (cm | bp) ^ t, (cp | bm) ^ t
             am ^= low
         out.append((cp, cm))
-    return out
+    return tuple(out)
 
 
 def _t_insert(table, row, limit):
@@ -227,35 +237,40 @@ def _t_rref(planes, ncols):
 
 
 # ---------------------------------------------------------------------------
-# Generic kernels: a row is a list of int encodings.
+# Table kernels: a matrix is its flat entry tuple, a row a list of encodings.
 
 def _g_rows(entries, rows, cols):
     return [list(entries[i * cols:(i + 1) * cols]) for i in range(rows)]
 
 
+def _g_add(a, b, spec):
+    q, add = spec.q, spec._add
+    return tuple([add[x * q + y] for x, y in zip(a, b)])
+
+
+def _g_sub(a, b, spec):
+    q, add, neg = spec.q, spec._add, spec._neg
+    return tuple([add[x * q + neg[y]] for x, y in zip(a, b)])
+
+
 def _g_mul(arows, brows, spec, out_cols):
-    q = spec.q
-    add = spec._add
-    mul = spec._mul
+    """The product's flat entries."""
+    q, add, mul = spec.q, spec._add, spec._mul
     out = []
     for arow in arows:
         acc = [0] * out_cols
         for k, s in enumerate(arow):
             if s:
-                brow = brows[k]
                 sm = mul[s * q:(s + 1) * q]
-                acc = [add[x * q + sm[y]] for x, y in zip(acc, brow)]
-        out.append(acc)
-    return out
+                acc = [add[x * q + sm[y]] for x, y in zip(acc, brows[k])]
+        out += acc
+    return tuple(out)
 
 
 def _g_insert(table, vec, limit, spec):
-    """Generic twin of ``_b_insert``: the table maps a pivot column to its monic row."""
-    q = spec.q
-    add = spec._add
-    mul = spec._mul
-    c = 0
-    n = len(vec)
+    """Table twin of ``_b_insert``: the table maps a pivot column to its monic row."""
+    q, add, mul = spec.q, spec._add, spec._mul
+    c, n = 0, len(vec)
     while True:
         while c < n and not vec[c]:
             c += 1
@@ -276,21 +291,12 @@ def _g_insert(table, vec, limit, spec):
         vec = [add[x * q + fm[y]] for x, y in zip(vec, row)]
 
 
-def _g_echelon(rowlists, ncols, spec):
-    """Echelon table of the rows, pivots restricted to the first ncols columns."""
+def _g_rref(rowlists, ncols, spec):
+    """Table twin of ``_b_rref``: the echelon table, then back-substitution."""
     table = {}
     for r in rowlists:
         _g_insert(table, r, ncols, spec)
-    return table
-
-
-def _g_rref(rowlists, ncols, spec):
-    """Generic twin of ``_b_rref``: the echelon table, then back-substitution."""
-    table = _g_echelon(rowlists, ncols, spec)
-    q = spec.q
-    add = spec._add
-    mul = spec._mul
-    neg = spec._neg
+    q, add, mul, neg = spec.q, spec._add, spec._mul, spec._neg
     pivots = sorted(table)
     for i in range(len(pivots) - 1, -1, -1):
         row = table[pivots[i]]
@@ -302,28 +308,6 @@ def _g_rref(rowlists, ncols, spec):
                 row = [add[x * q + fm[y]] for x, y in zip(row, table[d])]
         table[pivots[i]] = row
     return pivots, [table[c] for c in pivots]
-
-
-def _rref_rows(rowlists, ncols, spec):
-    """``_g_rref`` of rows ncols long, run in the field's row family; rows come back as tuples."""
-    if not (_use_packed(spec) or _use_planes(spec)):
-        pivots, rows = _g_rref(rowlists, ncols, spec)
-        return pivots, [tuple(r) for r in rows]
-    gf2 = spec.q == 2
-    pack, rref, unpack = (_b_pack, _b_rref, _b_unpack) if gf2 else (_t_pack, _t_rref, _t_unpack)
-    pivots, rows = rref(pack(chain.from_iterable(rowlists), len(rowlists), ncols), ncols)
-    flat = unpack(rows, ncols)
-    return pivots, [flat[i * ncols:(i + 1) * ncols] for i in range(len(rows))]
-
-
-def echelon_insert(table, vec, spec: FieldSpec) -> bool:
-    """Store a vector of encodings in an echelon table (an empty dict at
-    first, filled only by this function) if it is independent of it."""
-    n = len(vec)
-    if _use_packed(spec) or _use_planes(spec):
-        insert, pack = (_b_insert, _b_pack) if spec.q == 2 else (_t_insert, _t_pack)
-        return insert(table, pack(vec, 1, n)[0], 1 << n)
-    return _g_insert(table, list(vec), n, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +379,7 @@ class Matrix:
             else:
                 vals.append(int(e) % spec.q)
         if len(vals) != rows * cols:
-            raise DimensionMismatch(
-                f"expected {rows * cols} entries, got {len(vals)}"
-            )
+            raise DimensionMismatch(f"expected {rows * cols} entries, got {len(vals)}")
         self.spec = spec
         self.rows = rows
         self.cols = cols
@@ -409,45 +391,35 @@ class Matrix:
                  entries=None, packed=None) -> "Matrix":
         """Kernel output: canonical entries or rows, taken unchecked."""
         m = object.__new__(cls)
-        m.spec = spec
-        m.rows = rows
-        m.cols = cols
-        m._ent = entries
-        m._rw = packed
+        m.spec, m.rows, m.cols, m._ent, m._rw = spec, rows, cols, entries, packed
         return m
 
     @property
     def entries(self) -> tuple[int, ...]:
         """The row-major canonical encodings as one flat tuple, kept and shared, not copied."""
-        ent = self._ent
-        if ent is None:
-            ent = self._ent = (_b_unpack if self.spec.q == 2 else _t_unpack)(self._rw, self.cols)
-        return ent
+        if self._ent is None:
+            self._ent = _family(self.spec, native=True).unpack(self._rw, self.cols)
+        return self._ent
 
     _e = entries
 
     def _packed(self) -> tuple[int, ...]:
-        rw = self._rw
-        if rw is None:
-            pack = _b_pack if self.spec.q == 2 else _t_pack
-            rw = self._rw = tuple(pack(self._ent, self.rows, self.cols))
-        return rw
+        if self._rw is None:
+            self._rw = tuple(_family(self.spec, native=True).pack(self._ent, self.rows, self.cols))
+        return self._rw
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, spec: FieldSpec, rows: int, cols: int | None = None) -> "Matrix":
         cols = rows if cols is None else cols
-        if _use_packed(spec) or _use_planes(spec):
-            return cls._trusted(spec, rows, cols, packed=(0 if spec.q == 2 else (0, 0),) * rows)
-        return cls._trusted(spec, rows, cols, (0,) * (rows * cols))
+        f = _family(spec)
+        return f.made(spec, rows, cols, f.zero(rows, cols))
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "Matrix":
-        if _use_packed(spec) or _use_planes(spec):
-            rows = (1 << i if spec.q == 2 else (1 << i, 0) for i in range(n))
-            return cls._trusted(spec, n, n, packed=tuple(rows))
-        return cls.scalar(spec, n, 1)
+        f = _family(spec)
+        return f.made(spec, n, n, f.identity(n))
 
     @classmethod
     def unit(cls, spec: FieldSpec, n: int, i: int, j: int) -> "Matrix":
@@ -458,11 +430,7 @@ class Matrix:
 
     @classmethod
     def scalar(cls, spec: FieldSpec, n: int, value) -> "Matrix":
-        v = spec.element(value).val
-        e = [0] * (n * n)
-        for i in range(n):
-            e[i * n + i] = v
-        return cls._trusted(spec, n, n, tuple(e))
+        return cls.identity(spec, n).scale(value)
 
     @classmethod
     def from_columns(cls, spec: FieldSpec, columns, nrows: int) -> "Matrix":
@@ -491,7 +459,8 @@ class Matrix:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return not any(chain.from_iterable(self._key()) if self.spec.q == 3 else self._key())
+        f = _family(self.spec)
+        return f.store(self) == f.zero(self.rows, self.cols)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -499,51 +468,29 @@ class Matrix:
         if self.spec != other.spec:
             raise SpecMismatch("matrices over different fields")
         if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch(
-                f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
+            raise DimensionMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+
+    def _like(self, f: _Family, store) -> Matrix:
+        """A kernel output of family f with this matrix's shape."""
+        return f.made(self.spec, self.rows, self.cols, store)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        if _use_packed(self.spec) or _use_planes(self.spec):
-            add = xor if self.spec.q == 2 else _t_add
-            return Matrix._trusted(self.spec, self.rows, self.cols,
-                                   packed=tuple(map(add, self._packed(), other._packed())))
-        add = self.spec._add
-        q = self.spec.q
-        return Matrix._trusted(
-            self.spec, self.rows, self.cols,
-            tuple(add[a * q + b] for a, b in zip(self._e, other._e)),
-        )
+        f = _family(self.spec)
+        return self._like(f, f.add(f.store(self), f.store(other), self.spec))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        if _use_packed(self.spec) or _use_planes(self.spec):
-            return self + (other if self.spec.q == 2 else -other)
-        add = self.spec._add
-        neg = self.spec._neg
-        q = self.spec.q
-        return Matrix._trusted(
-            self.spec, self.rows, self.cols,
-            tuple(add[a * q + neg[b]] for a, b in zip(self._e, other._e)),
-        )
+        f = _family(self.spec)
+        return self._like(f, f.sub(f.store(self), f.store(other), self.spec))
 
     def __neg__(self) -> "Matrix":
-        if _use_planes(self.spec):
-            return Matrix._trusted(self.spec, self.rows, self.cols,
-                                   packed=tuple(r[::-1] for r in self._packed()))
-        neg = self.spec._neg
-        return Matrix._trusted(self.spec, self.rows, self.cols,
-                               tuple(neg[a] for a in self._e))
+        f = _family(self.spec)
+        return self._like(f, f.neg(f.store(self), self.spec))
 
     def scale(self, value) -> "Matrix":
-        s = self.spec.element(value).val
-        if _use_planes(self.spec):
-            return -self if s == 2 else self if s else Matrix.zero(self.spec, self.rows, self.cols)
-        q = self.spec.q
-        sm = self.spec._mul[s * q:(s + 1) * q]
-        return Matrix._trusted(self.spec, self.rows, self.cols,
-                               tuple(sm[a] for a in self._e))
+        f = _family(self.spec)
+        return self._like(f, f.scale(f.store(self), self.spec.element(value).val, self.spec))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -554,13 +501,9 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        if _use_packed(self.spec) or _use_planes(self.spec):
-            mul = _b_mul if self.spec.q == 2 else _t_mul
-            return Matrix._trusted(self.spec, self.rows, other.cols,
-                                   packed=tuple(mul(self._packed(), other._packed())))
-        crows = _g_mul(self.row_lists(), other.row_lists(), self.spec, other.cols)
-        return Matrix._trusted(self.spec, self.rows, other.cols,
-                               tuple(v for row in crows for v in row))
+        f = _family(self.spec)
+        return f.made(self.spec, self.rows, other.cols,
+                      f.mul(f.rows(self), f.rows(other), self.spec, other.cols))
 
     def __pow__(self, e: int) -> "Matrix":
         if not self.is_square():
@@ -577,35 +520,15 @@ class Matrix:
         return out
 
     def apply_to_vector(self, vec) -> tuple[int, ...]:
-        """Matrix-vector product on raw int encodings."""
+        """Matrix-vector product on raw int encodings, reduced mod q."""
         if len(vec) != self.cols:
             raise DimensionMismatch("vector of wrong length")
-        if _use_packed(self.spec):
-            v = _b_pack(vec, 1, self.cols)[0]
-            return tuple((r & v).bit_count() & 1 for r in self._packed())
-        if _use_planes(self.spec):
-            # p and m are disjoint, so each sign's matches are one popcount of an or
-            vp, vm = _t_pack(vec, 1, self.cols)[0]
-            return tuple((((p & vp) | (m & vm)).bit_count() - ((p & vm) | (m & vp)).bit_count()) % 3
-                         for p, m in self._packed())
-        q = self.spec.q
-        add = self.spec._add
-        mul = self.spec._mul
-        out = []
-        e = self._e
-        c = self.cols
-        for i in range(self.rows):
-            acc = 0
-            base = i * c
-            for j, v in enumerate(vec):
-                if v:
-                    acc = add[acc * q + mul[e[base + j] * q + v]]
-            out.append(acc)
-        return tuple(out)
+        f = _family(self.spec)
+        return f.apply(f.rows(self), _pack_outside(f, vec, 1, self.cols, self.spec)[0], self.spec)
 
     def _key(self):
-        # GF(2) and GF(3) compare and hash rows whichever form they were built in
-        return self._packed() if self.spec.q <= 3 else self._e
+        # compared and hashed in the native form, whichever form the matrix was built in
+        return _family(self.spec, native=True).store(self)
 
     def __eq__(self, other):
         return (
@@ -623,10 +546,131 @@ class Matrix:
         return f"Matrix({self.spec!r}, {self.rows}x{self.cols})"
 
     def __str__(self):
-        return "\n".join(
-            " ".join(str(self._e[i * self.cols + j]) for j in range(self.cols))
-            for i in range(self.rows)
-        )
+        return "\n".join(" ".join(map(str, row)) for row in self.row_lists())
+
+
+# ---------------------------------------------------------------------------
+# The row-family table. A family's store is what a Matrix of it keeps: the tuple
+# of rows (``_rw``) for GF(2) and GF(3), the flat entries (``_ent``) for the table
+# family. Its rows are what products and elimination read: the store, or row lists.
+
+
+class _Family(NamedTuple):
+    store: Callable     # matrix -> store
+    rows: Callable      # matrix -> rows
+    made: Callable      # spec, rows, cols, store -> matrix
+    pack: Callable      # flat encodings, rows, cols -> rows
+    unpack: Callable    # rows, cols -> flat encodings
+    zero: Callable      # rows, cols -> store
+    identity: Callable  # n -> store
+    add: Callable       # store, store, spec -> store; so is sub
+    sub: Callable
+    neg: Callable       # store, spec -> store
+    scale: Callable     # store, scalar encoding, spec -> store
+    mul: Callable       # rows, rows, spec, product cols -> store
+    apply: Callable     # rows, packed vector, spec -> tuple of encodings
+    insert: Callable    # echelon table, row, ncols, spec -> whether it was stored
+    rref: Callable      # rows, ncols, spec -> pivot columns, reduced rows
+    augment: Callable   # rows, n -> rows with the identity appended from column n
+    cut: Callable       # augmented rows, n -> store of the columns from n on
+    flip: Callable      # rows, n -> rows with their n columns reversed
+
+
+_BITS = _Family(
+    store=Matrix._packed, rows=Matrix._packed,
+    made=lambda spec, r, c, store: Matrix._trusted(spec, r, c, packed=store),
+    pack=lambda entries, r, c: _b_pack(entries, r, c),
+    unpack=lambda rows, c: _b_unpack(rows, c),
+    zero=lambda r, c: (0,) * r,
+    identity=lambda n: tuple([1 << i for i in range(n)]),
+    add=lambda a, b, spec: tuple(map(xor, a, b)),
+    sub=lambda a, b, spec: tuple(map(xor, a, b)),
+    neg=lambda a, spec: a,
+    scale=lambda a, s, spec: a if s else (0,) * len(a),
+    mul=lambda a, b, spec, c: _b_mul(a, b),
+    apply=lambda rows, v, spec: tuple([(r & v).bit_count() & 1 for r in rows]),
+    insert=lambda table, row, ncols, spec: _b_insert(table, row, 1 << ncols),
+    rref=lambda rows, ncols, spec: _b_rref(rows, ncols),
+    augment=lambda rows, n: [r | 1 << (n + i) for i, r in enumerate(rows)],
+    cut=lambda rows, n: tuple([r >> n for r in rows]),
+    # an int read backwards reverses the columns
+    flip=lambda rows, n: [int(format(r, f"0{n}b")[::-1], 2) for r in rows],
+)
+
+_PLANES = _BITS._replace(
+    pack=_t_pack, unpack=_t_unpack,
+    zero=lambda r, c: ((0, 0),) * r,
+    identity=lambda n: tuple([(1 << i, 0) for i in range(n)]),
+    add=lambda a, b, spec: tuple(map(_t_add, a, b)),
+    sub=lambda a, b, spec: tuple([_t_add(x, y[::-1]) for x, y in zip(a, b)]),
+    neg=lambda a, spec: tuple([r[::-1] for r in a]),
+    # the scalars are 0, 1 and 2 = -1
+    scale=lambda a, s, spec: (a if s == 1 else _PLANES.neg(a, spec)) if s else ((0, 0),) * len(a),
+    mul=lambda a, b, spec, c: _t_mul(a, b),
+    # p and m are disjoint, so the matches of each sign are one popcount
+    apply=lambda rows, v, spec: tuple([(((p & vp) | (m & vm)).bit_count()
+                                        - ((p & vm) | (m & vp)).bit_count()) % 3
+                                       for vp, vm in [v] for p, m in rows]),
+    insert=lambda table, row, ncols, spec: _t_insert(table, row, 1 << ncols),
+    rref=lambda rows, ncols, spec: _t_rref(rows, ncols),
+    augment=lambda rows, n: [(p | 1 << (n + i), m) for i, (p, m) in enumerate(rows)],
+    cut=lambda rows, n: tuple([(p >> n, m >> n) for p, m in rows]),
+    # each plane flipped as a GF(2) row, then paired up again
+    flip=lambda rows, n: list(zip(*[iter(_BITS.flip(chain.from_iterable(rows), n))] * 2)),
+)
+
+_TABLE = _Family(
+    store=Matrix.entries.fget, rows=Matrix.row_lists, made=Matrix._trusted,
+    pack=_g_rows,
+    unpack=lambda rows, c: tuple(chain.from_iterable(rows)),
+    zero=lambda r, c: (0,) * (r * c),
+    identity=lambda n: tuple([int(i == j) for i in range(n) for j in range(n)]),
+    add=_g_add, sub=_g_sub,
+    neg=lambda a, spec: tuple(map(spec._neg.__getitem__, a)),
+    scale=lambda a, s, spec: tuple(map(spec._mul[s * spec.q:(s + 1) * spec.q].__getitem__, a)),
+    mul=_g_mul,
+    # the product with v as a column
+    apply=lambda rows, v, spec: _g_mul(rows, [[x] for x in v], spec, 1),
+    insert=_g_insert,
+    rref=lambda rows, ncols, spec: _g_rref(rows, ncols, spec),
+    augment=lambda rows, n: [row + [0] * i + [1] + [0] * (len(rows) - 1 - i)
+                             for i, row in enumerate(rows)],
+    cut=lambda rows, n: tuple([v for row in rows for v in row[n:]]),
+    flip=lambda rows, n: [row[::-1] for row in rows],
+)
+
+
+def _pack_outside(f: _Family, entries, rows, cols, spec: FieldSpec):
+    """Rows in f of outside row-major encodings, reduced mod q as the public constructor
+    reduces ints; canonical input passes one bytes conversion and one translate test."""
+    try:
+        raw = bytes(entries)
+    except ValueError:  # an encoding below 0 or above 255
+        raw = None
+    if raw is None or raw.translate(None, _CODES[:spec.q]):
+        raw = bytes([int(v) % spec.q for v in entries])
+    return f.pack(raw, rows, cols)
+
+
+def _reduced(f: _Family, rows, ncols, spec: FieldSpec):
+    """Pivots and reduced echelon rows, as tuples of encodings, of rows ncols long in f."""
+    pivots, rows = f.rref(rows, ncols, spec)
+    flat = f.unpack(rows, ncols)
+    return pivots, [flat[i * ncols:(i + 1) * ncols] for i in range(len(rows))]
+
+
+def _rref_rows(rowlists, ncols, spec):
+    """``_reduced`` of outside vectors ncols long."""
+    f = _family(spec)
+    flat = list(chain.from_iterable(rowlists))
+    return _reduced(f, _pack_outside(f, flat, len(rowlists), ncols, spec), ncols, spec)
+
+
+def echelon_insert(table, vec, spec: FieldSpec) -> bool:
+    """Store a vector of encodings in an echelon table (an empty dict at
+    first, filled only by this function) if it is independent of it."""
+    f = _family(spec)
+    return f.insert(table, _pack_outside(f, vec, 1, len(vec), spec)[0], len(vec), spec)
 
 
 class Subspace:
@@ -643,9 +687,8 @@ class Subspace:
         self.spec = spec
         self.ambient_dim = ambient_dim
         vecs = [list(v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise DimensionMismatch("vector of wrong length")
+        if any(len(v) != ambient_dim for v in vecs):
+            raise DimensionMismatch("vector of wrong length")
         self.basis = tuple(_rref_rows(vecs, ambient_dim, spec)[1])
 
     @classmethod
@@ -684,9 +727,10 @@ class Subspace:
 
 def rank(m: Matrix) -> int:
     """Exact rank: the size of the echelon table of the rows."""
-    if _use_packed(m.spec) or _use_planes(m.spec):
-        return len(_b_echelon(m._packed(), m.cols, _b_insert if m.spec.q == 2 else _t_insert))
-    return len(_g_echelon(m.row_lists(), m.cols, m.spec))
+    f, table = _family(m.spec), {}
+    for row in f.rows(m):
+        f.insert(table, row, m.cols, m.spec)
+    return len(table)
 
 
 def rank_distance(x: Matrix, y: Matrix) -> RankDistance:
@@ -706,23 +750,10 @@ def kron(x: Matrix, y: Matrix) -> Matrix:
     """Kronecker product; rank is multiplicative."""
     if x.spec != y.spec:
         raise SpecMismatch("matrices over different fields")
-    q = x.spec.q
-    mul = x.spec._mul
-    R, C = x.rows * y.rows, x.cols * y.cols
-    out = [0] * (R * C)
-    xe, ye = x._e, y._e
-    for i1 in range(x.rows):
-        for j1 in range(x.cols):
-            a = xe[i1 * x.cols + j1]
-            if not a:
-                continue
-            am = mul[a * q:(a + 1) * q]
-            for i2 in range(y.rows):
-                ib = (i1 * y.rows + i2) * C + j1 * y.cols
-                yb = i2 * y.cols
-                for j2 in range(y.cols):
-                    out[ib + j2] = am[ye[yb + j2]]
-    return Matrix._trusted(x.spec, R, C, tuple(out))
+    q, mul, yrows = x.spec.q, x.spec._mul, y.row_lists()
+    # row (i1, i2) holds x[i1, j1] * y[i2, j2] at column (j1, j2)
+    out = [mul[a * q + b] for xrow in x.row_lists() for yrow in yrows for a in xrow for b in yrow]
+    return Matrix._trusted(x.spec, x.rows * y.rows, x.cols * y.cols, tuple(out))
 
 
 def direct_sum(blocks, pad_zeros: int = 0) -> Matrix:
@@ -737,13 +768,10 @@ def direct_sum(blocks, pad_zeros: int = 0) -> Matrix:
         if not b.is_square():
             raise DimensionMismatch("blocks must be square")
     n = sum(b.rows for b in blocks) + pad_zeros
-    out = [0] * (n * n)
-    off = 0
+    out, off = [0] * (n * n), 0
     for b in blocks:
-        be = b._e
-        for i in range(b.rows):
-            base = (off + i) * n + off
-            out[base:base + b.cols] = be[i * b.cols:(i + 1) * b.cols]
+        for i, row in enumerate(b.row_lists(), off):
+            out[i * n + off:i * n + off + b.cols] = row
         off += b.rows
     return Matrix._trusted(spec, n, n, tuple(out))
 
@@ -831,19 +859,8 @@ def kernel_basis(m: Matrix) -> Subspace:
     """Canonical basis of the right kernel; dim = cols - rank. One elimination, of the
     column-reversed matrix: there each free column's vector ends in a 1 and is 0 at the
     other free columns, so read backwards they are already the reduced echelon basis."""
-    n = m.cols
-    spec = m.spec
-    if _use_packed(spec) or _use_planes(spec):
-        gf2 = spec.q == 2
-        ints = m._packed() if gf2 else chain.from_iterable(m._packed())
-        # each row int (each plane) read backwards reverses the columns
-        flip = [int(format(r, f"0{n}b")[::-1], 2) for r in ints]
-        pivots, rows = _b_rref(flip, n) if gf2 else _t_rref(list(zip(flip[::2], flip[1::2])), n)
-        red = (_b_unpack if gf2 else _t_unpack)(rows, n)
-        rows = [red[i * n:(i + 1) * n] for i in range(len(rows))]
-    else:
-        # reversing the flat entries reverses every row (and the row order, which the span ignores)
-        pivots, rows = _g_rref(_g_rows(m._e[::-1], m.rows, n), n, spec)
+    n, spec, f = m.cols, m.spec, _family(m.spec)
+    pivots, rows = _reduced(f, f.flip(f.rows(m), n), n, spec)
     basis = [tuple(v[::-1]) for v in _null_vectors(pivots, rows, n, spec._neg)]
     return Subspace._canonical(spec, n, basis)
 
@@ -925,7 +942,7 @@ def _b_rank_table(n):
 
 def rank_table(spec: FieldSpec, n: int):
     """Ranks of n x n matrices by code (bit i*n + j: entry i, j) if packed GF(2), n^2 <= 20."""
-    return _b_rank_table(n) if _use_packed(spec) and n * n <= 20 else None
+    return _b_rank_table(n) if _family(spec) is _BITS and n * n <= 20 else None
 
 
 def _rank_bytes(spec: FieldSpec, n: int) -> bytearray:
@@ -976,7 +993,7 @@ def conjugated_span_keys(units, s: int):
     cuts = base = None
     for g in units:
         b = g.rows
-        if _use_packed(g.spec) and b <= 8:
+        if _family(g.spec) is _BITS and b <= 8:
             if cuts is None:  # per block of columns, byte -> its s bits in that block
                 cuts = [bytes(v >> i & (1 << s) - 1 for v in range(256)) for i in range(0, b, s)]
             rows = g._packed()
@@ -1047,7 +1064,7 @@ def coset_span_keys(hs, spec: FieldSpec, b: int, s: int, order: int):
 
 def copy_fingerprint(key, spec: FieldSpec, ambient: int) -> tuple:
     """The ``span_fingerprint`` of the span a ``conjugated_span_keys`` key stands for."""
-    if _use_packed(spec) and ambient <= 8:
+    if _family(spec) is _BITS and ambient <= 8:
         flat = _b_unpack(b"".join(k.to_bytes(ambient, "little") for k in key), ambient)
         return tuple(flat[i:i + ambient * ambient] for i in range(0, len(flat), ambient * ambient))
     return key
@@ -1057,27 +1074,11 @@ def invert(m: Matrix) -> Matrix:
     """Exact inverse; raises ``Singular`` when the matrix has no inverse."""
     if not m.is_square():
         raise DimensionMismatch("only square matrices can be inverted")
-    n = m.rows
-    if _use_packed(m.spec):
-        aug = [r | (1 << (n + i)) for i, r in enumerate(m._packed())]
-        pivots, rows = _b_rref(aug, n)
-        if len(pivots) != n:
-            raise Singular("matrix is singular")
-        return Matrix._trusted(m.spec, n, n, packed=tuple(r >> n for r in rows))
-    if _use_planes(m.spec):
-        pivots, rows = _t_rref([(p | 1 << (n + i), r) for i, (p, r) in enumerate(m._packed())], n)
-        if len(pivots) != n:
-            raise Singular("matrix is singular")
-        return Matrix._trusted(m.spec, n, n, packed=tuple((p >> n, r >> n) for p, r in rows))
-    aug = []
-    for i, row in enumerate(m.row_lists()):
-        tail = [0] * n
-        tail[i] = 1
-        aug.append(row + tail)
-    pivots, rows = _g_rref(aug, n, m.spec)
+    n, f = m.rows, _family(m.spec)
+    pivots, rows = f.rref(f.augment(f.rows(m), n), n, m.spec)
     if len(pivots) != n:
         raise Singular("matrix is singular")
-    return Matrix._trusted(m.spec, n, n, tuple(v for r in rows for v in r[n:]))
+    return f.made(m.spec, n, n, f.cut(rows, n))
 
 
 def solve(m: Matrix, rhs) -> tuple[int, ...] | None:
@@ -1085,7 +1086,7 @@ def solve(m: Matrix, rhs) -> tuple[int, ...] | None:
     if len(rhs) != m.rows:
         raise DimensionMismatch("right-hand side of wrong length")
     c = m.cols
-    aug = [row + [rhs[i] % m.spec.q] for i, row in enumerate(m.row_lists())]
+    aug = [row + [v] for row, v in zip(m.row_lists(), rhs)]  # _rref_rows reduces rhs mod q
     pivots, rows = _rref_rows(aug, c + 1, m.spec)
     if c in pivots:
         return None
@@ -1114,12 +1115,8 @@ def random_unit(spec: FieldSpec, n: int, rng) -> Matrix:
 
 def write_matrix(m: Matrix) -> str:
     """Serialize as 'q rows cols' plus one line of encodings per row."""
-    head = f"{m.spec.q} {m.rows} {m.cols}"
-    lines = [head]
-    e = m._e
-    for i in range(m.rows):
-        lines.append(" ".join(str(v) for v in e[i * m.cols:(i + 1) * m.cols]))
-    return "\n".join(lines) + "\n"
+    rows = (" ".join(map(str, row)) for row in m.row_lists())
+    return "\n".join([f"{m.spec.q} {m.rows} {m.cols}", *rows]) + "\n"
 
 
 def _parse_matrix_lines(lines, start: int) -> tuple[Matrix, int]:

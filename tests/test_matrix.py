@@ -1,3 +1,6 @@
+import ast
+import inspect
+import pathlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -492,22 +495,6 @@ def test_invert_and_solve_round_trips(q, rng):
 # -- bit-packed differential tests -------------------------------------------
 
 
-def test_gf2_bitpack_matches_generic(rng, monkeypatch):
-    spec = field_make(2)
-    cases = []
-    for _ in range(25):
-        r = rng.randrange(1, 8)
-        c = rng.randrange(1, 8)
-        cases.append((random_matrix(spec, r, c, rng),
-                      random_matrix(spec, c, rng.randrange(1, 8), rng)))
-    fast = [(a * b, rank(a), kernel_basis(a).basis, image_basis(a).basis)
-            for a, b in cases]
-    monkeypatch.setattr(mx, "_FORCE_GENERIC", True)
-    slow = [(a * b, rank(a), kernel_basis(a).basis, image_basis(a).basis)
-            for a, b in cases]
-    assert fast == slow
-
-
 def test_gf2_bitpack_invert_matches_generic(rng, monkeypatch):
     spec = field_make(2)
     units = [random_unit(spec, 5, rng) for _ in range(5)]
@@ -515,29 +502,6 @@ def test_gf2_bitpack_invert_matches_generic(rng, monkeypatch):
     monkeypatch.setattr(mx, "_FORCE_GENERIC", True)
     slow = [invert(u) for u in units]
     assert fast == slow
-
-
-def test_gf2_chained_kernel_outputs_match_generic(rng, monkeypatch):
-    # products, sums and inverses of kernel outputs, not of parsed inputs
-    spec = field_make(2)
-    mats = [random_matrix(spec, 6, 6, rng) for _ in range(6)]
-    units = [random_unit(spec, 6, rng) for _ in range(4)]
-    rhs = [rng.randrange(2) for _ in range(6)]
-
-    def chain():
-        prod = mats[0] * mats[1] * mats[2]
-        mixed = (prod + mats[3] - mats[4]) * mats[5]
-        invs = [invert(u * v) for u, v in zip(units, units[1:])]
-        back = [invert(w) * invert(u) for w, u in zip(invs, units)]
-        return (prod, mixed, mixed ** 3, invs, back, rank(prod * mixed),
-                kernel_basis(mixed).basis, (prod - prod).is_zero(),
-                solve(mixed, rhs), [write_matrix(m) for m in invs + back])
-
-    fast = chain()
-    monkeypatch.setattr(mx, "_FORCE_GENERIC", True)
-    slow = chain()
-    assert fast == slow
-    assert [m._e for m in fast[3] + fast[4]] == [m._e for m in slow[3] + slow[4]]
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -583,56 +547,73 @@ def test_gf2_census_fingerprints_match_generic(rng, monkeypatch):
     assert len(set(fast)) > 1
 
 
-# -- GF(3) bit-sliced differential tests -------------------------------------
+# -- row families against the table family -----------------------------------
 
 # empty shapes, 1 x 1, and widths on both sides of a 64-bit word
-_GF3_SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 63), (3, 64), (2, 65), (63, 2),
+_ROW_SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 63), (3, 64), (2, 65), (63, 2),
                (65, 3), (5, 5)]
 
 
-def _gf3_cases(spec, rng):
-    """(a, b, d, v): a * b, a + d, a - d and a v are defined; a is random or all 2."""
+def _row_family_cases(spec, rng):
+    """(a, b, d, v): a * b, a + d, a - d and a v are defined; a is random or all q - 1."""
+    q = spec.q
     cases = []
-    shapes = _GF3_SHAPES + [(rng.randrange(1, 8), rng.randrange(1, 8)) for _ in range(20)]
+    shapes = _ROW_SHAPES + [(rng.randrange(1, 8), rng.randrange(1, 8)) for _ in range(25)]
     for r, c in shapes:
-        for a in (random_matrix(spec, r, c, rng), Matrix(spec, r, c, [2] * (r * c))):
+        for a in (random_matrix(spec, r, c, rng), Matrix(spec, r, c, [q - 1] * (r * c))):
             b = random_matrix(spec, c, rng.randrange(0, 8), rng)
-            v = [rng.choice((2, rng.randrange(3))) for _ in range(c)]
+            v = [rng.choice((q - 1, rng.randrange(q))) for _ in range(c)]
             cases.append((a, b, random_matrix(spec, r, c, rng), v))
     return cases
 
 
-def test_gf3_planes_match_generic(rng, monkeypatch):
-    spec = field_make(3)
-    cases = _gf3_cases(spec, rng)
+@pytest.mark.parametrize("q", [2, 3])
+def test_row_family_matches_table_family(q, rng, monkeypatch):
+    # every operation on matrices built before the flip, in the row family and then the table one
+    spec = field_make(q)
+    cases = _row_family_cases(spec, rng)
 
     def outputs():
-        return [(a * b, a + d, a - d, -a, a.scale(2), a.scale(1), a.scale(0),
-                 rank(a), kernel_basis(a).basis, image_basis(a).basis,
-                 a.apply_to_vector(v), a.is_zero(), (a - a).is_zero(), solve(a, a.apply_to_vector(v)))
+        return [dict(mul=a * b, add=a + d, sub=a - d, neg=-a,
+                     scaled=[a.scale(s) for s in range(q)], zero=Matrix.zero(spec, a.rows, a.cols),
+                     identity=Matrix.identity(spec, a.cols), rank=rank(a),
+                     kernel=kernel_basis(a).basis, image=image_basis(a).basis,
+                     apply=a.apply_to_vector(v), is_zero=a.is_zero(),
+                     diff_zero=(a - a).is_zero(), solve=solve(a, a.apply_to_vector(v)))
                 for a, b, d, v in cases]
 
+    def matrices(outs):
+        return [m for out in outs for k in ("mul", "add", "sub", "neg", "zero", "identity", "scaled")
+                for m in (out[k] if k == "scaled" else [out[k]])]
+
     fast = outputs()
-    # kernel outputs hold planes only
-    assert all(m._ent is None for row in fast for m in row[:5])
-    assert all(row[12] and row[11] == (not any(a._e)) for row, (a, *_) in zip(fast, cases))
+    # kernel outputs, zero and identity included, hold rows only
+    assert all(m._ent is None for m in matrices(fast))
+    assert all(out["diff_zero"] and out["is_zero"] == (not any(a._e))
+               for out, (a, *_) in zip(fast, cases))
     monkeypatch.setattr(mx, "_FORCE_GENERIC", True)
     slow = outputs()
+    assert all(m._rw is None for m in matrices(slow))
     assert fast == slow
-    fast_mats = [m for row in fast for m in row[:7]]
-    slow_mats = [m for row in slow for m in row[:7]]
+    fast_mats, slow_mats = matrices(fast), matrices(slow)
     assert [m._e for m in fast_mats] == [m._e for m in slow_mats]
-    # a matrix built from planes equals and hashes as one built from entries
+    # row-only outputs of the row family now run in the table family
+    def again(mats):
+        return [(-m, m + m, m.scale(1)) for m in mats]
+
+    assert again(fast_mats) == again(slow_mats)
+    # a matrix built from rows equals and hashes as one built from entries
     for m in fast_mats:
         public = Matrix(m.spec, m.rows, m.cols, list(m._e))
         assert hash(public) == hash(m) and public == m and m == public
 
 
-def test_gf3_planes_invert_matches_generic(rng, monkeypatch):
-    spec = field_make(3)
-    units = [Matrix.identity(spec, 0), Matrix(spec, 1, 1, [2])]
+@pytest.mark.parametrize("q", [2, 3])
+def test_row_family_invert_matches_table_family(q, rng, monkeypatch):
+    spec = field_make(q)
+    units = [Matrix.identity(spec, 0), Matrix(spec, 1, 1, [q - 1])]
     units += [random_unit(spec, n, rng) for n in (1, 2, 5, 63, 64, 65)]
-    singular = [Matrix.zero(spec, 1), Matrix(spec, 3, 3, [2] * 9),
+    singular = [Matrix.zero(spec, 1), Matrix(spec, 3, 3, [q - 1] * 9),
                 random_matrix(spec, 64, 3, rng) * random_matrix(spec, 3, 64, rng)]
 
     def outputs():
@@ -649,22 +630,23 @@ def test_gf3_planes_invert_matches_generic(rng, monkeypatch):
     assert all(u * w == Matrix.identity(spec, u.rows) for u, w in zip(units, fast))
 
 
-def test_gf3_chained_kernel_outputs_match_generic(rng, monkeypatch):
+@pytest.mark.parametrize("q", [2, 3])
+def test_row_family_chained_outputs_match_table_family(q, rng, monkeypatch):
     # products, sums and inverses of kernel outputs, not of parsed inputs
-    spec = field_make(3)
+    spec = field_make(q)
     mats = [random_matrix(spec, 6, 6, rng) for _ in range(6)]
     units = [random_unit(spec, 6, rng) for _ in range(4)]
-    rhs = [rng.randrange(3) for _ in range(6)]
+    rhs = [rng.randrange(q) for _ in range(6)]
     # rank 2, and a right-hand side outside its column space
     low = random_matrix(spec, 6, 2, rng) * random_matrix(spec, 2, 6, rng)
-    outside = next(w for w in ([rng.randrange(3) for _ in range(6)] for _ in range(100))
+    outside = next(w for w in ([rng.randrange(q) for _ in range(6)] for _ in range(100))
                    if solve(low, w) is None)
     base = base_copy_basis(2, 4, spec)
     conj = [random_unit(spec, 4, rng) for _ in range(12)]
     vectors = {}
     for n in (1, 64, 65):
-        vecs = [[rng.randrange(3) for _ in range(n)] for _ in range(4)]
-        vecs += [[2] * n, [0] * n, [(x + 2 * y) % 3 for x, y in zip(vecs[0], vecs[1])]]
+        vecs = [[rng.randrange(q) for _ in range(n)] for _ in range(4)]
+        vecs += [[q - 1] * n, [0] * n, [(x - y) % q for x, y in zip(vecs[0], vecs[1])]]
         vectors[n] = vecs + [vecs[2]]
 
     def chain():
@@ -691,6 +673,86 @@ def test_gf3_chained_kernel_outputs_match_generic(rng, monkeypatch):
     assert fast[10] is None
     assert fast[11][64][-1] is False and fast[11][65][-3:] == [False, False, False]
     assert len(set(fast[12])) > 1
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_outside_vectors_are_reduced_mod_q(q, forced, rng, monkeypatch):
+    # like the entries of Matrix(...) and the right-hand side of solve
+    monkeypatch.setattr(mx, "_FORCE_GENERIC", forced)
+    spec = field_for_order(q)
+    for n in (1, 2, 7, 65):
+        vecs = [[rng.randrange(q) for _ in range(n)] for _ in range(4)]
+        # shifted by -q, 2q, -3q, q or 0 in turn: some entries negative, some q or more
+        wild = [[x + q * (-1, 2, -3, 1, 0)[(i * n + j) % 5] for j, x in enumerate(v)]
+                for i, v in enumerate(vecs)]
+        m = random_matrix(spec, 3, n, rng)
+        assert [m.apply_to_vector(w) for w in wild] == [m.apply_to_vector(v) for v in vecs]
+        sub = Subspace(spec, n, wild[:2])
+        assert sub == Subspace(spec, n, vecs[:2])
+        assert [sub.contains(w) for w in wild] == [sub.contains(v) for v in vecs]
+        assert sub.contains(wild[0]) and sub.contains(wild[1])
+        tables = {}, {}
+        assert [mx.echelon_insert(tables[0], w, spec) for w in wild] == \
+            [mx.echelon_insert(tables[1], v, spec) for v in vecs]
+        assert tables[0] == tables[1]
+    assert Matrix.identity(spec, 2).apply_to_vector([-1, 0]) == (q - 1, 0)
+    assert Subspace(spec, 2, [[q, 1]]).basis == ((0, 1),)
+
+
+def test_the_family_lookup_is_the_one_decision_point():
+    # only _family reads _FORCE_GENERIC or compares q with 2 or 3
+    tree = ast.parse(pathlib.Path(mx.__file__).read_text())
+    found = []
+
+    def is_q(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "q") or (
+            isinstance(node, ast.Name) and node.id == "q")
+
+    def constants(node):
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return {c.value for c in items if isinstance(c, ast.Constant)}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name) and child.id == "_FORCE_GENERIC" and isinstance(
+                    child.ctx, ast.Load):
+                found.append(("reads _FORCE_GENERIC", owner))
+            if isinstance(child, ast.Compare):
+                operands = [child.left, *child.comparators]
+                if any(map(is_q, operands)) and {2, 3} & set().union(*map(constants, operands)):
+                    found.append(("compares q with 2 or 3", owner))
+            visit(child, owner)
+
+    visit(tree, None)
+    assert found and all(owner == "_family" for _, owner in found), found
+    assert not hasattr(mx, "_use_packed") and not hasattr(mx, "_use_planes")
+
+
+def test_traced_kernels_keep_their_names_and_signatures(rng, monkeypatch):
+    # the benchmark's layer tracing replaces these module attributes and reads spec as
+    # _g_rref's third argument, so the families must call them through the module
+    signatures = {"_b_pack": ["entries", "rows", "cols"], "_b_unpack": ["rowints", "cols"],
+                  "_b_rref": ["rowints", "ncols"], "_g_rref": ["rowlists", "ncols", "spec"]}
+    calls = Counter()
+    for name, params in signatures.items():
+        kernel = getattr(mx, name)
+        assert list(inspect.signature(kernel).parameters) == params
+
+        def counted(*args, _name=name, _kernel=kernel):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(mx, name, counted)
+    gf2, gf4 = field_make(2), field_make(2, 2)
+    u = random_unit(gf2, 5, rng)
+    assert invert(u).entries == invert(Matrix(gf2, 5, 5, list(u.entries))).entries
+    assert set(calls) == {"_b_pack", "_b_unpack", "_b_rref"}
+    invert(random_unit(gf4, 3, rng))
+    assert calls["_g_rref"] == 1
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
