@@ -26,9 +26,10 @@ one back-substitution pass turns it into reduced echelon form. Other
 modules reach the row formats only through this module's functions.
 
 Distances are exact: ``rank_distance`` returns a ``RankDistance`` holding
-the raw (rank, ambient) pair, compared by cross-multiplication. Subspaces
-are kept in reduced echelon form, the unique canonical representative of
-their span, so subspace equality is a plain tuple comparison.
+the raw (rank, ambient) pair, compared by cross-multiplication. A subspace
+is the Matrix of its reduced echelon basis, the unique canonical
+representative of its span, so subspace equality is the matrices'
+native-form comparison, and sums, images and spans are one rref each.
 """
 
 from __future__ import annotations
@@ -452,8 +453,10 @@ class Matrix:
     def row_lists(self):
         return _g_rows(self._e, self.rows, self.cols)
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self._e[i * self.cols + j] for i in range(self.rows))
+    def transpose(self) -> "Matrix":
+        e, c = self._e, self.cols
+        return Matrix._trusted(self.spec, c, self.rows,
+                               tuple(chain.from_iterable(e[j::c] for j in range(c))))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -652,18 +655,11 @@ def _pack_outside(f: _Family, entries, rows, cols, spec: FieldSpec):
     return f.pack(raw, rows, cols)
 
 
-def _reduced(f: _Family, rows, ncols, spec: FieldSpec):
-    """Pivots and reduced echelon rows, as tuples of encodings, of rows ncols long in f."""
-    pivots, rows = f.rref(rows, ncols, spec)
-    flat = f.unpack(rows, ncols)
-    return pivots, [flat[i * ncols:(i + 1) * ncols] for i in range(len(rows))]
-
-
-def _rref_rows(rowlists, ncols, spec):
-    """``_reduced`` of outside vectors ncols long."""
-    f = _family(spec)
-    flat = list(chain.from_iterable(rowlists))
-    return _reduced(f, _pack_outside(f, flat, len(rowlists), ncols, spec), ncols, spec)
+def _rref_matrix(f: _Family, rows, ncols: int, spec: FieldSpec) -> Matrix:
+    """The reduced echelon rows of rows ncols long in f, as one Matrix (a cut at 0 keeps
+    every column): the one step that builds every subspace but a kernel."""
+    rows = f.rref(rows, ncols, spec)[1]
+    return f.made(spec, len(rows), ncols, f.cut(rows, 0))
 
 
 def echelon_insert(table, vec, spec: FieldSpec) -> bool:
@@ -674,48 +670,44 @@ def echelon_insert(table, vec, spec: FieldSpec) -> bool:
 
 
 class Subspace:
-    """A subspace of F_q^n held as its canonical reduced echelon basis.
+    """A subspace of F_q^n held as the Matrix of its canonical reduced echelon basis.
 
-    The basis vectors have strictly increasing pivot positions and each
-    pivot column is cleared elsewhere, so two subspaces are equal exactly
-    when their stored tuples are equal.
+    The rows have strictly increasing pivot positions and each pivot column
+    is cleared elsewhere, so two subspaces are equal exactly when their
+    matrices are, compared in the field's native row form.
     """
 
-    __slots__ = ("spec", "ambient_dim", "basis")
+    __slots__ = ("matrix",)
 
     def __init__(self, spec: FieldSpec, ambient_dim: int, vectors):
-        self.spec = spec
-        self.ambient_dim = ambient_dim
         vecs = [list(v) for v in vectors]
         if any(len(v) != ambient_dim for v in vecs):
             raise DimensionMismatch("vector of wrong length")
-        self.basis = tuple(_rref_rows(vecs, ambient_dim, spec)[1])
+        f, flat = _family(spec), list(chain.from_iterable(vecs))
+        self.matrix = _rref_matrix(f, _pack_outside(f, flat, len(vecs), ambient_dim, spec),
+                                   ambient_dim, spec)
 
     @classmethod
-    def _canonical(cls, spec: FieldSpec, ambient_dim: int, basis) -> "Subspace":
-        """A subspace whose basis is already in reduced echelon form."""
+    def _of(cls, m: Matrix) -> "Subspace":
+        """The span of m's rows, which are already its reduced echelon basis."""
         s = object.__new__(cls)
-        s.spec, s.ambient_dim, s.basis = spec, ambient_dim, tuple(basis)
+        s.matrix = m
         return s
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+    # read off the matrix; the basis as tuples of encodings
+    spec = property(lambda self: self.matrix.spec)
+    ambient_dim = property(lambda self: self.matrix.cols)
+    dim = property(lambda self: self.matrix.rows)
+    basis = property(lambda self: tuple(map(tuple, self.matrix.row_lists())))
 
     def contains(self, vec) -> bool:
-        probe = Subspace(self.spec, self.ambient_dim, list(self.basis) + [list(vec)])
-        return probe.dim == self.dim
+        return Subspace(self.spec, self.ambient_dim, [*self.basis, vec]).dim == self.dim
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.spec == other.spec
-            and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
-        )
+        return isinstance(other, Subspace) and self.matrix == other.matrix
 
     def __hash__(self):
-        return hash((self.spec, self.ambient_dim, self.basis))
+        return hash(self.matrix)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of F^{self.ambient_dim})"
@@ -841,41 +833,40 @@ def matrix_units(a: Matrix, b: Matrix, n: int) -> list[list[Matrix]]:
 # subspace calculus
 
 
-def _null_vectors(pivots, rows, n, neg):
-    """Per free column f of reduced echelon rows, f descending: 1 at f, -row[f] at each pivot."""
-    piv_set = set(pivots)
+def _null_vectors(r: Matrix) -> Matrix:
+    """A row per free column f of a reduced echelon matrix, f ascending: 1 at f, -row[f]
+    at each pivot (a row's first nonzero entry, which is 1)."""
+    n, neg, rows = r.cols, r.spec._neg, r.row_lists()
+    pivots = [row.index(1) for row in rows]
     out = []
-    for f in range(n - 1, -1, -1):
-        if f not in piv_set:
-            v = [0] * n
-            v[f] = 1
-            for row, pc in zip(rows, pivots):
-                v[pc] = neg[row[f]]
-            out.append(v)
-    return out
+    for f in sorted(set(range(n)) - set(pivots)):
+        v = [0] * n
+        v[f] = 1
+        for row, pc in zip(rows, pivots):
+            v[pc] = neg[row[f]]
+        out += v
+    return Matrix._trusted(r.spec, n - len(pivots), n, tuple(out))
 
 
 def kernel_basis(m: Matrix) -> Subspace:
     """Canonical basis of the right kernel; dim = cols - rank. One elimination, of the
     column-reversed matrix: there each free column's vector ends in a 1 and is 0 at the
     other free columns, so read backwards they are already the reduced echelon basis."""
-    n, spec, f = m.cols, m.spec, _family(m.spec)
-    pivots, rows = _reduced(f, f.flip(f.rows(m), n), n, spec)
-    basis = [tuple(v[::-1]) for v in _null_vectors(pivots, rows, n, spec._neg)]
-    return Subspace._canonical(spec, n, basis)
+    n, f = m.cols, _family(m.spec)
+    k = _null_vectors(_rref_matrix(f, f.flip(f.rows(m), n), n, m.spec))
+    # the rows backwards, each read backwards
+    return Subspace._of(Matrix._trusted(m.spec, k.rows, n, k._e[::-1]))
 
 
 def image_basis(m: Matrix) -> Subspace:
-    """Canonical basis of the column span."""
-    return Subspace(m.spec, m.rows, [list(m.column(j)) for j in range(m.cols)])
+    """Canonical basis of the column span: the row span of the transpose."""
+    f = _family(m.spec)
+    return Subspace._of(_rref_matrix(f, f.rows(m.transpose()), m.rows, m.spec))
 
 
 def annihilator(s: Subspace) -> Matrix:
-    """Constraint rows whose kernel is exactly s, read off its reduced echelon basis
-    (a basis vector's first nonzero entry, its pivot, is 1)."""
-    n = s.ambient_dim
-    vecs = _null_vectors([v.index(1) for v in s.basis], s.basis, n, s.spec._neg)
-    return Matrix._trusted(s.spec, len(vecs), n, tuple(chain.from_iterable(vecs)))
+    """Constraint rows whose kernel is exactly s, read off its reduced echelon basis."""
+    return _null_vectors(s.matrix)
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
@@ -892,26 +883,33 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
 
 
 def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
-    """Span of the union: concatenate bases and re-echelon."""
+    """Span of the union: stack both reduced bases and re-echelon."""
     if s1.spec != s2.spec:
         raise SpecMismatch("subspaces over different fields")
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionMismatch("subspaces in different ambient spaces")
-    return Subspace(s1.spec, s1.ambient_dim, list(s1.basis) + list(s2.basis))
+    f = _family(s1.spec)
+    rows = [*f.rows(s1.matrix), *f.rows(s2.matrix)]
+    return Subspace._of(_rref_matrix(f, rows, s1.ambient_dim, s1.spec))
 
 
 def apply(m: Matrix, s: Subspace) -> Subspace:
-    """Image m(s) of a subspace under a linear map."""
+    """Image m(s) of a subspace under a linear map: the column span of m B^T for s's
+    basis rows B, so the row span of B m^T."""
     if m.spec != s.spec:
         raise SpecMismatch("matrix and subspace over different fields")
     if m.cols != s.ambient_dim:
         raise DimensionMismatch("map domain does not match ambient space")
-    return Subspace(m.spec, m.rows, [m.apply_to_vector(v) for v in s.basis])
+    f = _family(m.spec)
+    return Subspace._of(_rref_matrix(f, f.rows(s.matrix * m.transpose()), m.rows, m.spec))
 
 
 def span_fingerprint(mats, spec: FieldSpec, ambient: int) -> tuple:
     """Canonical echelon basis of the linear span of flattened matrices."""
-    return tuple(_rref_rows([m._e for m in mats], ambient * ambient, spec)[1])
+    f, n = _family(spec), ambient * ambient
+    ents = [m._e for m in mats]
+    rows = f.pack(tuple(chain.from_iterable(ents)), len(ents), n)
+    return Subspace._of(_rref_matrix(f, rows, n, spec)).basis
 
 
 # ---------------------------------------------------------------------------
@@ -992,20 +990,18 @@ def conjugated_span_keys(units, s: int):
     """
     cuts = base = None
     for g in units:
-        b = g.rows
-        if _family(g.spec) is _BITS and b <= 8:
+        b, f = g.rows, _family(g.spec)
+        if f is _BITS and b <= 8:
             if cuts is None:  # per block of columns, byte -> its s bits in that block
                 cuts = [bytes(v >> i & (1 << s) - 1 for v in range(256)) for i in range(0, b, s)]
             rows = g._packed()
-            pivots, inv = _b_rref([r | 1 << (b + i) for i, r in enumerate(rows)], b)
-            if len(pivots) != b:
-                raise Singular("matrix is singular")
+            inv = _inverse(f, rows, b, g.spec)
             blocks = [bytes(rows).translate(cut) for cut in cuts]
             flats = []
             for j in range(0, b, s):
                 table = [0]
                 for h in inv[j:j + s]:
-                    table += [x ^ h >> b for x in table]
+                    table += [x ^ h for x in table]
                 table = bytes(table).ljust(256, b"\0")
                 flats += [int.from_bytes(block.translate(table), "little") for block in blocks]
             yield g, tuple(_b_rref(flats, 8 * b)[1])
@@ -1074,24 +1070,30 @@ def invert(m: Matrix) -> Matrix:
     """Exact inverse; raises ``Singular`` when the matrix has no inverse."""
     if not m.is_square():
         raise DimensionMismatch("only square matrices can be inverted")
-    n, f = m.rows, _family(m.spec)
-    pivots, rows = f.rref(f.augment(f.rows(m), n), n, m.spec)
+    f = _family(m.spec)
+    return f.made(m.spec, m.rows, m.rows, _inverse(f, f.rows(m), m.rows, m.spec))
+
+
+def _inverse(f: _Family, rows, n: int, spec: FieldSpec):
+    """The store of the inverse of n square rows in f; raises ``Singular``."""
+    pivots, rows = f.rref(f.augment(rows, n), n, spec)
     if len(pivots) != n:
         raise Singular("matrix is singular")
-    return f.made(m.spec, n, n, f.cut(rows, n))
+    return f.cut(rows, n)
 
 
 def solve(m: Matrix, rhs) -> tuple[int, ...] | None:
     """One solution of m v = rhs (raw encodings), or None if inconsistent."""
     if len(rhs) != m.rows:
         raise DimensionMismatch("right-hand side of wrong length")
-    c = m.cols
-    aug = [row + [v] for row, v in zip(m.row_lists(), rhs)]  # _rref_rows reduces rhs mod q
-    pivots, rows = _rref_rows(aug, c + 1, m.spec)
-    if c in pivots:
-        return None
+    c, f = m.cols, _family(m.spec)
+    # _pack_outside reduces rhs mod q
+    aug = _pack_outside(f, [v for row, x in zip(m.row_lists(), rhs) for v in (*row, x)],
+                        m.rows, c + 1, m.spec)
     sol = [0] * c
-    for pc, row in zip(pivots, rows):
+    for row in _rref_matrix(f, aug, c + 1, m.spec).row_lists():
+        if (pc := row.index(1)) == c:
+            return None
         sol[pc] = row[c]
     return tuple(sol)
 

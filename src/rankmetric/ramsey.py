@@ -501,8 +501,8 @@ def monochromatic_search(b_dim: int, c_dim: int, gamma: Coloring, eps,
     a_dim = gamma.a_dim
     if c_dim != gamma.c_dim:
         raise DimensionMismatch("coloring ambient does not match c")
-    if a_dim < 1 or b_dim < 1 or c_dim % b_dim != 0 or b_dim % a_dim != 0:
-        raise NotDivisor("need a | b and b | c")
+    if min(a_dim, b_dim, c_dim) < 1 or c_dim % b_dim != 0 or b_dim % a_dim != 0:
+        raise NotDivisor("need positive a, b, c with a | b and b | c")
     # the copies of A inside the standard B, lifted once into M_c; a = b needs
     # none, as its one lifted copy is the standard B-copy itself
     lifted_a_copies = [] if a_dim == b_dim else [

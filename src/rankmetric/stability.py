@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DimensionMismatch, InvariantViolated, NotRepairable
+from .errors import DimensionMismatch, InvariantViolated, NotRepairable, SpecMismatch
 from .matrix import (
     Matrix,
     RankDistance,
@@ -36,7 +36,6 @@ from .embeddings import DeltaEmbedding
 
 def _check_pair(x: Matrix, y: Matrix, n: int) -> int:
     if x.spec != y.spec:
-        from .errors import SpecMismatch
         raise SpecMismatch("pair over different fields")
     if not (x.is_square() and y.is_square() and x.rows == y.rows):
         raise DimensionMismatch("pair must be square of equal ambient size")
@@ -213,29 +212,31 @@ def repair(x: Matrix, y: Matrix, n: int):
     (ambient - dim V)/ambient in rank distance.
 
     Basis assembly is deterministic: the canonical echelon basis of
-    W_{n-1} is propagated by powers of y to span V, and the complement is
-    completed first from ker x intersect ker y (which makes repairing a
-    repaired pair a fixed point), then by standard basis vectors in index
-    order.
+    W_{n-1} is propagated by powers of y to span V, all of it in one
+    product per power, and the complement is completed first from
+    ker x intersect ker y (which makes repairing a repaired pair a fixed
+    point), then by standard basis vectors in index order.
     """
     amb = _check_pair(x, y, n)
     defect = relation_defect(x, y, n)
     chain = w_chain(x, y, n)
     w_last = chain[-1]
     if w_last.dim == 0:
-        raise NotRepairable("the final chain subspace is trivial")
+        dims = " ".join(str(w.dim) for w in chain)
+        raise NotRepairable(f"the final chain subspace is trivial: dims_W {dims}, ambient {amb}")
     v = v_space(x, y, n, w_last)
     d = w_last.dim
     mult = amb // n
 
+    # row i of powers[k] is y^k w_i: P_{k+1} = P_k y^T for the basis rows P_0 of W_{n-1}
+    yt, powers = y.transpose(), [w_last.matrix]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * yt)
     cols = []
     tracker = _SpanTracker(x.spec)
-    for w in w_last.basis:
-        propagated = [tuple(w)]
-        for _ in range(n - 1):
-            propagated.append(y.apply_to_vector(propagated[-1]))
-        # per-copy order: y^(n-1) w, ..., y w, w
-        for vec in reversed(propagated):
+    for i in range(d):
+        for p in reversed(powers):  # per-copy order: y^(n-1) w, ..., y w, w
+            vec = p.entries[i * amb:(i + 1) * amb]
             if not tracker.try_add(vec):
                 raise InvariantViolated("propagated basis unexpectedly dependent")
             cols.append(vec)
@@ -244,12 +245,8 @@ def repair(x: Matrix, y: Matrix, n: int):
     complement = []
     if complement_needed:
         quiet = intersect(kernel_basis(x), kernel_basis(y))
-        candidates = [list(b) for b in quiet.basis]
-        for i in range(amb):
-            e = [0] * amb
-            e[i] = 1
-            candidates.append(e)
-        for cand in candidates:
+        # then the standard basis vectors in index order
+        for cand in [*quiet.basis, *Matrix.identity(x.spec, amb).row_lists()]:
             if len(complement) == complement_needed:
                 break
             if tracker.try_add(cand):

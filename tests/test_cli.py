@@ -96,7 +96,8 @@ def test_repair_not_repairable_exit_3(tmp_path, gf2):
     path.write_text(z + z)
     code, out = _run(["repair", "--n", "2", "--in", str(path)])
     assert code == 3
-    assert "NotRepairable" in out
+    # the residual -1 has kernel 0, so every W_k is 0
+    assert out.startswith("error NotRepairable:") and "dims_W 0 0, ambient 4" in out
 
 
 def test_defect_report(tmp_path, gf2):
@@ -234,6 +235,7 @@ def test_slorder_largest_factored_order():
 
 
 _BOUND = ["ramsey-bound", "--q", "2", "--eps", "1/2"]
+_SEARCH_C = ["ramsey-search", "--a", "1", "--b", "1", "--q", "2", "--eps", "1/2", "--c"]
 
 
 @pytest.mark.parametrize("argv, code, error", [
@@ -243,7 +245,11 @@ _BOUND = ["ramsey-bound", "--q", "2", "--eps", "1/2"]
     (["copies", "--a", "300", "--b", "0", "--q", "9"], 2, "NotDivisor"),
     (["ramsey-search", "--a", "0", "--b", "1", "--c", "2", "--q", "2", "--eps", "1/2"],
      2, "NotDivisor"),
-], ids=["a-zero", "b-negative", "envelope-above-cap", "copies-b-zero", "search-a-zero"])
+    (_SEARCH_C + ["0"], 2, "NotDivisor"),
+    (_SEARCH_C + ["-1"], 2, "NotDivisor"),
+    (_SEARCH_C + ["0", "--strategy", "random"], 2, "NotDivisor"),
+], ids=["a-zero", "b-negative", "envelope-above-cap", "copies-b-zero", "search-a-zero",
+        "search-c-zero", "search-c-negative", "search-c-zero-random"])
 def test_degenerate_and_oversized_algebras(argv, code, error):
     start = time.perf_counter()
     assert _run(argv)[0] == code

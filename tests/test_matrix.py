@@ -4,6 +4,7 @@ import pathlib
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -572,6 +573,8 @@ def test_row_family_matches_table_family(q, rng, monkeypatch):
     # every operation on matrices built before the flip, in the row family and then the table one
     spec = field_make(q)
     cases = _row_family_cases(spec, rng)
+    # subspaces of F^cols(a), built in the row family: one held as rows, one as entries
+    spaces = [(image_basis(b), kernel_basis(d)) for a, b, d, v in cases]
 
     def outputs():
         return [dict(mul=a * b, add=a + d, sub=a - d, neg=-a,
@@ -579,8 +582,11 @@ def test_row_family_matches_table_family(q, rng, monkeypatch):
                      identity=Matrix.identity(spec, a.cols), rank=rank(a),
                      kernel=kernel_basis(a).basis, image=image_basis(a).basis,
                      apply=a.apply_to_vector(v), is_zero=a.is_zero(),
-                     diff_zero=(a - a).is_zero(), solve=solve(a, a.apply_to_vector(v)))
-                for a, b, d, v in cases]
+                     diff_zero=(a - a).is_zero(), solve=solve(a, a.apply_to_vector(v)),
+                     mapped=apply(a, s).basis, sum=subspace_sum(s, t).basis,
+                     meet=mx.intersect(s, t).basis, ann=mx.annihilator(s),
+                     contains=[w.contains(u) for w in (s, t) for u in (v, *s.basis, *t.basis)])
+                for (a, b, d, v), (s, t) in zip(cases, spaces)]
 
     def matrices(outs):
         return [m for out in outs for k in ("mul", "add", "sub", "neg", "zero", "identity", "scaled")
@@ -606,6 +612,11 @@ def test_row_family_matches_table_family(q, rng, monkeypatch):
     for m in fast_mats:
         public = Matrix(m.spec, m.rows, m.cols, list(m._e))
         assert hash(public) == hash(m) and public == m and m == public
+    # and a span built in the row family equals and hashes as one built in the table family
+    for s in chain.from_iterable(spaces):
+        table = Subspace(spec, s.ambient_dim, s.basis)
+        assert table.matrix._rw is None
+        assert hash(table) == hash(s) and table == s and s == table
 
 
 @pytest.mark.parametrize("q", [2, 3])
