@@ -111,6 +111,26 @@ def _cases(tmp_path):
                                   "--q", "2", "--eps", "-1", "--strategy", "random",
                                   "--trials", "10", "--coloring", "distance-to-copy"], []),
     ]
+    # repair over the table family: a perturbed exact pair, a lifted one and a random one
+    for q in (4, 5):
+        spec, rng = field_for_order(q), random.Random(4100 + q)
+        a, b = kassabov_generators(2, spec)
+        e = DeltaEmbedding(2, 7, 3, _unit(spec, 7, rng))
+        pair = put(f"pair{q}", write_matrix(e.apply(a) + Matrix.unit(spec, 7, 1, 2).scale(q - 1))
+                   + write_matrix(e.apply(b)))
+        hom = Homomorphism.inclusion(6, 2, spec).conjugate(_unit(spec, 6, rng))
+        lifted = put(f"lifted{q}", write_matrix(hom.img_a) + write_matrix(hom.img_b))
+        noise = put(f"noise{q}", write_matrix(_matrix(spec, 6, rng))
+                    + write_matrix(_matrix(spec, 6, rng)))
+        p = f"gf{q}"
+        cases += [
+            (f"defect {p}", ["defect", "--n", "2", "--in", pair], []),
+            (f"repair {p}", ["repair", "--n", "2", "--in", pair, "--out", out(f"rep{q}")],
+             [out(f"rep{q}")]),
+            (f"repair {p} lifted", ["repair", "--n", "2", "--in", lifted,
+                                    "--out", out(f"rep{q}l")], [out(f"rep{q}l")]),
+            (f"repair {p} random", ["repair", "--n", "2", "--in", noise], []),
+        ]
     return cases
 
 
