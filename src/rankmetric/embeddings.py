@@ -320,9 +320,11 @@ class Homomorphism:
             if img.rows != n or img.cols != n:
                 raise DimensionMismatch("generator image has the wrong size")
         units = matrix_units(img_a, img_b, m)
-        cols = [units[i][0].apply_to_vector(v)
-                for v in image_basis(units[0][0]).basis for i in range(m)]
-        mult = len(cols) // m
+        basis = image_basis(units[0][0]).matrix
+        # row j of images[i] is E_i1 v_j for the j-th basis row v_j: one product per unit
+        images = [(basis * units[i][0].transpose()).row_lists() for i in range(m)]
+        mult = basis.rows
+        cols = [img[j] for j in range(mult) for img in images]
         one = sum((units[i][i] for i in range(1, m)), units[0][0])
         cols += kernel_basis(one).basis
         self.m, self.n, self.spec = m, n, img_a.spec

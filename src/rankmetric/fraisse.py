@@ -270,13 +270,7 @@ class BackForthCertificate:
         """Each map within its tolerance; each round-trip and successive row
         non-empty and within its bound; the last round trip within the
         final bound."""
-        if any(m.embedding.delta_fraction > m.tolerance for m in self.maps):
-            return False
-        for rt in self.round_trips + self.successive:
-            if not rt.errors or any(pe.error > rt.bound for pe in rt.errors):
-                return False
-        return not self.round_trips or all(
-            pe.error <= self.final_bound for pe in self.round_trips[-1].errors)
+        return not any(self._failures())
 
     def to_text(self) -> str:
         lines = [f"BACKFORTH rounds {self.rounds}"]
@@ -296,12 +290,17 @@ class BackForthCertificate:
         return "\n".join(lines) + "\n"
 
     def _failures(self):
-        """A line for each probe error above its bound, in report order. (A
-        run's maps meet their tolerances and its rows have probes.)"""
+        """A line for each broken rule of ``all_bounds_hold``, in report order: a map
+        above its tolerance, a row without probe errors, a probe error above its bound."""
+        for m in self.maps:
+            if m.embedding.delta_fraction > m.tolerance:
+                yield f"map {m.index} delta {m.embedding.delta} exceeds tol {_ratio(m.tolerance)}"
         rows = [("roundtrip", rt, "bound", rt.bound) for rt in self.round_trips]
         rows += [("successive", rt, "bound", rt.bound) for rt in self.successive]
         rows += [("roundtrip", rt, "final_bound", self.final_bound) for rt in self.round_trips[-1:]]
         for label, rt, name, bound in rows:
+            if not rt.errors and name == "bound":
+                yield f"{label} {rt.map_index} has no probe errors"
             for pe in rt.errors:
                 if pe.error > bound:
                     yield (f"{label} {rt.map_index} p{pe.probe_index}={_ratio(pe.error)}"

@@ -10,8 +10,8 @@ tuples of canonical encodings, worked through the field's tables.
 
 A family is one entry of the ``_Family`` table: how a matrix keeps it,
 and whole-matrix pack, unpack, zero, identity, sum, difference, negation,
-scaling, product, mat-vec, echelon insert, rref, and the augment, cut and
-flip steps of ``invert`` and ``kernel_basis``. So each ``Matrix``
+scaling, product, transpose, echelon insert, rref, and the augment and
+cut steps that ``invert`` and ``kernel_basis`` share. So each ``Matrix``
 operation has one code path, and a new family is one more entry. No
 matrix stores its family, since a matrix built before a test sets
 ``_FORCE_GENERIC`` must run in the table family after it. A matrix holds
@@ -22,8 +22,11 @@ the benchmark's layer tracing can wrap them.
 
 Elimination has one skeleton in every family: rows are reduced into an
 echelon table keyed by pivot column, rank is the size of the table, and
-one back-substitution pass turns it into reduced echelon form. Other
-modules reach the row formats only through this module's functions.
+one back-substitution pass turns it into reduced echelon form. An inverse
+and a kernel are each one elimination of rows with the identity appended:
+the inverse is the appended block of [m | I], the kernel the appended block
+of the rows of [m^T | I] that reduce to zero on m^T. Other modules reach
+the row formats only through this module's functions.
 
 Distances are exact: ``rank_distance`` returns a ``RankDistance`` holding
 the raw (rank, ambient) pair, compared by cross-multiplication. A subspace
@@ -88,6 +91,14 @@ def _b_unpack(rowints, cols):
     fmt = f"0{cols}b"
     return tuple(b"".join(format(r, fmt)[::-1].encode() for r in rowints)
                  .translate(_TO_BITS))
+
+
+def _b_transpose(rowints, cols):
+    """Row ints of the transpose: each column sliced out of one joined digit string, which
+    read backwards runs from the last row to the first, each row from column 0 on."""
+    fmt = f"0{cols}b"
+    digits = "".join([format(r, fmt) for r in rowints])[::-1]
+    return tuple([int(digits[j::cols] or "0", 2) for j in range(cols)])
 
 
 def _b_mul(arows, brows):
@@ -314,6 +325,13 @@ def _g_rref(rowlists, ncols, spec):
 # ---------------------------------------------------------------------------
 
 
+def _check_dims(*dims: int) -> tuple[int, ...]:
+    """The dimensions as given; ``DimensionMismatch`` if one is negative."""
+    if min(dims) < 0:
+        raise DimensionMismatch(f"negative dimensions {dims}")
+    return dims
+
+
 @total_ordering
 class RankDistance:
     """Exact normalized-rank distance: numerator/denominator, never floats.
@@ -369,8 +387,7 @@ class Matrix:
     __slots__ = ("spec", "rows", "cols", "_ent", "_rw")
 
     def __init__(self, spec: FieldSpec, rows: int, cols: int, entries):
-        if rows < 0 or cols < 0:
-            raise DimensionMismatch("negative dimensions")
+        _check_dims(rows, cols)
         vals = []
         for e in entries:
             if isinstance(e, FieldElement):
@@ -415,16 +432,18 @@ class Matrix:
     def zero(cls, spec: FieldSpec, rows: int, cols: int | None = None) -> "Matrix":
         cols = rows if cols is None else cols
         f = _family(spec)
-        return f.made(spec, rows, cols, f.zero(rows, cols))
+        return f.made(spec, rows, cols, f.zero(*_check_dims(rows, cols)))
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "Matrix":
         f = _family(spec)
-        return f.made(spec, n, n, f.identity(n))
+        return f.made(spec, n, n, f.identity(*_check_dims(n)))
 
     @classmethod
     def unit(cls, spec: FieldSpec, n: int, i: int, j: int) -> "Matrix":
         """The matrix unit e_{ij} (1-based indices)."""
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise DimensionMismatch(f"unit ({i}, {j}) lies outside {n}x{n}")
         e = [0] * (n * n)
         e[(i - 1) * n + (j - 1)] = 1
         return cls._trusted(spec, n, n, tuple(e))
@@ -448,15 +467,16 @@ class Matrix:
     # -- access ---------------------------------------------------------
 
     def at(self, i: int, j: int) -> FieldElement:
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise DimensionMismatch(f"entry ({i}, {j}) lies outside {self.rows}x{self.cols}")
         return FieldElement(self.spec, self._e[i * self.cols + j])
 
     def row_lists(self):
         return _g_rows(self._e, self.rows, self.cols)
 
     def transpose(self) -> "Matrix":
-        e, c = self._e, self.cols
-        return Matrix._trusted(self.spec, c, self.rows,
-                               tuple(chain.from_iterable(e[j::c] for j in range(c))))
+        f = _family(self.spec)
+        return f.made(self.spec, self.cols, self.rows, f.transpose(f.rows(self), self.cols))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -523,11 +543,11 @@ class Matrix:
         return out
 
     def apply_to_vector(self, vec) -> tuple[int, ...]:
-        """Matrix-vector product on raw int encodings, reduced mod q."""
+        """Matrix-vector product on raw int encodings, reduced mod q: the product with
+        vec as one column."""
         if len(vec) != self.cols:
             raise DimensionMismatch("vector of wrong length")
-        f = _family(self.spec)
-        return f.apply(f.rows(self), _pack_outside(f, vec, 1, self.cols, self.spec)[0], self.spec)
+        return (self * Matrix(self.spec, self.cols, 1, vec)).entries
 
     def _key(self):
         # compared and hashed in the native form, whichever form the matrix was built in
@@ -571,12 +591,11 @@ class _Family(NamedTuple):
     neg: Callable       # store, spec -> store
     scale: Callable     # store, scalar encoding, spec -> store
     mul: Callable       # rows, rows, spec, product cols -> store
-    apply: Callable     # rows, packed vector, spec -> tuple of encodings
+    transpose: Callable  # rows, cols -> store of the transpose
     insert: Callable    # echelon table, row, ncols, spec -> whether it was stored
     rref: Callable      # rows, ncols, spec -> pivot columns, reduced rows
     augment: Callable   # rows, n -> rows with the identity appended from column n
     cut: Callable       # augmented rows, n -> store of the columns from n on
-    flip: Callable      # rows, n -> rows with their n columns reversed
 
 
 _BITS = _Family(
@@ -591,13 +610,11 @@ _BITS = _Family(
     neg=lambda a, spec: a,
     scale=lambda a, s, spec: a if s else (0,) * len(a),
     mul=lambda a, b, spec, c: _b_mul(a, b),
-    apply=lambda rows, v, spec: tuple([(r & v).bit_count() & 1 for r in rows]),
+    transpose=lambda rows, c: _b_transpose(rows, c),
     insert=lambda table, row, ncols, spec: _b_insert(table, row, 1 << ncols),
     rref=lambda rows, ncols, spec: _b_rref(rows, ncols),
     augment=lambda rows, n: [r | 1 << (n + i) for i, r in enumerate(rows)],
     cut=lambda rows, n: tuple([r >> n for r in rows]),
-    # an int read backwards reverses the columns
-    flip=lambda rows, n: [int(format(r, f"0{n}b")[::-1], 2) for r in rows],
 )
 
 _PLANES = _BITS._replace(
@@ -610,16 +627,12 @@ _PLANES = _BITS._replace(
     # the scalars are 0, 1 and 2 = -1
     scale=lambda a, s, spec: (a if s == 1 else _PLANES.neg(a, spec)) if s else ((0, 0),) * len(a),
     mul=lambda a, b, spec, c: _t_mul(a, b),
-    # p and m are disjoint, so the matches of each sign are one popcount
-    apply=lambda rows, v, spec: tuple([(((p & vp) | (m & vm)).bit_count()
-                                        - ((p & vm) | (m & vp)).bit_count()) % 3
-                                       for vp, vm in [v] for p, m in rows]),
+    # each plane transposed as GF(2) rows, then paired up again
+    transpose=lambda rows, c: tuple(zip(*[_b_transpose([r[k] for r in rows], c) for k in (0, 1)])),
     insert=lambda table, row, ncols, spec: _t_insert(table, row, 1 << ncols),
     rref=lambda rows, ncols, spec: _t_rref(rows, ncols),
     augment=lambda rows, n: [(p | 1 << (n + i), m) for i, (p, m) in enumerate(rows)],
     cut=lambda rows, n: tuple([(p >> n, m >> n) for p, m in rows]),
-    # each plane flipped as a GF(2) row, then paired up again
-    flip=lambda rows, n: list(zip(*[iter(_BITS.flip(chain.from_iterable(rows), n))] * 2)),
 )
 
 _TABLE = _Family(
@@ -632,14 +645,12 @@ _TABLE = _Family(
     neg=lambda a, spec: tuple(map(spec._neg.__getitem__, a)),
     scale=lambda a, s, spec: tuple(map(spec._mul[s * spec.q:(s + 1) * spec.q].__getitem__, a)),
     mul=_g_mul,
-    # the product with v as a column
-    apply=lambda rows, v, spec: _g_mul(rows, [[x] for x in v], spec, 1),
+    transpose=lambda rows, c: tuple(chain.from_iterable(zip(*rows))),
     insert=_g_insert,
     rref=lambda rows, ncols, spec: _g_rref(rows, ncols, spec),
     augment=lambda rows, n: [row + [0] * i + [1] + [0] * (len(rows) - 1 - i)
                              for i, row in enumerate(rows)],
     cut=lambda rows, n: tuple([v for row in rows for v in row[n:]]),
-    flip=lambda rows, n: [row[::-1] for row in rows],
 )
 
 
@@ -759,7 +770,7 @@ def direct_sum(blocks, pad_zeros: int = 0) -> Matrix:
             raise SpecMismatch("blocks over different fields")
         if not b.is_square():
             raise DimensionMismatch("blocks must be square")
-    n = sum(b.rows for b in blocks) + pad_zeros
+    n = sum(b.rows for b in blocks) + _check_dims(pad_zeros)[0]
     out, off = [0] * (n * n), 0
     for b in blocks:
         for i, row in enumerate(b.row_lists(), off):
@@ -833,29 +844,15 @@ def matrix_units(a: Matrix, b: Matrix, n: int) -> list[list[Matrix]]:
 # subspace calculus
 
 
-def _null_vectors(r: Matrix) -> Matrix:
-    """A row per free column f of a reduced echelon matrix, f ascending: 1 at f, -row[f]
-    at each pivot (a row's first nonzero entry, which is 1)."""
-    n, neg, rows = r.cols, r.spec._neg, r.row_lists()
-    pivots = [row.index(1) for row in rows]
-    out = []
-    for f in sorted(set(range(n)) - set(pivots)):
-        v = [0] * n
-        v[f] = 1
-        for row, pc in zip(rows, pivots):
-            v[pc] = neg[row[f]]
-        out += v
-    return Matrix._trusted(r.spec, n - len(pivots), n, tuple(out))
-
-
 def kernel_basis(m: Matrix) -> Subspace:
-    """Canonical basis of the right kernel; dim = cols - rank. One elimination, of the
-    column-reversed matrix: there each free column's vector ends in a 1 and is 0 at the
-    other free columns, so read backwards they are already the reduced echelon basis."""
-    n, f = m.cols, _family(m.spec)
-    k = _null_vectors(_rref_matrix(f, f.flip(f.rows(m), n), n, m.spec))
-    # the rows backwards, each read backwards
-    return Subspace._of(Matrix._trusted(m.spec, k.rows, n, k._e[::-1]))
+    """Canonical basis of the right kernel; dim = cols - rank. One elimination of [m^T | I]
+    over all its columns: the last reduced rows, those with their pivot in the identity
+    block, are zero on m^T, so their identity parts v have m v = 0, and they are already
+    the kernel's reduced echelon basis."""
+    r, n, f = m.rows, m.cols, _family(m.spec)
+    pivots, rows = f.rref(f.augment(f.rows(m.transpose()), r), r + n, m.spec)
+    rank = sum(p < r for p in pivots)
+    return Subspace._of(f.made(m.spec, n - rank, n, f.cut(rows[rank:], r)))
 
 
 def image_basis(m: Matrix) -> Subspace:
@@ -865,8 +862,8 @@ def image_basis(m: Matrix) -> Subspace:
 
 
 def annihilator(s: Subspace) -> Matrix:
-    """Constraint rows whose kernel is exactly s, read off its reduced echelon basis."""
-    return _null_vectors(s.matrix)
+    """Constraint rows whose kernel is exactly s: the reduced echelon basis of s-perp."""
+    return kernel_basis(s.matrix).matrix
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
@@ -875,11 +872,10 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
         raise SpecMismatch("subspaces over different fields")
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionMismatch("subspaces in different ambient spaces")
-    c1 = annihilator(s1)
-    c2 = annihilator(s2)
-    stacked = Matrix._trusted(s1.spec, c1.rows + c2.rows, s1.ambient_dim,
-                              c1._e + c2._e)
-    return kernel_basis(stacked)
+    f, c1, c2 = _family(s1.spec), annihilator(s1), annihilator(s2)
+    # a store is row-major, so the stacked store is the two stores joined
+    return kernel_basis(f.made(s1.spec, c1.rows + c2.rows, s1.ambient_dim,
+                               f.store(c1) + f.store(c2)))
 
 
 def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:

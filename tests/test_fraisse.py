@@ -23,8 +23,12 @@ from rankmetric.matrix import (
     random_matrix,
     random_unit,
 )
-from rankmetric.embeddings import DeltaEmbedding, compose, iota, iota_embedding
+from rankmetric.embeddings import DeltaEmbedding, block_embedding, compose, iota, iota_embedding
 from rankmetric.fraisse import (
+    BackForthCertificate,
+    MapRecord,
+    ProbeError,
+    RoundTrip,
     approximate_extension,
     approximate_homogeneity,
     back_and_forth,
@@ -284,6 +288,22 @@ def test_certificate_with_empty_round_trip_fails(gf2):
     # replayed without the probe that round trip 1 needs, the emptied
     # record matches its replay, and still fails
     assert not verify_certificate(cert, fact, pows, probes[:1])
+
+
+def test_hand_built_certificate_names_each_broken_rule(gf2):
+    # a map above its tolerance, or a row without probe errors, fails the certificate on
+    # its own, and the refusal line names it
+    emb = block_embedding(2, 3, gf2)  # mult 1 in M_3: delta 1/3
+    row = RoundTrip(1, Fraction(1, 2), [ProbeError(0, Fraction(1, 3))])
+    cert = BackForthCertificate(1, [(0, 0), (0, 1)], [MapRecord(1, "xy", emb, Fraction(1, 4))],
+                                [row], [])
+    assert not cert.all_bounds_hold()
+    assert list(cert._failures()) == ["map 1 delta 1/3 exceeds tol 1/4"]
+    cert.maps[0].tolerance = Fraction(1, 3)
+    assert cert.all_bounds_hold() and not list(cert._failures())
+    row.errors = ()
+    assert not cert.all_bounds_hold()
+    assert list(cert._failures()) == ["roundtrip 1 has no probe errors"]
 
 
 def _loosen(cert):

@@ -378,6 +378,21 @@ def test_intersect_sum_dimension_formula(rng):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_annihilator_is_the_reduced_echelon_basis_of_the_perp(q, rng):
+    spec = field_for_order(q)
+    for n in (0, 1, 4, 7, 9):
+        for _ in range(6):
+            s = image_basis(random_matrix(spec, n, rng.randrange(0, n + 1), rng))
+            ann = mx.annihilator(s)
+            # every row is orthogonal to s, there are n - dim s of them, and they are
+            # already the canonical basis of their span
+            assert (ann.rows, ann.cols) == (n - s.dim, n)
+            assert (s.matrix * ann.transpose()).is_zero()
+            assert Subspace(spec, n, ann.row_lists()).matrix == ann
+            assert ann == kernel_basis(s.matrix).matrix
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_annihilator_and_intersect_over_every_field(q, rng):
     spec = field_for_order(q)
     for _ in range(25):
@@ -577,7 +592,7 @@ def test_row_family_matches_table_family(q, rng, monkeypatch):
     spaces = [(image_basis(b), kernel_basis(d)) for a, b, d, v in cases]
 
     def outputs():
-        return [dict(mul=a * b, add=a + d, sub=a - d, neg=-a,
+        return [dict(mul=a * b, add=a + d, sub=a - d, neg=-a, transpose=a.transpose(),
                      scaled=[a.scale(s) for s in range(q)], zero=Matrix.zero(spec, a.rows, a.cols),
                      identity=Matrix.identity(spec, a.cols), rank=rank(a),
                      kernel=kernel_basis(a).basis, image=image_basis(a).basis,
@@ -589,7 +604,8 @@ def test_row_family_matches_table_family(q, rng, monkeypatch):
                 for (a, b, d, v), (s, t) in zip(cases, spaces)]
 
     def matrices(outs):
-        return [m for out in outs for k in ("mul", "add", "sub", "neg", "zero", "identity", "scaled")
+        return [m for out in outs
+                for k in ("mul", "add", "sub", "neg", "transpose", "zero", "identity", "scaled")
                 for m in (out[k] if k == "scaled" else [out[k]])]
 
     fast = outputs()
@@ -617,6 +633,28 @@ def test_row_family_matches_table_family(q, rng, monkeypatch):
         table = Subspace(spec, s.ambient_dim, s.basis)
         assert table.matrix._rw is None
         assert hash(table) == hash(s) and table == s and s == table
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_row_family_transpose_edge_shapes_match_table_family(q, rng, monkeypatch):
+    # empty shapes and rows wider than one 64-bit word, from rows and from entries
+    spec = field_make(q)
+    shapes = [(0, 5), (5, 0), (0, 0), (1, 65), (65, 1), (3, 130), (70, 66)]
+    mats = [random_matrix(spec, r, c, rng) for r, c in shapes]
+    mats += [m * Matrix.identity(spec, m.cols) for m in mats]  # the same, held as rows
+
+    def outputs():
+        return [m.transpose() for m in mats]
+
+    fast = outputs()
+    assert all(t._ent is None for t in fast)
+    monkeypatch.setattr(mx, "_FORCE_GENERIC", True)
+    slow = outputs()
+    assert fast == slow and [t._e for t in fast] == [t._e for t in slow]
+    for m, t in zip(mats, fast):
+        assert (t.rows, t.cols) == (m.cols, m.rows)
+        assert t._e == tuple(m._e[i * m.cols + j] for j in range(m.cols) for i in range(m.rows))
+        assert t.transpose() == m
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -782,6 +820,30 @@ def test_kernel_basis_is_the_canonical_kernel_basis(q, rng):
         assert len(basis) == m.cols - rank(m)
         assert all(not any(m.apply_to_vector(v)) for v in basis)
         assert Subspace(spec, m.cols, basis).basis == basis
+
+
+_OUT_OF_RANGE = {
+    "unit row 0": lambda spec: Matrix.unit(spec, 3, 0, 1),
+    "unit column 0": lambda spec: Matrix.unit(spec, 3, 2, 0),
+    "unit row n + 1": lambda spec: Matrix.unit(spec, 3, 4, 1),
+    "at column past the end": lambda spec: Matrix.identity(spec, 2).at(0, 2),
+    "at negative column": lambda spec: Matrix.identity(spec, 2).at(0, -1),
+    "at row past the end": lambda spec: Matrix.identity(spec, 2).at(2, 0),
+    "direct_sum negative padding": lambda spec: direct_sum([Matrix.identity(spec, 2)],
+                                                           pad_zeros=-1),
+    "zero negative rows": lambda spec: Matrix.zero(spec, -1),
+    "zero negative cols": lambda spec: Matrix.zero(spec, 2, -1),
+    "identity negative size": lambda spec: Matrix.identity(spec, -2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUT_OF_RANGE))
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_public_constructors_refuse_out_of_range_input(q, case):
+    # unchecked, the flat index lands on another entry: unit(3, 0, 1) would be E_31, at(0, 2)
+    # on a 2x2 entry (1, 0), and pad_zeros=-1 a "1x1" matrix holding 3 entries
+    with pytest.raises(DimensionMismatch):
+        _OUT_OF_RANGE[case](field_for_order(q))
 
 
 # -- text format -------------------------------------------------------------
