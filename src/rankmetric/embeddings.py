@@ -15,8 +15,11 @@ One representation, with a validating front:
   ``amalgamate`` legs are block embeddings by construction.
 
 Only this module knows how a conjugator is stored: the tower code asks it
-for ``back_embedding`` and ``intertwining_unit``. The inclusion ``iota``
-is ``iota_embedding`` applied, a permutation scatter.
+for ``back_embedding``, ``intertwining_unit`` and ``image_distance``. With
+a permutation conjugator, an image is a scatter of the element's nonzero
+entries: ``apply`` fills a dense matrix from it (the inclusion ``iota`` is
+``iota_embedding`` applied), and ``image_distance`` ranks the difference
+of two scatters of a small element without building either n x n image.
 
 ``skolem_noether_conjugator`` is the intertwining unit of two unital
 homomorphisms with the same source and target, and ``amalgamate`` uses
@@ -33,6 +36,7 @@ from functools import reduce
 from .errors import (
     DimensionMismatch,
     FormatError,
+    InvariantViolated,
     MultiplicityMismatch,
     NotDivisor,
     NotUnital,
@@ -42,6 +46,7 @@ from .gf import FieldSpec
 from .matrix import (
     Matrix,
     RankDistance,
+    coordinate_rank,
     direct_sum,
     image_basis,
     invert,
@@ -192,13 +197,10 @@ class DeltaEmbedding:
         if isinstance(self._conj, Matrix):
             blocks = direct_sum([x] * self.mult, self.n - self.m * self.mult)
             return self._conj * blocks * self._conj_inv
-        # entry (i, j) of each copy lands at (pos[i], pos[j])
-        m, n = self.m, self.n
-        copies = [self._conj[c * m:(c + 1) * m] for c in range(self.mult)]
+        n = self.n
         out = [0] * (n * n)
-        for pos in copies:
-            for k, v in enumerate(x.entries):
-                out[pos[k // m] * n + pos[k % m]] = v
+        for (i, j), v in _scatter(self, x):
+            out[i * n + j] = v
         return Matrix._trusted(self.spec, n, n, tuple(out))
 
     def generator_images(self) -> tuple[Matrix, Matrix]:
@@ -220,6 +222,32 @@ class DeltaEmbedding:
 
 def delta_apply(e: DeltaEmbedding, x: Matrix) -> Matrix:
     return e.apply(x)
+
+
+def _scatter(e: DeltaEmbedding, x: Matrix):
+    """The nonzero entries ((row, col), value) of e(x), e with a permutation conjugator:
+    entry (i, j) of each copy of x lands at (pos[i], pos[j])."""
+    m = e.m
+    nonzero = [(divmod(k, m), v) for k, v in enumerate(x.entries) if v]
+    for pos in (e._conj[c * m:(c + 1) * m] for c in range(e.mult)):
+        for (i, j), v in nonzero:
+            yield (pos[i], pos[j]), v
+
+
+def image_distance(left: DeltaEmbedding, right: DeltaEmbedding, x: Matrix) -> RankDistance:
+    """rank_distance(left(x), right(x)) for maps M_m -> M_n with permutation conjugators,
+    ranked from the nonzero entries of the difference of the two scatters of x."""
+    if isinstance(left._conj, Matrix) or isinstance(right._conj, Matrix):
+        raise InvariantViolated("image distance needs permutation conjugators")
+    if (left.m, left.n) != (right.m, right.n) or (x.rows, x.cols) != (left.m, left.m):
+        raise DimensionMismatch("maps and element of different shapes")
+    q, add, neg = x.spec.q, x.spec._add, x.spec._neg
+    diff = dict(_scatter(left, x))
+    for key, v in _scatter(right, x):
+        d = add[diff.pop(key, 0) * q + neg[v]]
+        if d:
+            diff[key] = d
+    return RankDistance(coordinate_rank(x.spec, diff), left.n)
 
 
 def _embedding(m: int, n: int, mult: int, spec: FieldSpec, conj) -> DeltaEmbedding:
@@ -311,7 +339,7 @@ class Homomorphism:
     through the embedding.
     """
 
-    __slots__ = ("m", "n", "spec", "embedding")
+    __slots__ = ("m", "n", "spec", "embedding", "_imgs")
 
     def __init__(self, m: int, n: int, img_a: Matrix, img_b: Matrix):
         if img_a.spec != img_b.spec:
@@ -327,23 +355,24 @@ class Homomorphism:
         cols = [img[j] for j in range(mult) for img in images]
         one = sum((units[i][i] for i in range(1, m)), units[0][0])
         cols += kernel_basis(one).basis
-        self.m, self.n, self.spec = m, n, img_a.spec
+        self.m, self.n, self.spec, self._imgs = m, n, img_a.spec, None
         self.embedding = DeltaEmbedding(m, n, mult, Matrix._trusted_columns(self.spec, cols, n))
 
     @classmethod
     def _of(cls, e: DeltaEmbedding) -> "Homomorphism":
         """The map that is this block embedding, taken unchecked."""
         h = object.__new__(cls)
-        h.m, h.n, h.spec, h.embedding = e.m, e.n, e.spec, e
+        h.m, h.n, h.spec, h.embedding, h._imgs = e.m, e.n, e.spec, e, None
         return h
 
-    @property
-    def img_a(self) -> Matrix:
-        return self.embedding.apply(kassabov_generators(self.m, self.spec)[0])
+    img_a = property(lambda self: self._images()[0])
+    img_b = property(lambda self: self._images()[1])
 
-    @property
-    def img_b(self) -> Matrix:
-        return self.embedding.apply(kassabov_generators(self.m, self.spec)[1])
+    def _images(self) -> tuple[Matrix, Matrix]:
+        """The generator images, built once on first read."""
+        if self._imgs is None:
+            self._imgs = self.embedding.generator_images()
+        return self._imgs
 
     @property
     def units(self) -> list[list[Matrix]]:

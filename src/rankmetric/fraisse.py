@@ -13,6 +13,7 @@ certificates.
 * ``back_and_forth``: alternating extensions between two towers with
   tolerances 2^-t, recording exact round-trip and successive errors per
   probe into a certificate, or refusing one that fails its own bounds;
+  each error is ranked from the two scatters of the probe's own value.
   ``verify_certificate`` checks one by running the deterministic
   construction again and comparing every field.
 * ``inner_approximate``: approximate automorphism data on probes is
@@ -20,8 +21,9 @@ certificates.
   homogeneity; its linear map is the reduced echelon basis of the
   probes' (element | image) rows.
 
-Conjugators come from ``embeddings`` (``intertwining_unit``,
-``back_embedding``), the one module that knows how they are stored.
+Conjugators and probe distances come from ``embeddings``
+(``intertwining_unit``, ``back_embedding``, ``image_distance``), the one
+module that knows how conjugators are stored.
 """
 
 from __future__ import annotations
@@ -42,13 +44,14 @@ from .errors import (
     TowerPrefixTooShort,
 )
 from .gf import FieldSpec
-from .matrix import (Matrix, Subspace, echelon_insert, invert, kassabov_generators,
+from .matrix import (Matrix, Subspace, echelon_insert, invert, kassabov_generators, rank,
                      rank_distance)
 from .embeddings import (
     DeltaEmbedding,
     back_embedding,
     block_embedding,
     compose,
+    image_distance,
     intertwining_unit,
     iota,
     iota_embedding,
@@ -126,7 +129,7 @@ class TowerElement:
 
     Elements at different stages are identified through the inclusions:
     equality holds when both include to the same matrix at the larger
-    stage.
+    stage, so the hash reads only what inclusion keeps: the normalized rank.
     """
 
     __slots__ = ("tower", "stage", "value")
@@ -148,7 +151,7 @@ class TowerElement:
         return include_to(self, top).value == include_to(other, top).value
 
     def __hash__(self):
-        return hash((id(self.tower), self.stage, self.value))
+        return hash((id(self.tower), Fraction(rank(self.value), self.value.rows)))
 
     def __repr__(self):
         return f"TowerElement(stage {self.stage}, dim {self.value.rows})"
@@ -322,8 +325,10 @@ def back_and_forth(tower_x: Tower, tower_y: Tower, rounds: int, probes,
     extension the composite with the previous map is compared against
     the straight tower inclusion on every probe that lives early enough
     in the relevant tower, recording exact errors; same-direction maps
-    are also compared pairwise (the Cauchy telescoping). A round trip
-    that no probe reaches would certify nothing, so it raises
+    are also compared pairwise (the Cauchy telescoping). Every map has a
+    permutation conjugator, so each error is ranked from the two scatters
+    of the probe's value, never from two dense images. A round trip that
+    no probe reaches would certify nothing, so it raises
     ``EmptyRoundTrip``; a certificate that fails ``all_bounds_hold`` is
     refused with ``BoundsNotMet``, naming the first failing row. The run
     is deterministic, which is what ``verify_certificate`` relies on.
@@ -379,21 +384,25 @@ def _bump(tower: Tower, stage: int, emb: DeltaEmbedding) -> DeltaEmbedding:
     return compose(bump, emb)
 
 
-def _probe_errors(probes, tower: Tower, stage: int, pair) -> list[ProbeError]:
-    """Exact distance between the two matrices ``pair`` makes of each probe
-    of ``tower`` at or below ``stage``, included up to ``stage``."""
-    return [ProbeError(idx, rank_distance(*pair(include_to(probe, stage).value))
-                       .as_fraction())
-            for idx, probe in enumerate(probes)
-            if probe.tower is tower and probe.stage <= stage]
+def _probe_errors(probes, tower: Tower, stage: int, left: DeltaEmbedding,
+                  right: DeltaEmbedding) -> list[ProbeError]:
+    """Exact distance between ``left`` and ``right`` (maps out of ``stage``) on each probe
+    of ``tower`` at or below ``stage``: both are composed with the inclusion once per probe
+    dimension and compared on the probe's own value, so no image is built dense."""
+    reach = [(idx, p.value) for idx, p in enumerate(probes) if p.tower is tower and p.stage <= stage]
+    maps = {}
+    for d in {x.rows for _, x in reach}:
+        up = iota_embedding(tower.dims[stage], d, tower.spec)
+        maps[d] = compose(left, up), compose(right, up)
+    return [ProbeError(idx, image_distance(*maps[x.rows], x).as_fraction()) for idx, x in reach]
 
 
 def _round_trip(prev: MapRecord, new: MapRecord, bumped_prev: DeltaEmbedding,
                 home_tower: Tower, home_stage: int, probes) -> RoundTrip:
     """Errors of new o (bumped prev) against the straight inclusion."""
     composite = compose(new.embedding, bumped_prev)
-    errors = _probe_errors(probes, home_tower, home_stage, lambda x: (
-        composite.apply(x), iota(new.embedding.n, x.rows, x)))
+    straight = iota_embedding(new.embedding.n, composite.m, home_tower.spec)
+    errors = _probe_errors(probes, home_tower, home_stage, composite, straight)
     if not errors:
         raise EmptyRoundTrip(
             f"round trip {new.index} has no probe at or below home stage {home_stage}"
@@ -404,7 +413,7 @@ def _round_trip(prev: MapRecord, new: MapRecord, bumped_prev: DeltaEmbedding,
 def _successive(older: MapRecord, newer: MapRecord, towers: dict, stage_pairs,
                 probes) -> RoundTrip:
     """Distance between two same-direction maps on the probes that fit the
-    older one.
+    older one: old followed by the inclusion, against the inclusion followed by new.
 
     Those are the probes of the round trip between the two maps, so the
     row is never empty. The older source stage comes from the stage pairs:
@@ -414,8 +423,9 @@ def _successive(older: MapRecord, newer: MapRecord, towers: dict, stage_pairs,
     side = older.direction[0]
     old_src = stage_pairs[older.index]["xy".index(side)]
     old, new = older.embedding, newer.embedding
-    errors = _probe_errors(probes, towers[side], old_src, lambda x: (
-        iota(new.n, old.n, old.apply(x)), new.apply(iota(new.m, old.m, x))))
+    errors = _probe_errors(probes, towers[side], old_src,
+                           compose(iota_embedding(new.n, old.n, old.spec), old),
+                           compose(new, iota_embedding(new.m, old.m, old.spec)))
     return RoundTrip(newer.index, Fraction(2) ** (3 - newer.index), errors)
 
 

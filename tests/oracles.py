@@ -7,7 +7,9 @@ conjugation census by dense Matrix products that the packed span-key walk
 replaced, ``adapted_basis`` keeps the basis that Skolem-Noether conjugators
 were read from before homomorphisms became block embeddings, and
 ``inner_approximate_by_solve`` keeps the probe closure that re-solved its
-whole basis on every insertion. Slow on purpose; only for small inputs.
+whole basis on every insertion, and ``probe_errors_dense`` ranks each
+back-and-forth probe error from two dense images. Slow on purpose; only
+for small inputs.
 """
 
 import functools
@@ -133,6 +135,18 @@ def adapted_basis(phi) -> Matrix:
 def skolem_noether_by_adapted_bases(phi0, phi1) -> Matrix:
     """The change of basis between the adapted bases of two unital maps."""
     return adapted_basis(phi1) * invert(adapted_basis(phi0))
+
+
+def probe_errors_dense(probes, tower, stage: int, left, right):
+    """The (probe index, error) pairs of ``fraisse._probe_errors`` computed densely: each
+    probe included up to ``stage`` as a matrix, both n x n images built, and the rank of
+    their dense difference."""
+    out = []
+    for idx, probe in enumerate(probes):
+        if probe.tower is tower and probe.stage <= stage:
+            x = include_to(probe, stage).value
+            out.append((idx, rank_distance(left.apply(x), right.apply(x)).as_fraction()))
+    return out
 
 
 def delta_apply_dense(e, x: Matrix) -> Matrix:

@@ -298,6 +298,18 @@ def test_backforth_all_defaults_verify():
     assert verify_certificate(cert, fact, pows, probes)
 
 
+def test_backforth_four_rounds_over_gf3_refused_within_budget(monkeypatch):
+    # round trip 3 records 2/21 against a final bound of 1/32 at dimensions up to 5040;
+    # the probe errors are ranked from scatters, so the verdict takes well under 5 s
+    monkeypatch.setenv("RANKMETRIC_MAX_DIM", "6000")
+    t0 = time.monotonic()
+    code, out = _run(["backforth", "--rounds", "4", "--q", "3",
+                      "--prefix-x", "8", "--prefix-y", "13"])
+    elapsed = time.monotonic() - t0
+    assert (code, out) == (3, "error BoundsNotMet: roundtrip 3 p2=2/21 exceeds final_bound 1/32\n")
+    assert elapsed < 5.0, f"backforth-4-rounds-gf3 exceeded its 5.0s budget: {elapsed:.1f}s"
+
+
 def test_backforth_round_trip_without_probe_exit_2():
     code, out = _run(["backforth", "--rounds", "3", "--q", "3",
                       "--probes", "y:2,x:2"])

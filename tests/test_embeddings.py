@@ -206,8 +206,12 @@ def test_homomorphism_apply_is_multiplicative(gf2, rng):
 
 
 def test_homomorphism_is_its_block_embedding(gf2, gf3):
-    assert Homomorphism.__slots__ == ("m", "n", "spec", "embedding")
+    # besides the embedding, only its generator images, read off it once
+    assert Homomorphism.__slots__ == ("m", "n", "spec", "embedding", "_imgs")
     h = Homomorphism.inclusion(4, 2, gf2)
+    assert h._imgs is None
+    assert (h.img_a, h.img_b) == h.embedding.generator_images() == h._imgs
+    assert h.img_a is h._imgs[0] and h.img_b is h._imgs[1]
     with pytest.raises(SpecMismatch):
         h.apply(Matrix.identity(gf3, 2))
     with pytest.raises(DimensionMismatch):

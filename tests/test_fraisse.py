@@ -1,13 +1,17 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+
+import rankmetric.fraisse as fraisse
 
 from rankmetric.errors import (
     BoundsNotMet,
     DimensionMismatch,
     EmptyRoundTrip,
     InconsistentTarget,
+    InvariantViolated,
     MultiplicityMismatch,
     NotFactorSequence,
     NotRepairable,
@@ -40,7 +44,7 @@ from rankmetric.fraisse import (
 from rankmetric.gf import field_for_order
 from rankmetric.stability import repair
 
-from oracles import inner_approximate_by_solve
+from oracles import inner_approximate_by_solve, probe_errors_dense
 
 
 # -- towers --------------------------------------------------------------------
@@ -423,6 +427,66 @@ def test_back_and_forth_returns_only_certificates_that_hold(gf2, rule_x, rule_y)
                 continue
             assert cert.all_bounds_hold()
             assert verify_certificate(cert, tx, ty, probes)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_probe_errors_match_the_dense_oracle(q, monkeypatch):
+    # every round-trip and successive probe error of the grid above, with random probes
+    # at stages 1 and 2 and two 3-round runs, equals the rank of the dense difference
+    spec, rng = field_for_order(q), random.Random(q)
+    probe_errors, successive, rows = fraisse._probe_errors, fraisse._successive, []
+
+    def checked(probes, tower, stage, left, right):
+        errors = probe_errors(probes, tower, stage, left, right)
+        rows.append([(pe.probe_index, pe.error) for pe in errors])
+        assert rows[-1] == probe_errors_dense(probes, tower, stage, left, right)
+        return errors
+
+    def counted(*args):
+        rows.append("successive")
+        return successive(*args)
+
+    monkeypatch.setattr(fraisse, "_probe_errors", checked)
+    monkeypatch.setattr(fraisse, "_successive", counted)
+    for rule_x, rule_y in itertools.product(sorted(_SURVEY_TOWERS), repeat=2):
+        tx = tower_make(rule_x, _SURVEY_TOWERS[rule_x], spec)
+        ty = tower_make(rule_y, _SURVEY_TOWERS[rule_y], spec)
+        probes = [*tx.generators_at(0), tx.one_at(0), ty.one_at(0)]
+        probes += [t.element(s, random_matrix(spec, t.dim(s), t.dim(s), rng))
+                   for t in (tx, ty) for s in (1, 2)]
+        for rounds, start in [*itertools.product((1, 2), itertools.product(range(3), repeat=2)),
+                              (3, (0, 0)), (3, (1, 0))]:
+            try:
+                back_and_forth(tx, ty, rounds, probes, *start)
+            except (BoundsNotMet, TowerPrefixTooShort):
+                pass
+    errors = [e for row in rows if row != "successive" for _, e in row]
+    assert rows.count("successive") == 8 and len(errors) == 216
+    assert any(e > 0 for e in errors) and any(e == 0 for e in errors)
+
+
+def test_probe_errors_refuse_a_dense_conjugator(gf3):
+    # every map of a run has a permutation conjugator; any other is an invariant breach,
+    # never a silent dense fallback
+    t = tower_make("powers_of_2", 3, gf3)
+    straight = iota_embedding(4, 2, gf3)
+    same = compose(straight, iota_embedding(2, 2, gf3))
+    [pe] = fraisse._probe_errors([t.one_at(1)], t, 1, straight, same)
+    assert (pe.probe_index, pe.error) == (0, 0)
+    twisted = DeltaEmbedding(2, 4, 2, Matrix.identity(gf3, 4) + Matrix.unit(gf3, 4, 1, 2))
+    for pair in ((straight, twisted), (twisted, straight)):
+        with pytest.raises(InvariantViolated, match="permutation conjugators"):
+            fraisse._probe_errors([t.one_at(1)], t, 1, *pair)
+
+
+def test_equal_tower_elements_hash_equal(gf3):
+    # equality goes through the inclusions, so the hash must survive them too
+    t = tower_make("powers_of_2", 4, gf3)
+    one_0, one_2 = t.element(0, Matrix.identity(gf3, 1)), t.element(2, Matrix.identity(gf3, 4))
+    assert one_0 == one_2 and hash(one_0) == hash(one_2) and len({one_0, one_2}) == 1
+    x = Matrix(gf3, 2, 2, [1, 2, 0, 0])
+    low, high = t.element(1, x), t.element(3, iota(8, 2, x))
+    assert low == high and hash(low) == hash(high) and len({low, high, one_0}) == 2
 
 
 def test_back_and_forth_refuses_final_error_above_bound(gf2):

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import itertools
 import pathlib
 import random
 from collections import Counter
@@ -747,6 +748,41 @@ def test_outside_vectors_are_reduced_mod_q(q, forced, rng, monkeypatch):
         assert tables[0] == tables[1]
     assert Matrix.identity(spec, 2).apply_to_vector([-1, 0]) == (q - 1, 0)
     assert Subspace(spec, 2, [[q, 1]]).basis == ((0, 1),)
+
+
+def _coordinates(spec, rows, cols, cells, rng):
+    """Random nonzero encodings at the given cells: the coordinate dict and its matrix."""
+    entries = {cell: rng.randrange(1, spec.q) for cell in cells}
+    flat = [entries.get((i, j), 0) for i in range(rows) for j in range(cols)]
+    return entries, Matrix(spec, rows, cols, flat)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_coordinate_rank_matches_dense_rank(q, forced, rng, monkeypatch):
+    monkeypatch.setattr(mx, "_FORCE_GENERIC", forced)
+    spec = field_for_order(q)
+    assert mx.coordinate_rank(spec, {}) == 0
+    cases = []
+    for rows, cols in [(1, 1), (3, 7), (12, 12), (40, 25)]:
+        grid = list(itertools.product(range(rows), range(cols)))
+        for density in (1, 3, 8):
+            size = min(len(grid), density * max(rows, cols) // 4 + 1)
+            cases.append((rows, cols, rng.sample(grid, size)))
+        # isolated entries: a partial permutation, rank = its size
+        cases.append((rows, cols, [(i, (i + 1) % cols) for i in range(min(rows, cols))]))
+        # one component touching every row and column: a row, a column and the diagonal
+        cases.append((rows, cols, sorted({(0, j) for j in range(cols)} | {(i, 0) for i in range(rows)}
+                                         | {(i, i) for i in range(min(rows, cols))})))
+    for rows, cols, cells in cases:
+        for _ in range(3):
+            entries, m = _coordinates(spec, rows, cols, cells, rng)
+            assert mx.coordinate_rank(spec, entries) == rank(m), (rows, cols, sorted(entries))
+    # one dense component, and one of rank 1
+    entries, m = _coordinates(spec, 6, 6, list(itertools.product(range(6), repeat=2)), rng)
+    assert mx.coordinate_rank(spec, entries) == rank(m)
+    ones = {(i, j): 1 for i in range(5) for j in range(4)}
+    assert mx.coordinate_rank(spec, ones) == 1
 
 
 def test_the_family_lookup_is_the_one_decision_point():
