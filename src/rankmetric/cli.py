@@ -33,6 +33,7 @@ from .embeddings import (
     Homomorphism,
     amalgamate,
     iota,
+    read_header,
     skolem_noether_conjugator,
 )
 from .stability import relation_defect, repair
@@ -148,21 +149,18 @@ def _cmd_repair(args, out):
         _write_text(args.out, psi.to_text())
 
 
-def _load_delta(path: str) -> DeltaEmbedding:
-    e = DeltaEmbedding.from_text(_read_text(path))
-    _guard_dim(e.n)
-    return e
-
-
-def _load_hom(path: str) -> Homomorphism:
-    h = Homomorphism.from_text(_read_text(path))
-    _guard_dim(h.n)
-    return h
+def _load(cls, path: str):
+    """A DELTA (``DeltaEmbedding``) or HOM (``Homomorphism``) file, its target
+    dimension checked from the header before any matrix is inverted or validated."""
+    text = _read_text(path)
+    keyword, fields = ("DELTA", 3) if cls is DeltaEmbedding else ("HOM", 2)
+    _guard_dim(read_header(text, keyword, fields)[0][1])
+    return cls.from_text(text)
 
 
 def _cmd_homog(args, out):
-    phi = _load_delta(args.phi)
-    psi = _load_delta(args.psi)
+    phi = _load(DeltaEmbedding, args.phi)
+    psi = _load(DeltaEmbedding, args.psi)
     beta, residual = approximate_homogeneity(phi, psi)
     out.write(f"residual {residual.numerator}/{residual.denominator}\n")
     text = write_matrix(beta)
@@ -170,7 +168,7 @@ def _cmd_homog(args, out):
 
 
 def _cmd_extend(args, out):
-    phi = _load_delta(args.phi)
+    phi = _load(DeltaEmbedding, args.phi)
     _guard_dim(args.prefix - 1)  # a lower bound on the last stage's dimension
     tower = tower_make(args.tower, args.prefix, phi.spec)
     for d in tower.dims:
@@ -204,8 +202,8 @@ def _cmd_backforth(args, out):
 
 
 def _cmd_amalgamate(args, out):
-    phi0 = _load_hom(args.phi0)
-    phi1 = _load_hom(args.phi1)
+    phi0 = _load(Homomorphism, args.phi0)
+    phi1 = _load(Homomorphism, args.phi1)
     _guard_dim(phi0.n * phi1.n)
     c, psi0, psi1 = amalgamate(phi0, phi1)
     out.write(f"c {c}\n")
@@ -222,8 +220,8 @@ def _cmd_amalgamate(args, out):
 
 
 def _cmd_conjugator(args, out):
-    phi0 = _load_hom(args.phi0)
-    phi1 = _load_hom(args.phi1)
+    phi0 = _load(Homomorphism, args.phi0)
+    phi1 = _load(Homomorphism, args.phi1)
     u = skolem_noether_conjugator(phi0, phi1)
     text = write_matrix(u)
     _emit_or_write(out, args.out, text)

@@ -3,10 +3,10 @@
 One representation, with a validating front:
 
 * ``DeltaEmbedding`` stores a (possibly non-unital) block homomorphism
-  x -> B (x^{+k} (+) 0) B^{-1} by its multiplicity and conjugator (a
-  permutation conjugator as its images, applied without products). Its
-  delta value (n - m*k)/n measures how much of the target it misses;
-  delta = 0 means a unital embedding.
+  x -> B (x^{+k} (+) 0) B^{-1} by its multiplicity and conjugator B = T P,
+  a permutation P kept as its images times a twist T or none. Its delta
+  value (n - m*k)/n measures how much of the target it misses; delta = 0
+  means a unital embedding.
 * ``Homomorphism`` is a map given by shift generator images, held as the
   ``DeltaEmbedding`` that Skolem-Noether says it is. The public constructor
   and ``from_text`` build the matrix units, check the n^2 corner
@@ -15,11 +15,12 @@ One representation, with a validating front:
   ``amalgamate`` legs are block embeddings by construction.
 
 Only this module knows how a conjugator is stored: the tower code asks it
-for ``back_embedding``, ``intertwining_unit`` and ``image_distance``. With
-a permutation conjugator, an image is a scatter of the element's nonzero
-entries: ``apply`` fills a dense matrix from it (the inclusion ``iota`` is
-``iota_embedding`` applied), and ``image_distance`` ranks the difference
-of two scatters of a small element without building either n x n image.
+for ``back_embedding``, ``intertwining_unit`` and ``image_distance``. An
+image scatters the element's nonzero entries through P, then conjugates
+by T if there is a twist: ``apply`` fills a dense matrix from the scatter
+(the inclusion ``iota`` is ``iota_embedding`` applied), and
+``image_distance`` ranks the difference of two scatters of a small element
+without building either n x n image. No operation multiplies by P.
 
 ``skolem_noether_conjugator`` is the intertwining unit of two unital
 homomorphisms with the same source and target, and ``amalgamate`` uses
@@ -29,7 +30,6 @@ commuting square.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from functools import reduce
 
@@ -47,7 +47,6 @@ from .matrix import (
     Matrix,
     RankDistance,
     coordinate_rank,
-    direct_sum,
     image_basis,
     invert,
     kassabov_generators,
@@ -56,15 +55,6 @@ from .matrix import (
     read_matrices,
     write_matrix,
 )
-
-
-def _permutation_matrix(spec: FieldSpec, images) -> Matrix:
-    """The matrix sending basis vector j to basis vector images[j]."""
-    n = len(images)
-    e = [0] * (n * n)
-    for j, i in enumerate(images):
-        e[i * n + j] = 1
-    return Matrix._trusted(spec, n, n, tuple(e))  # 0 and 1 are canonical in every field
 
 
 def _permutation_images(a: Matrix):
@@ -82,26 +72,49 @@ def _inverse(images) -> tuple[int, ...]:
     return tuple(sorted(range(len(images)), key=images.__getitem__))
 
 
-def _product(spec: FieldSpec, *factors):
-    """The product of conjugators given as images or matrices: composed
-    images when every factor is a permutation, else a dense product."""
-    if all(isinstance(f, tuple) for f in factors):
-        return reduce(lambda f, g: tuple(f[i] for i in g), factors)
-    return reduce(operator.mul, (_dense(spec, f) for f in factors))
+def _composed(*factors) -> tuple[int, ...]:
+    """The images of the product of permutations given by their images."""
+    return reduce(lambda f, g: tuple(f[i] for i in g), factors)
 
 
-def _dense(spec: FieldSpec, conj) -> Matrix:
-    return conj if isinstance(conj, Matrix) else _permutation_matrix(spec, conj)
+def _times_permutation(spec: FieldSpec, twist, images) -> Matrix:
+    """T P for the pair twist = (T, T^-1), P e_j = e_{images[j]}: column j is
+    column images[j] of T. Without a twist, the permutation matrix P."""
+    n = len(images)
+    if twist is not None:
+        return Matrix._trusted(spec, n, n, tuple(row[j] for row in twist[0].row_lists()
+                                                 for j in images))
+    e = [0] * (n * n)
+    for j, i in enumerate(images):
+        e[i * n + j] = 1
+    return Matrix._trusted(spec, n, n, tuple(e))  # 0 and 1 are canonical in every field
 
 
-def _tile(block, copies: int, total: int):
-    """``copies`` copies of a square conjugator (images or a matrix) down
-    the diagonal, then the identity up to dimension ``total``."""
-    if isinstance(block, Matrix):
-        pad = total - copies * block.rows
-        return direct_sum([block] * copies + [Matrix.identity(block.spec, pad)] * (pad > 0))
-    k = len(block)
-    return tuple(j - j % k + block[j % k] if j < copies * k else j for j in range(total))
+def _tile(images, copies: int, total: int) -> tuple[int, ...]:
+    """``copies`` copies of a permutation down the diagonal, then 1 up to ``total``."""
+    k = len(images)
+    return tuple(j - j % k + images[j % k] if j < copies * k else j for j in range(total))
+
+
+def _scatter(images, copies: int, x: Matrix):
+    """The nonzero entries ((row, col), value) of P (x^{+copies} (+) 0) P^{-1}:
+    entry (i, j) of each copy of x lands at (pos[i], pos[j])."""
+    m = x.rows
+    nonzero = [(divmod(k, m), v) for k, v in enumerate(x.entries) if v]
+    for pos in (images[c * m:(c + 1) * m] for c in range(copies)):
+        for (i, j), v in nonzero:
+            yield (pos[i], pos[j]), v
+
+
+def _scattered(images, copies: int, x: Matrix, pad: int) -> Matrix:
+    """P (x^{+copies} (+) pad * 1) P^{-1} as a dense matrix; ``pad`` is 0 or 1."""
+    n = len(images)
+    out = [0] * (n * n)
+    for (i, j), v in _scatter(images, copies, x):
+        out[i * n + j] = v
+    for j in images[copies * x.rows:] if pad else ():
+        out[j * n + j] = 1
+    return Matrix._trusted(x.spec, n, n, tuple(out))
 
 
 def _shuffle_conjugator(m: int, k: int) -> tuple[int, ...]:
@@ -124,7 +137,7 @@ def _merge_permutation(outer: int, block: int, copies: int, inner: int,
     return tuple(used + [j for j in range(total) if j not in taken])
 
 
-def _read_header(text: str, keyword: str, fields: int):
+def read_header(text: str, keyword: str, fields: int):
     """The integers of a DELTA or HOM header line, and the text after it."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith(keyword):
@@ -139,13 +152,13 @@ def _read_header(text: str, keyword: str, fields: int):
 
 
 class DeltaEmbedding:
-    """A conjugated block-diagonal homomorphism x -> P (x^{+mult} (+) 0) P^{-1}.
+    """A conjugated block-diagonal homomorphism x -> B (x^{+mult} (+) 0) B^{-1}.
 
-    A permutation P is kept as its images (P e_j = e_{images[j]}): it is
-    inverted and applied by re-indexing, and made dense only when read.
-    Any other P is kept dense and inverted at construction."""
+    B = T P: P is kept as its images (P e_j = e_{images[j]}), and the twist T
+    as the pair ``_twist`` = (T, T^-1), or None. A conjugator that is set
+    becomes P if it is a permutation, else the twist over P = 1."""
 
-    __slots__ = ("m", "n", "mult", "spec", "_conj", "_conj_inv")
+    __slots__ = ("m", "n", "mult", "spec", "_images", "_twist")
 
     def __init__(self, m: int, n: int, mult: int, conjugator: Matrix):
         self._set_shape(m, n, mult)
@@ -164,7 +177,7 @@ class DeltaEmbedding:
 
     @property
     def conjugator(self) -> Matrix:
-        return _dense(self.spec, self._conj)
+        return _times_permutation(self.spec, self._twist, self._images)
 
     @conjugator.setter
     def conjugator(self, value: Matrix):
@@ -172,8 +185,8 @@ class DeltaEmbedding:
             raise DimensionMismatch("conjugator has the wrong size")
         self.spec = value.spec
         images = _permutation_images(value)
-        self._conj = value if images is None else images
-        self._conj_inv = invert(value) if images is None else _inverse(images)
+        self._images = tuple(range(self.n)) if images is None else images
+        self._twist = (value, invert(value)) if images is None else None
 
     @property
     def delta(self) -> RankDistance:
@@ -192,16 +205,8 @@ class DeltaEmbedding:
             raise SpecMismatch("element over a different field")
         if x.rows != self.m or x.cols != self.m:
             raise DimensionMismatch(f"element must be {self.m}x{self.m}")
-        if self.mult == 0:
-            return Matrix.zero(self.spec, self.n)
-        if isinstance(self._conj, Matrix):
-            blocks = direct_sum([x] * self.mult, self.n - self.m * self.mult)
-            return self._conj * blocks * self._conj_inv
-        n = self.n
-        out = [0] * (n * n)
-        for (i, j), v in _scatter(self, x):
-            out[i * n + j] = v
-        return Matrix._trusted(self.spec, n, n, tuple(out))
+        y = _scattered(self._images, self.mult, x, 0)
+        return y if self._twist is None else self._twist[0] * y * self._twist[1]
 
     def generator_images(self) -> tuple[Matrix, Matrix]:
         a, b = kassabov_generators(self.m, self.spec)
@@ -212,7 +217,7 @@ class DeltaEmbedding:
 
     @classmethod
     def from_text(cls, text: str) -> "DeltaEmbedding":
-        (m, n, mult), body = _read_header(text, "DELTA", 3)
+        (m, n, mult), body = read_header(text, "DELTA", 3)
         return cls(m, n, mult, read_matrices(body, 1)[0])
 
     def __repr__(self):
@@ -224,44 +229,34 @@ def delta_apply(e: DeltaEmbedding, x: Matrix) -> Matrix:
     return e.apply(x)
 
 
-def _scatter(e: DeltaEmbedding, x: Matrix):
-    """The nonzero entries ((row, col), value) of e(x), e with a permutation conjugator:
-    entry (i, j) of each copy of x lands at (pos[i], pos[j])."""
-    m = e.m
-    nonzero = [(divmod(k, m), v) for k, v in enumerate(x.entries) if v]
-    for pos in (e._conj[c * m:(c + 1) * m] for c in range(e.mult)):
-        for (i, j), v in nonzero:
-            yield (pos[i], pos[j]), v
-
-
 def image_distance(left: DeltaEmbedding, right: DeltaEmbedding, x: Matrix) -> RankDistance:
     """rank_distance(left(x), right(x)) for maps M_m -> M_n with permutation conjugators,
     ranked from the nonzero entries of the difference of the two scatters of x."""
-    if isinstance(left._conj, Matrix) or isinstance(right._conj, Matrix):
+    if left._twist is not None or right._twist is not None:
         raise InvariantViolated("image distance needs permutation conjugators")
     if (left.m, left.n) != (right.m, right.n) or (x.rows, x.cols) != (left.m, left.m):
         raise DimensionMismatch("maps and element of different shapes")
     q, add, neg = x.spec.q, x.spec._add, x.spec._neg
-    diff = dict(_scatter(left, x))
-    for key, v in _scatter(right, x):
+    diff = dict(_scatter(left._images, left.mult, x))
+    for key, v in _scatter(right._images, right.mult, x):
         d = add[diff.pop(key, 0) * q + neg[v]]
         if d:
             diff[key] = d
     return RankDistance(coordinate_rank(x.spec, diff), left.n)
 
 
-def _embedding(m: int, n: int, mult: int, spec: FieldSpec, conj) -> DeltaEmbedding:
-    """A ``DeltaEmbedding`` from a conjugator given as images or as a matrix."""
-    if isinstance(conj, Matrix):
-        return DeltaEmbedding(m, n, mult, conj)
+def _embedding(m: int, n: int, mult: int, spec: FieldSpec, images,
+               twist=None) -> DeltaEmbedding:
+    """A ``DeltaEmbedding`` from P's images and the pair (T, T^-1) or None."""
     e = object.__new__(DeltaEmbedding)
     e._set_shape(m, n, mult)
-    e.spec, e._conj, e._conj_inv = spec, tuple(conj), _inverse(conj)
+    e.spec, e._images, e._twist = spec, tuple(images), twist
     return e
 
 
 def compose(outer: DeltaEmbedding, inner: DeltaEmbedding) -> DeltaEmbedding:
-    """The composite block embedding, with its explicit conjugator."""
+    """The composite block embedding, with its explicit conjugator: the inner
+    twist moves left of P_o as the scatter P_o (T_i^{+k2} (+) 1) P_o^-1."""
     if outer.spec != inner.spec:
         raise SpecMismatch("embeddings over different fields")
     if outer.m != inner.n:
@@ -270,9 +265,13 @@ def compose(outer: DeltaEmbedding, inner: DeltaEmbedding) -> DeltaEmbedding:
     p, n, m = outer.n, inner.n, inner.m
     if k1 == 0 or k2 == 0:
         return _embedding(m, p, 0, outer.spec, range(p))
-    conj = _product(outer.spec, outer._conj, _tile(inner._conj, k2, p),
-                    _merge_permutation(k2, n, k1, m, p))
-    return _embedding(m, p, k1 * k2, outer.spec, conj)
+    images = _composed(outer._images, _tile(inner._images, k2, p),
+                       _merge_permutation(k2, n, k1, m, p))
+    twist = outer._twist
+    if inner._twist is not None:
+        s, s_inv = (_scattered(outer._images, k2, t, 1) for t in inner._twist)
+        twist = (s, s_inv) if twist is None else (twist[0] * s, s_inv * twist[1])
+    return _embedding(m, p, k1 * k2, outer.spec, images, twist)
 
 
 def intertwining_unit(phi: DeltaEmbedding, psi: DeltaEmbedding) -> Matrix:
@@ -285,7 +284,8 @@ def intertwining_unit(phi: DeltaEmbedding, psi: DeltaEmbedding) -> Matrix:
         raise DimensionMismatch("embeddings with different shapes")
     if phi.mult != psi.mult:
         raise MultiplicityMismatch(f"{phi.mult} != {psi.mult}")
-    return _dense(phi.spec, _product(phi.spec, psi._conj, phi._conj_inv))
+    u = _times_permutation(phi.spec, psi._twist, _composed(psi._images, _inverse(phi._images)))
+    return u if phi._twist is None else u * phi._twist[1]
 
 
 def back_embedding(phi: DeltaEmbedding, total: int) -> DeltaEmbedding:
@@ -298,10 +298,12 @@ def back_embedding(phi: DeltaEmbedding, total: int) -> DeltaEmbedding:
     s = total // n
     if s == 0:
         return _embedding(n, total, 0, phi.spec, range(total))
-    z = _product(phi.spec, _shuffle_conjugator(m, total // m),
-                 _inverse(_merge_permutation(s, n, phi.mult, m, total)),
-                 _tile(phi._conj_inv, s, total))
-    return _embedding(n, total, s, phi.spec, z)
+    images = _composed(_shuffle_conjugator(m, total // m),
+                       _inverse(_merge_permutation(s, n, phi.mult, m, total)),
+                       _tile(_inverse(phi._images), s, total))
+    # the tiled T_phi^-1 moves left of the permutation as a scatter, as in compose
+    twist = phi._twist and tuple(_scattered(images, s, t, 1) for t in reversed(phi._twist))
+    return _embedding(n, total, s, phi.spec, images, twist)
 
 
 def iota(n: int, m: int, x: Matrix) -> Matrix:
@@ -393,9 +395,8 @@ class Homomorphism:
         return cls._of(iota_embedding(n, m, spec))
 
     def conjugate(self, u: Matrix) -> "Homomorphism":
-        """The map x -> u phi(x) u^{-1}: the same blocks, conjugator u B."""
-        e = self.embedding
-        return Homomorphism._of(DeltaEmbedding(self.m, self.n, e.mult, u * e.conjugator))
+        """The map x -> u phi(x) u^{-1}: phi followed by the map x -> u x u^{-1}."""
+        return Homomorphism._of(compose(DeltaEmbedding(self.n, self.n, 1, u), self.embedding))
 
     def to_text(self) -> str:
         return (f"HOM {self.m} {self.n}\n" + write_matrix(self.img_a)
@@ -403,7 +404,7 @@ class Homomorphism:
 
     @classmethod
     def from_text(cls, text: str) -> "Homomorphism":
-        (m, n), body = _read_header(text, "HOM", 2)
+        (m, n), body = read_header(text, "HOM", 2)
         return cls(m, n, *read_matrices(body, 2))
 
     def __eq__(self, other):

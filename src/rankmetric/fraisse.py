@@ -44,7 +44,7 @@ from .errors import (
     TowerPrefixTooShort,
 )
 from .gf import FieldSpec
-from .matrix import (Matrix, Subspace, echelon_insert, invert, kassabov_generators, rank,
+from .matrix import (Matrix, Subspace, echelon_insert, kassabov_generators, rank,
                      rank_distance)
 from .embeddings import (
     DeltaEmbedding,
@@ -545,8 +545,7 @@ def inner_approximate(targets, eps) -> InnerApproximation:
     psi, _, cert = repair(x_img, y_img, n_s)
     straight = iota_embedding(n_k, n_s, spec)
     beta, _ = approximate_homogeneity(straight, psi)
-
-    beta_inv = invert(beta)
+    beta_inv = intertwining_unit(psi, straight)
     residuals = []
     for y, img in pairs:
         lifted = include_to(y, dst_stage).value

@@ -414,6 +414,31 @@ def test_max_dim_guard(tmp_path, gf2, monkeypatch):
     assert "TooLarge" in out
 
 
+def test_max_dim_guard_reads_the_header_first(tmp_path, gf3, rng, monkeypatch):
+    # the cap must fire before a DELTA conjugator is inverted or HOM units are built
+    from rankmetric import embeddings
+
+    def refuse(*args):
+        raise AssertionError("O(n^3) work before the dimension cap")
+
+    monkeypatch.setattr(embeddings, "invert", refuse)
+    monkeypatch.setattr(embeddings, "matrix_units", refuse)
+    monkeypatch.setenv("RANKMETRIC_MAX_DIM", "4")
+    u = random_unit(gf3, 6, rng)
+    delta = tmp_path / "d.txt"
+    delta.write_text("DELTA 2 6 3\n" + write_matrix(u))
+    hom = tmp_path / "h.txt"
+    hom.write_text("HOM 2 6\n" + write_matrix(u) + write_matrix(u))
+    for argv in (["homog", "--phi", str(delta), "--psi", str(delta)],
+                 ["extend", "--phi", str(delta), "--tower", "factorial", "--prefix", "3",
+                  "--delta-prime", "1/2"],
+                 ["amalgamate", "--phi0", str(hom), "--phi1", str(hom)],
+                 ["conjugator", "--phi0", str(hom), "--phi1", str(hom)]):
+        code, out = _run(argv)
+        assert code == 3
+        assert out.startswith("error TooLarge: dimension 6 exceeds")
+
+
 def test_matrix_written_by_cli_rereads_identically(tmp_path, gf2, rng):
     x = random_matrix(gf2, 2, 2, rng)
     src = tmp_path / "x.txt"

@@ -1,9 +1,9 @@
-"""Conjugators of block embeddings: permutations kept as images against the
-dense products they replace.
+"""Conjugators of block embeddings, held as a twist T times a permutation P
+kept as images, against the dense products they replace.
 
-``delta_apply_dense`` evaluates P (x^{+mult} (+) 0) P^{-1} by two products
-and a fresh inverse of the dense conjugator; every path of
-``DeltaEmbedding`` must agree with it, and every conjugator built on images
+``delta_apply_dense`` evaluates B (x^{+mult} (+) 0) B^{-1} by two products
+and a fresh inverse of the dense conjugator B; every ``DeltaEmbedding``
+must agree with it, and every conjugator built from images and twists
 must equal the dense product it stands for.
 """
 
@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from rankmetric import embeddings
 from rankmetric import matrix as mx
 from rankmetric.cli import run
 from rankmetric.errors import Singular
@@ -20,9 +21,11 @@ from rankmetric.gf import field_for_order
 from rankmetric.matrix import Matrix, direct_sum, invert, random_matrix, random_unit, write_matrix
 from rankmetric.embeddings import (
     DeltaEmbedding,
+    Homomorphism,
     _merge_permutation,
-    _permutation_matrix,
     _shuffle_conjugator,
+    amalgamate,
+    back_embedding,
     block_embedding,
     compose,
     iota_embedding,
@@ -38,7 +41,13 @@ from oracles import delta_apply_dense
 
 
 def _is_permutation_path(e: DeltaEmbedding) -> bool:
-    return isinstance(e._conj, tuple)
+    return e._twist is None
+
+
+def _permutation_matrix(spec, images) -> Matrix:
+    """The matrix sending basis vector j to basis vector images[j]."""
+    n = len(images)
+    return Matrix.from_columns(spec, [[int(i == t) for i in range(n)] for t in images], n)
 
 
 def _random_permutation(spec, n, rng) -> Matrix:
@@ -119,7 +128,8 @@ def test_dense_conjugators_keep_the_dense_path(q):
         u = random_unit(spec, n, rng)
         e = DeltaEmbedding(m, n, mult, u)
         assert not _is_permutation_path(e)
-        assert e._conj is u and e._conj_inv == invert(u)
+        assert e._images == tuple(range(n))
+        assert e._twist[0] is u and e._twist[1] == invert(u)
         for _ in range(3):
             x = random_matrix(spec, m, m, rng)
             assert e.apply(x) == delta_apply_dense(e, x)
@@ -161,25 +171,30 @@ def _conjugators(spec, n, rng):
     return [_random_permutation(spec, n, rng), random_unit(spec, n, rng)]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_compose_conjugator_equals_dense_product(q):
     spec = field_for_order(q)
     rng = random.Random(4000 + q)
-    m, n, p, k1, k2 = 2, 5, 13, 2, 2
-    for c_in in _conjugators(spec, n, rng):
-        for c_out in _conjugators(spec, p, rng):
-            inner = DeltaEmbedding(m, n, k1, c_in)
-            outer = DeltaEmbedding(n, p, k2, c_out)
-            comp = compose(outer, inner)
-            merge = _permutation_matrix(spec, _merge_permutation(k2, n, k1, m, p))
-            assert comp.conjugator == c_out * _padded(c_in, k2, p) * merge
-            assert _is_permutation_path(comp) == (
-                _is_permutation_path(inner) and _is_permutation_path(outer))
-            x = random_matrix(spec, m, m, rng)
-            assert comp.apply(x) == outer.apply(inner.apply(x)) == delta_apply_dense(comp, x)
+    m, n, p = 2, 5, 13
+    for k1, k2 in [(2, 2), (1, 2), (2, 1), (0, 2), (2, 0)]:
+        for c_in in _conjugators(spec, n, rng):
+            for c_out in _conjugators(spec, p, rng):
+                inner = DeltaEmbedding(m, n, k1, c_in)
+                outer = DeltaEmbedding(n, p, k2, c_out)
+                comp = compose(outer, inner)
+                if k1 * k2:
+                    merge = _permutation_matrix(spec, _merge_permutation(k2, n, k1, m, p))
+                    assert comp.conjugator == c_out * _padded(c_in, k2, p) * merge
+                    assert _is_permutation_path(comp) == (
+                        _is_permutation_path(inner) and _is_permutation_path(outer))
+                else:  # the zero map keeps the identity conjugator
+                    assert comp.mult == 0 and _is_permutation_path(comp)
+                    assert comp.conjugator == Matrix.identity(spec, p)
+                x = random_matrix(spec, m, m, rng)
+                assert comp.apply(x) == outer.apply(inner.apply(x)) == delta_apply_dense(comp, x)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_extension_conjugator_equals_dense_product(q):
     spec = field_for_order(q)
     rng = random.Random(5000 + q)
@@ -190,14 +205,16 @@ def test_extension_conjugator_equals_dense_product(q):
         m_p = tower.dims[k_prime]
         s = m_p // 5
         shuffle = _permutation_matrix(spec, _shuffle_conjugator(2, m_p // 2))
-        merge = _permutation_matrix(spec, _merge_permutation(s, 5, 2, 2, m_p))
-        assert psi.conjugator == shuffle * invert(merge) * _padded(invert(conj), s, m_p)
-        assert _is_permutation_path(psi) == _is_permutation_path(phi)
-        y = random_matrix(spec, 5, 5, rng)
-        assert psi.apply(y) == delta_apply_dense(psi, y)
+        # a zero phi (multiplicity 0) has the same back embedding up to the merge
+        for mult, back in [(2, psi), (0, back_embedding(DeltaEmbedding(2, 5, 0, conj), m_p))]:
+            merge = _permutation_matrix(spec, _merge_permutation(s, 5, mult, 2, m_p))
+            assert back.conjugator == shuffle * invert(merge) * _padded(invert(conj), s, m_p)
+            assert _is_permutation_path(back) == _is_permutation_path(phi)
+            y = random_matrix(spec, 5, 5, rng)
+            assert back.apply(y) == delta_apply_dense(back, y)
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 5])
 def test_homogeneity_unit_equals_dense_product(q):
     spec = field_for_order(q)
     rng = random.Random(6000 + q)
@@ -225,3 +242,54 @@ def test_builders_keep_images(gf3):
     e = iota_embedding(6, 2, gf3)
     assert _is_permutation_path(e)
     assert e.conjugator == _permutation_matrix(gf3, _shuffle_conjugator(2, 3))
+
+
+def _spy(monkeypatch):
+    """Record the size of every ``invert`` of the embeddings module and every product."""
+    seen = {"invert": [], "mul": []}
+    invert_, mul_ = embeddings.invert, Matrix.__mul__
+
+    def counting_invert(a):
+        seen["invert"].append(a.rows)
+        return invert_(a)
+
+    def counting_mul(a, b):
+        seen["mul"].append(max(a.rows, b.cols))
+        return mul_(a, b)
+
+    monkeypatch.setattr(embeddings, "invert", counting_invert)
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    return seen
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_amalgamate_makes_no_product_or_invert_at_size_c(q, monkeypatch):
+    spec = field_for_order(q)
+    rng = random.Random(7000 + q)
+    phis = [Homomorphism.inclusion(b, 2, spec).conjugate(random_unit(spec, b, rng))
+            for b in (4, 6)]
+    seen = _spy(monkeypatch)
+    c, psi0, psi1 = amalgamate(*phis)
+    assert c == 24 and 24 not in seen["invert"] + seen["mul"]
+    monkeypatch.undo()
+    x = random_matrix(spec, 2, 2, rng)
+    assert psi0.apply(phis[0].apply(x)) == psi1.apply(phis[1].apply(x))
+
+
+@pytest.mark.parametrize("q", [2, 5])
+def test_conjugate_inverts_only_u(q, monkeypatch):
+    spec = field_for_order(q)
+    rng = random.Random(8000 + q)
+    inc = Homomorphism.inclusion(32, 4, spec)
+    u = random_unit(spec, 32, rng)
+    seen = _spy(monkeypatch)
+    h = inc.conjugate(u)
+    assert seen == {"invert": [32], "mul": []}
+    images = _permutation_matrix(spec, rng.sample(range(32), 32))
+    p = inc.conjugate(images)
+    assert seen == {"invert": [32], "mul": []}
+    monkeypatch.undo()
+    assert not _is_permutation_path(h.embedding) and _is_permutation_path(p.embedding)
+    x = random_matrix(spec, 4, 4, rng)
+    assert h.apply(x) == u * inc.apply(x) * invert(u)
+    assert p.apply(x) == images * inc.apply(x) * invert(images)
