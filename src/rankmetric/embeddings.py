@@ -23,9 +23,10 @@ by T if there is a twist: ``apply`` fills a dense matrix from the scatter
 without building either n x n image. No operation multiplies by P.
 
 ``skolem_noether_conjugator`` is the intertwining unit of two unital
-homomorphisms with the same source and target, and ``amalgamate`` uses
-it to complete any two embeddings of a common subalgebra into an exactly
-commuting square.
+homomorphisms with the same source and target. ``amalgamate`` completes
+any two embeddings of a common subalgebra into an exactly commuting
+square with the unit from each map onto the inclusion, built with its
+inverse as scatters of the map's own twist pair.
 """
 
 from __future__ import annotations
@@ -453,10 +454,14 @@ def amalgamate(phi0: Homomorphism, phi1: Homomorphism):
     c = phi0.n * phi1.n
 
     def leg(phi: Homomorphism) -> Homomorphism:
-        # the unit that straightens phi: the inverse of the one that twists the inclusion onto phi
-        u = skolem_noether_conjugator(phi, Homomorphism.inclusion(phi.n, a, spec))
+        # u = B_inc B_phi^-1 = P T_phi^-1 (P = P_inc P_phi^-1) straightens phi onto the
+        # inclusion: the twist P T_phi^-1 P^-1 over P, and its inverse P T_phi P^-1, are
+        # scatters of phi's own pair, so no product and no inversion
+        e = phi.embedding
+        images = _composed(iota_embedding(phi.n, a, spec)._images, _inverse(e._images))
+        twist = e._twist and tuple(_scattered(images, 1, t, 0) for t in reversed(e._twist))
         # x -> iota(u x u^-1)
         return Homomorphism._of(compose(iota_embedding(c, phi.n, spec),
-                                        DeltaEmbedding(phi.n, phi.n, 1, u)))
+                                        _embedding(phi.n, phi.n, 1, spec, images, twist)))
 
     return c, leg(phi0), leg(phi1)

@@ -5,8 +5,10 @@ every call. GF(2) rows are ints, bit j set when entry j is 1. GF(3) rows
 are int pairs (plus, minus) with disjoint bits, set where the entry is 1
 and where it is 2 (Boothby & Bradshaw, arXiv:0901.1413), so a row sum is
 a few bitwise operations and negation swaps the two. Larger fields, and
-every field while tests set ``_FORCE_GENERIC``, run the table family: flat
-tuples of canonical encodings, worked through the field's tables.
+every field while tests set ``_FORCE_GENERIC``, run the table family: a
+matrix keeps its flat tuple of canonical encodings, and its kernels work on
+rows of bytes, one encoding per byte, so a row operation is a translate
+through a field table and one whole-row sum.
 
 A family is one entry of the ``_Family`` table: how a matrix keeps it,
 and whole-matrix pack, unpack, zero, identity, sum, difference, negation,
@@ -249,76 +251,92 @@ def _t_rref(planes, ncols):
 
 
 # ---------------------------------------------------------------------------
-# Table kernels: a matrix is its flat entry tuple, a row a list of encodings.
+# Table kernels: a matrix is its flat entry tuple, a row the bytes of its encodings
+# (q <= 256). A row operation x + s y is one translate of y by the table of s, then
+# one sum of rows: in characteristic 2 the XOR of the rows read as ints; for other
+# q <= 16 one translate of x q + y through the addition table, as no byte x_i q + y_i
+# exceeds q^2 - 1 <= 255; else byte by byte.
 
-def _g_rows(entries, rows, cols):
-    return [list(entries[i * cols:(i + 1) * cols]) for i in range(rows)]
+def _g_pack(entries, rows, cols):
+    """Byte rows of a row-major sequence of encodings."""
+    raw = bytes(entries)
+    return [raw[i * cols:(i + 1) * cols] for i in range(rows)]
 
 
-def _g_add(a, b, spec):
-    q, add = spec.q, spec._add
-    return tuple([add[x * q + y] for x, y in zip(a, b)])
+@cache
+def _bytes_of(spec: FieldSpec):
+    """Per scalar s the translate table of y -> s y, and the sum of byte rows of length n."""
+    q, table = spec.q, spec._add
+    scale = tuple(bytes(spec._mul[s * q:(s + 1) * q]).ljust(256, b"\0") for s in range(q))
+    if spec.p == 2:  # encodings are coefficient bits, so a sum is an XOR
+        def total(rows, n):
+            acc = 0
+            for r in rows:
+                acc ^= int.from_bytes(r, "big")
+            return acc.to_bytes(n, "big")
+
+        return scale, total
+    if q <= 16:
+        padded = bytes(table).ljust(256, b"\0")
+
+        def add(x, y):
+            xy = int.from_bytes(x, "big") * q + int.from_bytes(y, "big")
+            return xy.to_bytes(len(x), "big").translate(padded)
+    else:
+        def add(x, y):
+            return bytes([table[a * q + b] for a, b in zip(x, y)])
+    return scale, lambda rows, n: reduce(add, rows) if rows else bytes(n)
 
 
-def _g_sub(a, b, spec):
-    q, add, neg = spec.q, spec._add, spec._neg
-    return tuple([add[x * q + neg[y]] for x, y in zip(a, b)])
+def _g_sum(a, b, spec, s=1):
+    """The flat entries of a + s b, for flat entries a and b."""
+    scale, total = _bytes_of(spec)
+    return tuple(total([bytes(a), bytes(b).translate(scale[s])], len(a)))
 
 
 def _g_mul(arows, brows, spec, out_cols):
-    """The product's flat entries."""
-    q, add, mul = spec.q, spec._add, spec._mul
-    out = []
-    for arow in arows:
-        acc = [0] * out_cols
-        for k, s in enumerate(arow):
-            if s:
-                sm = mul[s * q:(s + 1) * q]
-                acc = [add[x * q + sm[y]] for x, y in zip(acc, brows[k])]
-        out += acc
-    return tuple(out)
+    """The product's flat entries: row i sums the rows of b scaled by row i of a."""
+    scale, total = _bytes_of(spec)
+    return tuple(b"".join([total([brows[k].translate(scale[s]) for k, s in enumerate(arow) if s],
+                                 out_cols) for arow in arows]))
+
+
+def _g_transpose(rows, cols):
+    """The transpose's flat entries: column j of the joined rows is every cols-th byte from j."""
+    flat = b"".join(rows)
+    return tuple(b"".join([flat[j::cols] for j in range(cols)]))
 
 
 def _g_insert(table, vec, limit, spec):
-    """Table twin of ``_b_insert``: the table maps a pivot column to its monic row."""
-    q, add, mul = spec.q, spec._add, spec._mul
-    c, n = 0, len(vec)
-    while True:
-        while c < n and not vec[c]:
-            c += 1
-        if c == n:
-            return False
+    """Table twin of ``_b_insert`` on a byte row: the table maps a pivot column to its
+    monic row, and each step clears the first nonzero byte that a stored row leads with."""
+    (scale, total), n = _bytes_of(spec), len(vec)
+    while (c := n - len(vec.lstrip(b"\0"))) < n:
         row = table.get(c)
         if row is None:
             if c >= limit:
                 return False
-            if vec[c] != 1:
-                s = spec._inv[vec[c]]
-                sm = mul[s * q:(s + 1) * q]
-                vec = [sm[v] for v in vec]
-            table[c] = vec
+            table[c] = vec if vec[c] == 1 else vec.translate(scale[spec._inv[vec[c]]])
             return True
-        f = spec._neg[vec[c]]
-        fm = mul[f * q:(f + 1) * q]
-        vec = [add[x * q + fm[y]] for x, y in zip(vec, row)]
+        vec = total([vec, row.translate(scale[spec._neg[vec[c]]])], n)
+    return False
 
 
 def _g_rref(rowlists, ncols, spec):
-    """Table twin of ``_b_rref``: the echelon table, then back-substitution."""
+    """Table twin of ``_b_rref`` on byte (or list) rows: the echelon table, then
+    back-substitution, one sum per row."""
     table = {}
     for r in rowlists:
-        _g_insert(table, r, ncols, spec)
-    q, add, mul, neg = spec.q, spec._add, spec._mul, spec._neg
+        _g_insert(table, bytes(r), ncols, spec)
+    (scale, total), neg = _bytes_of(spec), spec._neg
     pivots = sorted(table)
-    for i in range(len(pivots) - 1, -1, -1):
+    for i in range(len(pivots) - 2, -1, -1):
         row = table[pivots[i]]
-        # rows with a later pivot are already free of every other pivot column
-        for d in pivots[i + 1:]:
-            if row[d]:
-                f = neg[row[d]]
-                fm = mul[f * q:(f + 1) * q]
-                row = [add[x * q + fm[y]] for x, y in zip(row, table[d])]
-        table[pivots[i]] = row
+        # rows with a later pivot are already free of every other pivot column,
+        # so every multiple to subtract is read off the row as it stands
+        terms = [table[d].translate(scale[neg[row[d]]]) for d in pivots[i + 1:] if row[d]]
+        if terms:
+            table[pivots[i]] = total([row, *terms], len(row))
     return pivots, [table[c] for c in pivots]
 
 
@@ -472,7 +490,8 @@ class Matrix:
         return FieldElement(self.spec, self._e[i * self.cols + j])
 
     def row_lists(self):
-        return _g_rows(self._e, self.rows, self.cols)
+        e, c = self._e, self.cols  # tuple slices: lists of byte rows build 2-3x slower
+        return [list(e[i * c:(i + 1) * c]) for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
         f = _family(self.spec)
@@ -575,7 +594,7 @@ class Matrix:
 # ---------------------------------------------------------------------------
 # The row-family table. A family's store is what a Matrix of it keeps: the tuple
 # of rows (``_rw``) for GF(2) and GF(3), the flat entries (``_ent``) for the table
-# family. Its rows are what products and elimination read: the store, or row lists.
+# family. Its rows are what products and elimination read: the store, or byte rows.
 
 
 class _Family(NamedTuple):
@@ -636,21 +655,23 @@ _PLANES = _BITS._replace(
 )
 
 _TABLE = _Family(
-    store=Matrix.entries.fget, rows=Matrix.row_lists, made=Matrix._trusted,
-    pack=_g_rows,
-    unpack=lambda rows, c: tuple(chain.from_iterable(rows)),
+    store=Matrix.entries.fget, rows=lambda m: _g_pack(m._e, m.rows, m.cols),
+    made=Matrix._trusted,
+    pack=_g_pack,
+    unpack=lambda rows, c: tuple(b"".join(rows)),
     zero=lambda r, c: (0,) * (r * c),
     identity=lambda n: tuple([int(i == j) for i in range(n) for j in range(n)]),
-    add=_g_add, sub=_g_sub,
-    neg=lambda a, spec: tuple(map(spec._neg.__getitem__, a)),
-    scale=lambda a, s, spec: tuple(map(spec._mul[s * spec.q:(s + 1) * spec.q].__getitem__, a)),
+    add=_g_sum,
+    sub=lambda a, b, spec: _g_sum(a, b, spec, spec._neg[1]),
+    neg=lambda a, spec: _TABLE.scale(a, spec._neg[1], spec),
+    scale=lambda a, s, spec: tuple(bytes(a).translate(_bytes_of(spec)[0][s])),
     mul=_g_mul,
-    transpose=lambda rows, c: tuple(chain.from_iterable(zip(*rows))),
+    transpose=_g_transpose,
     insert=_g_insert,
     rref=lambda rows, ncols, spec: _g_rref(rows, ncols, spec),
-    augment=lambda rows, n: [row + [0] * i + [1] + [0] * (len(rows) - 1 - i)
+    augment=lambda rows, n: [row + bytes(i) + b"\1" + bytes(len(rows) - 1 - i)
                              for i, row in enumerate(rows)],
-    cut=lambda rows, n: tuple([v for row in rows for v in row[n:]]),
+    cut=lambda rows, n: tuple(b"".join([row[n:] for row in rows])),
 )
 
 
@@ -953,15 +974,26 @@ def base_copy_basis(a: int, b: int, spec: FieldSpec) -> list[Matrix]:
 
 @cache
 def _b_rank_table(n):
-    # rows join low row first; the span so far is a 2^n-bit set (bit v for vector v),
-    # which a row r outside it doubles by adding v ^ r for each v, so its size gives the rank
-    spans, grown = [1], {}
+    # rows join low row first; a span is a 2^n-bit set (bit v for vector v), which a row r
+    # outside it doubles by adding v ^ r for each v, and its size gives the rank. Each span
+    # gets a byte id, and steps[r] maps an id to the id of the span grown by r, so a level of
+    # ids by code grows by one row in 2^n translates, one per value of the new (high) row.
+    # An id fits a byte only while GF(2)^n has at most 256 subspaces: n <= 4 (67) does,
+    # n = 5 (374) does not, which is why ``rank_table`` caps n * n at 20
+    size, spans, ids = 1 << n, [1], {1: 0}
+    steps = [bytearray(256) for _ in range(size)]
+    for k, sp in enumerate(spans):  # spans grows as new ones turn up, up to every subspace
+        for r, step in enumerate(steps):
+            grown = sp | sum(1 << (v ^ r) for v in range(size) if sp >> v & 1)
+            if grown not in ids:
+                ids[grown] = len(spans)
+                spans.append(grown)
+            step[k] = ids[grown]
+    level = b"\0"
     for _ in range(n):
-        for sp in set(spans) - grown.keys():
-            grown[sp] = [sp | sum(1 << (v ^ r) for v in range(1 << n) if sp >> v & 1)
-                         for r in range(1 << n)]
-        spans = [grown[sp][r] for r in range(1 << n) for sp in spans]
-    return tuple(sp.bit_count().bit_length() - 1 for sp in spans)
+        level = b"".join([level.translate(step) for step in steps])
+    return tuple(level.translate(bytes([sp.bit_count().bit_length() - 1 for sp in spans])
+                                 .ljust(256, b"\0")))
 
 
 def rank_table(spec: FieldSpec, n: int):

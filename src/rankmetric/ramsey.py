@@ -176,28 +176,16 @@ def count_copies(a: int, b: int, q_or_spec, method: str = "brute_force") -> int:
 
 
 def copy_elements(fp: tuple, spec: FieldSpec, ambient: int) -> list[tuple]:
-    """Every element of the span (guarded), as flattened vectors."""
-    dim_span = len(fp)
-    count = spec.q ** dim_span
+    """Every element of the span (guarded), as flattened vectors: the rows of the product
+    of every coefficient vector, by code (base-q digits, least significant first), with fp."""
+    q, dim_span = spec.q, len(fp)
+    count = q ** dim_span
     if count > COPY_ELEMENT_LIMIT:
         raise TooLarge(f"copy has {count} elements")
-    q = spec.q
-    add = spec._add
-    mul = spec._mul
-    out = []
-    for code in range(count):
-        coeffs = []
-        c = code
-        for _ in range(dim_span):
-            coeffs.append(c % q)
-            c //= q
-        acc = [0] * (ambient * ambient)
-        for coef, vec in zip(coeffs, fp):
-            if coef:
-                cm = mul[coef * q:(coef + 1) * q]
-                acc = [add[x * q + cm[y]] for x, y in zip(acc, vec)]
-        out.append(tuple(acc))
-    return out
+    coeffs = Matrix(spec, count, dim_span,
+                    [code // q ** i % q for code in range(count) for i in range(dim_span)])
+    basis = Matrix(spec, dim_span, ambient * ambient, [v for vec in fp for v in vec])
+    return list(map(tuple, (coeffs * basis).row_lists()))
 
 
 @functools.cache

@@ -2,7 +2,9 @@
 
 Ranks come from minor determinants expanded over permutations, and field
 products from schoolbook polynomial arithmetic, so those share no code with
-the library's elimination kernels. The copy-census walks keep the
+the library's elimination kernels. The entry-by-entry table kernels
+(``table_mul``, ``table_insert``, ``table_rref``) are the reference for the
+byte-row kernels of the table family. The copy-census walks keep the
 conjugation census by dense Matrix products that the packed span-key walk
 replaced, ``adapted_basis`` keeps the basis that Skolem-Noether conjugators
 were read from before homomorphisms became block embeddings, and
@@ -20,7 +22,7 @@ from types import MappingProxyType
 
 import rankmetric.ramsey as rp
 from rankmetric.embeddings import iota_embedding
-from rankmetric.errors import InconsistentTarget, RelationsNotSatisfied
+from rankmetric.errors import InconsistentTarget, RelationsNotSatisfied, Singular
 from rankmetric.fraisse import InnerApproximation, approximate_homogeneity, include_to
 from rankmetric.gf import FieldSpec
 from rankmetric.matrix import (Matrix, direct_sum, image_basis, invert, kassabov_generators,
@@ -94,6 +96,127 @@ def span_dimension(vectors, spec: FieldSpec) -> int:
         if not in_span:
             chosen.append(v)
     return len(chosen)
+
+
+# -- entry-by-entry table kernels ---------------------------------------------
+# The table family's kernels before its rows became bytes: a row is a list of
+# encodings and every entry of a row operation is one lookup in the field's
+# add and mul tables. The reference for the byte-row kernels of
+# rankmetric.matrix, which share no row arithmetic with them.
+
+
+def table_mul(arows, brows, spec: FieldSpec, out_cols: int) -> tuple:
+    """The product's flat entries."""
+    q, add, mul = spec.q, spec._add, spec._mul
+    out = []
+    for arow in arows:
+        acc = [0] * out_cols
+        for k, s in enumerate(arow):
+            if s:
+                sm = mul[s * q:(s + 1) * q]
+                acc = [add[x * q + sm[y]] for x, y in zip(acc, brows[k])]
+        out += acc
+    return tuple(out)
+
+
+def table_insert(table, vec, limit: int, spec: FieldSpec) -> bool:
+    """Reduce a list row against an echelon table (pivot column -> monic row); store it
+    if a pivot below limit remains, and say whether it was stored."""
+    q, add, mul = spec.q, spec._add, spec._mul
+    c, n = 0, len(vec)
+    while True:
+        while c < n and not vec[c]:
+            c += 1
+        if c == n:
+            return False
+        row = table.get(c)
+        if row is None:
+            if c >= limit:
+                return False
+            if vec[c] != 1:
+                s = spec._inv[vec[c]]
+                sm = mul[s * q:(s + 1) * q]
+                vec = [sm[v] for v in vec]
+            table[c] = vec
+            return True
+        f = spec._neg[vec[c]]
+        fm = mul[f * q:(f + 1) * q]
+        vec = [add[x * q + fm[y]] for x, y in zip(vec, row)]
+
+
+def table_rref(rowlists, ncols: int, spec: FieldSpec):
+    """Pivot columns and reduced echelon list rows: the echelon table, then
+    back-substitution one pivot at a time."""
+    table = {}
+    for r in rowlists:
+        table_insert(table, list(r), ncols, spec)
+    q, add, mul, neg = spec.q, spec._add, spec._mul, spec._neg
+    pivots = sorted(table)
+    for i in range(len(pivots) - 1, -1, -1):
+        row = table[pivots[i]]
+        for d in pivots[i + 1:]:
+            if row[d]:
+                f = neg[row[d]]
+                fm = mul[f * q:(f + 1) * q]
+                row = [add[x * q + fm[y]] for x, y in zip(row, table[d])]
+        table[pivots[i]] = row
+    return pivots, [table[c] for c in pivots]
+
+
+def table_product(a: Matrix, b: Matrix) -> Matrix:
+    return Matrix(a.spec, a.rows, b.cols, table_mul(a.row_lists(), b.row_lists(), a.spec, b.cols))
+
+
+def table_rank(m: Matrix) -> int:
+    table = {}
+    for row in m.row_lists():
+        table_insert(table, row, m.cols, m.spec)
+    return len(table)
+
+
+def table_inverse(m: Matrix) -> Matrix:
+    """The right block of the reduced [m | I]; ``Singular`` unless m has n pivots."""
+    n = m.rows
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m.row_lists())]
+    pivots, reduced = table_rref(rows, n, m.spec)
+    if len(pivots) != n:
+        raise Singular("matrix is singular")
+    return Matrix(m.spec, n, n, [v for row in reduced for v in row[n:]])
+
+
+def table_transpose(m: Matrix) -> Matrix:
+    return Matrix(m.spec, m.cols, m.rows, [m.at(i, j).val for j in range(m.cols)
+                                           for i in range(m.rows)])
+
+
+def table_kernel(m: Matrix) -> tuple:
+    """The reduced echelon basis of the right kernel: one vector per free column f of the
+    reduced rows (1 at f, minus the row's entry at f at each pivot), then re-echeloned."""
+    spec, n = m.spec, m.cols
+    pivots, reduced = table_rref(m.row_lists(), n, spec)
+    vectors = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[f] = 1
+        for pc, row in zip(pivots, reduced):
+            v[pc] = spec._neg[row[f]]
+        vectors.append(v)
+    return tuple(map(tuple, table_rref(vectors, n, spec)[1]))
+
+
+def table_sum(s, t) -> tuple:
+    """The reduced echelon basis of the span of two subspaces' bases."""
+    return tuple(map(tuple, table_rref([*s.basis, *t.basis], s.ambient_dim, s.spec)[1]))
+
+
+def table_intersection(s, t) -> tuple:
+    """The reduced echelon basis of s meet t by Zassenhaus: reduce the rows [u | u] for
+    u in s and [w | 0] for w in t; the rows whose left half is zero carry the meet."""
+    n = s.ambient_dim
+    rows = [[*u, *u] for u in s.basis] + [[*w, *[0] * n] for w in t.basis]
+    pivots, reduced = table_rref(rows, 2 * n, s.spec)
+    meet = [row[n:] for pc, row in zip(pivots, reduced) if pc >= n]
+    return tuple(map(tuple, table_rref(meet, n, s.spec)[1]))
 
 
 def matrix_units_by_products(a: Matrix, b: Matrix, n: int):
