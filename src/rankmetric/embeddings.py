@@ -47,26 +47,18 @@ from .gf import FieldSpec
 from .matrix import (
     Matrix,
     RankDistance,
+    column_stack,
     coordinate_rank,
     image_basis,
     invert,
     kassabov_generators,
     kernel_basis,
     matrix_units,
+    permutation_columns,
     read_matrices,
+    row_forms,
     write_matrix,
 )
-
-
-def _permutation_images(a: Matrix):
-    """The images of a permutation matrix, or None for any other matrix."""
-    n, e = a.rows, a.entries
-    if e.count(1) != n:
-        return None
-    nonzero = [k for k, v in enumerate(e) if v]
-    if [k // n for k in nonzero] != list(range(n)) or len({k % n for k in nonzero}) != n:
-        return None
-    return _inverse([k % n for k in nonzero])
 
 
 def _inverse(images) -> tuple[int, ...]:
@@ -185,9 +177,9 @@ class DeltaEmbedding:
         if value.rows != self.n or value.cols != self.n:
             raise DimensionMismatch("conjugator has the wrong size")
         self.spec = value.spec
-        images = _permutation_images(value)
-        self._images = tuple(range(self.n)) if images is None else images
-        self._twist = (value, invert(value)) if images is None else None
+        cols = permutation_columns(value)  # P e_j = e_images[j] has row i's 1 in column cols[i]
+        self._images = tuple(range(self.n)) if cols is None else _inverse(cols)
+        self._twist = (value, invert(value)) if cols is None else None
 
     @property
     def delta(self) -> RankDistance:
@@ -353,13 +345,13 @@ class Homomorphism:
         units = matrix_units(img_a, img_b, m)
         basis = image_basis(units[0][0]).matrix
         # row j of images[i] is E_i1 v_j for the j-th basis row v_j: one product per unit
-        images = [(basis * units[i][0].transpose()).row_lists() for i in range(m)]
+        images = [row_forms(basis * units[i][0].transpose()) for i in range(m)]
         mult = basis.rows
         cols = [img[j] for j in range(mult) for img in images]
         one = sum((units[i][i] for i in range(1, m)), units[0][0])
-        cols += kernel_basis(one).basis
+        cols += row_forms(kernel_basis(one).matrix)
         self.m, self.n, self.spec, self._imgs = m, n, img_a.spec, None
-        self.embedding = DeltaEmbedding(m, n, mult, Matrix._trusted_columns(self.spec, cols, n))
+        self.embedding = DeltaEmbedding(m, n, mult, column_stack(self.spec, cols, n))
 
     @classmethod
     def _of(cls, e: DeltaEmbedding) -> "Homomorphism":

@@ -97,7 +97,7 @@ def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
 class FieldSpec:
     """An exact finite field GF(p^k) with precomputed operation tables."""
 
-    __slots__ = ("p", "k", "modulus", "q", "_add", "_mul", "_neg", "_inv")
+    __slots__ = ("p", "k", "modulus", "q", "_add", "_mul", "_neg", "_inv", "_hash")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         if not _is_prime(p):
@@ -113,6 +113,7 @@ class FieldSpec:
         self.k = k
         self.modulus = modulus
         self.q = p ** k
+        self._hash = hash((p, k, modulus))  # specs key every per-field cache
         self._build_tables()
 
     # integer encoding: value = sum(coeffs[i] * p**i), coeffs[i] in [0, p)
@@ -210,7 +211,7 @@ class FieldSpec:
         )
 
     def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
+        return self._hash
 
     def __repr__(self):
         return f"GF({self.q})"

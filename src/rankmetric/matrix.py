@@ -12,8 +12,9 @@ through a field table and one whole-row sum.
 
 A family is one entry of the ``_Family`` table: how a matrix keeps it,
 and whole-matrix pack, unpack, zero, identity, sum, difference, negation,
-scaling, product, transpose, echelon insert, rref, and the augment and
-cut steps that ``invert`` and ``kernel_basis`` share. So each ``Matrix``
+scaling, product, transpose, echelon insert, rref, the augment and cut
+steps that ``invert`` and ``kernel_basis`` share, and the unit-row test
+of ``permutation_columns``. So each ``Matrix``
 operation has one code path, and a new family is one more entry. No
 matrix stores its family, since a matrix built before a test sets
 ``_FORCE_GENERIC`` must run in the table family after it. A matrix holds
@@ -27,8 +28,8 @@ echelon table keyed by pivot column, rank is the size of the table, and
 one back-substitution pass turns it into reduced echelon form. An inverse
 and a kernel are each one elimination of rows with the identity appended:
 the inverse is the appended block of [m | I], the kernel the appended block
-of the rows of [m^T | I] that reduce to zero on m^T. Other modules reach
-the row formats only through this module's functions.
+of the rows of [m^T | I] that reduce to zero on m^T, for m one matrix or
+several stacked. Other modules hold rows only as ``row_forms`` gives them.
 
 Distances are exact: ``rank_distance`` returns a ``RankDistance`` holding
 the raw (rank, ambient) pair, compared by cross-multiplication. A subspace
@@ -477,11 +478,6 @@ class Matrix:
             raise DimensionMismatch("column of wrong height")
         return cls(spec, nrows, len(cols), [col[i] for i in range(nrows) for col in cols])
 
-    @classmethod
-    def _trusted_columns(cls, spec: FieldSpec, columns, nrows: int) -> "Matrix":
-        """``from_columns`` for computed columns of canonical encodings, taken unchecked."""
-        return cls._trusted(spec, nrows, len(columns), tuple(chain.from_iterable(zip(*columns))))
-
     # -- access ---------------------------------------------------------
 
     def at(self, i: int, j: int) -> FieldElement:
@@ -552,14 +548,13 @@ class Matrix:
             raise DimensionMismatch("powers need a square matrix")
         if e < 0:
             return invert(self) ** (-e)
-        out = Matrix.identity(self.spec, self.rows)
-        base = self
+        out, base = None, self
         while e:
             if e & 1:
-                out = out * base
+                out = base if out is None else out * base
             base = base * base if e > 1 else base
             e >>= 1
-        return out
+        return Matrix.identity(self.spec, self.rows) if out is None else out
 
     def apply_to_vector(self, vec) -> tuple[int, ...]:
         """Matrix-vector product on raw int encodings, reduced mod q: the product with
@@ -615,6 +610,7 @@ class _Family(NamedTuple):
     rref: Callable      # rows, ncols, spec -> pivot columns, reduced rows
     augment: Callable   # rows, n -> rows with the identity appended from column n
     cut: Callable       # augmented rows, n -> store of the columns from n on
+    unit: Callable      # row -> column of its one nonzero entry if that is 1, else -1
 
 
 _BITS = _Family(
@@ -634,6 +630,7 @@ _BITS = _Family(
     rref=lambda rows, ncols, spec: _b_rref(rows, ncols),
     augment=lambda rows, n: [r | 1 << (n + i) for i, r in enumerate(rows)],
     cut=lambda rows, n: tuple([r >> n for r in rows]),
+    unit=lambda r: -1 if r & (r - 1) else r.bit_length() - 1,
 )
 
 _PLANES = _BITS._replace(
@@ -652,6 +649,7 @@ _PLANES = _BITS._replace(
     rref=lambda rows, ncols, spec: _t_rref(rows, ncols),
     augment=lambda rows, n: [(p | 1 << (n + i), m) for i, (p, m) in enumerate(rows)],
     cut=lambda rows, n: tuple([(p >> n, m >> n) for p, m in rows]),
+    unit=lambda r: -1 if r[1] else _BITS.unit(r[0]),
 )
 
 _TABLE = _Family(
@@ -672,6 +670,7 @@ _TABLE = _Family(
     augment=lambda rows, n: [row + bytes(i) + b"\1" + bytes(len(rows) - 1 - i)
                              for i, row in enumerate(rows)],
     cut=lambda rows, n: tuple(b"".join([row[n:] for row in rows])),
+    unit=lambda r: r.find(1) if r.count(0) == len(r) - 1 else -1,
 )
 
 
@@ -687,6 +686,17 @@ def _pack_outside(f: _Family, entries, rows, cols, spec: FieldSpec):
     return f.pack(raw, rows, cols)
 
 
+def row_forms(m: Matrix) -> list:
+    """m's rows as its field's kernels hold them, for ``echelon_insert`` and ``column_stack``."""
+    return list(_family(m.spec).rows(m))
+
+
+def column_stack(spec: FieldSpec, rows, nrows: int) -> Matrix:
+    """The Matrix whose columns are ``row_forms`` rows nrows long: one transpose."""
+    f = _family(spec)
+    return f.made(spec, nrows, len(rows), f.transpose(rows, nrows))
+
+
 def _rref_matrix(f: _Family, rows, ncols: int, spec: FieldSpec) -> Matrix:
     """The reduced echelon rows of rows ncols long in f, as one Matrix (a cut at 0 keeps
     every column): the one step that builds every subspace but a kernel."""
@@ -694,11 +704,11 @@ def _rref_matrix(f: _Family, rows, ncols: int, spec: FieldSpec) -> Matrix:
     return f.made(spec, len(rows), ncols, f.cut(rows, 0))
 
 
-def echelon_insert(table, vec, spec: FieldSpec) -> bool:
-    """Store a vector of encodings in an echelon table (an empty dict at
-    first, filled only by this function) if it is independent of it."""
-    f = _family(spec)
-    return f.insert(table, _pack_outside(f, vec, 1, len(vec), spec)[0], len(vec), spec)
+def echelon_insert(table, vec, spec: FieldSpec, width: int | None = None) -> bool:
+    """Store a vector of encodings, or a ``row_forms`` row of this width, in an echelon table
+    (an empty dict at first, filled only by this function) if it is independent of it."""
+    f, n = _family(spec), len(vec) if width is None else width
+    return f.insert(table, _pack_outside(f, vec, 1, n, spec)[0] if width is None else vec, n, spec)
 
 
 class Subspace:
@@ -895,12 +905,20 @@ def matrix_units(a: Matrix, b: Matrix, n: int) -> list[list[Matrix]]:
 # subspace calculus
 
 
-def kernel_basis(m: Matrix) -> Subspace:
-    """Canonical basis of the right kernel; dim = cols - rank. One elimination of [m^T | I]
-    over all its columns: the last reduced rows, those with their pivot in the identity
-    block, are zero on m^T, so their identity parts v have m v = 0, and they are already
-    the kernel's reduced echelon basis."""
-    r, n, f = m.rows, m.cols, _family(m.spec)
+def kernel_basis(m: Matrix, *more: Matrix) -> Subspace:
+    """Canonical basis of the right kernel of m stacked on ``more`` (what all of them kill);
+    dim = cols - rank. One elimination of [m^T | I] over all its columns: the last reduced
+    rows, those with their pivot in the identity block, are zero on m^T, so their identity
+    parts v have m v = 0, and they are already the kernel's reduced echelon basis."""
+    f = _family(m.spec)
+    if more:  # a store is row-major, so the stacked store is the stores joined
+        if any(o.spec != m.spec for o in more):
+            raise SpecMismatch("matrices over different fields")
+        if any(o.cols != m.cols for o in more):
+            raise DimensionMismatch("stacked matrices of different widths")
+        m = f.made(m.spec, m.rows + sum(o.rows for o in more), m.cols,
+                   sum((f.store(o) for o in more), f.store(m)))
+    r, n = m.rows, m.cols
     pivots, rows = f.rref(f.augment(f.rows(m.transpose()), r), r + n, m.spec)
     rank = sum(p < r for p in pivots)
     return Subspace._of(f.made(m.spec, n - rank, n, f.cut(rows[rank:], r)))
@@ -918,15 +936,8 @@ def annihilator(s: Subspace) -> Matrix:
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked constraint rows."""
-    if s1.spec != s2.spec:
-        raise SpecMismatch("subspaces over different fields")
-    if s1.ambient_dim != s2.ambient_dim:
-        raise DimensionMismatch("subspaces in different ambient spaces")
-    f, c1, c2 = _family(s1.spec), annihilator(s1), annihilator(s2)
-    # a store is row-major, so the stacked store is the two stores joined
-    return kernel_basis(f.made(s1.spec, c1.rows + c2.rows, s1.ambient_dim,
-                               f.store(c1) + f.store(c2)))
+    """Intersection: the joint kernel of the two annihilators."""
+    return kernel_basis(annihilator(s1), annihilator(s2))
 
 
 def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
@@ -942,11 +953,7 @@ def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
 
 def apply(m: Matrix, s: Subspace) -> Subspace:
     """Image m(s) of a subspace under a linear map: the column span of m B^T for s's
-    basis rows B, so the row span of B m^T."""
-    if m.spec != s.spec:
-        raise SpecMismatch("matrix and subspace over different fields")
-    if m.cols != s.ambient_dim:
-        raise DimensionMismatch("map domain does not match ambient space")
+    basis rows B, so the row span of B m^T; the product checks fields and shapes."""
     f = _family(m.spec)
     return Subspace._of(_rref_matrix(f, f.rows(s.matrix * m.transpose()), m.rows, m.spec))
 
@@ -1124,6 +1131,14 @@ def copy_fingerprint(key, spec: FieldSpec, ambient: int) -> tuple:
     return key
 
 
+def permutation_columns(m: Matrix) -> tuple[int, ...] | None:
+    """Each row's column of its one nonzero entry, a 1, if m is a permutation matrix, else
+    None; read off the rows, so over GF(2) the rows must be distinct powers of two."""
+    f = _family(m.spec)
+    cols = tuple(map(f.unit, f.rows(m)))
+    return cols if -1 not in cols and len(set(cols)) == m.rows == m.cols else None
+
+
 def invert(m: Matrix) -> Matrix:
     """Exact inverse; raises ``Singular`` when the matrix has no inverse."""
     if not m.is_square():
@@ -1138,22 +1153,6 @@ def _inverse(f: _Family, rows, n: int, spec: FieldSpec):
     if len(pivots) != n:
         raise Singular("matrix is singular")
     return f.cut(rows, n)
-
-
-def solve(m: Matrix, rhs) -> tuple[int, ...] | None:
-    """One solution of m v = rhs (raw encodings), or None if inconsistent."""
-    if len(rhs) != m.rows:
-        raise DimensionMismatch("right-hand side of wrong length")
-    c, f = m.cols, _family(m.spec)
-    # _pack_outside reduces rhs mod q
-    aug = _pack_outside(f, [v for row, x in zip(m.row_lists(), rhs) for v in (*row, x)],
-                        m.rows, c + 1, m.spec)
-    sol = [0] * c
-    for row in _rref_matrix(f, aug, c + 1, m.spec).row_lists():
-        if (pc := row.index(1)) == c:
-            return None
-        sol[pc] = row[c]
-    return tuple(sol)
 
 
 def random_matrix(spec: FieldSpec, rows: int, cols: int, rng) -> Matrix:

@@ -23,12 +23,13 @@ from .matrix import (
     RankDistance,
     Subspace,
     apply,
+    column_stack,
     echelon_insert,
-    intersect,
     kassabov_generators,
     kernel_basis,
     rank,
     rank_distance,
+    row_forms,
     subspace_sum,
 )
 from .embeddings import DeltaEmbedding
@@ -44,10 +45,16 @@ def _check_pair(x: Matrix, y: Matrix, n: int) -> int:
     return x.rows
 
 
+def _relations(x: Matrix, y: Matrix, n: int) -> tuple[Matrix, Matrix, Matrix]:
+    """x^n, y^n and the residual yx + x^(n-1) y^(n-1) - 1, from one power of each."""
+    amb = _check_pair(x, y, n)
+    xm, ym = x ** (n - 1), y ** (n - 1)
+    return xm * x, ym * y, y * x + xm * ym - Matrix.identity(x.spec, amb)
+
+
 def relation_residual(x: Matrix, y: Matrix, n: int) -> Matrix:
     """The matrix yx + x^(n-1) y^(n-1) - 1."""
-    amb = _check_pair(x, y, n)
-    return y * x + (x ** (n - 1)) * (y ** (n - 1)) - Matrix.identity(x.spec, amb)
+    return _relations(x, y, n)[2]
 
 
 class RelationDefect:
@@ -93,30 +100,36 @@ class RelationDefect:
 
 def relation_defect(x: Matrix, y: Matrix, n: int) -> RelationDefect:
     """Exact defect of (x, y) against the size-n relations."""
-    amb = _check_pair(x, y, n)
-    d_xn = RankDistance(rank(x ** n), amb)
-    d_yn = RankDistance(rank(y ** n), amb)
-    d_rel = RankDistance(rank(relation_residual(x, y, n)), amb)
-    target = Fraction(n - 1, n)
-    d_rx = abs(Fraction(rank(x), amb) - target)
-    d_ry = abs(Fraction(rank(y), amb) - target)
-    return RelationDefect(n, amb, d_xn, d_yn, d_rel, d_rx, d_ry)
+    return _measure(x, y, n)[0]
 
 
-def w_chain(x: Matrix, y: Matrix, n: int) -> list[Subspace]:
-    """The nested subspace chain W_0 ... W_{n-1}.
+def _measure(x: Matrix, y: Matrix, n: int):
+    """The defect of (x, y), with the x^n and residual it ranked, which the chain reuses."""
+    xn, yn, resid = _relations(x, y, n)
+    amb, target = x.rows, Fraction(n - 1, n)
+    defect = RelationDefect(n, amb, *(RankDistance(rank(m), amb) for m in (xn, yn, resid)),
+                            *(abs(Fraction(rank(m), amb) - target) for m in (x, y)))
+    return defect, xn, resid
 
-    W_0 is the joint kernel of y, x^n and the relation residual; each
-    W_k is the x-image of its predecessor re-intersected with the
-    residual kernel. On W_k the pair acts exactly like the model shifts,
-    which is what the repair exploits.
+
+def w_chain(x: Matrix, y: Matrix, n: int, xn: Matrix | None = None,
+            resid: Matrix | None = None) -> list[Subspace]:
+    """The nested subspace chain W_0 ... W_{n-1}, given x^n and the relation residual R
+    when the caller has them.
+
+    W_0 is the joint kernel of y, x^n and R; each W_k is the x-image of its predecessor
+    met with ker R. On W_k the pair acts exactly like the model shifts, which is what the
+    repair exploits. Each W_k is one kernel: for the basis rows B of W_(k-1) and T = x B^T,
+    x W_(k-1) meets ker R in the T-image of ker R T.
     """
     _check_pair(x, y, n)
-    ker_rel = kernel_basis(relation_residual(x, y, n))
-    w = intersect(intersect(kernel_basis(y), kernel_basis(x ** n)), ker_rel)
+    if xn is None or resid is None:
+        xn, _, resid = _relations(x, y, n)
+    w = kernel_basis(y, xn, resid)
     chain = [w]
     for _ in range(1, n):
-        w = intersect(apply(x, w), ker_rel)
+        t = x * w.matrix.transpose()
+        w = apply(t, kernel_basis(resid * t))
         chain.append(w)
     return chain
 
@@ -189,16 +202,20 @@ class RepairCertificate:
 class _SpanTracker:
     """Incremental independence test over accumulating column vectors.
 
-    Keeps an echelon table of the accepted vectors and reduces each
-    candidate against it, so an add costs one reduction, not a rebuild.
+    Keeps an echelon table of the accepted vectors, given as ``row_forms`` rows of
+    width ``ambient``, and reduces each candidate against it, so an add costs one
+    reduction, not a rebuild; ``kept`` lists the accepted rows in order.
     """
 
-    def __init__(self, spec):
-        self.spec = spec
-        self.echelon = {}
+    def __init__(self, spec, ambient: int):
+        self.spec, self.ambient = spec, ambient
+        self.echelon, self.kept = {}, []
 
-    def try_add(self, vec) -> bool:
-        return echelon_insert(self.echelon, vec, self.spec)
+    def try_add(self, row) -> bool:
+        if echelon_insert(self.echelon, row, self.spec, self.ambient):
+            self.kept.append(row)
+            return True
+        return False
 
 
 def repair(x: Matrix, y: Matrix, n: int):
@@ -214,17 +231,18 @@ def repair(x: Matrix, y: Matrix, n: int):
     Basis assembly is deterministic: the canonical echelon basis of
     W_{n-1} is propagated by powers of y to span V, all of it in one
     product per power, and the complement is completed first from
-    ker x intersect ker y (which makes repairing a repaired pair a fixed
-    point), then by standard basis vectors in index order.
+    ker [x; y] (which makes repairing a repaired pair a fixed point),
+    then by standard basis vectors in index order. The propagated
+    vectors are independent exactly when dim V = n dim W_{n-1}, so the
+    tracker that assembles B also measures V.
     """
     amb = _check_pair(x, y, n)
-    defect = relation_defect(x, y, n)
-    chain = w_chain(x, y, n)
+    defect, xn, resid = _measure(x, y, n)
+    chain = w_chain(x, y, n, xn, resid)
     w_last = chain[-1]
     if w_last.dim == 0:
         dims = " ".join(str(w.dim) for w in chain)
         raise NotRepairable(f"the final chain subspace is trivial: dims_W {dims}, ambient {amb}")
-    v = v_space(x, y, n, w_last)
     d = w_last.dim
     mult = amb // n
 
@@ -232,29 +250,23 @@ def repair(x: Matrix, y: Matrix, n: int):
     yt, powers = y.transpose(), [w_last.matrix]
     for _ in range(n - 1):
         powers.append(powers[-1] * yt)
-    cols = []
-    tracker = _SpanTracker(x.spec)
+    tracker = _SpanTracker(x.spec, amb)
+    rows = [row_forms(p) for p in reversed(powers)]  # per-copy order: y^(n-1) w, ..., y w, w
     for i in range(d):
-        for p in reversed(powers):  # per-copy order: y^(n-1) w, ..., y w, w
-            vec = p.entries[i * amb:(i + 1) * amb]
-            if not tracker.try_add(vec):
-                raise InvariantViolated("propagated basis unexpectedly dependent")
-            cols.append(vec)
+        for p in rows:
+            if not tracker.try_add(p[i]):
+                raise InvariantViolated(f"summands not independent: dim V < {n} * {d}")
 
-    complement_needed = amb - n * d
-    complement = []
-    if complement_needed:
-        quiet = intersect(kernel_basis(x), kernel_basis(y))
-        # then the standard basis vectors in index order
-        for cand in [*quiet.basis, *Matrix.identity(x.spec, amb).row_lists()]:
-            if len(complement) == complement_needed:
+    # then ker [x; y], then the standard basis vectors in index order
+    if len(tracker.kept) < amb:
+        for cand in [*row_forms(kernel_basis(x, y).matrix),
+                     *row_forms(Matrix.identity(x.spec, amb))]:
+            if tracker.try_add(cand) and len(tracker.kept) == amb:
                 break
-            if tracker.try_add(cand):
-                complement.append(tuple(cand))
-        if len(complement) != complement_needed:
+        if len(tracker.kept) != amb:
             raise InvariantViolated("complement completion failed")
 
-    b_matrix = Matrix._trusted_columns(x.spec, cols + complement, amb)
+    b_matrix = column_stack(x.spec, tracker.kept, amb)
     psi = DeltaEmbedding(n, amb, mult, b_matrix)
 
     gen_a, gen_b = kassabov_generators(n, x.spec)
@@ -262,18 +274,8 @@ def repair(x: Matrix, y: Matrix, n: int):
     y_new = psi.apply(gen_b)
     cert = RepairCertificate(
         n, amb, defect.delta,
-        [w.dim for w in chain], v.dim,
+        [w.dim for w in chain], n * d,
         rank_distance(x, x_new), rank_distance(y, y_new),
     )
     cert.check()
     return psi, b_matrix, cert
-
-
-def delta_for_target(n: int, eps: Fraction) -> Fraction:
-    """Largest input defect guaranteeing repair distance below eps.
-
-    Choosing delta <= eps / ((4+n) n + 1) keeps the repaired pair within
-    eps of the input even after adding the defect itself on top of the
-    certified (4+n) n delta distance.
-    """
-    return Fraction(eps) / ((4 + n) * n + 1)

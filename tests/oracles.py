@@ -10,8 +10,12 @@ replaced, ``adapted_basis`` keeps the basis that Skolem-Noether conjugators
 were read from before homomorphisms became block embeddings, and
 ``inner_approximate_by_solve`` keeps the probe closure that re-solved its
 whole basis on every insertion, and ``probe_errors_dense`` ranks each
-back-and-forth probe error from two dense images. Slow on purpose; only
-for small inputs.
+back-and-forth probe error from two dense images. ``ladder_w_chain`` and
+``ladder_repair`` keep the repair chain that met every subspace by
+``intersect`` before each became one joint kernel, and
+``permutation_images_by_entries`` the conjugator test that read all n^2
+entries. ``solve`` and ``delta_for_target`` left the library, which no
+longer called them. Slow on purpose; only for small inputs.
 """
 
 import functools
@@ -21,13 +25,16 @@ from itertools import combinations, permutations, product
 from types import MappingProxyType
 
 import rankmetric.ramsey as rp
-from rankmetric.embeddings import iota_embedding
-from rankmetric.errors import InconsistentTarget, RelationsNotSatisfied, Singular
+from rankmetric.embeddings import DeltaEmbedding, iota_embedding
+from rankmetric.errors import (DimensionMismatch, InconsistentTarget, InvariantViolated,
+                               NotRepairable, RelationsNotSatisfied, Singular)
 from rankmetric.fraisse import InnerApproximation, approximate_homogeneity, include_to
 from rankmetric.gf import FieldSpec
-from rankmetric.matrix import (Matrix, direct_sum, image_basis, invert, kassabov_generators,
-                               kron, random_unit, rank_distance, solve, span_fingerprint)
-from rankmetric.stability import repair
+from rankmetric.matrix import (Matrix, Subspace, apply, direct_sum, echelon_insert, image_basis,
+                               intersect, invert, kassabov_generators, kernel_basis, kron,
+                               random_unit, rank_distance, span_fingerprint, subspace_sum)
+from rankmetric.stability import (RepairCertificate, relation_defect, relation_residual,
+                                  repair)
 
 
 def poly_mul_mod(u, v, modulus, p):
@@ -499,3 +506,99 @@ def inner_approximate_by_solve(targets, eps) -> InnerApproximation:
         want = include_to(img, dst_stage).value
         residuals.append(rank_distance(moved, want).as_fraction())
     return InnerApproximation(beta, dst_stage, residuals, eps, cert)
+
+
+# -- the repair chain as an intersect ladder ----------------------------------
+# w_chain, v_space and repair before every subspace became one joint kernel:
+# each meet is an ``intersect`` (two annihilators and a kernel), and each
+# propagated vector is unpacked to entries before its independence test.
+
+
+def ladder_w_chain(x: Matrix, y: Matrix, n: int) -> list:
+    ker_rel = kernel_basis(relation_residual(x, y, n))
+    w = intersect(intersect(kernel_basis(y), kernel_basis(x ** n)), ker_rel)
+    chain = [w]
+    for _ in range(1, n):
+        w = intersect(apply(x, w), ker_rel)
+        chain.append(w)
+    return chain
+
+
+def ladder_v_space(y: Matrix, n: int, w_last):
+    v = cur = w_last
+    for _ in range(1, n):
+        cur = apply(y, cur)
+        v = subspace_sum(v, cur)
+    return v
+
+
+def ladder_repair(x: Matrix, y: Matrix, n: int):
+    """(psi, B, cert) as ``repair`` assembled them on the ladder chain."""
+    spec, amb = x.spec, x.rows
+    chain = ladder_w_chain(x, y, n)
+    w_last = chain[-1]
+    if w_last.dim == 0:
+        raise NotRepairable("the final chain subspace is trivial")
+    v = ladder_v_space(y, n, w_last)
+    if v.dim != n * w_last.dim:
+        raise InvariantViolated("summands not independent")
+    yt, powers = y.transpose(), [w_last.matrix]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * yt)
+    cols, table = [], {}
+    for i in range(w_last.dim):
+        for p in reversed(powers):
+            vec = p.entries[i * amb:(i + 1) * amb]
+            if not echelon_insert(table, vec, spec):
+                raise InvariantViolated("propagated basis unexpectedly dependent")
+            cols.append(vec)
+    quiet = intersect(kernel_basis(x), kernel_basis(y))
+    for cand in [*quiet.basis, *Matrix.identity(spec, amb).row_lists()]:
+        if len(cols) == amb:
+            break
+        if echelon_insert(table, cand, spec):
+            cols.append(tuple(cand))
+    b = Matrix.from_columns(spec, cols, amb)
+    psi = DeltaEmbedding(n, amb, amb // n, b)
+    gen_a, gen_b = kassabov_generators(n, spec)
+    cert = RepairCertificate(n, amb, relation_defect(x, y, n).delta, [w.dim for w in chain],
+                             v.dim, rank_distance(x, psi.apply(gen_a)),
+                             rank_distance(y, psi.apply(gen_b)))
+    return psi, b, cert
+
+
+def permutation_images_by_entries(a: Matrix):
+    """The images (P e_j = e_images[j]) of a permutation matrix, or None for any other
+    matrix, read off all n^2 entries."""
+    n, e = a.rows, a.entries
+    if e.count(1) != n:
+        return None
+    nonzero = [k for k, v in enumerate(e) if v]
+    if [k // n for k in nonzero] != list(range(n)) or len({k % n for k in nonzero}) != n:
+        return None
+    cols = [k % n for k in nonzero]
+    return tuple(sorted(range(n), key=cols.__getitem__))
+
+
+def delta_for_target(n: int, eps: Fraction) -> Fraction:
+    """Largest input defect guaranteeing repair distance below eps.
+
+    Choosing delta <= eps / ((4+n) n + 1) keeps the repaired pair within
+    eps of the input even after adding the defect itself on top of the
+    certified (4+n) n delta distance.
+    """
+    return Fraction(eps) / ((4 + n) * n + 1)
+
+
+def solve(m: Matrix, rhs) -> tuple[int, ...] | None:
+    """One solution of m v = rhs (raw encodings, reduced mod q), or None if inconsistent:
+    read off the reduced echelon rows of [m | rhs], free unknowns 0."""
+    if len(rhs) != m.rows:
+        raise DimensionMismatch("right-hand side of wrong length")
+    c = m.cols
+    sol = [0] * c
+    for row in Subspace(m.spec, c + 1, [(*r, x) for r, x in zip(m.row_lists(), rhs)]).basis:
+        if (pc := row.index(1)) == c:
+            return None
+        sol[pc] = row[c]
+    return tuple(sol)

@@ -37,7 +37,7 @@ from rankmetric.fraisse import (
     tower_make,
 )
 
-from oracles import delta_apply_dense
+from oracles import delta_apply_dense, permutation_images_by_entries
 
 
 def _is_permutation_path(e: DeltaEmbedding) -> bool:
@@ -294,3 +294,33 @@ def test_conjugate_inverts_only_u(q, monkeypatch):
     x = random_matrix(spec, 4, 4, rng)
     assert h.apply(x) == u * inc.apply(x) * invert(u)
     assert p.apply(x) == images * inc.apply(x) * invert(images)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_permutation_test_on_rows_matches_the_entry_test(q, forced, monkeypatch):
+    monkeypatch.setattr(mx, "_FORCE_GENERIC", forced)
+    spec, rng = field_for_order(q), random.Random(f"perm/{q}")
+    assert mx.permutation_columns(Matrix(spec, 1, 2, [1, 0])) is None
+    for n in (1, 2, 5, 9):
+        images = list(range(n))
+        rng.shuffle(images)
+        p = _permutation_matrix(spec, images)
+        cases = [p, Matrix.identity(spec, n), Matrix.zero(spec, n), p.scale(q - 1),
+                 random_unit(spec, n, rng)]
+        for k in rng.sample(range(n * n), min(4, n * n)):  # one entry moved off 0 or 1
+            e = list(p.entries)
+            e[k] = (e[k] + 1) % q
+            cases.append(Matrix(spec, n, n, e))
+        if n > 1:  # two rows with their 1 in one column
+            cases.append(Matrix(spec, n, n, [int(j == images[0]) for _ in range(n)
+                                             for j in range(n)]))
+        for m in cases:
+            want = permutation_images_by_entries(m)
+            cols = mx.permutation_columns(m)
+            assert (cols is None) == (want is None)
+            if cols is not None:
+                e = DeltaEmbedding(1, n, n, m)
+                assert tuple(sorted(range(n), key=cols.__getitem__)) == want == e._images
+                assert _is_permutation_path(e)
+        assert DeltaEmbedding(1, n, n, p)._images == tuple(images)

@@ -9,8 +9,10 @@ from rankmetric.errors import (
     ZeroInverse,
 )
 from rankmetric.gf import (
+    FieldSpec,
     enumerate_elements,
     field_arith,
+    field_for_order,
     field_make,
     spec_from_line,
     spec_to_line,
@@ -172,3 +174,13 @@ def test_element_integer_encoding(gf4):
         c = e.coeffs
         assert e.val == c[0] + 2 * c[1]
         assert 0 <= e.val < 4
+
+
+def test_equal_specs_hash_equal():
+    # the hash is taken once, at construction, from the reduced modulus
+    a, b = FieldSpec(2, 2, (1, 1, 1)), FieldSpec(2, 2, (3, -1, 1))
+    assert a is not b and a == b == field_for_order(4)
+    assert hash(a) == hash(b) == hash(field_for_order(4)) == hash((2, 2, (1, 1, 1)))
+    assert {a: "gf4"}[b] == "gf4"
+    assert len({a, b, field_make(2, 2), FieldSpec(3, 1, (0, 1)), field_for_order(3)}) == 2
+    assert a != FieldSpec(2, 3, (1, 1, 0, 1)) and hash(a) != hash(FieldSpec(2, 3, (1, 1, 0, 1)))

@@ -38,13 +38,12 @@ from rankmetric.matrix import (
     random_unit,
     read_matrices,
     read_matrix,
-    solve,
     subspace_sum,
     write_matrix,
 )
 from rankmetric.ramsey import base_copy_basis, gl_order, iterate_units, span_fingerprint
 
-from oracles import matrix_units_by_products, rank_by_minors, span_dimension
+from oracles import matrix_units_by_products, rank_by_minors, solve, span_dimension
 
 
 # -- rank and distance -------------------------------------------------------
@@ -404,6 +403,34 @@ def test_annihilator_and_intersect_over_every_field(q, rng):
         # inside both, and as large as s1 + s2 allows: the whole intersection
         assert all(s1.contains(b) and s2.contains(b) for b in inter.basis)
         assert inter.dim == s1.dim + s2.dim - subspace_sum(s1, s2).dim
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_joint_kernel_and_row_forms(q, forced, rng, monkeypatch):
+    monkeypatch.setattr(mx, "_FORCE_GENERIC", forced)
+    spec = field_for_order(q)
+    for _ in range(20):
+        c = rng.randrange(0, 8)
+        mats = [random_matrix(spec, rng.randrange(0, 5), c, rng) for _ in range(rng.randrange(1, 4))]
+        # the joint kernel is the kernel of the stack, and the meet of the single kernels
+        stacked = Matrix(spec, sum(m.rows for m in mats), c, list(chain(*(m.entries for m in mats))))
+        meet = kernel_basis(mats[0])
+        for m in mats[1:]:
+            meet = intersect(meet, kernel_basis(m))
+        assert kernel_basis(*mats) == kernel_basis(stacked) == meet
+        # rows taken out of a matrix stack back as its columns, and insert as its entries do
+        rows = mx.row_forms(stacked)
+        assert mx.column_stack(spec, rows, c) == stacked.transpose()
+        tables = {}, {}
+        assert [mx.echelon_insert(tables[0], r, spec, c) for r in rows] == \
+            [mx.echelon_insert(tables[1], v, spec) for v in stacked.row_lists()]
+        assert tables[0] == tables[1]
+    other = field_for_order(7)
+    with pytest.raises(DimensionMismatch):
+        kernel_basis(random_matrix(spec, 2, 3, rng), random_matrix(spec, 2, 4, rng))
+    with pytest.raises(SpecMismatch):
+        kernel_basis(Matrix.identity(spec, 2), Matrix.identity(other, 2))
 
 
 def test_apply_image(gf2, rng):

@@ -1,8 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+import rankmetric.embeddings as emb
+import rankmetric.matrix as mx
+import rankmetric.stability as stab
 from rankmetric.errors import DimensionMismatch, NotRepairable
+from rankmetric.gf import field_for_order
 from rankmetric.matrix import (
     Matrix,
     Subspace,
@@ -15,13 +20,13 @@ from rankmetric.matrix import (
     invert,
 )
 from rankmetric.stability import (
-    delta_for_target,
     relation_defect,
     relation_residual,
     repair,
     v_space,
     w_chain,
 )
+from oracles import delta_for_target, ladder_repair, ladder_v_space, ladder_w_chain
 
 
 def exact_model(n, m, spec):
@@ -265,3 +270,67 @@ def test_certificate_text_fields(gf2):
     text = cert.to_text()
     assert "d_x 0/12" in text and "d_y 0/12" in text
     assert "dim_V 12" in text
+
+
+# -- joint kernels against the intersect ladder --------------------------------
+
+
+def _perturbed_pairs(spec, rng):
+    """(x, y, n): padded exact models with seeded rank-0..3 perturbations of x, y or both."""
+    q = spec.q
+    for n, mult, pad in [(1, 4, 1), (2, 3, 0), (2, 3, 1), (3, 2, 1), (3, 3, 0)]:
+        x0, y0 = (direct_sum([g], pad) for g in exact_model(n, mult, spec))
+        amb = x0.rows
+        for t in range(4):
+            for side in ("x", "y", "both"):
+                x, y = x0, y0
+                for _ in range(t):
+                    unit = Matrix.unit(spec, amb, rng.randrange(1, amb + 1),
+                                       rng.randrange(1, amb + 1)).scale(rng.randrange(1, q))
+                    x = x + unit if side != "y" else x
+                    y = y + unit if side != "x" else y
+                yield x, y, n
+    yield Matrix.zero(spec, 6), Matrix.zero(spec, 6), 2  # W_1 = 0: not repairable
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_chain_and_repair_match_the_intersect_ladder(q, forced, monkeypatch):
+    monkeypatch.setattr(mx, "_FORCE_GENERIC", forced)
+    spec, rng = field_for_order(q), random.Random(f"ladder/{q}")
+    refused = 0
+    for x, y, n in _perturbed_pairs(spec, rng):
+        chain = w_chain(x, y, n)
+        assert [w.basis for w in chain] == [w.basis for w in ladder_w_chain(x, y, n)]
+        if chain[-1].dim:
+            assert v_space(x, y, n, chain[-1]) == ladder_v_space(y, n, chain[-1])
+        try:
+            psi, b, cert = repair(x, y, n)
+        except NotRepairable:
+            refused += 1
+            with pytest.raises(NotRepairable):
+                ladder_repair(x, y, n)
+            continue
+        psi_l, b_l, cert_l = ladder_repair(x, y, n)
+        assert b == b_l and b.entries == b_l.entries
+        assert psi.to_text() == psi_l.to_text() and cert.to_text() == cert_l.to_text()
+    assert refused >= 1
+
+
+def test_repair_makes_at_most_n_plus_2_kernels(gf2, monkeypatch):
+    # one kernel per chain subspace and one for the complement: no intersect ladder
+    calls = []
+    real = mx.kernel_basis
+
+    def counting(*mats):
+        calls.append(len(mats))
+        return real(*mats)
+
+    for module in (mx, stab, emb):
+        monkeypatch.setattr(module, "kernel_basis", counting)
+    n = 3
+    x, y = (direct_sum([g], 2) for g in exact_model(n, 4, gf2))
+    x = x + Matrix.unit(gf2, 14, 2, 9)
+    _, _, cert = repair(x, y, n)
+    assert cert.dim_V < 14  # the complement was needed
+    assert 0 < len(calls) <= n + 2
