@@ -11,7 +11,7 @@ arithmetic is exact; nothing here ever rounds.
 """
 
 from .errors import RankMetricError
-from .gf import FieldElement, FieldSpec, enumerate_elements, field_arith, field_make
+from .gf import FieldElement, FieldSpec, enumerate_elements, field_make
 from .matrix import (
     Matrix,
     RankDistance,
@@ -28,10 +28,8 @@ from .embeddings import (
     DeltaEmbedding,
     Homomorphism,
     amalgamate,
-    delta_apply,
     iota,
     iota_embedding,
-    joint_embed,
     skolem_noether_conjugator,
 )
 from .stability import (
@@ -56,7 +54,6 @@ from .fraisse import (
 )
 from .ramsey import (
     Coloring,
-    CopySet,
     copy_distance,
     count_copies,
     monochromatic_search,

@@ -133,9 +133,9 @@ def _merge_permutation(outer: int, block: int, copies: int, inner: int,
 def read_header(text: str, keyword: str, fields: int):
     """The integers of a DELTA or HOM header line, and the text after it."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith(keyword):
+    parts = lines[0].split() if lines else []
+    if not parts or parts[0] != keyword:
         raise FormatError(f"expected a {keyword} header")
-    parts = lines[0].split()
     if len(parts) != fields + 1:
         raise FormatError(f"bad {keyword} header: {lines[0]!r}")
     try:
@@ -216,10 +216,6 @@ class DeltaEmbedding:
     def __repr__(self):
         return (f"DeltaEmbedding(M_{self.m} -> M_{self.n}, mult {self.mult}, "
                 f"delta {self.delta})")
-
-
-def delta_apply(e: DeltaEmbedding, x: Matrix) -> Matrix:
-    return e.apply(x)
 
 
 def image_distance(left: DeltaEmbedding, right: DeltaEmbedding, x: Matrix) -> RankDistance:
@@ -314,12 +310,6 @@ def iota_embedding(n: int, m: int, spec: FieldSpec) -> DeltaEmbedding:
 def block_embedding(m: int, n: int, spec: FieldSpec) -> DeltaEmbedding:
     """Plain block map with maximal multiplicity floor(n/m), identity conjugator."""
     return _embedding(m, n, n // m, spec, range(n))
-
-
-def joint_embed(a_dim: int, b_dim: int, spec: FieldSpec):
-    """Common superalgebra of dimension a*b with the two inclusions."""
-    c = a_dim * b_dim
-    return c, iota_embedding(c, a_dim, spec), iota_embedding(c, b_dim, spec)
 
 
 class Homomorphism:

@@ -84,14 +84,6 @@ class Tower:
     def __len__(self):
         return len(self.dims)
 
-    def extended(self, extra: int) -> "Tower":
-        """A longer realization of the same rule (explicit towers cannot grow)."""
-        if not isinstance(self.rule, str) or self.rule not in _STAGE_DIM:
-            raise NotFactorSequence("explicit towers have a fixed prefix")
-        start = len(self.dims)
-        new = [_STAGE_DIM[self.rule](i) for i in range(start, start + extra)]
-        return Tower(self.dims + tuple(new), self.rule, self.spec)
-
     def dim(self, stage: int) -> int:
         """The dimension at a realized stage; ``StageOrder`` for any other."""
         if not 0 <= stage < len(self.dims):

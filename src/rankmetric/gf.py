@@ -340,46 +340,8 @@ def field_for_order(q: int) -> FieldSpec:
     return field_make(*prime_power(q))
 
 
-_ARITH_OPS = {"add", "sub", "mul", "inv", "neg", "pow"}
-
-
-def field_arith(op: str, *operands) -> FieldElement:
-    """Dispatch one exact field operation by name."""
-    if op not in _ARITH_OPS:
-        raise FormatError(f"unknown field operation {op!r}")
-    a = operands[0]
-    if op == "add":
-        return a + operands[1]
-    if op == "sub":
-        return a - operands[1]
-    if op == "mul":
-        return a * operands[1]
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inverse()
-    return a ** operands[1]
-
-
 def enumerate_elements(spec: FieldSpec) -> list[FieldElement]:
     """All q elements, ordered lexicographically by coefficient vector."""
     order = sorted(range(spec.q), key=spec.coeffs_of)
     return [FieldElement(spec, v) for v in order]
 
-
-def spec_to_line(spec: FieldSpec) -> str:
-    return " ".join(str(t) for t in (spec.p, spec.k, *spec.modulus))
-
-
-def spec_from_line(line: str) -> FieldSpec:
-    parts = line.split()
-    if len(parts) < 3:
-        raise FormatError("field line must read 'p k c0 c1 ... ck'")
-    try:
-        nums = [int(t) for t in parts]
-    except ValueError as exc:
-        raise FormatError(f"bad field line: {line!r}") from exc
-    p, k, coeffs = nums[0], nums[1], nums[2:]
-    if len(coeffs) != k + 1:
-        raise FormatError("field line has the wrong number of coefficients")
-    return field_make(p, k, coeffs)

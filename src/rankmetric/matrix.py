@@ -407,14 +407,7 @@ class Matrix:
 
     def __init__(self, spec: FieldSpec, rows: int, cols: int, entries):
         _check_dims(rows, cols)
-        vals = []
-        for e in entries:
-            if isinstance(e, FieldElement):
-                if e.spec != spec:
-                    raise SpecMismatch("entry from a different field")
-                vals.append(e.val)
-            else:
-                vals.append(int(e) % spec.q)
+        vals = _encodings(entries, spec)
         if len(vals) != rows * cols:
             raise DimensionMismatch(f"expected {rows * cols} entries, got {len(vals)}")
         self.spec = spec
@@ -470,13 +463,6 @@ class Matrix:
     @classmethod
     def scalar(cls, spec: FieldSpec, n: int, value) -> "Matrix":
         return cls.identity(spec, n).scale(value)
-
-    @classmethod
-    def from_columns(cls, spec: FieldSpec, columns, nrows: int) -> "Matrix":
-        cols = [list(c) for c in columns]
-        if any(len(col) != nrows for col in cols):
-            raise DimensionMismatch("column of wrong height")
-        return cls(spec, nrows, len(cols), [col[i] for i in range(nrows) for col in cols])
 
     # -- access ---------------------------------------------------------
 
@@ -555,13 +541,6 @@ class Matrix:
             base = base * base if e > 1 else base
             e >>= 1
         return Matrix.identity(self.spec, self.rows) if out is None else out
-
-    def apply_to_vector(self, vec) -> tuple[int, ...]:
-        """Matrix-vector product on raw int encodings, reduced mod q: the product with
-        vec as one column."""
-        if len(vec) != self.cols:
-            raise DimensionMismatch("vector of wrong length")
-        return (self * Matrix(self.spec, self.cols, 1, vec)).entries
 
     def _key(self):
         # compared and hashed in the native form, whichever form the matrix was built in
@@ -674,15 +653,31 @@ _TABLE = _Family(
 )
 
 
+def _encodings(entries, spec: FieldSpec) -> list[int]:
+    """Outside entries as canonical encodings: ints (bools too) reduced mod q and elements
+    of this field. Another field's element is a SpecMismatch, anything else a FormatError."""
+    vals = []
+    for e in entries:
+        if isinstance(e, FieldElement):
+            if e.spec != spec:
+                raise SpecMismatch("entry from a different field")
+            vals.append(e.val)
+        elif isinstance(e, int):
+            vals.append(e % spec.q)
+        else:
+            raise FormatError(f"entry {e!r} is neither an int nor a field element")
+    return vals
+
+
 def _pack_outside(f: _Family, entries, rows, cols, spec: FieldSpec):
-    """Rows in f of outside row-major encodings, reduced mod q as the public constructor
-    reduces ints; canonical input passes one bytes conversion and one translate test."""
+    """Rows in f of outside row-major entries, read as ``Matrix(...)`` reads them;
+    canonical input passes one bytes conversion and one translate test."""
     try:
         raw = bytes(entries)
-    except ValueError:  # an encoding below 0 or above 255
+    except (TypeError, ValueError):  # not all ints, or one below 0 or above 255
         raw = None
     if raw is None or raw.translate(None, _CODES[:spec.q]):
-        raw = bytes([int(v) % spec.q for v in entries])
+        raw = bytes(_encodings(entries, spec))
     return f.pack(raw, rows, cols)
 
 

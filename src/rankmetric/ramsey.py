@@ -102,26 +102,6 @@ def _coset_walk(b: int, s: int, spec: FieldSpec):
     return coset_span_keys(hs, spec, b, s, gl_order(b, spec.q))
 
 
-class CopySet:
-    """The embedded copies of M_a inside M_c, as distinct fingerprints."""
-
-    __slots__ = ("a_dim", "c_dim", "copies", "spec")
-
-    def __init__(self, a_dim: int, c_dim: int, copies, spec: FieldSpec):
-        self.a_dim = a_dim
-        self.c_dim = c_dim
-        self.copies = tuple(copies)
-        self.spec = spec
-        if len(set(self.copies)) != len(self.copies):
-            raise InvariantViolated("fingerprints must be pairwise distinct")
-
-    def __len__(self):
-        return len(self.copies)
-
-    def __repr__(self):
-        return f"CopySet({len(self.copies)} copies of M_{self.a_dim} in M_{self.c_dim})"
-
-
 @functools.cache
 def _copy_bases(a: int, b: int, spec: FieldSpec) -> dict:
     """Fingerprint -> first-seen conjugated basis of every copy of M_a in M_b.
@@ -136,11 +116,6 @@ def _copy_bases(a: int, b: int, spec: FieldSpec) -> dict:
             gi = invert(g)
             bases[key] = [g * m * gi for m in base]
     return {copy_fingerprint(key, spec, b): mats for key, mats in bases.items()}
-
-
-def enumerate_copies(a: int, b: int, spec: FieldSpec) -> CopySet:
-    """Census of all conjugates of the standard copy (first-seen order)."""
-    return CopySet(a, b, _copy_bases(a, b, spec), spec)
 
 
 def count_copies(a: int, b: int, q_or_spec, method: str = "brute_force") -> int:
@@ -302,8 +277,6 @@ def distance_to_copy_coloring(base_fp: tuple, a_dim: int, c_dim: int,
 
 def oscillation(gamma: Coloring, copies) -> Fraction:
     """max - min of the coloring over a set of copies (0 on empty/singleton)."""
-    if isinstance(copies, CopySet):
-        copies = copies.copies
     values = [gamma.value(fp) for fp in copies]
     if len(values) < 2:
         return Fraction(0)
@@ -375,13 +348,6 @@ class BoundReport:
     def exact_expression(self) -> str:
         return (f"({self.coeff.numerator}/{self.coeff.denominator})"
                 f"*ln({self.log_arg})")
-
-    def to_text(self) -> str:
-        return (f"RAMSEY-BOUND a {self.a_dim} b {self.b_dim} q {self.q} "
-                f"eps {self.eps.numerator}/{self.eps.denominator}\n"
-                f"k {self.k} ({self.k_method})\n"
-                f"bound {self.exact_expression()} ~ {self.bound_float:.4f}\n"
-                f"c {self.c}\n")
 
 
 def ramsey_dimension(a: int, b: int, q: int, eps, k_mode: str = "auto") -> BoundReport:

@@ -25,12 +25,12 @@ from .matrix import (
     apply,
     column_stack,
     echelon_insert,
+    image_basis,
     kassabov_generators,
     kernel_basis,
     rank,
     rank_distance,
     row_forms,
-    subspace_sum,
 )
 from .embeddings import DeltaEmbedding
 
@@ -50,11 +50,6 @@ def _relations(x: Matrix, y: Matrix, n: int) -> tuple[Matrix, Matrix, Matrix]:
     amb = _check_pair(x, y, n)
     xm, ym = x ** (n - 1), y ** (n - 1)
     return xm * x, ym * y, y * x + xm * ym - Matrix.identity(x.spec, amb)
-
-
-def relation_residual(x: Matrix, y: Matrix, n: int) -> Matrix:
-    """The matrix yx + x^(n-1) y^(n-1) - 1."""
-    return _relations(x, y, n)[2]
 
 
 class RelationDefect:
@@ -137,16 +132,7 @@ def w_chain(x: Matrix, y: Matrix, n: int, xn: Matrix | None = None,
 def v_space(x: Matrix, y: Matrix, n: int, w_last: Subspace) -> Subspace:
     """V = W + yW + ... + y^(n-1) W; its dimension is always n * dim W."""
     _check_pair(x, y, n)
-    v = w_last
-    cur = w_last
-    for _ in range(1, n):
-        cur = apply(y, cur)
-        v = subspace_sum(v, cur)
-    if v.dim != n * w_last.dim:
-        raise InvariantViolated(
-            f"summands not independent: dim V = {v.dim} != {n} * {w_last.dim}"
-        )
-    return v
+    return image_basis(column_stack(y.spec, _propagated(y, n, w_last).kept, y.rows))
 
 
 class RepairCertificate:
@@ -218,6 +204,22 @@ class _SpanTracker:
         return False
 
 
+def _propagated(y: Matrix, n: int, w_last: Subspace) -> _SpanTracker:
+    """A tracker that has kept y^(n-1) w, ..., y w, w for each basis row w of W = w_last in
+    turn, so that its rows span V; dependent rows, dim V < n dim W, raise InvariantViolated."""
+    # row i of powers[k] is y^k w_i: P_{k+1} = P_k y^T for the basis rows P_0 of W
+    yt, powers = y.transpose(), [w_last.matrix]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * yt)
+    tracker, d = _SpanTracker(y.spec, y.rows), w_last.dim
+    rows = [row_forms(p) for p in reversed(powers)]  # per-copy order: y^(n-1) w, ..., y w, w
+    for i in range(d):
+        for p in rows:
+            if not tracker.try_add(p[i]):
+                raise InvariantViolated(f"summands not independent: dim V < {n} * {d}")
+    return tracker
+
+
 def repair(x: Matrix, y: Matrix, n: int):
     """Replace (x, y) by an exact padded model pair agreeing with it on V.
 
@@ -243,21 +245,9 @@ def repair(x: Matrix, y: Matrix, n: int):
     if w_last.dim == 0:
         dims = " ".join(str(w.dim) for w in chain)
         raise NotRepairable(f"the final chain subspace is trivial: dims_W {dims}, ambient {amb}")
-    d = w_last.dim
-    mult = amb // n
-
-    # row i of powers[k] is y^k w_i: P_{k+1} = P_k y^T for the basis rows P_0 of W_{n-1}
-    yt, powers = y.transpose(), [w_last.matrix]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * yt)
-    tracker = _SpanTracker(x.spec, amb)
-    rows = [row_forms(p) for p in reversed(powers)]  # per-copy order: y^(n-1) w, ..., y w, w
-    for i in range(d):
-        for p in rows:
-            if not tracker.try_add(p[i]):
-                raise InvariantViolated(f"summands not independent: dim V < {n} * {d}")
-
-    # then ker [x; y], then the standard basis vectors in index order
+    d, mult = w_last.dim, amb // n
+    # V first, copy by copy, then ker [x; y], then the standard basis vectors in index order
+    tracker = _propagated(y, n, w_last)
     if len(tracker.kept) < amb:
         for cand in [*row_forms(kernel_basis(x, y).matrix),
                      *row_forms(Matrix.identity(x.spec, amb))]:

@@ -15,7 +15,10 @@ back-and-forth probe error from two dense images. ``ladder_w_chain`` and
 ``intersect`` before each became one joint kernel, and
 ``permutation_images_by_entries`` the conjugator test that read all n^2
 entries. ``solve`` and ``delta_for_target`` left the library, which no
-longer called them. Slow on purpose; only for small inputs.
+longer called them; ``mat_vec``, ``by_columns`` and ``residual_matrix``
+write out a product with one column, a matrix given by its columns and
+the relation residual, which the library no longer offers as calls.
+Slow on purpose; only for small inputs.
 """
 
 import functools
@@ -33,8 +36,7 @@ from rankmetric.gf import FieldSpec
 from rankmetric.matrix import (Matrix, Subspace, apply, direct_sum, echelon_insert, image_basis,
                                intersect, invert, kassabov_generators, kernel_basis, kron,
                                random_unit, rank_distance, span_fingerprint, subspace_sum)
-from rankmetric.stability import (RepairCertificate, relation_defect, relation_residual,
-                                  repair)
+from rankmetric.stability import RepairCertificate, relation_defect, repair
 
 
 def poly_mul_mod(u, v, modulus, p):
@@ -52,6 +54,22 @@ def poly_mul_mod(u, v, modulus, p):
     out = prod[:k]
     out += [0] * (k - len(out))
     return out
+
+
+def mat_vec(m: Matrix, vec) -> tuple[int, ...]:
+    """m times vec as encodings, the vector taken as a one-column matrix."""
+    return (m * Matrix(m.spec, len(vec), 1, vec)).entries
+
+
+def by_columns(spec: FieldSpec, columns, nrows: int) -> Matrix:
+    """The nrows-high matrix with these columns of encodings: the transpose of their rows."""
+    cols = [tuple(c) for c in columns]
+    return Matrix(spec, len(cols), nrows, [v for c in cols for v in c]).transpose()
+
+
+def residual_matrix(x: Matrix, y: Matrix, n: int) -> Matrix:
+    """The relation residual yx + x^(n-1) y^(n-1) - 1, written out."""
+    return y * x + x ** (n - 1) * y ** (n - 1) - Matrix.identity(x.spec, x.rows)
 
 
 def det_leibniz(m: Matrix):
@@ -257,9 +275,9 @@ def adapted_basis(phi) -> Matrix:
     E_11 image, each vector carried through every E_i1 image, from units
     rebuilt by the product check."""
     units = matrix_units_by_products(phi.img_a, phi.img_b, phi.m)
-    cols = [units[i][0].apply_to_vector(v)
+    cols = [mat_vec(units[i][0], v)
             for v in image_basis(units[0][0]).basis for i in range(phi.m)]
-    return Matrix.from_columns(phi.spec, cols, phi.n)
+    return by_columns(phi.spec, cols, phi.n)
 
 
 def skolem_noether_by_adapted_bases(phi0, phi1) -> Matrix:
@@ -442,7 +460,7 @@ def inner_approximate_by_solve(targets, eps) -> InnerApproximation:
     def coords_in_basis(mat: Matrix):
         if not basis:
             return None
-        cols = Matrix.from_columns(spec, [m._e for m, _ in basis], n_s * n_s)
+        cols = by_columns(spec, [m._e for m, _ in basis], n_s * n_s)
         return solve(cols, mat._e)
 
     def try_insert(mat: Matrix, img: Matrix, hard: bool) -> bool:
@@ -481,7 +499,7 @@ def inner_approximate_by_solve(targets, eps) -> InnerApproximation:
         )
 
     gen_a, gen_b = kassabov_generators(n_s, spec)
-    cols = Matrix.from_columns(spec, [m._e for m, _ in basis], n_s * n_s)
+    cols = by_columns(spec, [m._e for m, _ in basis], n_s * n_s)
 
     def image_of(mat: Matrix) -> Matrix:
         coords = solve(cols, mat._e)
@@ -515,7 +533,7 @@ def inner_approximate_by_solve(targets, eps) -> InnerApproximation:
 
 
 def ladder_w_chain(x: Matrix, y: Matrix, n: int) -> list:
-    ker_rel = kernel_basis(relation_residual(x, y, n))
+    ker_rel = kernel_basis(residual_matrix(x, y, n))
     w = intersect(intersect(kernel_basis(y), kernel_basis(x ** n)), ker_rel)
     chain = [w]
     for _ in range(1, n):
@@ -558,7 +576,7 @@ def ladder_repair(x: Matrix, y: Matrix, n: int):
             break
         if echelon_insert(table, cand, spec):
             cols.append(tuple(cand))
-    b = Matrix.from_columns(spec, cols, amb)
+    b = by_columns(spec, cols, amb)
     psi = DeltaEmbedding(n, amb, amb // n, b)
     gen_a, gen_b = kassabov_generators(n, spec)
     cert = RepairCertificate(n, amb, relation_defect(x, y, n).delta, [w.dim for w in chain],

@@ -186,6 +186,22 @@ def test_unwritable_output_prints_only_the_error(command, tmp_path, gf2):
     assert out.startswith("error io: ") and out.count("\n") == 1 and out.endswith("\n")
 
 
+@pytest.mark.parametrize("command", ["homog", "amalgamate"])
+def test_header_keyword_is_the_whole_first_token(command, tmp_path, gf2):
+    # DELTAX and HOMOGRAPHY only start with the keywords DELTA and HOM
+    if command == "homog":
+        text = DeltaEmbedding(1, 2, 2, Matrix.identity(gf2, 2)).to_text()
+        text, flags = text.replace("DELTA", "DELTAX", 1), ["--phi", "--psi"]
+    else:
+        text = Homomorphism.inclusion(2, 1, gf2).to_text()
+        text, flags = text.replace("HOM", "HOMOGRAPHY", 1), ["--phi0", "--phi1"]
+    path = tmp_path / "map.txt"
+    path.write_text(text)
+    code, out = _run([command, flags[0], str(path), flags[1], str(path)])
+    assert code == 2
+    assert out.startswith("error FormatError: ") and out.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [["rank", "--in", "\udd00"],
                                   ["gens", "--n", "2", "--q", "2", "--out", "\udd00"]])
 def test_unencodable_path_exits_2(argv):

@@ -37,7 +37,7 @@ from rankmetric.fraisse import (
     tower_make,
 )
 
-from oracles import delta_apply_dense, permutation_images_by_entries
+from oracles import by_columns, delta_apply_dense, permutation_images_by_entries
 
 
 def _is_permutation_path(e: DeltaEmbedding) -> bool:
@@ -47,7 +47,7 @@ def _is_permutation_path(e: DeltaEmbedding) -> bool:
 def _permutation_matrix(spec, images) -> Matrix:
     """The matrix sending basis vector j to basis vector images[j]."""
     n = len(images)
-    return Matrix.from_columns(spec, [[int(i == t) for i in range(n)] for t in images], n)
+    return by_columns(spec, [[int(i == t) for i in range(n)] for t in images], n)
 
 
 def _random_permutation(spec, n, rng) -> Matrix:

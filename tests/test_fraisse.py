@@ -67,11 +67,6 @@ def test_explicit_tower_divisibility(gf2):
         tower_make([2, 3, 6], 0, gf2)
 
 
-def test_tower_extension(gf2):
-    t = tower_make("factorial", 4, gf2).extended(2)
-    assert t.dims == (1, 1, 2, 6, 24, 120)
-
-
 def test_include_to_same_stage(gf2, rng):
     t = tower_make("powers_of_2", 4, gf2)
     e = t.element(2, random_matrix(gf2, 4, 4, rng))

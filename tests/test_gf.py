@@ -11,11 +11,8 @@ from rankmetric.errors import (
 from rankmetric.gf import (
     FieldSpec,
     enumerate_elements,
-    field_arith,
     field_for_order,
     field_make,
-    spec_from_line,
-    spec_to_line,
 )
 
 from oracles import poly_mul_mod
@@ -97,16 +94,6 @@ def test_spec_mismatch(gf2, gf4):
         gf2.element(1) + gf4.element(1)
 
 
-def test_field_arith_dispatch(gf4):
-    g = gf4.element((0, 1))
-    assert field_arith("add", g, g).val == 0
-    assert field_arith("sub", g, g).val == 0
-    assert field_arith("mul", g, g) == g * g
-    assert field_arith("neg", g) == -g
-    assert field_arith("inv", g) == g.inverse()
-    assert field_arith("pow", g, 3).val == 1  # x^3 = 1 in GF(4)
-
-
 def test_enumerate_prime_fields(gf2, gf3):
     assert [e.val for e in enumerate_elements(gf2)] == [0, 1]
     assert [e.val for e in enumerate_elements(gf3)] == [0, 1, 2]
@@ -161,12 +148,6 @@ def test_frobenius(p, k):
     for a in els:
         for b in els:
             assert (a + b) ** p == a ** p + b ** p
-
-
-def test_serialization_line_roundtrip(gf9):
-    line = spec_to_line(gf9)
-    assert line == "3 2 1 0 1"
-    assert spec_from_line(line) == gf9
 
 
 def test_element_integer_encoding(gf4):

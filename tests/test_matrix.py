@@ -43,7 +43,7 @@ from rankmetric.matrix import (
 )
 from rankmetric.ramsey import base_copy_basis, gl_order, iterate_units, span_fingerprint
 
-from oracles import matrix_units_by_products, rank_by_minors, solve, span_dimension
+from oracles import mat_vec, matrix_units_by_products, rank_by_minors, solve, span_dimension
 
 
 # -- rank and distance -------------------------------------------------------
@@ -336,7 +336,7 @@ def test_rank_nullity(rng):
             m = random_matrix(spec, rng.randrange(1, 7), rng.randrange(1, 7), rng)
             assert kernel_basis(m).dim + rank(m) == m.cols
             for b in kernel_basis(m).basis:
-                assert all(v == 0 for v in m.apply_to_vector(b))
+                assert all(v == 0 for v in mat_vec(m, b))
 
 
 def test_intersect_idempotent(rng):
@@ -524,16 +524,16 @@ def test_invert_and_solve_round_trips(q, rng):
         r, c, inner = rng.randrange(1, 7), rng.randrange(1, 7), rng.randrange(1, 7)
         m = random_matrix(spec, r, inner, rng) * random_matrix(spec, inner, c, rng)
         x = [rng.randrange(q) for _ in range(c)]
-        image = m.apply_to_vector(x)
+        image = mat_vec(m, x)
         sol = solve(m, image)
-        assert sol is not None and m.apply_to_vector(sol) == image
+        assert sol is not None and mat_vec(m, sol) == image
         rhs = [rng.randrange(q) for _ in range(r)]
         aug = Matrix(spec, r, c + 1, [v for row, b in zip(m.row_lists(), rhs) for v in row + [b]])
         sol = solve(m, rhs)
         if rank(aug) > rank(m):
             assert sol is None
         else:
-            assert sol is not None and m.apply_to_vector(sol) == tuple(rhs)
+            assert sol is not None and mat_vec(m, sol) == tuple(rhs)
 
 
 # -- bit-packed differential tests -------------------------------------------
@@ -624,8 +624,8 @@ def test_row_family_matches_table_family(q, rng, monkeypatch):
                      scaled=[a.scale(s) for s in range(q)], zero=Matrix.zero(spec, a.rows, a.cols),
                      identity=Matrix.identity(spec, a.cols), rank=rank(a),
                      kernel=kernel_basis(a).basis, image=image_basis(a).basis,
-                     apply=a.apply_to_vector(v), is_zero=a.is_zero(),
-                     diff_zero=(a - a).is_zero(), solve=solve(a, a.apply_to_vector(v)),
+                     apply=mat_vec(a, v), is_zero=a.is_zero(),
+                     diff_zero=(a - a).is_zero(), solve=solve(a, mat_vec(a, v)),
                      mapped=apply(a, s).basis, sum=subspace_sum(s, t).basis,
                      meet=mx.intersect(s, t).basis, ann=mx.annihilator(s),
                      contains=[w.contains(u) for w in (s, t) for u in (v, *s.basis, *t.basis)])
@@ -764,7 +764,7 @@ def test_outside_vectors_are_reduced_mod_q(q, forced, rng, monkeypatch):
         wild = [[x + q * (-1, 2, -3, 1, 0)[(i * n + j) % 5] for j, x in enumerate(v)]
                 for i, v in enumerate(vecs)]
         m = random_matrix(spec, 3, n, rng)
-        assert [m.apply_to_vector(w) for w in wild] == [m.apply_to_vector(v) for v in vecs]
+        assert [mat_vec(m, w) for w in wild] == [mat_vec(m, v) for v in vecs]
         sub = Subspace(spec, n, wild[:2])
         assert sub == Subspace(spec, n, vecs[:2])
         assert [sub.contains(w) for w in wild] == [sub.contains(v) for v in vecs]
@@ -773,8 +773,29 @@ def test_outside_vectors_are_reduced_mod_q(q, forced, rng, monkeypatch):
         assert [mx.echelon_insert(tables[0], w, spec) for w in wild] == \
             [mx.echelon_insert(tables[1], v, spec) for v in vecs]
         assert tables[0] == tables[1]
-    assert Matrix.identity(spec, 2).apply_to_vector([-1, 0]) == (q - 1, 0)
+    assert mat_vec(Matrix.identity(spec, 2), [-1, 0]) == (q - 1, 0)
     assert Subspace(spec, 2, [[q, 1]]).basis == ((0, 1),)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_outside_entries_are_read_as_matrix_reads_them(q, forced, monkeypatch):
+    # ints (bools too) and this field's elements become encodings; nothing else does
+    monkeypatch.setattr(mx, "_FORCE_GENERIC", forced)
+    spec, other = field_for_order(q), field_for_order(5)
+    row, want = [spec.element(q - 1), True, -1, q + 1], (q - 1, 1, q - 1, 1)
+    assert Matrix(spec, 1, 4, row).entries == want
+    assert Subspace(spec, 4, [row]) == Subspace(spec, 4, [want])
+    tables = {}, {}
+    assert mx.echelon_insert(tables[0], row, spec) and mx.echelon_insert(tables[1], want, spec)
+    assert tables[0] == tables[1]
+    builds = (lambda r: Matrix(spec, 1, 2, r), lambda r: Subspace(spec, 2, [r]),
+              lambda r: mx.echelon_insert({}, r, spec))
+    for bad, error in [(other.element(1), SpecMismatch), (1.5, FormatError),
+                       (None, FormatError), (float("nan"), FormatError), ("1", FormatError)]:
+        for build in builds:
+            with pytest.raises(error):
+                build([bad, 1])
 
 
 def _coordinates(spec, rows, cols, cells, rng):
@@ -881,7 +902,7 @@ def test_kernel_basis_is_the_canonical_kernel_basis(q, rng):
     for m in mats:
         basis = kernel_basis(m).basis
         assert len(basis) == m.cols - rank(m)
-        assert all(not any(m.apply_to_vector(v)) for v in basis)
+        assert all(not any(mat_vec(m, v)) for v in basis)
         assert Subspace(spec, m.cols, basis).basis == basis
 
 
