@@ -1038,44 +1038,51 @@ def span_codes(fp, ambient: int) -> list[int]:
     return out
 
 
-def conjugated_span_keys(units, s: int):
-    """(g, key) per unit g (all b x b over one field), the key hashable and canonical
-    for the span of g (M_a (x) I_s) g^-1, a = b / s; ``copy_fingerprint`` reads it.
+def _packed_keys(spec: FieldSpec, b: int) -> bool:
+    """Whether census keys of b x b units are packed GF(2) ints (``span_key``)."""
+    return _family(spec) is _BITS and b <= 8
 
-    Over GF(2) with b <= 8 no Matrix is built: g (E_ij (x) I_s) g^-1 = G_i H_j, for
+
+@cache
+def _key_tables(spec: FieldSpec, b: int, s: int, packed: bool):
+    """What ``span_key`` reads per (b, s): per block of s columns, byte -> its s bits in that
+    block if packed, else the standard copy of M_(b/s)."""
+    if packed:
+        return [bytes(v >> i & (1 << s) - 1 for v in range(256)) for i in range(0, b, s)]
+    return base_copy_basis(b // s, b, spec)
+
+
+def span_key(g: Matrix, s: int):
+    """A hashable key of the b x b unit g, canonical for the span of g (M_a (x) I_s) g^-1,
+    a = b / s; ``copy_fingerprint`` reads it.
+
+    Packed GF(2) keys (b <= 8) build no Matrix: g (E_ij (x) I_s) g^-1 = G_i H_j, for
     G_i the i-th block of s columns of g and H_j the j-th block of s rows of g^-1,
     and G_i H_j maps each row byte of g through a 2^s-entry XOR table of H_j's
     rows (``bytes.translate``) into one flat int, row r at bit 8r; the key is the
-    reduced echelon rows of the a^2 ints. Other fields key by ``span_fingerprint``.
+    reduced echelon rows of the a^2 ints. Other keys are the ``span_fingerprint``.
     """
-    cuts = base = None
-    for g in units:
-        b, f = g.rows, _family(g.spec)
-        if f is _BITS and b <= 8:
-            if cuts is None:  # per block of columns, byte -> its s bits in that block
-                cuts = [bytes(v >> i & (1 << s) - 1 for v in range(256)) for i in range(0, b, s)]
-            rows = g._packed()
-            inv = _inverse(f, rows, b, g.spec)
-            blocks = [bytes(rows).translate(cut) for cut in cuts]
-            flats = []
-            for j in range(0, b, s):
-                table = [0]
-                for h in inv[j:j + s]:
-                    table += [x ^ h for x in table]
-                table = bytes(table).ljust(256, b"\0")
-                flats += [int.from_bytes(block.translate(table), "little") for block in blocks]
-            yield g, tuple(_b_rref(flats, 8 * b)[1])
-        else:
-            if base is None:
-                base = base_copy_basis(b // s, b, g.spec)
-            gi = invert(g)
-            yield g, span_fingerprint([g * m * gi for m in base], g.spec, b)
+    b, spec = g.rows, g.spec
+    if not _packed_keys(spec, b):
+        gi = invert(g)
+        return span_fingerprint([g * m * gi for m in _key_tables(spec, b, s, False)], spec, b)
+    rows = g._packed()
+    inv = _inverse(_BITS, rows, b, spec)
+    blocks = [bytes(rows).translate(cut) for cut in _key_tables(spec, b, s, True)]
+    flats = []
+    for j in range(0, b, s):
+        table = [0]
+        for h in inv[j:j + s]:
+            table += [x ^ h for x in table]
+        table = bytes(table).ljust(256, b"\0")
+        flats += [int.from_bytes(block.translate(table), "little") for block in blocks]
+    return tuple(_b_rref(flats, 8 * b)[1])
 
 
 def coset_span_keys(hs, spec: FieldSpec, b: int, s: int, order: int):
-    """(g, key, |H|) for the first unit g of each coset g H in GL_b, in encoding order; H =
-    GL_a (x) GL_s (a = b / s) comes as its units ``hs`` (``ramsey`` draws them from
-    ``iterate_units``). All of g H share the key (``conjugated_span_keys``), as
+    """(g, ``span_key(g, s)``, |H|) for the first unit g of each coset g H in GL_b, in encoding
+    order; H = GL_a (x) GL_s (a = b / s) comes as its units ``hs`` (``ramsey`` draws them from
+    ``iterate_units``). All of g H share the key, as
     (v (x) w)(E_ij (x) I_s)(v (x) w)^-1 = v E_ij v^-1 (x) I_s.
 
     The walk runs on codes (``_code_walk``), builds a Matrix only for each g and clears the
@@ -1084,43 +1091,37 @@ def coset_span_keys(hs, spec: FieldSpec, b: int, s: int, order: int):
     already clear (cosets meet or, over GF(2), a product is singular) or the marked units
     miss or pass ``order`` = |GL_b|; at ``order`` the walk stops, every code left singular.
     """
-    sizes, table = [], rank_table(spec, b)
+    table = rank_table(spec, b)
     todo, powers = _rank_bytes(spec, b), [spec.q ** k for k in range(b * b)]
     if table is not None:  # row j of the k-th unit of H in 16-bit slot k of slots[j]
         rows = [h._packed() for h in hs]
         fmt, spread = f"<{len(rows)}H", sum(1 << b * i for i in range(b))  # b^2 <= 16
         slots = [int.from_bytes(struct.pack(fmt, *col), "little") for col in zip(*rows)]
-
-    def firsts():
-        marked = 0
-        for pos, g in _code_walk(spec, b, todo):
-            if table is not None:
-                # code(g h) = XOR_j (column j of g at stride b) * (row j of h): the shifted
-                # copies of a row never overlap, so slot k holds the code of g h_k
-                both = reduce(xor, [(pos >> j & spread) * c for j, c in enumerate(slots)], 0)
-                codes = struct.unpack(fmt, both.to_bytes(2 * len(rows), "little"))
-            else:
-                codes = (sum(map(int.__mul__, (g * h)._e, powers)) for h in hs)
-            n = 0
-            for n, c in enumerate(codes, 1):
-                if todo[c] != b:
-                    raise InvariantViolated(f"unit code {c} lies in two cosets")
-                todo[c] = 0
-            marked += n
-            sizes.append(n)
-            yield g
-            if marked >= order:
-                break
-        if marked != order:
-            raise InvariantViolated(f"{marked} units marked, |GL_{b}({spec.q})| = {order}")
-
-    for g, key in conjugated_span_keys(firsts(), s):
-        yield g, key, sizes.pop(0)
+    marked = 0
+    for pos, g in _code_walk(spec, b, todo):
+        if table is not None:
+            # code(g h) = XOR_j (column j of g at stride b) * (row j of h): the shifted
+            # copies of a row never overlap, so slot k holds the code of g h_k
+            both = reduce(xor, [(pos >> j & spread) * c for j, c in enumerate(slots)], 0)
+            codes = struct.unpack(fmt, both.to_bytes(2 * len(rows), "little"))
+        else:
+            codes = (sum(map(int.__mul__, (g * h)._e, powers)) for h in hs)
+        n = 0
+        for n, c in enumerate(codes, 1):
+            if todo[c] != b:
+                raise InvariantViolated(f"unit code {c} lies in two cosets")
+            todo[c] = 0
+        marked += n
+        yield g, span_key(g, s), n
+        if marked >= order:
+            break
+    if marked != order:
+        raise InvariantViolated(f"{marked} units marked, |GL_{b}({spec.q})| = {order}")
 
 
 def copy_fingerprint(key, spec: FieldSpec, ambient: int) -> tuple:
-    """The ``span_fingerprint`` of the span a ``conjugated_span_keys`` key stands for."""
-    if _family(spec) is _BITS and ambient <= 8:
+    """The ``span_fingerprint`` of the span a ``span_key`` key stands for."""
+    if _packed_keys(spec, ambient):
         flat = _b_unpack(b"".join(k.to_bytes(ambient, "little") for k in key), ambient)
         return tuple(flat[i:i + ambient * ambient] for i in range(0, len(flat), ambient * ambient))
     return key

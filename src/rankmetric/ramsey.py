@@ -7,10 +7,10 @@ unit codes by cosets of the standard copy's stabilizer H = GL_a (x)
 GL_(b/a), drawn from ``iterate_units`` (GL_b itself if a is 1 or b), keys
 one unit per coset and checks that the cosets tile GL_b
 (``coset_span_keys``). Counting runs two ways, distinct keys and the
-orbit-stabilizer quotient, which must agree. The bound 64 eps^-2
-max(log 2k, log 6 ceil(1/eps)) uses certified rational log enclosures, so
-the returned multiple of b is exact. Every enumeration of a general
-linear group is guarded: infeasible sizes fail fast with ``TooLarge``.
+orbit-stabilizer quotient, which must agree; the bound 64 eps^-2
+max(log 2k, log 6 ceil(1/eps)) takes k from Skolem-Noether's closed form, and
+certified rational log enclosures make the returned multiple of b exact. Every
+enumeration of GL_n is guarded: infeasible sizes fail fast with ``TooLarge``.
 """
 
 from __future__ import annotations
@@ -28,18 +28,16 @@ from .matrix import (
     Matrix,
     base_copy_basis,
     code_units,
-    conjugated_span_keys,
     copy_fingerprint,
     coset_span_keys,
-    invert,
     kron,
     random_unit,
     rank,
     rank_table,
     span_codes,
     span_fingerprint,
+    span_key,
 )
-from .embeddings import iota
 
 # An enumeration touching more than this many matrices fails fast.
 ENUMERATION_LIMIT = 1 << 20
@@ -103,19 +101,13 @@ def _coset_walk(b: int, s: int, spec: FieldSpec):
 
 
 @functools.cache
-def _copy_bases(a: int, b: int, spec: FieldSpec) -> dict:
-    """Fingerprint -> first-seen conjugated basis of every copy of M_a in M_b.
+def _copy_units(a: int, b: int, spec: FieldSpec) -> dict:
+    """Fingerprint -> first unit g, in encoding order, of every copy g M_a g^-1 of M_a in M_b.
 
-    The census is deterministic, so the walk runs once per (a, b, field);
-    a basis and fingerprint are built only for a copy's first unit.
+    The census is deterministic, so the walk runs once per (a, b, field). Each copy is one
+    coset, as by Skolem-Noether its stabilizer is H, so each coset's first unit is its copy's.
     """
-    base = base_copy_basis(a, b, spec)
-    bases = {}
-    for g, key, _ in _coset_walk(b, b // a, spec):
-        if key not in bases:
-            gi = invert(g)
-            bases[key] = [g * m * gi for m in base]
-    return {copy_fingerprint(key, spec, b): mats for key, mats in bases.items()}
+    return {copy_fingerprint(key, spec, b): g for g, key, _ in _coset_walk(b, b // a, spec)}
 
 
 def count_copies(a: int, b: int, q_or_spec, method: str = "brute_force") -> int:
@@ -125,6 +117,7 @@ def count_copies(a: int, b: int, q_or_spec, method: str = "brute_force") -> int:
     ``brute_force`` counts distinct keys; ``orbit_stabilizer`` divides sl_order(b, q)
     by the stabilizer of the standard copy modulo scalars, |H| times the cosets keyed
     like it, and checks orbit times stabilizer against |GL_b|. ``TooLarge`` guards both.
+    Both check the closed form |GL_b| (q - 1) / |GL_a| |GL_(b/a)| of ``ramsey_dimension``.
     """
     spec = q_or_spec if isinstance(q_or_spec, FieldSpec) else field_for_order(q_or_spec)
     _check_enumeration(b, spec.q)  # before base_copy_basis builds b x b matrices
@@ -134,7 +127,7 @@ def count_copies(a: int, b: int, q_or_spec, method: str = "brute_force") -> int:
     walk = _coset_walk(b, b // a, spec)
     if method == "brute_force":
         return len({key for _, key, _ in walk})
-    base_key = next(conjugated_span_keys([Matrix.identity(spec, b)], b // a))[1]
+    base_key = span_key(Matrix.identity(spec, b), b // a)
     stab = sum(size for _, key, size in walk if key == base_key)
     q, aut, units = spec.q, sl_order(b, spec.q), gl_order(b, spec.q)
     # the q - 1 scalar units lie in the stabilizer, the stabilizer modulo
@@ -150,13 +143,19 @@ def count_copies(a: int, b: int, q_or_spec, method: str = "brute_force") -> int:
 # the copy metric and colorings
 
 
+def _check_copy(fp: tuple, ambient: int, count: int):
+    if any(len(vec) != ambient * ambient for vec in fp):
+        raise DimensionMismatch(f"copy vectors are not {ambient} x {ambient} matrices")
+    if count > COPY_ELEMENT_LIMIT:
+        raise TooLarge(f"copy has {count} elements")
+
+
 def copy_elements(fp: tuple, spec: FieldSpec, ambient: int) -> list[tuple]:
     """Every element of the span (guarded), as flattened vectors: the rows of the product
     of every coefficient vector, by code (base-q digits, least significant first), with fp."""
     q, dim_span = spec.q, len(fp)
     count = q ** dim_span
-    if count > COPY_ELEMENT_LIMIT:
-        raise TooLarge(f"copy has {count} elements")
+    _check_copy(fp, ambient, count)
     coeffs = Matrix(spec, count, dim_span,
                     [code // q ** i % q for code in range(count) for i in range(dim_span)])
     basis = Matrix(spec, dim_span, ambient * ambient, [v for vec in fp for v in vec])
@@ -166,8 +165,7 @@ def copy_elements(fp: tuple, spec: FieldSpec, ambient: int) -> list[tuple]:
 @functools.cache
 def _packed_elements(fp: tuple, ambient: int) -> list[int]:
     """Every element of a GF(2) span as a flattened int, in copy_elements order."""
-    if 1 << len(fp) > COPY_ELEMENT_LIMIT:
-        raise TooLarge(f"copy has {1 << len(fp)} elements")
+    _check_copy(fp, ambient, 1 << len(fp))
     return span_codes(fp, ambient)
 
 
@@ -353,51 +351,42 @@ class BoundReport:
 def ramsey_dimension(a: int, b: int, q: int, eps, k_mode: str = "auto") -> BoundReport:
     """Smallest multiple of b strictly above 64 eps^-2 max(ln 2k, ln 6 ceil(1/eps)).
 
-    ``k`` comes from the copy census when that is feasible (or forced via
-    ``k_mode="exact"``), otherwise from the envelope q^(b^2). The
-    comparison against multiples of b uses certified log enclosures, so
-    the result is exact.
+    ``k`` counts the copies by Skolem-Noether, |GL_b| (q - 1) / (|GL_a| |GL_(b/a)|), where
+    ``count_copies`` could walk them (``k_mode="exact"`` insists), else is the envelope q^(b^2).
+    c is the multiple of b just above coeff * hi for an enclosure lo <= ln(arg) <= hi,
+    accepted once c - b <= coeff * lo (else the enclosure is refined), so c is exact.
     """
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise InvalidParameter("eps must lie in (0, 1]")
-    spec = field_for_order(q)
+    field_for_order(q)
     if a < 1 or b < 1 or b % a != 0:
         raise NotDivisor(f"need positive a dividing b, got a = {a}, b = {b}")
 
     if k_mode not in ("auto", "exact", "envelope"):
         raise InvalidParameter(f"unknown k_mode {k_mode!r}")
-    k_method = "envelope"
-    if k_mode == "envelope":
-        k = _power(q, b * b)
-    elif a == b:
-        k, k_method = 1, "exact"
-    elif k_mode == "exact":
-        k, k_method = count_copies(a, b, spec, "brute_force"), "exact"
-    else:
+    k, k_method = 1, "exact"  # a = b: M_b is its own one copy
+    if a < b and k_mode != "envelope":
         try:
-            k, k_method = count_copies(a, b, spec, "brute_force"), "exact"
+            _check_enumeration(b, q)
+            k = gl_order(b, q) * (q - 1) // (gl_order(a, q) * gl_order(b // a, q))
         except TooLarge:
-            k = _power(q, b * b)
+            if k_mode == "exact":
+                raise
+            k_mode = "envelope"
+    if k_mode == "envelope":
+        k, k_method = _power(q, b * b), "envelope"
 
     coeff = 64 * eps ** -2
     ceil_inv = -((-eps.denominator) // eps.numerator)  # ceil(1/eps)
     log_arg = max(2 * k, 6 * ceil_inv)
 
-    approx = float(coeff) * math.log(log_arg)
-    c = b * max(1, math.floor(approx / b))
     terms = 24
     while True:
         lo, hi = ln_bounds(log_arg, terms)
-        # move down while c - b still exceeds the bound, up while c does not
-        if Fraction(c) / coeff > hi and (c == b or Fraction(c - b) / coeff <= lo):
+        c = b * (coeff * hi // b + 1)
+        if c - b <= coeff * lo:
             break
-        if Fraction(c) / coeff <= lo:
-            c += b
-            continue
-        if c > b and Fraction(c - b) / coeff > hi:
-            c -= b
-            continue
         terms *= 2
         if terms > 3000:
             raise InvariantViolated("log enclosure failed to separate the bound")
@@ -457,13 +446,11 @@ def monochromatic_search(b_dim: int, c_dim: int, gamma: Coloring, eps,
         raise DimensionMismatch("coloring ambient does not match c")
     if min(a_dim, b_dim, c_dim) < 1 or c_dim % b_dim != 0 or b_dim % a_dim != 0:
         raise NotDivisor("need positive a, b, c with a | b and b | c")
-    # the copies of A inside the standard B, lifted once into M_c; a = b needs
-    # none, as its one lifted copy is the standard B-copy itself
-    lifted_a_copies = [] if a_dim == b_dim else [
-        [iota(c_dim, b_dim, m) for m in basis]
-        for basis in _copy_bases(a_dim, b_dim, spec).values()]
-
+    # h M_a h^-1 in M_b lifts into M_c as the copy of M_a conjugated by h (x) I_s; a = b
+    # needs no lifts, as its one lifted copy is the B-copy itself
     s = c_dim // b_dim
+    lifts = [] if a_dim == b_dim else [kron(h, Matrix.identity(spec, s))
+                                       for h in _copy_units(a_dim, b_dim, spec).values()]
     if strategy == "exhaustive":
         keyed, label = _coset_walk(c_dim, s, spec), "exhaustive"
     elif strategy == "random":
@@ -471,7 +458,8 @@ def monochromatic_search(b_dim: int, c_dim: int, gamma: Coloring, eps,
             raise InvalidParameter(f"trials must be at least 1, got {trials}")
         _check_enumeration(c_dim, spec.q)
         rng = random.Random(seed)
-        keyed = conjugated_span_keys((random_unit(spec, c_dim, rng) for _ in range(trials)), s)
+        keyed = ((g, span_key(g, s)) for g in (random_unit(spec, c_dim, rng)
+                                                 for _ in range(trials)))
         label = f"random:{seed}:{trials}"
     else:
         raise InvalidParameter(f"unknown strategy {strategy!r}")
@@ -486,12 +474,8 @@ def monochromatic_search(b_dim: int, c_dim: int, gamma: Coloring, eps,
         seen.add(key)
         examined += 1
         fp_b = copy_fingerprint(key, spec, c_dim)
-        if a_dim == b_dim:
-            inside = [fp_b]
-        else:
-            gi = invert(g)
-            inside = [span_fingerprint([g * m * gi for m in lifted], spec, c_dim)
-                      for lifted in lifted_a_copies]
+        inside = [copy_fingerprint(span_key(g * h, c_dim // a_dim), spec, c_dim)
+                  for h in lifts] or [fp_b]
         osc = oscillation(gamma, inside)
         if best_osc is None or osc < best_osc:
             best_osc = osc

@@ -308,7 +308,7 @@ def delta_apply_dense(e, x: Matrix) -> Matrix:
 # -- the copy census by Matrix products ----------------------------------------
 # The walks below run every unit through public Matrix products, invert and
 # span_fingerprint, one conjugated basis matrix at a time: the reference for
-# the packed span-key walk of rankmetric.matrix.conjugated_span_keys.
+# the packed span-key walk of rankmetric.matrix.span_key.
 
 
 @functools.cache

@@ -265,7 +265,7 @@ def test_negative_scope_substitute():
         assert run1.found and run1.oscillation == 0
 
     # 1-Lipschitz rejection works
-    copies = tuple(rp._copy_bases(2, 4, spec))
+    copies = tuple(rp._copy_units(2, 4, spec))
     bad = rp.Coloring(
         lambda fp: Fraction(1) if fp == copies[1] else Fraction(0),
         2, 4, spec,

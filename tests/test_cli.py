@@ -356,6 +356,14 @@ def test_ramsey_bound_command():
     assert "bound_exact (256/1)*ln(12)" in out
 
 
+def test_ramsey_bound_counts_copies_without_a_census():
+    # k = 1 copy of M_1 in M_3 over GF(4), by the closed form: the census walks 2^18 codes
+    start = time.perf_counter()
+    code, out = _run(["ramsey-bound", "--a", "1", "--b", "3", "--q", "4", "--eps", "1/2"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out.splitlines()[0] == "k=1 bound~636.1361 c=639"
+
+
 def test_ramsey_search_command_deterministic():
     args = ["ramsey-search", "--a", "1", "--b", "2", "--c", "4", "--q", "2",
             "--eps", "0", "--coloring", "constant:1/3"]

@@ -3,8 +3,8 @@
 ``tests/oracles.py`` keeps the census as it ran by dense ``Matrix``
 products: every unit g conjugates each basis matrix, and each copy is the
 ``span_fingerprint`` of the products. The library walk keys each unit by
-``conjugated_span_keys`` instead and must give the same copies, in the same
-order, with the same first-seen bases, counts and search reports.
+``span_key`` instead and must give the same copies, in the same order, with
+the same first units (so the same bases), counts and search reports.
 """
 
 import ast
@@ -20,7 +20,6 @@ from rankmetric.errors import InvariantViolated, NotLipschitz, Singular
 from rankmetric.gf import field_for_order, field_make
 from rankmetric.matrix import (
     Matrix,
-    conjugated_span_keys,
     copy_fingerprint,
     coset_span_keys,
     invert,
@@ -30,11 +29,12 @@ from rankmetric.matrix import (
     rank,
     rank_table,
     span_fingerprint,
+    span_key,
 )
 
 from oracles import (
+    _product_walk,
     lipschitz_checks,
-    product_copy_bases,
     product_count_copies,
     product_search,
 )
@@ -44,44 +44,46 @@ CASES = ([(2, a, b) for a, b in [(1, 2), (2, 2), (1, 3), (3, 3), (1, 4), (2, 4),
          + [(4, a, b) for a, b in [(1, 2), (2, 2)]])
 
 
-def _oracle_bases(q, a, b):
-    return product_copy_bases(a, b, field_for_order(q))
+def _oracle_units(q, a, b):
+    """Fingerprint -> first unit of every copy, from the product walk."""
+    return {fp: g for fp, (g, _) in _product_walk(a, b, field_for_order(q))[0].items()}
 
 
-def _same_bases(lib: dict, ref: dict):
+def _same_units(lib: dict, ref: dict):
     assert list(lib) == list(ref)
-    for mats, ref_mats in zip(lib.values(), ref.values()):
-        assert [m._e for m in mats] == [m._e for m in ref_mats]
+    assert [g._e for g in lib.values()] == [g._e for g in ref.values()]
 
 
 @pytest.mark.parametrize("q, a, b", CASES)
 def test_copy_bases_match_product_walk(q, a, b):
+    # a copy's basis is its first unit's conjugate of the standard one
     spec = field_for_order(q)
-    _same_bases(rp._copy_bases.__wrapped__(a, b, spec), _oracle_bases(q, a, b))
-    assert tuple(rp._copy_bases(a, b, spec)) == tuple(_oracle_bases(q, a, b))
+    _same_units(rp._copy_units.__wrapped__(a, b, spec), _oracle_units(q, a, b))
+    assert tuple(rp._copy_units(a, b, spec)) == tuple(_oracle_units(q, a, b))
 
 
 @pytest.mark.parametrize("q, a, b", CASES)
 def test_count_copies_match_product_walk(q, a, b):
     spec = field_for_order(q)
-    assert rp.count_copies(a, b, spec, "brute_force") == len(_oracle_bases(q, a, b))
+    bound = rp.ramsey_dimension(a, b, q, Fraction(1, 2))  # k by Skolem-Noether's count
+    assert bound.k_method == "exact"
+    assert rp.count_copies(a, b, spec, "brute_force") == len(_oracle_units(q, a, b)) == bound.k
     assert (rp.count_copies(a, b, spec, "orbit_stabilizer")
-            == product_count_copies(a, b, spec, "orbit_stabilizer"))
+            == product_count_copies(a, b, spec, "orbit_stabilizer") == bound.k)
 
 
 def test_coset_walk_keys_one_unit_per_copy(monkeypatch):
     # every unit of a coset of GL_2 (x) GL_2 gives the same copy of M_2 in M_4
     keyed = []
-    real = mx.conjugated_span_keys
+    real = mx.span_key
 
-    def counting(units, s):
-        for g, key in real(units, s):
-            keyed.append(g)
-            yield g, key
+    def counting(g, s):
+        keyed.append(g)
+        return real(g, s)
 
-    monkeypatch.setattr(mx, "conjugated_span_keys", counting)
+    monkeypatch.setattr(mx, "span_key", counting)
     spec = field_make(2)
-    assert len(rp._copy_bases.__wrapped__(2, 4, spec)) == 560 and len(keyed) == 560
+    assert len(rp._copy_units.__wrapped__(2, 4, spec)) == 560 and len(keyed) == 560
     keyed.clear()
     assert rp.count_copies(2, 4, spec, "brute_force") == 560 and len(keyed) == 560
 
@@ -100,8 +102,8 @@ def test_coset_walk_partition_check(q, b, s, monkeypatch):
     spec = field_for_order(q)
     units = list(rp.iterate_units(b, spec))
     firsts = {}
-    for g, key in conjugated_span_keys(units, s):
-        firsts.setdefault(key, g)
+    for g in units:
+        firsts.setdefault(span_key(g, s), g)
     whole = list(rp._coset_walk(b, s, spec))
     assert [(g, key) for g, key, _ in whole] == [(g, key) for key, g in firsts.items()]
     assert {size * len(whole) for _, _, size in whole} == {len(units)}
@@ -174,14 +176,14 @@ def test_exhausted_search_matches_product_walk(q, b, c):
     gamma = _coloring(q, b, c, "distance")
     ref = product_search(b, c, gamma, -1)
     assert lib == ref and not lib.found
-    assert lib.examined == len(_oracle_bases(q, b, c))
+    assert lib.examined == len(_oracle_units(q, b, c))
 
 
 @pytest.mark.parametrize("q, b, c", CASES)
 @pytest.mark.parametrize("a_is_b", [False, True])
 def test_search_stopping_early_matches_product_walk(q, b, c, a_is_b, monkeypatch):
     a = b if a_is_b else 1
-    k = len(_oracle_bases(q, b, c))
+    k = len(_oracle_units(q, b, c))
     stop_at = min(7, k)  # strictly between 1 and k where k allows it
     lib_calls = _recording(monkeypatch, stop_at)
     lib = rp.monochromatic_search(b, c, _coloring(q, a, c, "constant"), 0)
@@ -203,18 +205,34 @@ def test_random_search_matches_product_walk(q, b, c, a_is_b):
     assert lib == ref and lib.strategy == "random:17:30"
 
 
+def test_search_with_a_strictly_between_matches_product_walk(monkeypatch):
+    # a = 2, b = c = 4: the one B-copy holds all 560 copies of M_2 in M_4
+    lib = rp.monochromatic_search(4, 4, _coloring(2, 2, 4, "distance"), -1)
+    ref = product_search(4, 4, _coloring(2, 2, 4, "distance"), -1)
+    assert lib == ref and not lib.found and lib.oscillation == Fraction(3, 4)
+    lib = rp.monochromatic_search(4, 4, _coloring(2, 2, 4, "distance"), -1,
+                                  "random", seed=17, trials=30)
+    ref = product_search(4, 4, _coloring(2, 2, 4, "distance"), -1, "random", seed=17, trials=30)
+    assert lib == ref and lib.strategy == "random:17:30"
+    lib_calls = _recording(monkeypatch, 1)
+    rp.monochromatic_search(4, 4, _coloring(2, 2, 4, "constant"), 0)
+    ref_calls = _recording(monkeypatch, 1)
+    product_search(4, 4, _coloring(2, 2, 4, "constant"), 0)
+    assert lib_calls == ref_calls and len(lib_calls) == 1 and len(lib_calls[0]) == 560
+
+
 def test_equal_a_and_b_reuses_the_b_copy_fingerprint():
     # the one lifted A-copy spans M_b (x) I, so its product-built fingerprint is fp_b
     spec = field_make(2)
     rng = random.Random(23)
     for b, c in [(1, 2), (2, 2), (2, 4), (1, 4)]:
-        (basis,) = rp._copy_bases(b, b, spec).values()
+        (h,) = rp._copy_units(b, b, spec).values()
+        hi = invert(h)
         eye = Matrix.identity(spec, c // b)
-        lifted = [kron(m, eye) for m in basis]
-        units = [random_unit(spec, c, rng) for _ in range(12)]
-        for g, key in conjugated_span_keys(units, c // b):
+        lifted = [kron(h * m * hi, eye) for m in rp.base_copy_basis(b, b, spec)]
+        for g in [random_unit(spec, c, rng) for _ in range(12)]:
             gi = invert(g)
-            assert copy_fingerprint(key, spec, c) == span_fingerprint(
+            assert copy_fingerprint(span_key(g, c // b), spec, c) == span_fingerprint(
                 [g * m * gi for m in lifted], spec, c)
 
 
@@ -228,7 +246,7 @@ def test_packed_keys_match_products_and_generic(b, s, monkeypatch):
     base = rp.base_copy_basis(b // s, b, spec)
 
     def fingerprints():
-        return [copy_fingerprint(key, spec, b) for _, key in conjugated_span_keys(units, s)]
+        return [copy_fingerprint(span_key(g, s), spec, b) for g in units]
 
     fast = fingerprints()
     assert fast == [span_fingerprint([g * m * invert(g) for m in base], spec, b) for g in units]
@@ -239,9 +257,9 @@ def test_packed_keys_match_products_and_generic(b, s, monkeypatch):
 @pytest.mark.parametrize("a, b", [(1, 2), (2, 2), (1, 3), (3, 3)])
 def test_gf2_copy_bases_match_forced_generic(a, b, monkeypatch):
     spec = field_make(2)
-    fast = rp._copy_bases.__wrapped__(a, b, spec)
+    fast = rp._copy_units.__wrapped__(a, b, spec)
     monkeypatch.setattr(mx, "_FORCE_GENERIC", True)
-    _same_bases(rp._copy_bases.__wrapped__(a, b, spec), fast)
+    _same_units(rp._copy_units.__wrapped__(a, b, spec), fast)
 
 
 @pytest.mark.parametrize("q, b, s", [(2, 4, 2), (2, 9, 3), (3, 2, 1), (4, 2, 2)])
@@ -249,9 +267,10 @@ def test_singular_unit_raises(q, b, s):
     spec = field_make(q) if q != 4 else field_make(2, 2)
     rng = random.Random(5)
     low = random_matrix(spec, b, b - 1, rng) * random_matrix(spec, b - 1, b, rng)
+    span_key(Matrix.identity(spec, b), s)
     for m in (Matrix.zero(spec, b), low):
         with pytest.raises(Singular):
-            list(conjugated_span_keys([Matrix.identity(spec, b), m], s))
+            span_key(m, s)
 
 
 def test_rank_table_matches_rank():
@@ -296,7 +315,7 @@ def _lipschitz_runs(evaluator, fps, monkeypatch):
 @pytest.mark.parametrize("kind", ["distance", "sum-mod-5", "eighths"])
 def test_coloring_measures_the_same_pairs_in_order(kind, monkeypatch):
     spec = field_make(2)
-    copies = tuple(rp._copy_bases(2, 4, spec))
+    copies = tuple(rp._copy_units(2, 4, spec))
     rng = random.Random(kind)
     fps = list(copies[:200]) + rng.sample(copies, 60)  # repeats hit the cache
     distance = rp.copy_distance  # the evaluator's own distances are not checks
@@ -320,7 +339,7 @@ def test_coloring_measures_the_same_pairs_in_order(kind, monkeypatch):
 
 @pytest.mark.parametrize("b, c", [(2, 4), (4, 4)])
 def test_equal_a_and_b_walks_only_gl_c(b, c, monkeypatch):
-    rp._copy_bases.cache_clear()
+    rp._copy_units.cache_clear()
     walks = []
     real = rp.coset_span_keys
 

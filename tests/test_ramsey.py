@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from rankmetric.errors import (
+    DimensionMismatch,
     InvariantViolated,
     NonPrime,
     NotDivisor,
@@ -15,7 +16,7 @@ from rankmetric.gf import field_make
 from rankmetric.matrix import Matrix, rank
 from rankmetric.ramsey import (
     Coloring,
-    _copy_bases,
+    _copy_units,
     base_copy_basis,
     constant_coloring,
     copy_distance,
@@ -124,7 +125,7 @@ def test_census_transitivity_from_any_base(gf2):
     from rankmetric.matrix import invert, random_unit
     import random
 
-    full = tuple(_copy_bases(1, 2, gf2))
+    full = tuple(_copy_units(1, 2, gf2))
     rng = random.Random(5)
     g = random_unit(gf2, 2, rng)
     gi = invert(g)
@@ -141,7 +142,7 @@ def test_distinct_copies_under_common_conjugation(gf2):
     from rankmetric.matrix import invert, random_unit
     import random
 
-    copies = tuple(_copy_bases(2, 4, gf2))[:12]
+    copies = tuple(_copy_units(2, 4, gf2))[:12]
     rng = random.Random(9)
     g = random_unit(gf2, 4, rng)
     gi = invert(g)
@@ -156,7 +157,7 @@ def test_distinct_copies_under_common_conjugation(gf2):
 
 
 def _copies_m2_f2(gf2):
-    return tuple(_copy_bases(2, 4, gf2))
+    return tuple(_copy_units(2, 4, gf2))
 
 
 def test_copy_distance_self(gf2):
@@ -220,6 +221,29 @@ def test_copy_distance_guard(gf4):
                     for j in range(5))
     with pytest.raises(TooLarge):
         copy_distance(fake_fp, fake_fp[:4], spec, 3)
+
+
+def _fp(a, b, spec):
+    return span_fingerprint(base_copy_basis(a, b, spec), spec, b)
+
+
+@pytest.mark.parametrize("field", ["gf2", "gf3"])
+def test_copy_distance_rejects_fingerprints_of_another_ambient(field, request):
+    # GF(2) expands spans as packed codes, GF(3) as generic element lists
+    spec = request.getfixturevalue(field)
+    for s, t, ambient in [(_fp(1, 2, spec), _fp(2, 4, spec), 4),
+                          (_fp(2, 4, spec), _fp(1, 4, spec), 3),
+                          (_fp(1, 4, spec), _fp(1, 2, spec), 4)]:
+        with pytest.raises(DimensionMismatch):
+            copy_distance(s, t, spec, ambient)
+        with pytest.raises(DimensionMismatch):
+            copy_distance(t, s, spec, ambient)
+    gamma = distance_to_copy_coloring(_fp(1, 4, spec), 1, 4, spec)
+    with pytest.raises(DimensionMismatch):
+        gamma.value(_fp(1, 2, spec))
+    assert gamma.evaluated() == {}
+    with pytest.raises(DimensionMismatch):
+        copy_elements(_fp(1, 2, spec), spec, 4)
 
 
 # -- colorings and oscillation --------------------------------------------------
@@ -323,14 +347,16 @@ def test_ramsey_dimension_eps_one():
 
 
 def test_ramsey_dimension_is_strictly_above_bound():
-    for eps in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1)):
-        for b in (1, 2, 3):
-            rep = ramsey_dimension(1, b, 2, eps, k_mode="envelope")
-            lo, hi = ln_bounds(rep.log_arg, 96)
-            assert Fraction(rep.c) > rep.coeff * lo
+    # c - b < coeff ln(arg) < c, under an enclosure far finer than the one c came from
+    for eps in (Fraction(1, 3), Fraction(2, 3), *(Fraction(1, 2 ** e) for e in range(7))):
+        for a, b, q, k_mode in [(1, 1, 2, "envelope"), (1, 2, 2, "envelope"),
+                                (1, 3, 2, "envelope"), (1, 1, 2, "auto"), (1, 2, 3, "auto"),
+                                (2, 4, 2, "exact"), (1, 3, 4, "auto"), (2, 4, 3, "auto"),
+                                (3, 3, 5, "envelope")]:
+            rep = ramsey_dimension(a, b, q, eps, k_mode)
+            lo, hi = ln_bounds(rep.log_arg, 200)
             assert rep.c % b == 0
-            if rep.c > b:
-                assert Fraction(rep.c - b) <= rep.coeff * hi
+            assert rep.c - b < rep.coeff * lo and rep.coeff * hi < rep.c
 
 
 def test_ramsey_dimension_validates_eps():
