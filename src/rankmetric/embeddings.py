@@ -18,9 +18,9 @@ Only this module knows how a conjugator is stored: the tower code asks it
 for ``back_embedding``, ``intertwining_unit`` and ``image_distance``. An
 image scatters the element's nonzero entries through P, then conjugates
 by T if there is a twist: ``apply`` fills a dense matrix from the scatter
-(the inclusion ``iota`` is ``iota_embedding`` applied), and
-``image_distance`` ranks the difference of two scatters of a small element
-without building either n x n image. No operation multiplies by P.
+(``iota`` is ``iota_embedding`` applied). ``image_distance`` scatters the
+moved copies only, strided slices of each map's images that the other map
+places differently, with no per-dimension compose. Nothing multiplies by P.
 
 ``skolem_noether_conjugator`` is the intertwining unit of two unital
 homomorphisms with the same source and target. ``amalgamate`` completes
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 
 from .errors import (
     DimensionMismatch,
@@ -89,23 +90,16 @@ def _tile(images, copies: int, total: int) -> tuple[int, ...]:
     return tuple(j - j % k + images[j % k] if j < copies * k else j for j in range(total))
 
 
-def _scatter(images, copies: int, x: Matrix):
-    """The nonzero entries ((row, col), value) of P (x^{+copies} (+) 0) P^{-1}:
-    entry (i, j) of each copy of x lands at (pos[i], pos[j])."""
-    m = x.rows
+def _scattered(images, copies: int, x: Matrix, pad: int) -> Matrix:
+    """P (x^{+copies} (+) pad * 1) P^{-1} as a dense matrix; ``pad`` is 0 or 1. Entry
+    (i, j) of each copy of x lands at (pos[i], pos[j]) for the copy's rows pos."""
+    n, m = len(images), x.rows
+    out = [0] * (n * n)
     nonzero = [(divmod(k, m), v) for k, v in enumerate(x.entries) if v]
     for pos in (images[c * m:(c + 1) * m] for c in range(copies)):
         for (i, j), v in nonzero:
-            yield (pos[i], pos[j]), v
-
-
-def _scattered(images, copies: int, x: Matrix, pad: int) -> Matrix:
-    """P (x^{+copies} (+) pad * 1) P^{-1} as a dense matrix; ``pad`` is 0 or 1."""
-    n = len(images)
-    out = [0] * (n * n)
-    for (i, j), v in _scatter(images, copies, x):
-        out[i * n + j] = v
-    for j in images[copies * x.rows:] if pad else ():
+            out[pos[i] * n + pos[j]] = v
+    for j in images[copies * m:] if pad else ():
         out[j * n + j] = 1
     return Matrix._trusted(x.spec, n, n, tuple(out))
 
@@ -219,19 +213,48 @@ class DeltaEmbedding:
 
 
 def image_distance(left: DeltaEmbedding, right: DeltaEmbedding, x: Matrix) -> RankDistance:
-    """rank_distance(left(x), right(x)) for maps M_m -> M_n with permutation conjugators,
-    ranked from the nonzero entries of the difference of the two scatters of x."""
+    """rank_distance(left(iota(m, d)(x)), right(iota(m, d)(x))) for maps M_m -> M_n with
+    permutation conjugators and x in M_d, d | m; d = m compares the maps on x itself."""
+    return image_distances(left, right, [x])[0]
+
+
+def image_distances(left: DeltaEmbedding, right: DeltaEmbedding, xs) -> list[RankDistance]:
+    """``image_distance`` of each x in xs, building no image and no composite map: copies
+    of one map are disjoint, so a copy that both maps place on the same ordered rows cancels,
+    and only the moved copies, found once per dimension d, are scattered and ranked."""
     if left._twist is not None or right._twist is not None:
         raise InvariantViolated("image distance needs permutation conjugators")
-    if (left.m, left.n) != (right.m, right.n) or (x.rows, x.cols) != (left.m, left.m):
+    m = left.m
+    if (m, left.n) != (right.m, right.n) or any(not 0 < x.rows == x.cols or m % x.rows for x in xs):
         raise DimensionMismatch("maps and element of different shapes")
-    q, add, neg = x.spec.q, x.spec._add, x.spec._neg
-    diff = dict(_scatter(left._images, left.mult, x))
-    for key, v in _scatter(right._images, right.mult, x):
-        d = add[diff.pop(key, 0) * q + neg[v]]
-        if d:
-            diff[key] = d
-    return RankDistance(coordinate_rank(x.spec, diff), left.n)
+    moved = {d: _moved(left, right, d) for d in {x.rows for x in xs}}
+    out = []
+    for x in xs:
+        plus, minus = moved[x.rows]
+        q, add, neg = x.spec.q, x.spec._add, x.spec._neg
+        nonzero = [(divmod(k, x.rows), v) for k, v in enumerate(x.entries) if v]
+        diff = {(pos[i], pos[j]): v for pos in plus for (i, j), v in nonzero}
+        for pos in minus:
+            for (i, j), v in nonzero:
+                key = pos[i], pos[j]
+                d = add[diff.pop(key, 0) * q + neg[v]]
+                if d:
+                    diff[key] = d
+        out.append(RankDistance(coordinate_rank(x.spec, diff), left.n))
+    return out
+
+
+def _moved(left: DeltaEmbedding, right: DeltaEmbedding, d: int):
+    """The copies of left o iota(m, d) that right o iota(m, d) does not place on the same
+    ordered rows, and the other way round. Copy w of the inclusion inside copy t of a map
+    is the strided slice images[t m + w : (t + 1) m : m / d], as a tuple of rows."""
+    def copies(e):
+        cols = [e._images[j:e.mult * e.m:e.m] for j in range(e.m)]  # row j of each copy of e
+        return chain.from_iterable(zip(*cols[w::e.m // d]) for w in range(e.m // d))
+    minus = set(copies(right))
+    plus = [c for c in copies(left) if c not in minus]
+    minus.difference_update(copies(left))
+    return plus, minus
 
 
 def _embedding(m: int, n: int, mult: int, spec: FieldSpec, images,

@@ -13,7 +13,7 @@ certificates.
 * ``back_and_forth``: alternating extensions between two towers with
   tolerances 2^-t, recording exact round-trip and successive errors per
   probe into a certificate, or refusing one that fails its own bounds;
-  each error is ranked from the two scatters of the probe's own value.
+  each error is ranked from the probe's moved copies, strided slices.
   ``verify_certificate`` checks one by running the deterministic
   construction again and comparing every field.
 * ``inner_approximate``: approximate automorphism data on probes is
@@ -51,7 +51,7 @@ from .embeddings import (
     back_embedding,
     block_embedding,
     compose,
-    image_distance,
+    image_distances,
     intertwining_unit,
     iota,
     iota_embedding,
@@ -318,8 +318,8 @@ def back_and_forth(tower_x: Tower, tower_y: Tower, rounds: int, probes,
     the straight tower inclusion on every probe that lives early enough
     in the relevant tower, recording exact errors; same-direction maps
     are also compared pairwise (the Cauchy telescoping). Every map has a
-    permutation conjugator, so each error is ranked from the two scatters
-    of the probe's value, never from two dense images. A round trip that
+    permutation conjugator, so each error is ranked from the moved copies
+    of the probe's value, never from a dense image. A round trip that
     no probe reaches would certify nothing, so it raises
     ``EmptyRoundTrip``; a certificate that fails ``all_bounds_hold`` is
     refused with ``BoundsNotMet``, naming the first failing row. The run
@@ -379,14 +379,12 @@ def _bump(tower: Tower, stage: int, emb: DeltaEmbedding) -> DeltaEmbedding:
 def _probe_errors(probes, tower: Tower, stage: int, left: DeltaEmbedding,
                   right: DeltaEmbedding) -> list[ProbeError]:
     """Exact distance between ``left`` and ``right`` (maps out of ``stage``) on each probe
-    of ``tower`` at or below ``stage``: both are composed with the inclusion once per probe
-    dimension and compared on the probe's own value, so no image is built dense."""
+    of ``tower`` at or below ``stage``, taken on the probe's own value: the copies the two
+    maps place differently are found once per probe dimension as strided slices, with no
+    per-dimension compose, and only those moved copies are scattered and ranked."""
     reach = [(idx, p.value) for idx, p in enumerate(probes) if p.tower is tower and p.stage <= stage]
-    maps = {}
-    for d in {x.rows for _, x in reach}:
-        up = iota_embedding(tower.dims[stage], d, tower.spec)
-        maps[d] = compose(left, up), compose(right, up)
-    return [ProbeError(idx, image_distance(*maps[x.rows], x).as_fraction()) for idx, x in reach]
+    dists = image_distances(left, right, [x for _, x in reach])
+    return [ProbeError(idx, dist.as_fraction()) for (idx, _), dist in zip(reach, dists)]
 
 
 def _round_trip(prev: MapRecord, new: MapRecord, bumped_prev: DeltaEmbedding,

@@ -925,27 +925,6 @@ def image_basis(m: Matrix) -> Subspace:
     return Subspace._of(_rref_matrix(f, f.rows(m.transpose()), m.rows, m.spec))
 
 
-def annihilator(s: Subspace) -> Matrix:
-    """Constraint rows whose kernel is exactly s: the reduced echelon basis of s-perp."""
-    return kernel_basis(s.matrix).matrix
-
-
-def intersect(s1: Subspace, s2: Subspace) -> Subspace:
-    """Intersection: the joint kernel of the two annihilators."""
-    return kernel_basis(annihilator(s1), annihilator(s2))
-
-
-def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
-    """Span of the union: stack both reduced bases and re-echelon."""
-    if s1.spec != s2.spec:
-        raise SpecMismatch("subspaces over different fields")
-    if s1.ambient_dim != s2.ambient_dim:
-        raise DimensionMismatch("subspaces in different ambient spaces")
-    f = _family(s1.spec)
-    rows = [*f.rows(s1.matrix), *f.rows(s2.matrix)]
-    return Subspace._of(_rref_matrix(f, rows, s1.ambient_dim, s1.spec))
-
-
 def apply(m: Matrix, s: Subspace) -> Subspace:
     """Image m(s) of a subspace under a linear map: the column span of m B^T for s's
     basis rows B, so the row span of B m^T; the product checks fields and shapes."""

@@ -147,7 +147,7 @@ def _check_copy(fp: tuple, ambient: int, count: int):
     if any(len(vec) != ambient * ambient for vec in fp):
         raise DimensionMismatch(f"copy vectors are not {ambient} x {ambient} matrices")
     if count > COPY_ELEMENT_LIMIT:
-        raise TooLarge(f"copy has {count} elements")
+        raise TooLarge(f"copy has {count} elements, above COPY_ELEMENT_LIMIT={COPY_ELEMENT_LIMIT}")
 
 
 def copy_elements(fp: tuple, spec: FieldSpec, ambient: int) -> list[tuple]:

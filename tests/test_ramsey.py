@@ -15,6 +15,7 @@ from rankmetric.errors import (
 from rankmetric.gf import field_make
 from rankmetric.matrix import Matrix, rank
 from rankmetric.ramsey import (
+    COPY_ELEMENT_LIMIT,
     Coloring,
     _copy_units,
     base_copy_basis,
@@ -221,6 +222,18 @@ def test_copy_distance_guard(gf4):
                     for j in range(5))
     with pytest.raises(TooLarge):
         copy_distance(fake_fp, fake_fp[:4], spec, 3)
+
+
+def test_copy_guard_names_its_limit(gf2):
+    # 2^12 elements is the largest copy the guard admits; the refusal of 2^13 names the
+    # limit that decided it, on the dense path and on the packed GF(2) path alike
+    fp = tuple(tuple(int(i == j) for i in range(16)) for j in range(13))
+    assert len(copy_elements(fp[:12], gf2, 4)) == COPY_ELEMENT_LIMIT == 4096
+    message = r"^copy has 8192 elements, above COPY_ELEMENT_LIMIT=4096$"
+    with pytest.raises(TooLarge, match=message):
+        copy_elements(fp, gf2, 4)
+    with pytest.raises(TooLarge, match=message):
+        copy_distance(fp, fp[:12], gf2, 4)
 
 
 def _fp(a, b, spec):

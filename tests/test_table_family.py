@@ -14,11 +14,10 @@ import pytest
 import rankmetric.matrix as mx
 from rankmetric.errors import Singular
 from rankmetric.gf import field_for_order
-from rankmetric.matrix import (Matrix, Subspace, intersect, invert, kernel_basis, random_matrix,
-                               random_unit, rank, subspace_sum)
+from rankmetric.matrix import Matrix, Subspace, invert, kernel_basis, random_matrix, random_unit, rank
 
-from oracles import (table_intersection, table_inverse, table_kernel, table_product, table_rank,
-                     table_rref, table_sum, table_transpose)
+from oracles import (intersect, subspace_sum, table_intersection, table_inverse, table_kernel,
+                     table_product, table_rank, table_rref, table_sum, table_transpose)
 
 FIELDS = [4, 5, 7, 8, 9, 16, 17, 25]
 
