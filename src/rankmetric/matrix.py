@@ -12,14 +12,15 @@ through a field table and one whole-row sum.
 
 A family is one entry of the ``_Family`` table: how a matrix keeps it,
 and whole-matrix pack, unpack, zero, identity, sum, difference, negation,
-scaling, product, transpose, echelon insert, rref, the augment and cut
-steps that ``invert`` and ``kernel_basis`` share, and the unit-row test
-of ``permutation_columns``. So each ``Matrix``
-operation has one code path, and a new family is one more entry. No
-matrix stores its family, since a matrix built before a test sets
-``_FORCE_GENERIC`` must run in the table family after it. A matrix holds
-its rows (GF(2), GF(3)), its flat entries or both, and derives one from
-the other at most once. ``_b_pack``, ``_b_unpack``, ``_b_rref`` and
+scaling, product, transpose, echelon insert, rref, the side-by-side join
+and cut steps that ``invert`` and ``kernel_basis`` share, and the unit-row
+test of ``permutation_columns``. So each ``Matrix`` operation has one code
+path, and a new family is one more entry. No matrix stores its family,
+since a matrix built before a test sets ``_FORCE_GENERIC`` must run in the
+table family after it. A matrix holds its rows (GF(2), GF(3)), its flat
+entries or both, and derives one from the other at most once. It may also
+hold its transpose, linked both ways, which builds its store from its
+source's rows on first read. ``_b_pack``, ``_b_unpack``, ``_b_rref`` and
 ``_g_rref`` stay module-level and the table calls them by name, so that
 the benchmark's layer tracing can wrap them.
 
@@ -29,7 +30,8 @@ one back-substitution pass turns it into reduced echelon form. An inverse
 and a kernel are each one elimination of rows with the identity appended:
 the inverse is the appended block of [m | I], the kernel the appended block
 of the rows of [m^T | I] that reduce to zero on m^T, for m one matrix or
-several stacked. Other modules hold rows only as ``row_forms`` gives them.
+several stacked, its rows the parts' transposes laid side by side. Other
+modules hold rows only as ``row_forms`` gives them.
 
 Distances are exact: ``rank_distance`` returns a ``RankDistance`` holding
 the raw (rank, ambient) pair, compared by cross-multiplication. A subspace
@@ -190,6 +192,12 @@ def _t_unpack(planes, cols):
                                   .translate(_TO_BITS), "big") for k in (0, 1))
     # one byte per entry, 0 or 1 in each plane, so plus + 2 * minus never carries
     return tuple((plus + 2 * minus).to_bytes(len(planes) * cols, "big"))
+
+
+def _t_transpose(planes, cols):
+    """Plane pairs of the transpose: one GF(2) transpose of the planes side by side."""
+    t = _b_transpose([p | m << cols for p, m in planes], 2 * cols)
+    return tuple(zip(t[:cols], t[cols:]))
 
 
 def _t_add(a, b):
@@ -400,10 +408,11 @@ class Matrix:
     """A dense exact matrix over a fixed ``FieldSpec``. Immutable.
 
     ``_rw`` holds the rows (GF(2) ints, GF(3) plane pairs), ``_ent`` the flat
-    entry tuple; at least one is set, and each is filled in from the other on demand.
+    entry tuple, ``_t`` the transpose; one or both are set, or neither in an unread
+    transpose, and each is filled in from the other (or from ``_t``) on demand.
     """
 
-    __slots__ = ("spec", "rows", "cols", "_ent", "_rw")
+    __slots__ = ("spec", "rows", "cols", "_ent", "_rw", "_t")
 
     def __init__(self, spec: FieldSpec, rows: int, cols: int, entries):
         _check_dims(rows, cols)
@@ -414,19 +423,21 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self._ent = tuple(vals)
-        self._rw = None
+        self._rw = self._t = None
 
     @classmethod
     def _trusted(cls, spec: FieldSpec, rows: int, cols: int,
-                 entries=None, packed=None) -> "Matrix":
-        """Kernel output: canonical entries or rows, taken unchecked."""
+                 entries=None, packed=None, link=None) -> "Matrix":
+        """Kernel output: canonical entries or rows, taken unchecked; or neither, ``link``'s."""
         m = object.__new__(cls)
-        m.spec, m.rows, m.cols, m._ent, m._rw = spec, rows, cols, entries, packed
+        m.spec, m.rows, m.cols, m._ent, m._rw, m._t = spec, rows, cols, entries, packed, link
         return m
 
     @property
     def entries(self) -> tuple[int, ...]:
         """The row-major canonical encodings as one flat tuple, kept and shared, not copied."""
+        if self._ent is self._rw is None:
+            self._fill()
         if self._ent is None:
             self._ent = _family(self.spec, native=True).unpack(self._rw, self.cols)
         return self._ent
@@ -434,9 +445,16 @@ class Matrix:
     _e = entries
 
     def _packed(self) -> tuple[int, ...]:
+        if self._ent is self._rw is None:
+            self._fill()
         if self._rw is None:
             self._rw = tuple(_family(self.spec, native=True).pack(self._ent, self.rows, self.cols))
         return self._rw
+
+    def _fill(self):
+        """An unread transpose's store: the rows of ``_t`` as columns, by the running family."""
+        t = column_stack(self.spec, row_forms(self._t), self.rows)
+        self._ent, self._rw = t._ent, t._rw
 
     # -- constructors -------------------------------------------------------
 
@@ -449,7 +467,7 @@ class Matrix:
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "Matrix":
         f = _family(spec)
-        return f.made(spec, n, n, f.identity(*_check_dims(n)))
+        return f.made(spec, n, n, f.cut(f.identity(*_check_dims(n)), 0))
 
     @classmethod
     def unit(cls, spec: FieldSpec, n: int, i: int, j: int) -> "Matrix":
@@ -476,8 +494,14 @@ class Matrix:
         return [list(e[i * c:(i + 1) * c]) for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
-        f = _family(self.spec)
-        return f.made(self.spec, self.cols, self.rows, f.transpose(f.rows(self), self.cols))
+        """O(1), built on first read; kept and linked both ways (m.transpose().transpose() is
+        m) while the native family runs, so under ``_FORCE_GENERIC`` a new one per call."""
+        t, keep = self._t, _family(self.spec) is _family(self.spec, native=True)
+        if t is None or not keep:
+            t = Matrix._trusted(self.spec, self.cols, self.rows, link=self)
+            if keep:
+                self._t = t
+        return t
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -578,7 +602,7 @@ class _Family(NamedTuple):
     pack: Callable      # flat encodings, rows, cols -> rows
     unpack: Callable    # rows, cols -> flat encodings
     zero: Callable      # rows, cols -> store
-    identity: Callable  # n -> store
+    identity: Callable  # n -> rows of the identity
     add: Callable       # store, store, spec -> store; so is sub
     sub: Callable
     neg: Callable       # store, spec -> store
@@ -587,8 +611,8 @@ class _Family(NamedTuple):
     transpose: Callable  # rows, cols -> store of the transpose
     insert: Callable    # echelon table, row, ncols, spec -> whether it was stored
     rref: Callable      # rows, ncols, spec -> pivot columns, reduced rows
-    augment: Callable   # rows, n -> rows with the identity appended from column n
-    cut: Callable       # augmented rows, n -> store of the columns from n on
+    side: Callable      # rows, rows, n -> each row of the first, n wide, the second's after it
+    cut: Callable       # rows, n -> store of the columns from n on
     unit: Callable      # row -> column of its one nonzero entry if that is 1, else -1
 
 
@@ -598,7 +622,7 @@ _BITS = _Family(
     pack=lambda entries, r, c: _b_pack(entries, r, c),
     unpack=lambda rows, c: _b_unpack(rows, c),
     zero=lambda r, c: (0,) * r,
-    identity=lambda n: tuple([1 << i for i in range(n)]),
+    identity=lambda n: [1 << i for i in range(n)],
     add=lambda a, b, spec: tuple(map(xor, a, b)),
     sub=lambda a, b, spec: tuple(map(xor, a, b)),
     neg=lambda a, spec: a,
@@ -607,7 +631,7 @@ _BITS = _Family(
     transpose=lambda rows, c: _b_transpose(rows, c),
     insert=lambda table, row, ncols, spec: _b_insert(table, row, 1 << ncols),
     rref=lambda rows, ncols, spec: _b_rref(rows, ncols),
-    augment=lambda rows, n: [r | 1 << (n + i) for i, r in enumerate(rows)],
+    side=lambda a, b, n: [r | s << n for r, s in zip(a, b)],
     cut=lambda rows, n: tuple([r >> n for r in rows]),
     unit=lambda r: -1 if r & (r - 1) else r.bit_length() - 1,
 )
@@ -615,18 +639,17 @@ _BITS = _Family(
 _PLANES = _BITS._replace(
     pack=_t_pack, unpack=_t_unpack,
     zero=lambda r, c: ((0, 0),) * r,
-    identity=lambda n: tuple([(1 << i, 0) for i in range(n)]),
+    identity=lambda n: [(1 << i, 0) for i in range(n)],
     add=lambda a, b, spec: tuple(map(_t_add, a, b)),
     sub=lambda a, b, spec: tuple([_t_add(x, y[::-1]) for x, y in zip(a, b)]),
     neg=lambda a, spec: tuple([r[::-1] for r in a]),
     # the scalars are 0, 1 and 2 = -1
     scale=lambda a, s, spec: (a if s == 1 else _PLANES.neg(a, spec)) if s else ((0, 0),) * len(a),
     mul=lambda a, b, spec, c: _t_mul(a, b),
-    # each plane transposed as GF(2) rows, then paired up again
-    transpose=lambda rows, c: tuple(zip(*[_b_transpose([r[k] for r in rows], c) for k in (0, 1)])),
+    transpose=_t_transpose,
     insert=lambda table, row, ncols, spec: _t_insert(table, row, 1 << ncols),
     rref=lambda rows, ncols, spec: _t_rref(rows, ncols),
-    augment=lambda rows, n: [(p | 1 << (n + i), m) for i, (p, m) in enumerate(rows)],
+    side=lambda a, b, n: [(p | s << n, m | t << n) for (p, m), (s, t) in zip(a, b)],
     cut=lambda rows, n: tuple([(p >> n, m >> n) for p, m in rows]),
     unit=lambda r: -1 if r[1] else _BITS.unit(r[0]),
 )
@@ -637,7 +660,7 @@ _TABLE = _Family(
     pack=_g_pack,
     unpack=lambda rows, c: tuple(b"".join(rows)),
     zero=lambda r, c: (0,) * (r * c),
-    identity=lambda n: tuple([int(i == j) for i in range(n) for j in range(n)]),
+    identity=lambda n: [bytes(i) + b"\1" + bytes(n - 1 - i) for i in range(n)],
     add=_g_sum,
     sub=lambda a, b, spec: _g_sum(a, b, spec, spec._neg[1]),
     neg=lambda a, spec: _TABLE.scale(a, spec._neg[1], spec),
@@ -646,8 +669,7 @@ _TABLE = _Family(
     transpose=_g_transpose,
     insert=_g_insert,
     rref=lambda rows, ncols, spec: _g_rref(rows, ncols, spec),
-    augment=lambda rows, n: [row + bytes(i) + b"\1" + bytes(len(rows) - 1 - i)
-                             for i, row in enumerate(rows)],
+    side=lambda a, b, n: [r + s for r, s in zip(a, b)],
     cut=lambda rows, n: tuple(b"".join([row[n:] for row in rows])),
     unit=lambda r: r.find(1) if r.count(0) == len(r) - 1 else -1,
 )
@@ -902,19 +924,19 @@ def matrix_units(a: Matrix, b: Matrix, n: int) -> list[list[Matrix]]:
 
 def kernel_basis(m: Matrix, *more: Matrix) -> Subspace:
     """Canonical basis of the right kernel of m stacked on ``more`` (what all of them kill);
-    dim = cols - rank. One elimination of [m^T | I] over all its columns: the last reduced
-    rows, those with their pivot in the identity block, are zero on m^T, so their identity
-    parts v have m v = 0, and they are already the kernel's reduced echelon basis."""
-    f = _family(m.spec)
-    if more:  # a store is row-major, so the stacked store is the stores joined
-        if any(o.spec != m.spec for o in more):
-            raise SpecMismatch("matrices over different fields")
-        if any(o.cols != m.cols for o in more):
-            raise DimensionMismatch("stacked matrices of different widths")
-        m = f.made(m.spec, m.rows + sum(o.rows for o in more), m.cols,
-                   sum((f.store(o) for o in more), f.store(m)))
-    r, n = m.rows, m.cols
-    pivots, rows = f.rref(f.augment(f.rows(m.transpose()), r), r + n, m.spec)
+    dim = cols - rank. One elimination of [m^T | more^T ... | I], the parts' transposes laid
+    side by side, over all its columns: the last reduced rows, those with their pivot in the
+    identity block, are zero on every part, so their identity parts v have m v = 0, and they
+    are already the kernel's reduced echelon basis."""
+    f, n = _family(m.spec), m.cols
+    if any(o.spec != m.spec for o in more):
+        raise SpecMismatch("matrices over different fields")
+    if any(o.cols != n for o in more):
+        raise DimensionMismatch("stacked matrices of different widths")
+    rows, r = f.rows(m.transpose()), m.rows
+    for o in more:
+        rows, r = f.side(rows, f.rows(o.transpose()), r), r + o.rows
+    pivots, rows = f.rref(f.side(rows, f.identity(n), r), r + n, m.spec)
     rank = sum(p < r for p in pivots)
     return Subspace._of(f.made(m.spec, n - rank, n, f.cut(rows[rank:], r)))
 
@@ -927,9 +949,8 @@ def image_basis(m: Matrix) -> Subspace:
 
 def apply(m: Matrix, s: Subspace) -> Subspace:
     """Image m(s) of a subspace under a linear map: the column span of m B^T for s's
-    basis rows B, so the row span of B m^T; the product checks fields and shapes."""
-    f = _family(m.spec)
-    return Subspace._of(_rref_matrix(f, f.rows(s.matrix * m.transpose()), m.rows, m.spec))
+    basis rows B, the transpose of the product B m^T; the product checks fields and shapes."""
+    return image_basis((s.matrix * m.transpose()).transpose())
 
 
 def span_fingerprint(mats, spec: FieldSpec, ambient: int) -> tuple:
@@ -1124,7 +1145,7 @@ def invert(m: Matrix) -> Matrix:
 
 def _inverse(f: _Family, rows, n: int, spec: FieldSpec):
     """The store of the inverse of n square rows in f; raises ``Singular``."""
-    pivots, rows = f.rref(f.augment(rows, n), n, spec)
+    pivots, rows = f.rref(f.side(rows, f.identity(n), n), n, spec)
     if len(pivots) != n:
         raise Singular("matrix is singular")
     return f.cut(rows, n)

@@ -79,9 +79,8 @@ def gl_order(n: int, q: int) -> int:
 def _check_enumeration(n: int, q: int):
     total = _power(q, n * n)
     if total > ENUMERATION_LIMIT:
-        raise TooLarge(
-            f"enumerating {total} candidate {n}x{n} matrices over GF({q})"
-        )
+        raise TooLarge(f"enumerating {total} candidate {n}x{n} matrices over GF({q}), "
+                       f"above ENUMERATION_LIMIT={ENUMERATION_LIMIT}")
     return total
 
 

@@ -46,10 +46,12 @@ def _check_pair(x: Matrix, y: Matrix, n: int) -> int:
 
 
 def _relations(x: Matrix, y: Matrix, n: int) -> tuple[Matrix, Matrix, Matrix]:
-    """x^n, y^n and the residual yx + x^(n-1) y^(n-1) - 1, from one power of each."""
+    """The transposes of x^n, y^n and R = yx + x^(n-1) y^(n-1) - 1 (rank is transpose-invariant),
+    from x^T, y^T and one power of each: R^T = x^T y^T + (y^T)^(n-1) (x^T)^(n-1) - 1."""
     amb = _check_pair(x, y, n)
-    xm, ym = x ** (n - 1), y ** (n - 1)
-    return xm * x, ym * y, y * x + xm * ym - Matrix.identity(x.spec, amb)
+    xt, yt = x.transpose(), y.transpose()
+    xm, ym = xt ** (n - 1), yt ** (n - 1)
+    return xm * xt, ym * yt, xt * yt + ym * xm - Matrix.identity(x.spec, amb)
 
 
 class RelationDefect:
@@ -100,11 +102,11 @@ def relation_defect(x: Matrix, y: Matrix, n: int) -> RelationDefect:
 
 def _measure(x: Matrix, y: Matrix, n: int):
     """The defect of (x, y), with the x^n and residual it ranked, which the chain reuses."""
-    xn, yn, resid = _relations(x, y, n)
+    xnt, ynt, rt = _relations(x, y, n)
     amb, target = x.rows, Fraction(n - 1, n)
-    defect = RelationDefect(n, amb, *(RankDistance(rank(m), amb) for m in (xn, yn, resid)),
+    defect = RelationDefect(n, amb, *(RankDistance(rank(m), amb) for m in (xnt, ynt, rt)),
                             *(abs(Fraction(rank(m), amb) - target) for m in (x, y)))
-    return defect, xn, resid
+    return defect, xnt.transpose(), rt.transpose()
 
 
 def w_chain(x: Matrix, y: Matrix, n: int, xn: Matrix | None = None,
@@ -115,16 +117,17 @@ def w_chain(x: Matrix, y: Matrix, n: int, xn: Matrix | None = None,
     W_0 is the joint kernel of y, x^n and R; each W_k is the x-image of its predecessor
     met with ker R. On W_k the pair acts exactly like the model shifts, which is what the
     repair exploits. Each W_k is one kernel: for the basis rows B of W_(k-1) and T = x B^T,
-    x W_(k-1) meets ker R in the T-image of ker R T.
+    x W_(k-1) meets ker R in the T-image of ker R T. The steps run in transposed
+    coordinates, T^T = B x^T and (R T)^T = T^T R^T, so they transpose nothing.
     """
     _check_pair(x, y, n)
     if xn is None or resid is None:
-        xn, _, resid = _relations(x, y, n)
+        xn, _, resid = (m.transpose() for m in _relations(x, y, n))
     w = kernel_basis(y, xn, resid)
-    chain = [w]
+    chain, xt, rt = [w], x.transpose(), resid.transpose()
     for _ in range(1, n):
-        t = x * w.matrix.transpose()
-        w = apply(t, kernel_basis(resid * t))
+        tt = w.matrix * xt
+        w = apply(tt.transpose(), kernel_basis((tt * rt).transpose()))
         chain.append(w)
     return chain
 

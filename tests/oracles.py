@@ -12,9 +12,10 @@ were read from before homomorphisms became block embeddings, and
 whole basis on every insertion, and ``probe_errors_dense`` ranks each
 back-and-forth probe error from two dense images. ``ladder_w_chain`` and
 ``ladder_repair`` keep the repair chain that met every subspace by
-``intersect`` before each became one joint kernel, and
+``intersect`` before each became one joint kernel,
 ``permutation_images_by_entries`` the conjugator test that read all n^2
-entries. ``image_distance_by_scatters`` ranks a probe error from every
+entries, and ``stacked_kernel`` the joint kernel that transposed the stacked
+matrix whole. ``image_distance_by_scatters`` ranks a probe error from every
 copy of both maps, as ``image_distance`` did before it scattered only the
 moved copies. ``solve``, ``delta_for_target``, ``subspace_sum``,
 ``annihilator`` and ``intersect`` left the library, which no longer
@@ -30,6 +31,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from types import MappingProxyType
 
+import rankmetric.matrix as mx
 import rankmetric.ramsey as rp
 from rankmetric.embeddings import DeltaEmbedding, iota_embedding
 from rankmetric.errors import (DimensionMismatch, InconsistentTarget, InvariantViolated,
@@ -215,6 +217,22 @@ def table_inverse(m: Matrix) -> Matrix:
 def table_transpose(m: Matrix) -> Matrix:
     return Matrix(m.spec, m.cols, m.rows, [m.at(i, j).val for j in range(m.cols)
                                            for i in range(m.rows)])
+
+
+def stacked_kernel(m: Matrix, *more: Matrix) -> Subspace:
+    """The kernel of m stacked on ``more`` by the route ``kernel_basis`` took before it laid
+    the parts' transposes side by side: the stores joined into one stacked matrix, that
+    matrix transposed whole, and one elimination of [stacked^T | I] in the running family,
+    the identity block appended entry by entry."""
+    f, spec = mx._family(m.spec), m.spec
+    stacked = f.made(spec, m.rows + sum(o.rows for o in more), m.cols,
+                     sum((f.store(o) for o in more), f.store(m)))
+    r, n = stacked.rows, stacked.cols
+    aug = Matrix(spec, n, r + n, [v for i, row in enumerate(stacked.transpose().row_lists())
+                                  for v in row + [int(i == j) for j in range(n)]])
+    pivots, rows = f.rref(f.rows(aug), r + n, spec)
+    rank = sum(p < r for p in pivots)
+    return Subspace._of(f.made(spec, n - rank, n, f.cut(rows[rank:], r)))
 
 
 def table_kernel(m: Matrix) -> tuple:

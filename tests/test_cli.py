@@ -348,6 +348,13 @@ def test_copies_too_large_exit_3():
     assert "TooLarge" in out
 
 
+def test_enumeration_guard_names_its_limit():
+    code, out = _run(["copies", "--a", "2", "--b", "6", "--q", "2",
+                      "--method", "brute_force"])
+    assert (code, out) == (3, "error TooLarge: enumerating 68719476736 candidate 6x6 matrices "
+                              "over GF(2), above ENUMERATION_LIMIT=1048576\n")
+
+
 def test_ramsey_bound_command():
     code, out = _run(["ramsey-bound", "--a", "1", "--b", "1", "--q", "2",
                       "--eps", "1/2"])

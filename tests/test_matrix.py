@@ -42,7 +42,7 @@ from rankmetric.matrix import (
 from rankmetric.ramsey import base_copy_basis, gl_order, iterate_units, span_fingerprint
 
 from oracles import (annihilator, intersect, mat_vec, matrix_units_by_products, rank_by_minors, solve,
-                     span_dimension, subspace_sum)
+                     span_dimension, stacked_kernel, subspace_sum, table_transpose)
 
 
 # -- rank and distance -------------------------------------------------------
@@ -432,6 +432,65 @@ def test_joint_kernel_and_row_forms(q, forced, rng, monkeypatch):
         kernel_basis(Matrix.identity(spec, 2), Matrix.identity(other, 2))
 
 
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_side_by_side_kernel_matches_the_stacked_transpose(q, forced, rng, monkeypatch):
+    monkeypatch.setattr(mx, "_FORCE_GENERIC", forced)
+    spec = field_for_order(q)
+    for _ in range(40):
+        c = rng.randrange(0, 70)
+        mats = [random_matrix(spec, rng.randrange(0, 70), c, rng)
+                for _ in range(rng.randrange(1, 4))]
+        if rng.randrange(2) and c:  # a low-rank part: a kernel of more than cols - rows
+            k = rng.randrange(1, c + 1)
+            mats[-1] = random_matrix(spec, mats[-1].rows, k, rng) * random_matrix(spec, k, c, rng)
+        assert kernel_basis(*mats) == stacked_kernel(*mats)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_lazy_transpose_matches_the_entrywise_transpose(q, forced, rng, monkeypatch):
+    # the source is built before the flip, held as entries or as rows; its transpose is
+    # built on its first read, of its entries or of its rows, by the family then running
+    spec = field_for_order(q)
+    shapes = [(0, 4), (4, 0), (0, 0), (1, 1), (3, 7), (7, 3), (1, 65), (65, 1), (70, 66)]
+    sources = [random_matrix(spec, r, c, rng) for r, c in shapes * 2]
+    sources += [m * Matrix.identity(spec, m.cols) for m in sources]
+    monkeypatch.setattr(mx, "_FORCE_GENERIC", forced)
+    fresh = forced and q in (2, 3)  # a transpose is kept only while the native family runs
+    for i, m in enumerate(sources):
+        want, t = table_transpose(m), m.transpose()
+        assert (t.rows, t.cols, t._ent, t._rw) == (m.cols, m.rows, None, None)
+        (Matrix._packed, Matrix.entries.fget)[i // len(shapes) % 2](t)  # rows or entries first
+        assert t == want and want == t and hash(t) == hash(want)
+        assert t.entries == want.entries and t.row_lists() == want.row_lists()
+        assert t.transpose() == m and (t.transpose() is m) != fresh
+        assert (m.transpose() is t) != fresh
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_transpose_is_kept_and_linked_both_ways(q, rng):
+    spec = field_for_order(q)
+    for m in (random_matrix(spec, 4, 6, rng), Matrix.identity(spec, 3), Matrix.zero(spec, 0, 2)):
+        t = m.transpose()
+        assert m.transpose() is t and t.transpose() is m
+        assert m.transpose().transpose() is m and t.transpose().transpose() is t
+        assert t.row_lists() == table_transpose(m).row_lists()  # reading it keeps the link
+        assert m.transpose() is t and t.transpose() is m
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0), (1, 65), (65, 1), (70, 66)])
+def test_gf3_planes_transpose_as_one_side_by_side_bit_transpose(shape, rng, monkeypatch):
+    # one _b_transpose of the rows plus | minus << cols, against each plane on its own
+    rows, cols = shape
+    planes = mx._t_pack([rng.randrange(3) for _ in range(rows * cols)], rows, cols)
+    each = tuple(zip(*[mx._b_transpose([r[k] for r in planes], cols) for k in (0, 1)]))
+    calls = []
+    real = mx._b_transpose
+    monkeypatch.setattr(mx, "_b_transpose", lambda r, c: calls.append(c) or real(r, c))
+    assert mx._t_transpose(planes, cols) == each and calls == [2 * cols]
+
+
 def test_apply_image(gf2, rng):
     m = random_matrix(gf2, 5, 5, rng)
     full = image_basis(Matrix.identity(gf2, 5))
@@ -674,6 +733,8 @@ def test_row_family_transpose_edge_shapes_match_table_family(q, rng, monkeypatch
         return [m.transpose() for m in mats]
 
     fast = outputs()
+    for t in fast:  # a transpose is built on first read: read it in the row family
+        t._packed()
     assert all(t._ent is None for t in fast)
     monkeypatch.setattr(mx, "_FORCE_GENERIC", True)
     slow = outputs()

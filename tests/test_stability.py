@@ -317,6 +317,39 @@ def test_chain_and_repair_match_the_intersect_ladder(q, forced, monkeypatch):
     assert refused >= 1
 
 
+def _model_pair_as_given(q, n, mult):
+    """The model pair of size n tensored up by mult, with one entry of x moved, as Matrix(...)
+    builds it from outside entries: rows and transposes are all still to be made."""
+    spec = field_for_order(q)
+    x, y = exact_model(n, mult, spec)
+    x = x + Matrix.unit(spec, n * mult, 2, 9)
+    return tuple(Matrix(spec, m.rows, m.cols, list(m.entries)) for m in (x, y))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_repair_transposes_only_x_y_and_b(q, monkeypatch):
+    # the relations are built from x^T and y^T, the chain runs in transposed coordinates
+    # and the kernels read the transposes they are handed, so only x^T, y^T and B are made
+    x, y = _model_pair_as_given(q, 3, 40)
+    calls = []
+    real = mx._b_transpose
+    monkeypatch.setattr(mx, "_b_transpose", lambda r, c: calls.append(c) or real(r, c))
+    _, _, cert = repair(x, y, 3)
+    assert cert.dim_V < 120 and len(calls) == 3
+    assert x.transpose()._rw is not None and y.transpose()._rw is not None
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_w_chain_alone_is_the_chain_repair_certifies(q, forced, monkeypatch):
+    monkeypatch.setattr(mx, "_FORCE_GENERIC", forced)
+    x, y = _model_pair_as_given(q, 3, 5)
+    alone = w_chain(*_model_pair_as_given(q, 3, 5), 3)  # its own pair: nothing built before
+    given = w_chain(x, y, 3, *stab._measure(x, y, 3)[1:])
+    assert [w.basis for w in alone] == [w.basis for w in given]
+    assert tuple(w.dim for w in alone) == repair(x, y, 3)[2].dims_W
+
+
 def test_repair_makes_at_most_n_plus_2_kernels(gf2, monkeypatch):
     # one kernel per chain subspace and one for the complement: no intersect ladder
     calls = []
