@@ -11,12 +11,11 @@ arithmetic is exact; nothing here ever rounds.
 """
 
 from .errors import RankMetricError
-from .gf import FieldElement, FieldSpec, enumerate_elements, field_make
+from .gf import FieldElement, FieldSpec, field_make
 from .matrix import (
     Matrix,
     RankDistance,
     Subspace,
-    direct_sum,
     kassabov_generators,
     kernel_basis,
     kron,

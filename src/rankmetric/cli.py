@@ -277,123 +277,69 @@ def _cmd_ramsey_search(args, out):
 # -- parser ------------------------------------------------------------------
 
 
+_TOWERS = ("factorial", "powers_of_2")
+
+# the options that mean the same in every subcommand that takes them, by name
+_OPTIONS = {
+    **dict.fromkeys(["n", "m", "q", "a", "b", "c", "prefix", "rounds"],
+                    {"type": int, "required": True}),
+    **dict.fromkeys(["x", "y", "phi", "psi", "phi0", "phi1", "eps", "delta-prime"],
+                    {"required": True}),
+    **dict.fromkeys(["out", "out0", "out1"], {}),
+    "in": {"dest": "input", "required": True},
+}
+
+# (name, handler, help, options): an option is a name in _OPTIONS, or (name, its own kwargs)
+_COMMANDS = [
+    ("rank", _cmd_rank, "rank of a matrix file", ["in"]),
+    ("dist", _cmd_dist, "rank distance between two matrices", ["x", "y"]),
+    ("gens", _cmd_gens, "shift generator pair with relation check", ["n", "q", "out"]),
+    ("iota", _cmd_iota, "inclusion x -> x tensor 1_{n/m}", ["n", "m", "in", "out"]),
+    ("defect", _cmd_defect, "relation defect of a pair file", ["n", "in"]),
+    ("repair", _cmd_repair, "repair a pair to an exact embedding",
+     ["n", "in", ("out", {"help": "write the repaired embedding (DELTA file)"})]),
+    ("homog", _cmd_homog, "inner unit carrying one embedding to another", ["phi", "psi", "out"]),
+    ("extend", _cmd_extend, "extend an embedding back into a tower",
+     ["phi", ("tower", {"required": True, "choices": _TOWERS}), "prefix", "delta-prime",
+      "out"]),
+    ("backforth", _cmd_backforth, "alternating tower maps with certificates",
+     [("tower-x", {"default": "factorial", "choices": _TOWERS}),
+      ("tower-y", {"default": "powers_of_2", "choices": _TOWERS}),
+      ("prefix-x", {"type": int, "default": 6}), ("prefix-y", {"type": int, "default": 9}),
+      "rounds", "q",
+      ("probes", {"default": "x:0,y:0",
+                  "help": "comma list side:stage, generators+1 at each (default %(default)s)"})]),
+    ("amalgamate", _cmd_amalgamate, "complete two embeddings to a commuting square",
+     ["phi0", "phi1", "out0", "out1"]),
+    ("conjugator", _cmd_conjugator, "intertwining unit of two unital maps",
+     ["phi0", "phi1", "out"]),
+    ("slorder", _cmd_slorder, "order of SL_n(F_q)", ["n", "q"]),
+    ("copies", _cmd_copies, "count embedded copies of M_a in M_b",
+     ["a", "b", "q",
+      ("method", {"default": "both", "choices": ["brute_force", "orbit_stabilizer", "both"]})]),
+    ("ramsey-bound", _cmd_ramsey_bound, "explicit partition dimension bound",
+     ["a", "b", "q", "eps",
+      ("k-mode", {"default": "auto", "choices": ["auto", "exact", "envelope"]})]),
+    ("ramsey-search", _cmd_ramsey_search, "search copies for small oscillation",
+     ["a", "b", "c", "q", "eps",
+      ("strategy", {"default": "exhaustive", "choices": ["exhaustive", "random"]}),
+      ("seed", {"type": int, "default": 0}), ("trials", {"type": int, "default": 100}),
+      ("coloring", {"default": "constant:0", "help": "constant:num/den or distance-to-copy"})]),
+]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="rankmetric",
         description="exact computations in matrix algebras under the rank metric",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("rank", help="rank of a matrix file")
-    s.add_argument("--in", dest="input", required=True)
-    s.set_defaults(func=_cmd_rank)
-
-    s = sub.add_parser("dist", help="rank distance between two matrices")
-    s.add_argument("--x", required=True)
-    s.add_argument("--y", required=True)
-    s.set_defaults(func=_cmd_dist)
-
-    s = sub.add_parser("gens", help="shift generator pair with relation check")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--q", type=int, required=True)
-    s.add_argument("--out")
-    s.set_defaults(func=_cmd_gens)
-
-    s = sub.add_parser("iota", help="inclusion x -> x tensor 1_{n/m}")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--m", type=int, required=True)
-    s.add_argument("--in", dest="input", required=True)
-    s.add_argument("--out")
-    s.set_defaults(func=_cmd_iota)
-
-    s = sub.add_parser("defect", help="relation defect of a pair file")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--in", dest="input", required=True)
-    s.set_defaults(func=_cmd_defect)
-
-    s = sub.add_parser("repair", help="repair a pair to an exact embedding")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--in", dest="input", required=True)
-    s.add_argument("--out", help="write the repaired embedding (DELTA file)")
-    s.set_defaults(func=_cmd_repair)
-
-    s = sub.add_parser("homog", help="inner unit carrying one embedding to another")
-    s.add_argument("--phi", required=True)
-    s.add_argument("--psi", required=True)
-    s.add_argument("--out")
-    s.set_defaults(func=_cmd_homog)
-
-    s = sub.add_parser("extend", help="extend an embedding back into a tower")
-    s.add_argument("--phi", required=True)
-    s.add_argument("--tower", required=True,
-                   choices=["factorial", "powers_of_2"])
-    s.add_argument("--prefix", type=int, required=True)
-    s.add_argument("--delta-prime", dest="delta_prime", required=True)
-    s.add_argument("--out")
-    s.set_defaults(func=_cmd_extend)
-
-    s = sub.add_parser("backforth", help="alternating tower maps with certificates")
-    s.add_argument("--tower-x", dest="tower_x", default="factorial",
-                   choices=["factorial", "powers_of_2"])
-    s.add_argument("--tower-y", dest="tower_y", default="powers_of_2",
-                   choices=["factorial", "powers_of_2"])
-    s.add_argument("--prefix-x", dest="prefix_x", type=int, default=6)
-    s.add_argument("--prefix-y", dest="prefix_y", type=int, default=9)
-    s.add_argument("--rounds", type=int, required=True)
-    s.add_argument("--q", type=int, required=True)
-    s.add_argument("--probes", default="x:0,y:0",
-                   help="comma list side:stage, generators+1 at each (default %(default)s)")
-    s.set_defaults(func=_cmd_backforth)
-
-    s = sub.add_parser("amalgamate", help="complete two embeddings to a commuting square")
-    s.add_argument("--phi0", required=True)
-    s.add_argument("--phi1", required=True)
-    s.add_argument("--out0")
-    s.add_argument("--out1")
-    s.set_defaults(func=_cmd_amalgamate)
-
-    s = sub.add_parser("conjugator", help="intertwining unit of two unital maps")
-    s.add_argument("--phi0", required=True)
-    s.add_argument("--phi1", required=True)
-    s.add_argument("--out")
-    s.set_defaults(func=_cmd_conjugator)
-
-    s = sub.add_parser("slorder", help="order of SL_n(F_q)")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--q", type=int, required=True)
-    s.set_defaults(func=_cmd_slorder)
-
-    s = sub.add_parser("copies", help="count embedded copies of M_a in M_b")
-    s.add_argument("--a", type=int, required=True)
-    s.add_argument("--b", type=int, required=True)
-    s.add_argument("--q", type=int, required=True)
-    s.add_argument("--method", default="both",
-                   choices=["brute_force", "orbit_stabilizer", "both"])
-    s.set_defaults(func=_cmd_copies)
-
-    s = sub.add_parser("ramsey-bound", help="explicit partition dimension bound")
-    s.add_argument("--a", type=int, required=True)
-    s.add_argument("--b", type=int, required=True)
-    s.add_argument("--q", type=int, required=True)
-    s.add_argument("--eps", required=True)
-    s.add_argument("--k-mode", dest="k_mode", default="auto",
-                   choices=["auto", "exact", "envelope"])
-    s.set_defaults(func=_cmd_ramsey_bound)
-
-    s = sub.add_parser("ramsey-search", help="search copies for small oscillation")
-    s.add_argument("--a", type=int, required=True)
-    s.add_argument("--b", type=int, required=True)
-    s.add_argument("--c", type=int, required=True)
-    s.add_argument("--q", type=int, required=True)
-    s.add_argument("--eps", required=True)
-    s.add_argument("--strategy", default="exhaustive",
-                   choices=["exhaustive", "random"])
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--trials", type=int, default=100)
-    s.add_argument("--coloring", default="constant:0",
-                   help="constant:num/den or distance-to-copy")
-    s.set_defaults(func=_cmd_ramsey_search)
-
+    for name, func, text, options in _COMMANDS:
+        s = sub.add_parser(name, help=text)
+        for opt in options:
+            key, kwargs = (opt, _OPTIONS[opt]) if isinstance(opt, str) else opt
+            s.add_argument(f"--{key}", **kwargs)
+        s.set_defaults(func=func)
     return p
 
 

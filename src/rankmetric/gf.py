@@ -338,10 +338,3 @@ def field_for_order(q: int) -> FieldSpec:
     if q > _MAX_ORDER:
         raise TooLarge(f"field order {q} exceeds {_MAX_ORDER}")
     return field_make(*prime_power(q))
-
-
-def enumerate_elements(spec: FieldSpec) -> list[FieldElement]:
-    """All q elements, ordered lexicographically by coefficient vector."""
-    order = sorted(range(spec.q), key=spec.coeffs_of)
-    return [FieldElement(spec, v) for v in order]
-

@@ -10,28 +10,29 @@ matrix keeps its flat tuple of canonical encodings, and its kernels work on
 rows of bytes, one encoding per byte, so a row operation is a translate
 through a field table and one whole-row sum.
 
-A family is one entry of the ``_Family`` table: how a matrix keeps it,
-and whole-matrix pack, unpack, zero, identity, sum, difference, negation,
-scaling, product, transpose, echelon insert, rref, the side-by-side join
-and cut steps that ``invert`` and ``kernel_basis`` share, and the unit-row
-test of ``permutation_columns``. So each ``Matrix`` operation has one code
-path, and a new family is one more entry. No matrix stores its family,
-since a matrix built before a test sets ``_FORCE_GENERIC`` must run in the
-table family after it. A matrix holds its rows (GF(2), GF(3)), its flat
-entries or both, and derives one from the other at most once. It may also
-hold its transpose, linked both ways, which builds its store from its
-source's rows on first read. ``_b_pack``, ``_b_unpack``, ``_b_rref`` and
-``_g_rref`` stay module-level and the table calls them by name, so that
-the benchmark's layer tracing can wrap them.
+A family is one entry of the ``_Family`` table: how a matrix keeps it, and
+whole-matrix pack, unpack, zero, identity, sum, difference, negation,
+scaling, product, transpose, an echelon loop over many rows (not a per-row
+insert), rref, the side-by-side join and cut steps that ``invert`` and
+``kernel_basis`` share, and the unit-row test of ``permutation_columns``.
+So each ``Matrix`` operation has one code path, and a new family is one
+more entry. No matrix stores its family, since a matrix built before a test
+sets ``_FORCE_GENERIC`` must run in the table family after it. A matrix
+holds its rows (GF(2), GF(3)), its flat entries or both, and derives one
+from the other at most once. It may also hold its transpose, linked both
+ways, which builds its store from its source's rows on first read.
+``_b_pack``, ``_b_unpack``, ``_b_rref`` and ``_g_rref`` stay module-level
+and the table calls them by name, so that the benchmark's layer tracing can
+wrap them.
 
-Elimination has one skeleton in every family: rows are reduced into an
-echelon table keyed by pivot column, rank is the size of the table, and
-one back-substitution pass turns it into reduced echelon form. An inverse
-and a kernel are each one elimination of rows with the identity appended:
-the inverse is the appended block of [m | I], the kernel the appended block
-of the rows of [m^T | I] that reduce to zero on m^T, for m one matrix or
-several stacked, its rows the parts' transposes laid side by side. Other
-modules hold rows only as ``row_forms`` gives them.
+Elimination has one skeleton in every family: its echelon loop reduces rows
+into an echelon table keyed by pivot column, rank is the number of rows
+stored, and one back-substitution pass turns the table into reduced echelon
+form. An inverse and a kernel are each one elimination of rows with the
+identity appended: the inverse is the appended block of [m | I], the kernel
+the appended block of the rows of [m^T | I] that reduce to zero on m^T, for
+m one matrix or several stacked, its rows the parts' transposes laid side
+by side. Other modules hold rows only as ``row_forms`` gives them.
 
 Distances are exact: ``rank_distance`` returns a ``RankDistance`` holding
 the raw (rank, ambient) pair, compared by cross-multiplication. A subspace
@@ -118,55 +119,46 @@ def _b_mul(arows, brows):
     return tuple(out)
 
 
-def _b_insert(table, r, limit):
-    """Reduce r against an echelon table; keep it if a pivot below limit remains.
+def _b_echelon(table, rowints, ncols):
+    """Reduce each row against an echelon table and store it if a pivot in the first ncols
+    columns remains; returns how many rows it stored.
 
     The table maps the lowest set bit of each stored row to that row, so
-    each step clears the lowest bit of r that a stored row leads with.
-    Returns whether r was independent of the stored rows and stored.
+    each step clears the lowest bit of a row that a stored row leads with.
     """
-    while r:
-        low = r & -r
-        row = table.get(low)
-        if row is None:
-            if low < limit:
-                table[low] = r
-                return True
-            return False
-        r ^= row
-    return False
-
-
-def _b_echelon(rowints, ncols, insert=_b_insert):
-    """Echelon table of the rows, pivots in the first ncols columns; GF(3) passes ``_t_insert``."""
-    table = {}
-    limit = 1 << ncols
+    limit, before = 1 << ncols, len(table)
     for r in rowints:
-        insert(table, r, limit)
-    return table
+        while r:
+            low = r & -r
+            row = table.get(low)
+            if row is None:
+                if low < limit:
+                    table[low] = r
+                break
+            r ^= row
+    return len(table) - before
 
 
 def _b_rref(rowints, ncols):
     """Pivot columns and reduced echelon rows (pivots in the first ncols columns).
 
-    The echelon table followed by one back-substitution pass, highest
+    The echelon table followed by one back-substitution pass in place, highest
     pivot first; rows without a pivot among the first ncols columns drop out.
     """
-    table = _b_echelon(rowints, ncols)
-    reduced = {}
-    done = 0
+    table, done = {}, 0
+    _b_echelon(table, rowints, ncols)
     for low in sorted(table, reverse=True):
         row = table[low]
         # stored rows above this pivot are already free of every other pivot
         hits = row & done
         while hits:
             bit = hits & -hits
-            row ^= reduced[bit]
+            row ^= table[bit]
             hits ^= bit
-        reduced[low] = row
+        table[low] = row
         done |= low
-    order = sorted(reduced)
-    return [low.bit_length() - 1 for low in order], [reduced[low] for low in order]
+    order = sorted(table)
+    return [low.bit_length() - 1 for low in order], [table[low] for low in order]
 
 
 # ---------------------------------------------------------------------------
@@ -227,36 +219,36 @@ def _t_mul(arows, brows):
     return tuple(out)
 
 
-def _t_insert(table, row, limit):
-    """GF(3) twin of ``_b_insert``; a row leading with 2 is stored negated (planes swapped)."""
-    while x := row[0] | row[1]:
-        low = x & -x
-        stored = table.get(low)
-        if stored is None:
-            if low < limit:
-                table[low] = row if row[0] & low else row[::-1]
-                return True
-            return False
-        row = _t_add(row, stored if row[1] & low else stored[::-1])
-    return False
+def _t_echelon(table, planes, ncols):
+    """GF(3) twin of ``_b_echelon``; a row leading with 2 is stored negated (planes swapped)."""
+    limit, before = 1 << ncols, len(table)
+    for row in planes:
+        while x := row[0] | row[1]:
+            low = x & -x
+            stored = table.get(low)
+            if stored is None:
+                if low < limit:
+                    table[low] = row if row[0] & low else row[::-1]
+                break
+            row = _t_add(row, stored if row[1] & low else stored[::-1])
+    return len(table) - before
 
 
 def _t_rref(planes, ncols):
-    """GF(3) twin of ``_b_rref``: the echelon table, then back-substitution."""
-    table = _b_echelon(planes, ncols, _t_insert)
-    reduced = {}
-    done = 0
+    """GF(3) twin of ``_b_rref``: the echelon table, then back-substitution in place."""
+    table, done = {}, 0
+    _t_echelon(table, planes, ncols)
     for low in sorted(table, reverse=True):
         row = table[low]
         hits = (row[0] | row[1]) & done
         while hits:
             bit = hits & -hits
-            row = _t_add(row, reduced[bit] if row[1] & bit else reduced[bit][::-1])
+            row = _t_add(row, table[bit] if row[1] & bit else table[bit][::-1])
             hits ^= bit
-        reduced[low] = row
+        table[low] = row
         done |= low
-    order = sorted(reduced)
-    return [low.bit_length() - 1 for low in order], [reduced[low] for low in order]
+    order = sorted(table)
+    return [low.bit_length() - 1 for low in order], [table[low] for low in order]
 
 
 # ---------------------------------------------------------------------------
@@ -316,27 +308,27 @@ def _g_transpose(rows, cols):
     return tuple(b"".join([flat[j::cols] for j in range(cols)]))
 
 
-def _g_insert(table, vec, limit, spec):
-    """Table twin of ``_b_insert`` on a byte row: the table maps a pivot column to its
+def _g_echelon(table, rows, ncols, spec):
+    """Table twin of ``_b_echelon`` on byte rows: the table maps a pivot column to its
     monic row, and each step clears the first nonzero byte that a stored row leads with."""
-    (scale, total), n = _bytes_of(spec), len(vec)
-    while (c := n - len(vec.lstrip(b"\0"))) < n:
-        row = table.get(c)
-        if row is None:
-            if c >= limit:
-                return False
-            table[c] = vec if vec[c] == 1 else vec.translate(scale[spec._inv[vec[c]]])
-            return True
-        vec = total([vec, row.translate(scale[spec._neg[vec[c]]])], n)
-    return False
+    (scale, total), before = _bytes_of(spec), len(table)
+    for vec in rows:
+        n = len(vec)
+        while (c := n - len(vec.lstrip(b"\0"))) < n:
+            row = table.get(c)
+            if row is None:
+                if c < ncols:
+                    table[c] = vec if vec[c] == 1 else vec.translate(scale[spec._inv[vec[c]]])
+                break
+            vec = total([vec, row.translate(scale[spec._neg[vec[c]]])], n)
+    return len(table) - before
 
 
 def _g_rref(rowlists, ncols, spec):
     """Table twin of ``_b_rref`` on byte (or list) rows: the echelon table, then
     back-substitution, one sum per row."""
     table = {}
-    for r in rowlists:
-        _g_insert(table, bytes(r), ncols, spec)
+    _g_echelon(table, map(bytes, rowlists), ncols, spec)
     (scale, total), neg = _bytes_of(spec), spec._neg
     pivots = sorted(table)
     for i in range(len(pivots) - 2, -1, -1):
@@ -609,7 +601,7 @@ class _Family(NamedTuple):
     scale: Callable     # store, scalar encoding, spec -> store
     mul: Callable       # rows, rows, spec, product cols -> store
     transpose: Callable  # rows, cols -> store of the transpose
-    insert: Callable    # echelon table, row, ncols, spec -> whether it was stored
+    echelon: Callable   # echelon table, rows, ncols, spec -> how many rows it stored
     rref: Callable      # rows, ncols, spec -> pivot columns, reduced rows
     side: Callable      # rows, rows, n -> each row of the first, n wide, the second's after it
     cut: Callable       # rows, n -> store of the columns from n on
@@ -629,7 +621,7 @@ _BITS = _Family(
     scale=lambda a, s, spec: a if s else (0,) * len(a),
     mul=lambda a, b, spec, c: _b_mul(a, b),
     transpose=lambda rows, c: _b_transpose(rows, c),
-    insert=lambda table, row, ncols, spec: _b_insert(table, row, 1 << ncols),
+    echelon=lambda table, rows, ncols, spec: _b_echelon(table, rows, ncols),
     rref=lambda rows, ncols, spec: _b_rref(rows, ncols),
     side=lambda a, b, n: [r | s << n for r, s in zip(a, b)],
     cut=lambda rows, n: tuple([r >> n for r in rows]),
@@ -647,7 +639,7 @@ _PLANES = _BITS._replace(
     scale=lambda a, s, spec: (a if s == 1 else _PLANES.neg(a, spec)) if s else ((0, 0),) * len(a),
     mul=lambda a, b, spec, c: _t_mul(a, b),
     transpose=_t_transpose,
-    insert=lambda table, row, ncols, spec: _t_insert(table, row, 1 << ncols),
+    echelon=lambda table, rows, ncols, spec: _t_echelon(table, rows, ncols),
     rref=lambda rows, ncols, spec: _t_rref(rows, ncols),
     side=lambda a, b, n: [(p | s << n, m | t << n) for (p, m), (s, t) in zip(a, b)],
     cut=lambda rows, n: tuple([(p >> n, m >> n) for p, m in rows]),
@@ -667,7 +659,7 @@ _TABLE = _Family(
     scale=lambda a, s, spec: tuple(bytes(a).translate(_bytes_of(spec)[0][s])),
     mul=_g_mul,
     transpose=_g_transpose,
-    insert=_g_insert,
+    echelon=_g_echelon,
     rref=lambda rows, ncols, spec: _g_rref(rows, ncols, spec),
     side=lambda a, b, n: [r + s for r, s in zip(a, b)],
     cut=lambda rows, n: tuple(b"".join([row[n:] for row in rows])),
@@ -704,7 +696,8 @@ def _pack_outside(f: _Family, entries, rows, cols, spec: FieldSpec):
 
 
 def row_forms(m: Matrix) -> list:
-    """m's rows as its field's kernels hold them, for ``echelon_insert`` and ``column_stack``."""
+    """m's rows as its field's kernels hold them: what ``echelon_insert``, ``row_span`` and
+    ``column_stack`` take."""
     return list(_family(m.spec).rows(m))
 
 
@@ -714,18 +707,20 @@ def column_stack(spec: FieldSpec, rows, nrows: int) -> Matrix:
     return f.made(spec, nrows, len(rows), f.transpose(rows, nrows))
 
 
-def _rref_matrix(f: _Family, rows, ncols: int, spec: FieldSpec) -> Matrix:
-    """The reduced echelon rows of rows ncols long in f, as one Matrix (a cut at 0 keeps
-    every column): the one step that builds every subspace but a kernel."""
+def row_span(spec: FieldSpec, rows, ncols: int) -> Subspace:
+    """The span of ``row_forms`` rows ncols long: one rref, its reduced rows as one Matrix (a
+    cut at 0 keeps every column); the one step that builds every subspace but a kernel."""
+    f = _family(spec)
     rows = f.rref(rows, ncols, spec)[1]
-    return f.made(spec, len(rows), ncols, f.cut(rows, 0))
+    return Subspace._of(f.made(spec, len(rows), ncols, f.cut(rows, 0)))
 
 
 def echelon_insert(table, vec, spec: FieldSpec, width: int | None = None) -> bool:
     """Store a vector of encodings, or a ``row_forms`` row of this width, in an echelon table
     (an empty dict at first, filled only by this function) if it is independent of it."""
     f, n = _family(spec), len(vec) if width is None else width
-    return f.insert(table, _pack_outside(f, vec, 1, n, spec)[0] if width is None else vec, n, spec)
+    row = _pack_outside(f, vec, 1, n, spec)[0] if width is None else vec
+    return f.echelon(table, [row], n, spec) == 1
 
 
 class Subspace:
@@ -743,8 +738,8 @@ class Subspace:
         if any(len(v) != ambient_dim for v in vecs):
             raise DimensionMismatch("vector of wrong length")
         f, flat = _family(spec), list(chain.from_iterable(vecs))
-        self.matrix = _rref_matrix(f, _pack_outside(f, flat, len(vecs), ambient_dim, spec),
-                                   ambient_dim, spec)
+        rows = _pack_outside(f, flat, len(vecs), ambient_dim, spec)
+        self.matrix = row_span(spec, rows, ambient_dim).matrix
 
     @classmethod
     def _of(cls, m: Matrix) -> "Subspace":
@@ -778,10 +773,8 @@ class Subspace:
 
 def rank(m: Matrix) -> int:
     """Exact rank: the size of the echelon table of the rows."""
-    f, table = _family(m.spec), {}
-    for row in f.rows(m):
-        f.insert(table, row, m.cols, m.spec)
-    return len(table)
+    f = _family(m.spec)
+    return f.echelon({}, f.rows(m), m.cols, m.spec)
 
 
 def coordinate_rank(spec: FieldSpec, entries: dict) -> int:
@@ -835,26 +828,6 @@ def kron(x: Matrix, y: Matrix) -> Matrix:
     # row (i1, i2) holds x[i1, j1] * y[i2, j2] at column (j1, j2)
     out = [mul[a * q + b] for xrow in x.row_lists() for yrow in yrows for a in xrow for b in yrow]
     return Matrix._trusted(x.spec, x.rows * y.rows, x.cols * y.cols, tuple(out))
-
-
-def direct_sum(blocks, pad_zeros: int = 0) -> Matrix:
-    """Block-diagonal sum of square blocks plus a trailing zero block."""
-    blocks = list(blocks)
-    if not blocks:
-        raise DimensionMismatch("need at least one block")
-    spec = blocks[0].spec
-    for b in blocks:
-        if b.spec != spec:
-            raise SpecMismatch("blocks over different fields")
-        if not b.is_square():
-            raise DimensionMismatch("blocks must be square")
-    n = sum(b.rows for b in blocks) + _check_dims(pad_zeros)[0]
-    out, off = [0] * (n * n), 0
-    for b in blocks:
-        for i, row in enumerate(b.row_lists(), off):
-            out[i * n + off:i * n + off + b.cols] = row
-        off += b.rows
-    return Matrix._trusted(spec, n, n, tuple(out))
 
 
 def kassabov_generators(n: int, spec: FieldSpec) -> tuple[Matrix, Matrix]:
@@ -943,8 +916,7 @@ def kernel_basis(m: Matrix, *more: Matrix) -> Subspace:
 
 def image_basis(m: Matrix) -> Subspace:
     """Canonical basis of the column span: the row span of the transpose."""
-    f = _family(m.spec)
-    return Subspace._of(_rref_matrix(f, f.rows(m.transpose()), m.rows, m.spec))
+    return row_span(m.spec, row_forms(m.transpose()), m.rows)
 
 
 def apply(m: Matrix, s: Subspace) -> Subspace:
@@ -957,8 +929,7 @@ def span_fingerprint(mats, spec: FieldSpec, ambient: int) -> tuple:
     """Canonical echelon basis of the linear span of flattened matrices."""
     f, n = _family(spec), ambient * ambient
     ents = [m._e for m in mats]
-    rows = f.pack(tuple(chain.from_iterable(ents)), len(ents), n)
-    return Subspace._of(_rref_matrix(f, rows, n, spec)).basis
+    return row_span(spec, f.pack(tuple(chain.from_iterable(ents)), len(ents), n), n).basis
 
 
 # ---------------------------------------------------------------------------

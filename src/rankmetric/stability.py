@@ -25,12 +25,12 @@ from .matrix import (
     apply,
     column_stack,
     echelon_insert,
-    image_basis,
     kassabov_generators,
     kernel_basis,
     rank,
     rank_distance,
     row_forms,
+    row_span,
 )
 from .embeddings import DeltaEmbedding
 
@@ -135,7 +135,7 @@ def w_chain(x: Matrix, y: Matrix, n: int, xn: Matrix | None = None,
 def v_space(x: Matrix, y: Matrix, n: int, w_last: Subspace) -> Subspace:
     """V = W + yW + ... + y^(n-1) W; its dimension is always n * dim W."""
     _check_pair(x, y, n)
-    return image_basis(column_stack(y.spec, _propagated(y, n, w_last).kept, y.rows))
+    return row_span(y.spec, _propagated(y, n, w_last).kept, y.rows)
 
 
 class RepairCertificate:

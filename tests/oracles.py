@@ -19,7 +19,8 @@ matrix whole. ``image_distance_by_scatters`` ranks a probe error from every
 copy of both maps, as ``image_distance`` did before it scattered only the
 moved copies. ``solve``, ``delta_for_target``, ``subspace_sum``,
 ``annihilator`` and ``intersect`` left the library, which no longer
-called them; ``mat_vec``, ``by_columns`` and ``residual_matrix``
+called them, and ``direct_sum`` and ``enumerate_elements``, which only tests
+called; ``mat_vec``, ``by_columns`` and ``residual_matrix``
 write out a product with one column, a matrix given by its columns and
 the relation residual, which the library no longer offers as calls.
 Slow on purpose; only for small inputs.
@@ -37,8 +38,8 @@ from rankmetric.embeddings import DeltaEmbedding, iota_embedding
 from rankmetric.errors import (DimensionMismatch, InconsistentTarget, InvariantViolated,
                                NotRepairable, RelationsNotSatisfied, Singular, SpecMismatch)
 from rankmetric.fraisse import InnerApproximation, approximate_homogeneity, include_to
-from rankmetric.gf import FieldSpec
-from rankmetric.matrix import (Matrix, RankDistance, Subspace, apply, coordinate_rank, direct_sum,
+from rankmetric.gf import FieldElement, FieldSpec
+from rankmetric.matrix import (Matrix, RankDistance, Subspace, apply, coordinate_rank,
                                echelon_insert, image_basis, invert, kassabov_generators,
                                kernel_basis, kron, random_unit, rank_distance, span_fingerprint)
 from rankmetric.stability import RepairCertificate, relation_defect, repair
@@ -59,6 +60,32 @@ def poly_mul_mod(u, v, modulus, p):
     out = prod[:k]
     out += [0] * (k - len(out))
     return out
+
+
+def enumerate_elements(spec: FieldSpec) -> list[FieldElement]:
+    """All q elements, ordered lexicographically by coefficient vector."""
+    order = sorted(range(spec.q), key=spec.coeffs_of)
+    return [FieldElement(spec, v) for v in order]
+
+
+def direct_sum(blocks, pad_zeros: int = 0) -> Matrix:
+    """Block-diagonal sum of square blocks plus a trailing zero block."""
+    blocks = list(blocks)
+    if not blocks:
+        raise DimensionMismatch("need at least one block")
+    spec = blocks[0].spec
+    for b in blocks:
+        if b.spec != spec:
+            raise SpecMismatch("blocks over different fields")
+        if not b.is_square():
+            raise DimensionMismatch("blocks must be square")
+    n = sum(b.rows for b in blocks) + mx._check_dims(pad_zeros)[0]
+    out, off = [0] * (n * n), 0
+    for b in blocks:
+        for i, row in enumerate(b.row_lists(), off):
+            out[i * n + off:i * n + off + b.cols] = row
+        off += b.rows
+    return Matrix._trusted(spec, n, n, tuple(out))
 
 
 def mat_vec(m: Matrix, vec) -> tuple[int, ...]:

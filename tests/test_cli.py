@@ -480,3 +480,107 @@ def test_matrix_written_by_cli_rereads_identically(tmp_path, gf2, rng):
     code2, out2 = _run(["rank", "--in", str(mid)])
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# Per subcommand: its help, its handler, and per option after -h/--help the tuple
+# (option strings, dest, type, required, default, choices, help), as the parser declared
+# them when each subcommand still added its own options one by one.
+_PARSER = [
+    ("rank", "rank of a matrix file", "_cmd_rank", [
+        (("--in",), "input", None, True, None, None, None)]),
+    ("dist", "rank distance between two matrices", "_cmd_dist", [
+        (("--x",), "x", None, True, None, None, None),
+        (("--y",), "y", None, True, None, None, None)]),
+    ("gens", "shift generator pair with relation check", "_cmd_gens", [
+        (("--n",), "n", int, True, None, None, None),
+        (("--q",), "q", int, True, None, None, None),
+        (("--out",), "out", None, False, None, None, None)]),
+    ("iota", "inclusion x -> x tensor 1_{n/m}", "_cmd_iota", [
+        (("--n",), "n", int, True, None, None, None),
+        (("--m",), "m", int, True, None, None, None),
+        (("--in",), "input", None, True, None, None, None),
+        (("--out",), "out", None, False, None, None, None)]),
+    ("defect", "relation defect of a pair file", "_cmd_defect", [
+        (("--n",), "n", int, True, None, None, None),
+        (("--in",), "input", None, True, None, None, None)]),
+    ("repair", "repair a pair to an exact embedding", "_cmd_repair", [
+        (("--n",), "n", int, True, None, None, None),
+        (("--in",), "input", None, True, None, None, None),
+        (("--out",), "out", None, False, None, None,
+         "write the repaired embedding (DELTA file)")]),
+    ("homog", "inner unit carrying one embedding to another", "_cmd_homog", [
+        (("--phi",), "phi", None, True, None, None, None),
+        (("--psi",), "psi", None, True, None, None, None),
+        (("--out",), "out", None, False, None, None, None)]),
+    ("extend", "extend an embedding back into a tower", "_cmd_extend", [
+        (("--phi",), "phi", None, True, None, None, None),
+        (("--tower",), "tower", None, True, None, ("factorial", "powers_of_2"), None),
+        (("--prefix",), "prefix", int, True, None, None, None),
+        (("--delta-prime",), "delta_prime", None, True, None, None, None),
+        (("--out",), "out", None, False, None, None, None)]),
+    ("backforth", "alternating tower maps with certificates", "_cmd_backforth", [
+        (("--tower-x",), "tower_x", None, False, "factorial", ("factorial", "powers_of_2"), None),
+        (("--tower-y",), "tower_y", None, False, "powers_of_2", ("factorial", "powers_of_2"),
+         None),
+        (("--prefix-x",), "prefix_x", int, False, 6, None, None),
+        (("--prefix-y",), "prefix_y", int, False, 9, None, None),
+        (("--rounds",), "rounds", int, True, None, None, None),
+        (("--q",), "q", int, True, None, None, None),
+        (("--probes",), "probes", None, False, "x:0,y:0", None,
+         "comma list side:stage, generators+1 at each (default %(default)s)")]),
+    ("amalgamate", "complete two embeddings to a commuting square", "_cmd_amalgamate", [
+        (("--phi0",), "phi0", None, True, None, None, None),
+        (("--phi1",), "phi1", None, True, None, None, None),
+        (("--out0",), "out0", None, False, None, None, None),
+        (("--out1",), "out1", None, False, None, None, None)]),
+    ("conjugator", "intertwining unit of two unital maps", "_cmd_conjugator", [
+        (("--phi0",), "phi0", None, True, None, None, None),
+        (("--phi1",), "phi1", None, True, None, None, None),
+        (("--out",), "out", None, False, None, None, None)]),
+    ("slorder", "order of SL_n(F_q)", "_cmd_slorder", [
+        (("--n",), "n", int, True, None, None, None),
+        (("--q",), "q", int, True, None, None, None)]),
+    ("copies", "count embedded copies of M_a in M_b", "_cmd_copies", [
+        (("--a",), "a", int, True, None, None, None),
+        (("--b",), "b", int, True, None, None, None),
+        (("--q",), "q", int, True, None, None, None),
+        (("--method",), "method", None, False, "both",
+         ("brute_force", "orbit_stabilizer", "both"), None)]),
+    ("ramsey-bound", "explicit partition dimension bound", "_cmd_ramsey_bound", [
+        (("--a",), "a", int, True, None, None, None),
+        (("--b",), "b", int, True, None, None, None),
+        (("--q",), "q", int, True, None, None, None),
+        (("--eps",), "eps", None, True, None, None, None),
+        (("--k-mode",), "k_mode", None, False, "auto", ("auto", "exact", "envelope"), None)]),
+    ("ramsey-search", "search copies for small oscillation", "_cmd_ramsey_search", [
+        (("--a",), "a", int, True, None, None, None),
+        (("--b",), "b", int, True, None, None, None),
+        (("--c",), "c", int, True, None, None, None),
+        (("--q",), "q", int, True, None, None, None),
+        (("--eps",), "eps", None, True, None, None, None),
+        (("--strategy",), "strategy", None, False, "exhaustive", ("exhaustive", "random"), None),
+        (("--seed",), "seed", int, False, 0, None, None),
+        (("--trials",), "trials", int, False, 100, None, None),
+        (("--coloring",), "coloring", None, False, "constant:0", None,
+         "constant:num/den or distance-to-copy")]),
+]
+
+
+def test_parser_declares_every_subcommand_and_option_as_pinned():
+    # the declarations themselves, not the --help text: that text hides type=int on
+    # --seed and --trials, and its wrapping differs between Python versions
+    from rankmetric.cli import _build_parser
+    parser = _build_parser()
+    assert (parser.prog, parser.description) == (
+        "rankmetric", "exact computations in matrix algebras under the rank metric")
+    sub = parser._actions[-1]
+    assert (sub.dest, sub.required) == ("command", True)
+    seen = []
+    for choice in sub._choices_actions:
+        s = sub.choices[choice.dest]
+        helper, *actions = s._actions
+        assert (helper.option_strings, helper.default) == (["-h", "--help"], "==SUPPRESS==")
+        seen.append((choice.dest, choice.help, s.get_default("func").__name__, [
+            (tuple(a.option_strings), a.dest, a.type, a.required, a.default,
+             None if a.choices is None else tuple(a.choices), a.help) for a in actions]))
+    assert seen == _PARSER

@@ -18,7 +18,7 @@ from rankmetric import matrix as mx
 from rankmetric.cli import run
 from rankmetric.errors import Singular
 from rankmetric.gf import field_for_order
-from rankmetric.matrix import Matrix, direct_sum, invert, random_matrix, random_unit, write_matrix
+from rankmetric.matrix import Matrix, invert, random_matrix, random_unit, write_matrix
 from rankmetric.embeddings import (
     DeltaEmbedding,
     Homomorphism,
@@ -37,7 +37,7 @@ from rankmetric.fraisse import (
     tower_make,
 )
 
-from oracles import by_columns, delta_apply_dense, permutation_images_by_entries
+from oracles import by_columns, delta_apply_dense, direct_sum, permutation_images_by_entries
 
 
 def _is_permutation_path(e: DeltaEmbedding) -> bool:

@@ -40,7 +40,7 @@ def test_repair_fuzz_random_perturbations(q):
         m = rng.choice([3, 4, 6])
         amb = n * m + rng.choice([0, 1])
         a, b = kassabov_generators(n, spec)
-        from rankmetric.matrix import direct_sum
+        from oracles import direct_sum
         x = direct_sum([a] * m, amb - n * m)
         y = direct_sum([b] * m, amb - n * m)
         g = random_unit(spec, amb, rng)

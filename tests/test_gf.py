@@ -10,12 +10,11 @@ from rankmetric.errors import (
 )
 from rankmetric.gf import (
     FieldSpec,
-    enumerate_elements,
     field_for_order,
     field_make,
 )
 
-from oracles import poly_mul_mod
+from oracles import enumerate_elements, poly_mul_mod
 
 
 def test_prime_field_construction():

@@ -24,7 +24,6 @@ from rankmetric.matrix import (
     RankDistance,
     Subspace,
     apply,
-    direct_sum,
     image_basis,
     invert,
     kassabov_generators,
@@ -41,8 +40,10 @@ from rankmetric.matrix import (
 )
 from rankmetric.ramsey import base_copy_basis, gl_order, iterate_units, span_fingerprint
 
-from oracles import (annihilator, intersect, mat_vec, matrix_units_by_products, rank_by_minors, solve,
-                     span_dimension, stacked_kernel, subspace_sum, table_transpose)
+import oracles
+from oracles import (annihilator, direct_sum, intersect, mat_vec, matrix_units_by_products,
+                     rank_by_minors, solve, span_dimension, stacked_kernel, subspace_sum,
+                     table_transpose)
 
 
 # -- rank and distance -------------------------------------------------------
@@ -810,6 +811,56 @@ def test_row_family_chained_outputs_match_table_family(q, rng, monkeypatch):
     assert fast[10] is None
     assert fast[11][64][-1] is False and fast[11][65][-3:] == [False, False, False]
     assert len(set(fast[12])) > 1
+
+
+def _combination(spec, vecs, rng):
+    """A random linear combination of equal-length encoding vectors."""
+    q, add, mul = spec.q, spec._add, spec._mul
+    out = [0] * len(vecs[0])
+    for v in vecs:
+        c = rng.randrange(q)
+        out = [add[x * q + mul[c * q + y]] for x, y in zip(out, v)]
+    return out
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_echelon_loop_stores_what_table_insert_stores(q, forced, monkeypatch):
+    # GF(2) bits, GF(3) planes and byte rows in characteristic 2 and odd characteristic:
+    # the family's one echelon loop, fed a table that already holds rows, stores the rows
+    # the entry-by-entry oracle stores one at a time, and says how many
+    monkeypatch.setattr(mx, "_FORCE_GENERIC", forced)
+    spec, rng = field_for_order(q), random.Random(f"echelon/{q}/{forced}")
+    f = mx._family(spec)
+    assert f is (mx._TABLE if forced else {2: mx._BITS, 3: mx._PLANES}.get(q, mx._TABLE))
+    for ncols, extra in [(1, 1), (6, 3), (70, 5)]:  # 70: wider than a word
+        width = ncols + extra
+        head = [[rng.randrange(q) for _ in range(ncols)] + [0] * extra
+                for _ in range(ncols // 2 + 1)]
+        fresh = [rng.randrange(q) for _ in range(width)]
+        tail = [[0] * width, fresh, fresh,  # the second copy reduces to zero
+                *(_combination(spec, head, rng) for _ in range(3)),  # reduce to zero
+                # only pivots at or beyond ncols left once reduced
+                *([*_combination(spec, head, rng)[:ncols], *([0] * (extra - 1)), 1]
+                  for _ in range(2)),
+                *([rng.randrange(q) for _ in range(width)] for _ in range(3))]
+        rng.shuffle(tail)
+        table, want = {}, {}
+        for vecs in (head, tail):
+            rows = f.pack(bytes(chain.from_iterable(vecs)), len(vecs), width)
+            stored = [oracles.table_insert(want, v, ncols, spec) for v in vecs]
+            assert f.echelon(table, rows, ncols, spec) == sum(stored)
+        assert 0 < len(want) <= ncols
+        assert {k if f is mx._TABLE else k.bit_length() - 1: list(f.unpack([r], width))
+                for k, r in table.items()} == want
+        # one row at a time through echelon_insert, pivots anywhere in the row
+        tables, want = ({}, {}), {}
+        vecs = head + tail
+        stored = [oracles.table_insert(want, v, width, spec) for v in vecs]
+        assert [mx.echelon_insert(tables[0], v, spec) for v in vecs] == stored
+        assert [mx.echelon_insert(tables[1], r, spec, width)
+                for r in f.pack(bytes(chain.from_iterable(vecs)), len(vecs), width)] == stored
+        assert tables[0] == tables[1] and len(tables[0]) == len(want)
 
 
 @pytest.mark.parametrize("forced", [False, True])

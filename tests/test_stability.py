@@ -11,7 +11,6 @@ from rankmetric.gf import field_for_order
 from rankmetric.matrix import (
     Matrix,
     Subspace,
-    direct_sum,
     kassabov_generators,
     kron,
     rank,
@@ -25,8 +24,8 @@ from rankmetric.stability import (
     v_space,
     w_chain,
 )
-from oracles import (delta_for_target, ladder_repair, ladder_v_space, ladder_w_chain, mat_vec,
-                     residual_matrix)
+from oracles import (delta_for_target, direct_sum, ladder_repair, ladder_v_space, ladder_w_chain,
+                     mat_vec, residual_matrix)
 
 
 def exact_model(n, m, spec):
@@ -337,6 +336,20 @@ def test_repair_transposes_only_x_y_and_b(q, monkeypatch):
     _, _, cert = repair(x, y, 3)
     assert cert.dim_V < 120 and len(calls) == 3
     assert x.transpose()._rw is not None and y.transpose()._rw is not None
+
+
+def test_v_space_spans_the_rows_it_holds_without_a_transpose(monkeypatch):
+    # V is the row span of the propagated rows, one rref of them: no matrix with those rows
+    # as columns is built and transposed back. The chain has already made y^T
+    x, y = _model_pair_as_given(2, 3, 40)
+    w_last = w_chain(x, y, 3)[-1]
+    calls = []
+    real = mx._b_transpose
+    monkeypatch.setattr(mx, "_b_transpose", lambda r, c: calls.append(c) or real(r, c))
+    v = v_space(x, y, 3, w_last)
+    assert calls == []
+    monkeypatch.undo()
+    assert v.dim == 3 * w_last.dim > 0 and v == ladder_v_space(y, 3, w_last)
 
 
 @pytest.mark.parametrize("forced", [False, True])
