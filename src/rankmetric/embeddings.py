@@ -33,7 +33,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
+from itertools import chain, repeat
+from operator import add, itemgetter
 
 from .errors import (
     DimensionMismatch,
@@ -67,8 +68,9 @@ def _inverse(images) -> tuple[int, ...]:
 
 
 def _composed(*factors) -> tuple[int, ...]:
-    """The images of the product of permutations given by their images."""
-    return reduce(lambda f, g: tuple(f[i] for i in g), factors)
+    """The images of the product of permutations given by their images: one ``itemgetter``
+    call per factor, which returns a bare item, not a tuple, for one index."""
+    return reduce(lambda f, g: itemgetter(*g)(f) if len(g) > 1 else tuple(f[i] for i in g), factors)
 
 
 def _times_permutation(spec: FieldSpec, twist, images) -> Matrix:
@@ -84,10 +86,20 @@ def _times_permutation(spec: FieldSpec, twist, images) -> Matrix:
     return Matrix._trusted(spec, n, n, tuple(e))  # 0 and 1 are canonical in every field
 
 
+def _runs(count: int, step: int, values):
+    """a * step + v for a < count and v in values, by a, then v: loops over the shorter one."""
+    width = len(values)
+    if count <= width:
+        return chain.from_iterable(map(add, values, repeat(a * step, width)) for a in range(count))
+    out = [0] * (count * width)
+    for j, v in enumerate(values):
+        out[j::width] = range(v, v + count * step, step)
+    return out
+
+
 def _tile(images, copies: int, total: int) -> tuple[int, ...]:
     """``copies`` copies of a permutation down the diagonal, then 1 up to ``total``."""
-    k = len(images)
-    return tuple(j - j % k + images[j % k] if j < copies * k else j for j in range(total))
+    return tuple(chain(_runs(copies, len(images), images), range(copies * len(images), total)))
 
 
 def _scattered(images, copies: int, x: Matrix, pad: int) -> Matrix:
@@ -106,7 +118,7 @@ def _scattered(images, copies: int, x: Matrix, pad: int) -> Matrix:
 
 def _shuffle_conjugator(m: int, k: int) -> tuple[int, ...]:
     """Images of the permutation Q with Q (x^{+k}) Q^{-1} = x (x) 1_k for all m x m x."""
-    return tuple(i * k + w for w in range(k) for i in range(m))
+    return tuple(_runs(k, 1, range(0, m * k, k or 1)))
 
 
 def _merge_permutation(outer: int, block: int, copies: int, inner: int,
@@ -115,13 +127,11 @@ def _merge_permutation(outer: int, block: int, copies: int, inner: int,
     (x^{+copies} (+) 0)^{+outer} (+) 0 = P (x^{+outer*copies} (+) 0) P^{-1}.
 
     ``block`` is the size of each outer block, ``inner`` the size of x,
-    ``total`` the ambient dimension.
+    ``total`` the ambient dimension; the padding rows take the rest, in order.
     """
-    used = [t * block + c * inner + i
-            for t in range(outer) for c in range(copies) for i in range(inner)]
-    taken = set(used)
-    # the padding rows go to the remaining rows, in order
-    return tuple(used + [j for j in range(total) if j not in taken])
+    used = copies * inner
+    return tuple(chain(_runs(outer, block, range(used)), _runs(outer, block, range(used, block)),
+                       range(outer * block, total)))
 
 
 def read_header(text: str, keyword: str, fields: int):
@@ -174,6 +184,12 @@ class DeltaEmbedding:
         cols = permutation_columns(value)  # P e_j = e_images[j] has row i's 1 in column cols[i]
         self._images = tuple(range(self.n)) if cols is None else _inverse(cols)
         self._twist = (value, invert(value)) if cols is None else None
+
+    def same_conjugator(self, other: "DeltaEmbedding") -> bool:
+        """Whether both conjugators B = T P are equal: by P's images if neither has a twist."""
+        if self._twist is None and other._twist is None:
+            return self.spec == other.spec and self._images == other._images
+        return self.conjugator == other.conjugator
 
     @property
     def delta(self) -> RankDistance:
@@ -247,14 +263,16 @@ def image_distances(left: DeltaEmbedding, right: DeltaEmbedding, xs) -> list[Ran
 def _moved(left: DeltaEmbedding, right: DeltaEmbedding, d: int):
     """The copies of left o iota(m, d) that right o iota(m, d) does not place on the same
     ordered rows, and the other way round. Copy w of the inclusion inside copy t of a map
-    is the strided slice images[t m + w : (t + 1) m : m / d], as a tuple of rows."""
+    is the strided slice images[t m + w : (t + 1) m : m / d], as a tuple of rows; for
+    d = 1 it is one row, so only the rows that one map alone uses become 1-tuples."""
+    if d == 1:
+        rows, other = (set(e._images[:e.mult * e.m]) for e in (left, right))
+        return [(r,) for r in rows - other], [(r,) for r in other - rows]
     def copies(e):
         cols = [e._images[j:e.mult * e.m:e.m] for j in range(e.m)]  # row j of each copy of e
-        return chain.from_iterable(zip(*cols[w::e.m // d]) for w in range(e.m // d))
-    minus = set(copies(right))
-    plus = [c for c in copies(left) if c not in minus]
-    minus.difference_update(copies(left))
-    return plus, minus
+        return set(chain.from_iterable(zip(*cols[w::e.m // d]) for w in range(e.m // d)))
+    plus, minus = copies(left), copies(right)
+    return plus - minus, minus - plus
 
 
 def _embedding(m: int, n: int, mult: int, spec: FieldSpec, images,

@@ -420,9 +420,9 @@ def _successive(older: MapRecord, newer: MapRecord, towers: dict, stage_pairs,
 
 
 def _fields(cert: BackForthCertificate):
-    """Every recorded field of a certificate, as one comparable value."""
+    """Every recorded field of a certificate but the conjugators, as one comparable value."""
     maps = tuple((m.index, m.direction, m.tolerance, m.embedding.m, m.embedding.n,
-                  m.embedding.mult, m.embedding.conjugator) for m in cert.maps)
+                  m.embedding.mult) for m in cert.maps)
     rows = tuple(tuple((rt.map_index, rt.bound,
                         tuple((pe.probe_index, pe.error) for pe in rt.errors))
                        for rt in trips)
@@ -434,18 +434,19 @@ def verify_certificate(cert: BackForthCertificate, tower_x: Tower,
                        tower_y: Tower, probes) -> bool:
     """Check a certificate by running ``back_and_forth`` again.
 
-    The construction is deterministic, so a fresh run from the recorded
-    number of rounds and first stage pair must reproduce every field of
-    the record: the stage pairs; each map's index, direction, tolerance,
-    shape, multiplicity and conjugator; every round-trip and successive
-    row with its bound, probe indices and exact errors; and the final
-    bound. Any difference, or a run that raises (``BoundsNotMet`` for one
-    whose bounds fail), gives ``False``; this never raises.
+    The construction is deterministic, so a fresh run from the recorded number of rounds
+    and first stage pair must reproduce every field of the record: the stage pairs; each
+    map's index, direction, tolerance, shape, multiplicity and conjugator (by its images, as
+    a dense matrix only if twisted, which no map of a run is); every round-trip and
+    successive row with its bound, probe indices and exact errors; and the final bound. Any
+    difference, or a run that raises (``BoundsNotMet`` for one whose bounds fail), gives
+    ``False``; this never raises.
     """
     try:
         fresh = back_and_forth(tower_x, tower_y, cert.rounds, probes,
                                *cert.stage_pairs[0])
-        return _fields(fresh) == _fields(cert)
+        return _fields(fresh) == _fields(cert) and all(
+            f.embedding.same_conjugator(c.embedding) for f, c in zip(fresh.maps, cert.maps))
     except (RankMetricError, AttributeError, LookupError, TypeError, ValueError):
         # an altered record may hold values of any shape
         return False

@@ -17,7 +17,11 @@ back-and-forth probe error from two dense images. ``ladder_w_chain`` and
 entries, and ``stacked_kernel`` the joint kernel that transposed the stacked
 matrix whole. ``image_distance_by_scatters`` ranks a probe error from every
 copy of both maps, as ``image_distance`` did before it scattered only the
-moved copies. ``solve``, ``delta_for_target``, ``subspace_sum``,
+moved copies, and ``moved_by_tuples`` finds those copies as a tuple per copy
+even when a copy is one row. ``shuffle_by_steps``, ``tile_by_steps``,
+``merge_by_set`` and ``composed_by_steps`` build permutation images one
+generator step per index, as the embeddings did before they built them from
+ranges and slices. ``solve``, ``delta_for_target``, ``subspace_sum``,
 ``annihilator`` and ``intersect`` left the library, which no longer
 called them, and ``direct_sum`` and ``enumerate_elements``, which only tests
 called; ``mat_vec``, ``by_columns`` and ``residual_matrix``
@@ -29,7 +33,7 @@ Slow on purpose; only for small inputs.
 import functools
 import random
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from types import MappingProxyType
 
 import rankmetric.matrix as mx
@@ -389,6 +393,44 @@ def image_distance_by_scatters(left, right, x: Matrix) -> RankDistance:
         if d:
             diff[key] = d
     return RankDistance(coordinate_rank(x.spec, diff), left.n)
+
+
+def moved_by_tuples(left, right, d: int):
+    """``embeddings._moved`` with every copy a tuple of rows, one-row copies included: the
+    copies of left o iota(m, d) that right o iota(m, d) does not place on the same ordered
+    rows (a list), and the other way round (a set)."""
+    def copies(e):
+        cols = [e._images[j:e.mult * e.m:e.m] for j in range(e.m)]  # row j of each copy of e
+        return chain.from_iterable(zip(*cols[w::e.m // d]) for w in range(e.m // d))
+    minus = set(copies(right))
+    plus = [c for c in copies(left) if c not in minus]
+    minus.difference_update(copies(left))
+    return plus, minus
+
+
+def shuffle_by_steps(m: int, k: int) -> tuple:
+    """Images of Q with Q (x^{+k}) Q^{-1} = x (x) 1_k, one step per index."""
+    return tuple(i * k + w for w in range(k) for i in range(m))
+
+
+def tile_by_steps(images, copies: int, total: int) -> tuple:
+    """``copies`` copies of a permutation down the diagonal, then 1 up to ``total``."""
+    k = len(images)
+    return tuple(j - j % k + images[j % k] if j < copies * k else j for j in range(total))
+
+
+def merge_by_set(outer: int, block: int, copies: int, inner: int, total: int) -> tuple:
+    """Images of P with (x^{+copies} (+) 0)^{+outer} (+) 0 = P (x^{+outer*copies} (+) 0) P^-1:
+    the rows of the copies, then every row not among them, in order."""
+    used = [t * block + c * inner + i
+            for t in range(outer) for c in range(copies) for i in range(inner)]
+    taken = set(used)
+    return tuple(used + [j for j in range(total) if j not in taken])
+
+
+def composed_by_steps(*factors) -> tuple:
+    """The images of the product of permutations given by their images."""
+    return functools.reduce(lambda f, g: tuple(f[i] for i in g), factors)
 
 
 def delta_apply_dense(e, x: Matrix) -> Matrix:

@@ -8,6 +8,7 @@ must equal the dense product it stands for.
 """
 
 import io
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,8 +23,10 @@ from rankmetric.matrix import Matrix, invert, random_matrix, random_unit, write_
 from rankmetric.embeddings import (
     DeltaEmbedding,
     Homomorphism,
+    _composed,
     _merge_permutation,
     _shuffle_conjugator,
+    _tile,
     amalgamate,
     back_embedding,
     block_embedding,
@@ -37,7 +40,9 @@ from rankmetric.fraisse import (
     tower_make,
 )
 
-from oracles import by_columns, delta_apply_dense, direct_sum, permutation_images_by_entries
+from oracles import (by_columns, composed_by_steps, delta_apply_dense, direct_sum, merge_by_set,
+                     moved_by_tuples, permutation_images_by_entries, shuffle_by_steps,
+                     tile_by_steps)
 
 
 def _is_permutation_path(e: DeltaEmbedding) -> bool:
@@ -235,6 +240,69 @@ def test_merge_permutation_fixed_layout():
     # certificates record the conjugator, so this layout is frozen
     assert _merge_permutation(2, 5, 2, 2, 13) == (0, 1, 2, 3, 5, 6, 7, 8, 4, 9, 10, 11, 12)
     assert _shuffle_conjugator(2, 3) == (0, 3, 1, 4, 2, 5)
+
+
+def test_permutation_builders_match_step_by_step_oracles():
+    # the builders read ranges and strided slices; over a grid with no copies, no outer
+    # blocks, no padding (total = copies k), m = 1 and k in {0, 1}, on both sides of each
+    # builder's choice of loop, they give the tuples of the one-step-per-index builders
+    rng = random.Random(27)
+    for m, k in itertools.product(range(1, 7), range(0, 7)):
+        assert _shuffle_conjugator(m, k) == shuffle_by_steps(m, k)
+    for k, copies, pad in itertools.product(range(0, 7), range(0, 7), range(0, 3)):
+        images = tuple(rng.sample(range(k), k))
+        assert _tile(images, copies, copies * k + pad) == tile_by_steps(images, copies,
+                                                                       copies * k + pad)
+    for outer, inner, copies, spare, pad in itertools.product(range(0, 6), range(1, 4),
+                                                              range(0, 4), range(0, 3),
+                                                              range(0, 3)):
+        block = copies * inner + spare
+        args = (outer, block, copies, inner, outer * block + pad)
+        assert _merge_permutation(*args) == merge_by_set(*args)
+    for n in (0, 1, 2, 5, 24):
+        factors = [tuple(rng.sample(range(n), n)) for _ in range(3)]
+        for count in (1, 2, 3):
+            assert _composed(*factors[:count]) == composed_by_steps(*factors[:count])
+
+
+@pytest.mark.parametrize("d_is_m", [False, True])
+def test_moved_copies_match_the_tuple_per_copy_oracle(gf3, d_is_m):
+    # one-row copies (d = 1) are compared as rows, the others as tuples of rows; either
+    # way, both sides equal the sets of the oracle that builds a tuple for every copy
+    rng = random.Random(2700 + d_is_m)
+    for m, n in ((1, 7), (2, 7), (3, 12), (4, 16), (6, 13)):
+        d = m if d_is_m else 1
+        for _ in range(4):
+            left, right = (DeltaEmbedding(m, n, rng.randrange(n // m + 1),
+                                          _random_permutation(gf3, n, rng)) for _ in range(2))
+            for a, b in ((left, right), (right, left), (left, left)):
+                plus, minus = embeddings._moved(a, b, d)
+                want_plus, want_minus = moved_by_tuples(a, b, d)
+                assert (set(plus), set(minus)) == (set(want_plus), want_minus)
+                assert len(plus) == len(want_plus)
+
+
+def test_same_conjugator_by_images_and_by_dense_matrices(gf3):
+    # a twisted map whose twist T is a permutation matrix, over P = 1, has the conjugator
+    # of the untwisted map with T's images, and stops having it once one image moves
+    rng = random.Random(2701)
+    images = tuple(rng.sample(range(9), 9))
+    t = _permutation_matrix(gf3, images)
+    twisted = embeddings._embedding(3, 9, 2, gf3, range(9), (t, invert(t)))
+    plain = DeltaEmbedding(3, 9, 2, t)
+    assert not _is_permutation_path(twisted) and _is_permutation_path(plain)
+    assert twisted.same_conjugator(plain) and plain.same_conjugator(twisted)
+    moved = images[1::-1] + images[2:]
+    other = DeltaEmbedding(3, 9, 2, _permutation_matrix(gf3, moved))
+    assert _is_permutation_path(other)
+    assert not twisted.same_conjugator(other) and not other.same_conjugator(twisted)
+    assert not plain.same_conjugator(other) and other.same_conjugator(other)
+    dense = DeltaEmbedding(3, 9, 2, t * (Matrix.identity(gf3, 9) + Matrix.unit(gf3, 9, 1, 2)))
+    assert dense.same_conjugator(dense) and not dense.same_conjugator(plain)
+    # the same images over another field are another conjugator
+    assert not plain.same_conjugator(DeltaEmbedding(3, 9, 2,
+                                                    _permutation_matrix(field_for_order(5),
+                                                                        images)))
 
 
 def test_builders_keep_images(gf3):

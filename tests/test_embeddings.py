@@ -25,6 +25,7 @@ from rankmetric.matrix import (
     write_matrix,
 )
 from rankmetric import embeddings
+from rankmetric import matrix as mx
 from rankmetric.gf import field_for_order
 from rankmetric.embeddings import (
     DeltaEmbedding,
@@ -509,6 +510,24 @@ def test_image_distance_of_moved_copies_matches_both_scatters(q):
                     [(r.numerator, r.denominator) for r in by_scatters]
                 assert moved == dense == [image_distance(left, right, x) for x in xs]
                 assert image_distances(left, left, xs) == [0] * len(xs)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_image_distances_unchanged_by_one_permutation_of_the_target(q, forced, monkeypatch):
+    # a permutation sigma of the target is an isometry of the rank metric, so following
+    # both maps by it moves their images but not their distance, for d = 1 and d > 1 probes
+    monkeypatch.setattr(mx, "_FORCE_GENERIC", forced)
+    spec, rng, seen = field_for_order(q), random.Random(2710 + q), set()
+    for m, n in ((1, 5), (2, 7), (4, 9), (6, 13)):
+        sigma = _permutation_map(spec, n, n, 1, rng.sample(range(n), n))
+        xs = [x for d in {1, 2, m} if m % d == 0
+              for x in (Matrix.identity(spec, d), random_matrix(spec, d, d, rng))]
+        for left, right in _map_pairs(spec, m, n, rng):
+            moved = image_distances(compose(sigma, left), compose(sigma, right), xs)
+            assert moved == image_distances(left, right, xs)
+            seen.update(r.as_fraction() for r in moved)
+    assert 0 in seen and len(seen) > 2
 
 
 def test_image_distance_refuses_other_shapes_and_twists(gf3):

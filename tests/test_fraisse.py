@@ -325,6 +325,13 @@ def _twist_conjugator(cert):
     emb.conjugator = emb.conjugator * (Matrix.identity(spec, n) + Matrix.unit(spec, n, 1, 2))
 
 
+def _move_image(cert, index=2):
+    """Swap the first two images of a map's permutation: its conjugator stays a permutation,
+    with no twist, but is another one."""
+    emb = cert.maps[index].embedding
+    emb._images = emb._images[1::-1] + emb._images[2:]
+
+
 _ALTERATIONS = {
     "rounds": lambda c: setattr(c, "rounds", 2),
     "rounds without its last map": lambda c: (setattr(c, "maps", c.maps[:2]),
@@ -339,6 +346,7 @@ _ALTERATIONS = {
     "map target": lambda c: setattr(c.maps[1].embedding, "n", 24),
     "map multiplicity": lambda c: setattr(c.maps[2].embedding, "mult", 4),
     "map conjugator": _twist_conjugator,
+    "map image moved": _move_image,
     "all tolerances and round-trip bounds": _loosen,
     "round-trip map index": lambda c: setattr(c.round_trips[1], "map_index", 1),
     "round-trip bound": lambda c: setattr(c.round_trips[0], "bound", Fraction(2)),
@@ -365,6 +373,27 @@ def test_verify_certificate_rejects_altered_field(gf3, alteration):
     assert cert.stage_pairs == ((0, 0), (3, 1), (4, 7))
     _ALTERATIONS[alteration](cert)
     assert verify_certificate(cert, fact, pows, probes) is False
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_verify_certificate_beyond_any_dense_conjugator(q, monkeypatch):
+    # the last map is M_5040 -> M_32768: a dense conjugator would hold 2^30 entries, so the
+    # replay must compare every map by its images and build no conjugator at all
+    spec = field_for_order(q)
+    fx, pw = tower_make("factorial", 8, spec), tower_make("powers_of_2", 16, spec)
+    probes = [fx.one_at(0), *pw.generators_at(1), pw.one_at(1)]
+    cert = back_and_forth(fx, pw, 3, probes, 0, 5)
+    assert cert.stage_pairs == ((0, 5), (6, 6), (7, 15))
+    last = cert.maps[2].embedding
+    assert (last.m, last.n, last.mult) == (5040, 32768, 6)
+    built = []
+    times_permutation = embeddings._times_permutation
+    monkeypatch.setattr(embeddings, "_times_permutation",
+                        lambda *args: built.append(args) or times_permutation(*args))
+    assert verify_certificate(cert, fx, pw, probes) is True
+    _move_image(cert)
+    assert verify_certificate(cert, fx, pw, probes) is False
+    assert built == []
 
 
 def test_back_and_forth_successive_row_takes_stage_from_stage_pairs(gf2):
