@@ -1,4 +1,5 @@
 import io
+import math
 import time
 
 import pytest
@@ -339,6 +340,25 @@ def test_copies_command_small():
                       "--method", "both"])
     assert code == 0
     assert "agree" in out
+
+
+def _closed_form_copies(q, a, b):
+    """Skolem-Noether's count |GL_b| (q - 1) / (|GL_a| |GL_(b/a)|), from the order formula."""
+    def gl(n):
+        return math.prod(q ** n - q ** i for i in range(n))
+    return gl(b) * (q - 1) // (gl(a) * gl(b // a))
+
+
+@pytest.mark.parametrize("q, a, b", [(2, 1, 2), (2, 2, 4), (3, 1, 3), (3, 2, 2), (4, 1, 2),
+                                     (5, 1, 2)])
+def test_copies_reports_the_closed_form_by_every_method(q, a, b):
+    k = _closed_form_copies(q, a, b)
+    expected = {"brute_force": f"k {k} method brute_force\n",
+                "orbit_stabilizer": f"k {k} method orbit_stabilizer\n",
+                "both": f"k {k} brute_force {k} orbit_stabilizer {k} agree\n"}
+    for method, line in expected.items():
+        argv = ["copies", "--a", str(a), "--b", str(b), "--q", str(q), "--method", method]
+        assert _run(argv) == (0, line)
 
 
 def test_copies_too_large_exit_3():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -539,6 +540,39 @@ def test_equal_tower_elements_hash_equal(gf3):
     x = Matrix(gf3, 2, 2, [1, 2, 0, 0])
     low, high = t.element(1, x), t.element(3, iota(8, 2, x))
     assert low == high and hash(low) == hash(high) and len({low, high, one_0}) == 2
+
+
+def test_back_and_forth_grid_digest():
+    # every run of the grid over q = 2-5, both tower orders on each side, rounds 1-4 and
+    # start stages 0-2, once with probes at stage 0 and once with probes at stage 2 only
+    # (which no round trip into stage 0 or 1 reaches): each certificate's report, each map's
+    # images and twist and its verify verdict, or each refusal's class and message, hashed
+    digest, tally = hashlib.sha256(), {}
+    for q in (2, 3, 4, 5):
+        spec = field_for_order(q)
+        for rule_x, rule_y in itertools.product(sorted(_SURVEY_TOWERS), repeat=2):
+            tx = tower_make(rule_x, _SURVEY_TOWERS[rule_x], spec)
+            ty = tower_make(rule_y, _SURVEY_TOWERS[rule_y], spec)
+            probe_sets = [[*tx.generators_at(0), tx.one_at(0), ty.one_at(0)],
+                          [tx.one_at(2), ty.one_at(2)]]
+            for probes, rounds, start in itertools.product(
+                    probe_sets, range(1, 5), itertools.product(range(3), repeat=2)):
+                try:
+                    cert = back_and_forth(tx, ty, rounds, probes, *start)
+                except RankMetricError as exc:
+                    kind, line = type(exc).__name__, f"{type(exc).__name__}: {exc}"
+                else:
+                    maps = [(m.embedding._images, None if m.embedding._twist is None
+                             else tuple(t.entries for t in m.embedding._twist))
+                            for m in cert.maps]
+                    kind = "certificate"
+                    line = f"{cert.to_text()}{maps}{verify_certificate(cert, tx, ty, probes)}"
+                tally[kind] = tally.get(kind, 0) + 1
+                digest.update(line.encode() + b"\n")
+    assert tally == {"certificate": 564, "BoundsNotMet": 92, "TowerPrefixTooShort": 176,
+                     "EmptyRoundTrip": 320}
+    assert digest.hexdigest() == (
+        "12119064d509c7778197dedc0d9c44ef861fd8b5f4c2e400daccbee087578931")
 
 
 def test_back_and_forth_refuses_final_error_above_bound(gf2):
