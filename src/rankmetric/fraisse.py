@@ -199,12 +199,10 @@ def approximate_extension(phi: DeltaEmbedding, tower: Tower,
             f"source dimension {m_k} is not a realized tower stage"
         ) from None
     n = phi.n
-    k_prime = None
-    for idx in range(k, len(tower.dims)):
-        if delta_prime * tower.dims[idx] > n:
-            k_prime = idx
+    for k_prime in range(k, len(tower.dims)):
+        if delta_prime * tower.dims[k_prime] > n:
             break
-    if k_prime is None:
+    else:
         raise TowerPrefixTooShort(
             f"no realized stage satisfies {delta_prime} * m > {n}"
         )
@@ -332,7 +330,6 @@ def back_and_forth(tower_x: Tower, tower_y: Tower, rounds: int, probes,
     probes = list(probes)
 
     towers = {"x": tower_x, "y": tower_y}
-    stages = {"x": [start_x], "y": [start_y]}
     round_trips = []
     successive = []
 
@@ -346,19 +343,24 @@ def back_and_forth(tower_x: Tower, tower_y: Tower, rounds: int, probes,
         prev = maps[-1]
         # bump the tower prev maps into, then extend back into its source
         home_side, bump_side = prev.direction
-        home_stages, bump_stages = stages[home_side], stages[bump_side]
-        if bump_stages[-1] + 1 >= len(towers[bump_side].dims):
+        home_stage, bump_stage = (stage_pairs[-1]["xy".index(side)] for side in prev.direction)
+        dims = towers[bump_side].dims[bump_stage:bump_stage + 2]
+        if len(dims) < 2:
             raise TowerPrefixTooShort("target tower prefix exhausted")
-        bumped = _bump(towers[bump_side], bump_stages[-1], prev.embedding)
-        bump_stages.append(bump_stages[-1] + 1)
+        bumped = compose(iota_embedding(dims[1], dims[0], tower_x.spec), prev.embedding)
         landing, psi, _ = approximate_extension(bumped, towers[home_side], tol)
-        if landing < home_stages[-1]:
+        if landing < home_stage:
             raise TowerPrefixTooShort("extension landed before current stage")
-        home_stages.append(landing)
         maps.append(MapRecord(t, bump_side + home_side, psi, tol))
-        round_trips.append(_round_trip(prev, maps[t], bumped, towers[home_side],
-                                       home_stages[-2], probes))
-        stage_pairs.append((stages["x"][-1], stages["y"][-1]))
+        # the round trip: psi after the bumped prev, against the straight inclusion
+        composite = compose(psi, bumped)
+        errors = _probe_errors(probes, towers[home_side], home_stage, composite,
+                               iota_embedding(psi.n, composite.m, tower_x.spec))
+        if not errors:
+            raise EmptyRoundTrip(f"round trip {t} has no probe at or below home stage {home_stage}")
+        round_trips.append(RoundTrip(t, prev.tolerance + tol, errors))
+        stage = {home_side: landing, bump_side: bump_stage + 1}
+        stage_pairs.append((stage["x"], stage["y"]))
 
         if t >= 2:
             successive.append(_successive(maps[t - 2], maps[t], towers,
@@ -370,12 +372,6 @@ def back_and_forth(tower_x: Tower, tower_y: Tower, rounds: int, probes,
     return cert
 
 
-def _bump(tower: Tower, stage: int, emb: DeltaEmbedding) -> DeltaEmbedding:
-    """emb followed by the tower inclusion from ``stage`` to the next stage."""
-    bump = iota_embedding(tower.dims[stage + 1], tower.dims[stage], tower.spec)
-    return compose(bump, emb)
-
-
 def _probe_errors(probes, tower: Tower, stage: int, left: DeltaEmbedding,
                   right: DeltaEmbedding) -> list[ProbeError]:
     """Exact distance between ``left`` and ``right`` (maps out of ``stage``) on each probe
@@ -385,19 +381,6 @@ def _probe_errors(probes, tower: Tower, stage: int, left: DeltaEmbedding,
     reach = [(idx, p.value) for idx, p in enumerate(probes) if p.tower is tower and p.stage <= stage]
     dists = image_distances(left, right, [x for _, x in reach])
     return [ProbeError(idx, dist.as_fraction()) for (idx, _), dist in zip(reach, dists)]
-
-
-def _round_trip(prev: MapRecord, new: MapRecord, bumped_prev: DeltaEmbedding,
-                home_tower: Tower, home_stage: int, probes) -> RoundTrip:
-    """Errors of new o (bumped prev) against the straight inclusion."""
-    composite = compose(new.embedding, bumped_prev)
-    straight = iota_embedding(new.embedding.n, composite.m, home_tower.spec)
-    errors = _probe_errors(probes, home_tower, home_stage, composite, straight)
-    if not errors:
-        raise EmptyRoundTrip(
-            f"round trip {new.index} has no probe at or below home stage {home_stage}"
-        )
-    return RoundTrip(new.index, prev.tolerance + new.tolerance, errors)
 
 
 def _successive(older: MapRecord, newer: MapRecord, towers: dict, stage_pairs,

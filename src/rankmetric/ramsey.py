@@ -6,9 +6,9 @@ copy is a hashable value and censuses are exact. A census walks GL_b on
 unit codes by cosets of the standard copy's stabilizer H = GL_a (x)
 GL_(b/a), drawn from ``iterate_units`` (GL_b itself if a is 1 or b), keys
 one unit per coset and checks that the cosets tile GL_b
-(``coset_span_keys``). Counting runs two ways, distinct keys and the
-orbit-stabilizer quotient, which must agree; the bound 64 eps^-2
-max(log 2k, log 6 ceil(1/eps)) takes k from Skolem-Noether's closed form, and
+(``coset_span_keys``). One walk gives both counts, distinct keys and the
+orbit-stabilizer quotient, and both must equal Skolem-Noether's closed form k;
+the bound 64 eps^-2 max(log 2k, log 6 ceil(1/eps)) takes k from that form, and
 certified rational log enclosures make the returned multiple of b exact. Every
 enumeration of GL_n is guarded: infeasible sizes fail fast with ``TooLarge``.
 """
@@ -109,25 +109,30 @@ def _copy_units(a: int, b: int, spec: FieldSpec) -> dict:
     return {copy_fingerprint(key, spec, b): g for g, key, _ in _coset_walk(b, b // a, spec)}
 
 
+def _closed_form(a: int, b: int, q: int) -> int:
+    """Skolem-Noether's count of the copies of M_a in M_b: |GL_b| (q - 1) / |GL_a| |GL_(b/a)|."""
+    return gl_order(b, q) * (q - 1) // (gl_order(a, q) * gl_order(b // a, q))
+
+
 def count_copies(a: int, b: int, q_or_spec, method: str = "brute_force") -> int:
     """Number of embedded copies of M_a in M_b.
 
-    Both walk the units once by cosets of H = GL_a (x) GL_(b/a) (``coset_span_keys``).
-    ``brute_force`` counts distinct keys; ``orbit_stabilizer`` divides sl_order(b, q)
-    by the stabilizer of the standard copy modulo scalars, |H| times the cosets keyed
-    like it, and checks orbit times stabilizer against |GL_b|. ``TooLarge`` guards both.
-    Both check the closed form |GL_b| (q - 1) / |GL_a| |GL_(b/a)| of ``ramsey_dimension``.
+    One walk of the units by cosets of H = GL_a (x) GL_(b/a) (``coset_span_keys``, guarded
+    by ``TooLarge``) gives both counts: ``brute_force``, the distinct keys, and
+    ``orbit_stabilizer``, sl_order(b, q) divided by the stabilizer of the standard copy
+    modulo scalars, |H| times the cosets keyed like it, with orbit times stabilizer checked
+    against |GL_b|. Both must equal the closed form |GL_b| (q - 1) / |GL_a| |GL_(b/a)| of
+    ``ramsey_dimension``, else ``InvariantViolated``; ``method`` names the count returned.
     """
     spec = q_or_spec if isinstance(q_or_spec, FieldSpec) else field_for_order(q_or_spec)
     _check_enumeration(b, spec.q)  # before base_copy_basis builds b x b matrices
     if method not in ("brute_force", "orbit_stabilizer"):
         raise InvalidParameter(f"unknown method {method!r}")
     base_copy_basis(a, b, spec)  # a must divide b
-    walk = _coset_walk(b, b // a, spec)
-    if method == "brute_force":
-        return len({key for _, key, _ in walk})
     base_key = span_key(Matrix.identity(spec, b), b // a)
-    stab = sum(size for _, key, size in walk if key == base_key)
+    walk = [(key, size) for _, key, size in _coset_walk(b, b // a, spec)]
+    distinct = len({key for key, _ in walk})
+    stab = sum(size for key, size in walk if key == base_key)
     q, aut, units = spec.q, sl_order(b, spec.q), gl_order(b, spec.q)
     # the q - 1 scalar units lie in the stabilizer, the stabilizer modulo
     # them divides |SL|, and orbit times stabilizer is the unit group
@@ -135,7 +140,11 @@ def count_copies(a: int, b: int, q_or_spec, method: str = "brute_force") -> int:
     if not stab or stab % (q - 1) or rest or k * stab != units:
         raise InvariantViolated(f"orbit-stabilizer fails: stabilizer {stab}, "
                                 f"|SL| {aut}, units {units}")
-    return k
+    closed = _closed_form(a, b, q)
+    if not distinct == k == closed:
+        raise InvariantViolated(f"copy counts disagree: {distinct} distinct keys, "
+                                f"orbit-stabilizer {k}, closed form {closed}")
+    return distinct if method == "brute_force" else k
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +192,10 @@ def copy_distance(s: tuple, t: tuple, spec: FieldSpec, ambient: int) -> Fraction
         worst = 0
         # both spans contain 0, so an element's distance to the other span
         # is at most its own rank: ranks at or below worst cannot raise it
-        for xa in ps:
-            if table[xa] > worst:
-                worst = max(worst, min(table[xa ^ xb] for xb in pt))
-        for xb in pt:
-            if table[xb] > worst:
-                worst = max(worst, min(table[xa ^ xb] for xa in ps))
+        for one, other in ((ps, pt), (pt, ps)):
+            for x in one:
+                if table[x] > worst:
+                    worst = max(worst, min(table[x ^ y] for y in other))
         return Fraction(worst, ambient)
     es = copy_elements(s, spec, ambient)
     et = copy_elements(t, spec, ambient)
@@ -198,15 +205,11 @@ def copy_distance(s: tuple, t: tuple, spec: FieldSpec, ambient: int) -> Fraction
                    [spec.sub_v(x, y) for x, y in zip(u, v)])
         return rank(m)
 
+    # rank(u - v) = rank(v - u), so each side's elements are measured the same way
     worst = 0
-    for u in es:
-        best = min(dist(u, v) for v in et)
-        if best > worst:
-            worst = best
-    for v in et:
-        best = min(dist(u, v) for u in es)
-        if best > worst:
-            worst = best
+    for one, other in ((es, et), (et, es)):
+        for u in one:
+            worst = max(worst, min(dist(u, v) for v in other))
     return Fraction(worst, ambient)
 
 
@@ -219,15 +222,13 @@ class Coloring:
     grouped by value, so each distinct value's gap is computed once.
     """
 
-    __slots__ = ("evaluator", "a_dim", "c_dim", "spec", "name", "_cache", "_by_value")
+    __slots__ = ("evaluator", "a_dim", "c_dim", "spec", "_cache", "_by_value")
 
-    def __init__(self, evaluator, a_dim: int, c_dim: int, spec: FieldSpec,
-                 name: str = "custom"):
+    def __init__(self, evaluator, a_dim: int, c_dim: int, spec: FieldSpec):
         self.evaluator = evaluator
         self.a_dim = a_dim
         self.c_dim = c_dim
         self.spec = spec
-        self.name = name
         self._cache: dict[tuple, Fraction] = {}
         # value -> [(evaluation index, fingerprint, value)] in evaluation order
         self._by_value: dict[Fraction, list] = {}
@@ -260,16 +261,13 @@ class Coloring:
 
 def constant_coloring(value, a_dim: int, c_dim: int, spec: FieldSpec) -> Coloring:
     v = Fraction(value)
-    return Coloring(lambda fp: v, a_dim, c_dim, spec, name=f"constant:{v}")
+    return Coloring(lambda fp: v, a_dim, c_dim, spec)
 
 
 def distance_to_copy_coloring(base_fp: tuple, a_dim: int, c_dim: int,
                               spec: FieldSpec) -> Coloring:
     """gamma(S) = Hausdorff distance from S to a fixed copy (1-Lipschitz)."""
-    return Coloring(
-        lambda fp: copy_distance(fp, base_fp, spec, c_dim),
-        a_dim, c_dim, spec, name="distance-to-copy",
-    )
+    return Coloring(lambda fp: copy_distance(fp, base_fp, spec, c_dim), a_dim, c_dim, spec)
 
 
 def oscillation(gamma: Coloring, copies) -> Fraction:
@@ -368,7 +366,7 @@ def ramsey_dimension(a: int, b: int, q: int, eps, k_mode: str = "auto") -> Bound
     if a < b and k_mode != "envelope":
         try:
             _check_enumeration(b, q)
-            k = gl_order(b, q) * (q - 1) // (gl_order(a, q) * gl_order(b // a, q))
+            k = _closed_form(a, b, q)
         except TooLarge:
             if k_mode == "exact":
                 raise

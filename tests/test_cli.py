@@ -166,6 +166,27 @@ def test_amalgamate_command(tmp_path, gf2, rng):
     assert "c 24" in out and "commutes exact" in out
 
 
+def test_amalgamate_square_that_does_not_commute_exit_2(tmp_path, gf2, rng, monkeypatch):
+    import rankmetric.cli as cli
+
+    phi0 = Homomorphism.inclusion(4, 2, gf2).conjugate(random_unit(gf2, 4, rng))
+    phi1 = Homomorphism.inclusion(6, 2, gf2).conjugate(random_unit(gf2, 6, rng))
+    p0, p1 = tmp_path / "p0.txt", tmp_path / "p1.txt"
+    p0.write_text(phi0.to_text())
+    p1.write_text(phi1.to_text())
+    amalgamate, twist = cli.amalgamate, random_unit(gf2, 24, rng)
+
+    def broken(phi0, phi1):
+        # one leg conjugated by a unit the square does not absorb
+        c, psi0, psi1 = amalgamate(phi0, phi1)
+        return c, psi0, psi1.conjugate(twist)
+
+    monkeypatch.setattr(cli, "amalgamate", broken)
+    code, out = _run(["amalgamate", "--phi0", str(p0), "--phi1", str(p1)])
+    assert code == 2
+    assert out.startswith("error InvariantViolated: ") and out.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["homog", "repair", "extend", "amalgamate"])
 def test_unwritable_output_prints_only_the_error(command, tmp_path, gf2):
     # the report is complete before the output file fails to open; none of it may show
@@ -359,6 +380,27 @@ def test_copies_reports_the_closed_form_by_every_method(q, a, b):
     for method, line in expected.items():
         argv = ["copies", "--a", str(a), "--b", str(b), "--q", str(q), "--method", method]
         assert _run(argv) == (0, line)
+
+
+@pytest.mark.parametrize("method", ["brute_force", "orbit_stabilizer", "both"])
+def test_copies_walks_the_units_once(monkeypatch, method):
+    import rankmetric.ramsey as rp
+
+    walks, walk = [], rp._coset_walk
+    monkeypatch.setattr(rp, "_coset_walk", lambda *args: walks.append(args) or walk(*args))
+    assert _run(["copies", "--a", "2", "--b", "4", "--q", "2", "--method", method])[0] == 0
+    assert len(walks) == 1
+
+
+def test_copies_counts_that_disagree_exit_2(monkeypatch):
+    import rankmetric.ramsey as rp
+
+    closed_form = rp._closed_form
+    monkeypatch.setattr(rp, "_closed_form", lambda *args: closed_form(*args) + 1)
+    for method in ("brute_force", "orbit_stabilizer", "both"):
+        assert _run(["copies", "--a", "2", "--b", "4", "--q", "2", "--method", method]) == (
+            2, "error InvariantViolated: copy counts disagree: 560 distinct keys, "
+               "orbit-stabilizer 560, closed form 561\n")
 
 
 def test_copies_too_large_exit_3():

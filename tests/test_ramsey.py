@@ -71,6 +71,32 @@ def test_orbit_stabilizer_identity_failure_raises(gf2, monkeypatch):
         count_copies(1, 2, gf2, "orbit_stabilizer")
 
 
+def _tampered_walk(rp, monkeypatch, change):
+    """Patch ramsey's coset walk so that ``change`` rewrites its list of (unit, key, size)."""
+    walk = rp._coset_walk
+    monkeypatch.setattr(rp, "_coset_walk", lambda *args: change(list(walk(*args))))
+
+
+@pytest.mark.parametrize("method", ["brute_force", "orbit_stabilizer"])
+@pytest.mark.parametrize("tamper", ["extra key", "stabilizer", "closed form"])
+def test_count_copies_raises_unless_all_three_counts_agree(gf2, monkeypatch, method, tamper):
+    import rankmetric.ramsey as rp
+
+    base_key = rp.span_key(Matrix.identity(gf2, 4), 2)
+    if tamper == "extra key":  # a key no coset of GL_4(2) has
+        _tampered_walk(rp, monkeypatch, lambda walk: walk + [(walk[0][0], ("extra",), 0)])
+    elif tamper == "stabilizer":
+        # twice the stabilizer and half the orbit still multiply to |GL_4(2)| = 20,160, so
+        # only the distinct keys (560) and the closed form can tell
+        _tampered_walk(rp, monkeypatch, lambda walk: [
+            (g, key, 2 * size if key == base_key else size) for g, key, size in walk])
+    else:
+        closed_form = rp._closed_form
+        monkeypatch.setattr(rp, "_closed_form", lambda *args: closed_form(*args) + 1)
+    with pytest.raises(InvariantViolated, match="^copy counts disagree: "):
+        count_copies(2, 4, gf2, method)
+
+
 def test_sl_order_22_against_enumeration(gf2):
     # oracle: count invertible 2x2 matrices over GF(2) with determinant 1
     count = 0
