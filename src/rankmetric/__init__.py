@@ -8,7 +8,13 @@ defect measurement and repair of approximate generator pairs
 back-and-forth errors (:mod:`rankmetric.fraisse`), and copy counting with
 explicit partition-dimension bounds (:mod:`rankmetric.ramsey`). All
 arithmetic is exact; nothing here ever rounds.
+
+``embeddings``, ``stability`` and ``fraisse`` run only on the first access to one
+of their attributes, so a process that only counts copies never compiles them.
 """
+
+import importlib.util as _util
+import sys as _sys
 
 from .errors import RankMetricError
 from .gf import FieldElement, FieldSpec, field_make
@@ -23,34 +29,6 @@ from .matrix import (
     rank,
     rank_distance,
 )
-from .embeddings import (
-    DeltaEmbedding,
-    Homomorphism,
-    amalgamate,
-    iota,
-    iota_embedding,
-    skolem_noether_conjugator,
-)
-from .stability import (
-    RelationDefect,
-    RepairCertificate,
-    relation_defect,
-    repair,
-    v_space,
-    w_chain,
-)
-from .fraisse import (
-    BackForthCertificate,
-    Tower,
-    TowerElement,
-    approximate_extension,
-    approximate_homogeneity,
-    back_and_forth,
-    include_to,
-    inner_approximate,
-    tower_make,
-    verify_certificate,
-)
 from .ramsey import (
     Coloring,
     copy_distance,
@@ -60,5 +38,34 @@ from .ramsey import (
     ramsey_dimension,
     sl_order,
 )
+
+# the names re-exported from each lazily loaded module
+_LAZY = {
+    "embeddings": ("DeltaEmbedding", "Homomorphism", "amalgamate", "iota", "iota_embedding",
+                   "skolem_noether_conjugator"),
+    "stability": ("RelationDefect", "RepairCertificate", "relation_defect", "repair",
+                  "v_space", "w_chain"),
+    "fraisse": ("BackForthCertificate", "Tower", "TowerElement", "approximate_extension",
+                "approximate_homogeneity", "back_and_forth", "include_to", "inner_approximate",
+                "tower_make", "verify_certificate"),
+}
+_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+for _name in _LAZY:
+    _full = f"{__name__}.{_name}"
+    if _full not in _sys.modules:  # a reload keeps the modules already registered
+        _spec = _util.find_spec(_full)
+        _spec.loader = _util.LazyLoader(_spec.loader)
+        _sys.modules[_full] = _util.module_from_spec(_spec)
+        _spec.loader.exec_module(_sys.modules[_full])
+    globals()[_name] = _sys.modules[_full]
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_OWNER)
+
+
+def __getattr__(name):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_OWNER[name]], name)
+
 
 __version__ = "0.1.0"

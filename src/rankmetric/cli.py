@@ -28,22 +28,7 @@ from .matrix import (
     read_matrix,
     write_matrix,
 )
-from .embeddings import (
-    DeltaEmbedding,
-    Homomorphism,
-    amalgamate,
-    iota,
-    read_header,
-    skolem_noether_conjugator,
-)
-from .stability import relation_defect, repair
-from .fraisse import (
-    approximate_extension,
-    approximate_homogeneity,
-    back_and_forth,
-    tower_make,
-)
-from . import ramsey as _ramsey
+from . import embeddings, fraisse, ramsey, stability
 
 
 def _guard_dim(n: int):
@@ -111,7 +96,7 @@ def _cmd_gens(args, out):
     spec = field_for_order(args.q)
     a, b = kassabov_generators(args.n, spec)
     text = write_matrix(a) + write_matrix(b)
-    d = relation_defect(a, b, args.n)
+    d = stability.relation_defect(a, b, args.n)
     nums, den = d.components_over_common_denominator()
     text += "defect " + " ".join(f"{v}/{den}" for v in nums) + "\n"
     _emit_or_write(out, args.out, text)
@@ -120,7 +105,7 @@ def _cmd_gens(args, out):
 def _cmd_iota(args, out):
     x = _load_matrix(args.input)
     _guard_dim(args.n)
-    y = iota(args.n, args.m, x)
+    y = embeddings.iota(args.n, args.m, x)
     text = write_matrix(y)
     _emit_or_write(out, args.out, text)
 
@@ -134,12 +119,12 @@ def _read_pair(path: str):
 
 def _cmd_defect(args, out):
     x, y = _read_pair(args.input)
-    out.write(relation_defect(x, y, args.n).to_text())
+    out.write(stability.relation_defect(x, y, args.n).to_text())
 
 
 def _cmd_repair(args, out):
     x, y = _read_pair(args.input)
-    psi, _, cert = repair(x, y, args.n)
+    psi, _, cert = stability.repair(x, y, args.n)
     out.write(cert.to_text())
     if args.out:
         _write_text(args.out, psi.to_text())
@@ -149,27 +134,27 @@ def _load(cls, path: str):
     """A DELTA (``DeltaEmbedding``) or HOM (``Homomorphism``) file, its target
     dimension checked from the header before any matrix is inverted or validated."""
     text = _read_text(path)
-    keyword, fields = ("DELTA", 3) if cls is DeltaEmbedding else ("HOM", 2)
-    _guard_dim(read_header(text, keyword, fields)[0][1])
+    keyword, fields = ("DELTA", 3) if cls is embeddings.DeltaEmbedding else ("HOM", 2)
+    _guard_dim(embeddings.read_header(text, keyword, fields)[0][1])
     return cls.from_text(text)
 
 
 def _cmd_homog(args, out):
-    phi = _load(DeltaEmbedding, args.phi)
-    psi = _load(DeltaEmbedding, args.psi)
-    beta, residual = approximate_homogeneity(phi, psi)
+    phi = _load(embeddings.DeltaEmbedding, args.phi)
+    psi = _load(embeddings.DeltaEmbedding, args.psi)
+    beta, residual = fraisse.approximate_homogeneity(phi, psi)
     out.write(f"residual {residual.numerator}/{residual.denominator}\n")
     text = write_matrix(beta)
     _emit_or_write(out, args.out, text)
 
 
 def _cmd_extend(args, out):
-    phi = _load(DeltaEmbedding, args.phi)
+    phi = _load(embeddings.DeltaEmbedding, args.phi)
     _guard_dim(args.prefix - 1)  # a lower bound on the last stage's dimension
-    tower = tower_make(args.tower, args.prefix, phi.spec)
+    tower = fraisse.tower_make(args.tower, args.prefix, phi.spec)
     for d in tower.dims:
         _guard_dim(d)
-    k_prime, psi, err = approximate_extension(phi, tower, _fraction(args.delta_prime))
+    k_prime, psi, err = fraisse.approximate_extension(phi, tower, _fraction(args.delta_prime))
     out.write(f"k_prime {k_prime}\n")
     out.write(f"stage_dim {tower.dims[k_prime]}\n")
     out.write(f"commute_error {err.numerator}/{err.denominator}\n")
@@ -180,8 +165,8 @@ def _cmd_extend(args, out):
 def _cmd_backforth(args, out):
     spec = field_for_order(args.q)
     _guard_dim(max(args.prefix_x, args.prefix_y) - 1)  # as in extend
-    tower_x = tower_make(args.tower_x, args.prefix_x, spec)
-    tower_y = tower_make(args.tower_y, args.prefix_y, spec)
+    tower_x = fraisse.tower_make(args.tower_x, args.prefix_x, spec)
+    tower_y = fraisse.tower_make(args.tower_y, args.prefix_y, spec)
     for d in (*tower_x.dims, *tower_y.dims):
         _guard_dim(d)
     probes = []
@@ -193,15 +178,15 @@ def _cmd_backforth(args, out):
             raise FormatError(f"expected a probe like x:0 or y:1, got {item!r}") from None
         a, b = tower.generators_at(stage)
         probes.extend([a, b, tower.one_at(stage)])
-    cert = back_and_forth(tower_x, tower_y, args.rounds, probes)
+    cert = fraisse.back_and_forth(tower_x, tower_y, args.rounds, probes)
     out.write(cert.to_text())
 
 
 def _cmd_amalgamate(args, out):
-    phi0 = _load(Homomorphism, args.phi0)
-    phi1 = _load(Homomorphism, args.phi1)
+    phi0 = _load(embeddings.Homomorphism, args.phi0)
+    phi1 = _load(embeddings.Homomorphism, args.phi1)
     _guard_dim(phi0.n * phi1.n)
-    c, psi0, psi1 = amalgamate(phi0, phi1)
+    c, psi0, psi1 = embeddings.amalgamate(phi0, phi1)
     out.write(f"c {c}\n")
     if any(psi0.apply(phi0.apply(g)) != psi1.apply(phi1.apply(g))
            for g in kassabov_generators(phi0.m, phi0.spec)):
@@ -214,23 +199,23 @@ def _cmd_amalgamate(args, out):
 
 
 def _cmd_conjugator(args, out):
-    phi0 = _load(Homomorphism, args.phi0)
-    phi1 = _load(Homomorphism, args.phi1)
-    u = skolem_noether_conjugator(phi0, phi1)
+    phi0 = _load(embeddings.Homomorphism, args.phi0)
+    phi1 = _load(embeddings.Homomorphism, args.phi1)
+    u = embeddings.skolem_noether_conjugator(phi0, phi1)
     text = write_matrix(u)
     _emit_or_write(out, args.out, text)
 
 
 def _cmd_slorder(args, out):
     _guard_dim(args.n)
-    out.write(f"slorder {_ramsey.sl_order(args.n, args.q)}\n")
+    out.write(f"slorder {ramsey.sl_order(args.n, args.q)}\n")
 
 
 def _cmd_copies(args, out):
     spec = field_for_order(args.q)
     _guard_dim(args.b)
     method = "brute_force" if args.method == "both" else args.method
-    k = _ramsey.count_copies(args.a, args.b, spec, method)
+    k = ramsey.count_copies(args.a, args.b, spec, method)
     if args.method == "both":
         out.write(f"k {k} brute_force {k} orbit_stabilizer {k} agree\n")
     else:
@@ -239,8 +224,7 @@ def _cmd_copies(args, out):
 
 def _cmd_ramsey_bound(args, out):
     _guard_dim(args.b)
-    rep = _ramsey.ramsey_dimension(args.a, args.b, args.q,
-                                   _fraction(args.eps), args.k_mode)
+    rep = ramsey.ramsey_dimension(args.a, args.b, args.q, _fraction(args.eps), args.k_mode)
     out.write(f"k={rep.k} bound~{rep.bound_float:.4f} c={rep.c}\n")
     out.write(f"bound_exact {rep.exact_expression()}\n")
 
@@ -250,16 +234,14 @@ def _cmd_ramsey_search(args, out):
     _guard_dim(args.c)
     if args.coloring.startswith("constant:"):
         value = _fraction(args.coloring.split(":", 1)[1])
-        gamma = _ramsey.constant_coloring(value, args.a, args.c, spec)
+        gamma = ramsey.constant_coloring(value, args.a, args.c, spec)
     elif args.coloring == "distance-to-copy":
-        base = _ramsey.span_fingerprint(
-            _ramsey.base_copy_basis(args.a, args.c, spec), spec, args.c)
-        gamma = _ramsey.distance_to_copy_coloring(base, args.a, args.c, spec)
+        base = ramsey.span_fingerprint(ramsey.base_copy_basis(args.a, args.c, spec), spec, args.c)
+        gamma = ramsey.distance_to_copy_coloring(base, args.a, args.c, spec)
     else:
         raise FormatError(f"unknown coloring {args.coloring!r}")
-    rep = _ramsey.monochromatic_search(args.b, args.c, gamma,
-                                       _fraction(args.eps), args.strategy,
-                                       seed=args.seed, trials=args.trials)
+    rep = ramsey.monochromatic_search(args.b, args.c, gamma, _fraction(args.eps), args.strategy,
+                                      seed=args.seed, trials=args.trials)
     out.write(rep.to_text())
 
 

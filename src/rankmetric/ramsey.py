@@ -181,35 +181,45 @@ def copy_distance(s: tuple, t: tuple, spec: FieldSpec, ambient: int) -> Fraction
     """Hausdorff distance between two copies under the rank metric.
 
     Both spans are expanded to their full (guarded) element sets; the
-    distance is exact and symmetric by construction.
+    distance is exact and symmetric by construction. A nearest-element search stops at the
+    first element within the distance found so far (Taha & Hanbury, IEEE TPAMI 2015).
     """
     if s == t:
         return Fraction(0)
+    worst = 0
     table = rank_table(spec, ambient)
     if table is not None:
         ps = _packed_elements(s, ambient)
         pt = _packed_elements(t, ambient)
-        worst = 0
         # both spans contain 0, so an element's distance to the other span
         # is at most its own rank: ranks at or below worst cannot raise it
         for one, other in ((ps, pt), (pt, ps)):
             for x in one:
                 if table[x] > worst:
-                    worst = max(worst, min(table[x ^ y] for y in other))
+                    nearest = ambient
+                    for y in other:
+                        d = table[x ^ y]
+                        if d <= worst:
+                            break
+                        if d < nearest:
+                            nearest = d
+                    else:
+                        worst = nearest
         return Fraction(worst, ambient)
     es = copy_elements(s, spec, ambient)
     et = copy_elements(t, spec, ambient)
-
-    def dist(u, v):
-        m = Matrix(spec, ambient, ambient,
-                   [spec.sub_v(x, y) for x, y in zip(u, v)])
-        return rank(m)
-
-    # rank(u - v) = rank(v - u), so each side's elements are measured the same way
-    worst = 0
+    # rank(u - v) = rank(v - u); each span lists 0 first, so u's own rank is measured first
     for one, other in ((es, et), (et, es)):
         for u in one:
-            worst = max(worst, min(dist(u, v) for v in other))
+            nearest = ambient
+            for v in other:
+                d = rank(Matrix(spec, ambient, ambient,
+                                [spec.sub_v(x, y) for x, y in zip(u, v)]))
+                if d <= worst:
+                    break
+                nearest = min(nearest, d)
+            else:
+                worst = nearest
     return Fraction(worst, ambient)
 
 

@@ -24,7 +24,8 @@ generator step per index, as the embeddings did before they built them from
 ranges and slices. ``solve``, ``delta_for_target``, ``subspace_sum``,
 ``annihilator`` and ``intersect`` left the library, which no longer
 called them, and ``direct_sum`` and ``enumerate_elements``, which only tests
-called; ``mat_vec``, ``by_columns`` and ``residual_matrix``
+called; ``hausdorff_by_ranks`` measures two copies from every pairwise rank,
+with no early exit; ``mat_vec``, ``by_columns`` and ``residual_matrix``
 write out a product with one column, a matrix given by its columns and
 the relation residual, which the library no longer offers as calls.
 Slow on purpose; only for small inputs.
@@ -525,6 +526,21 @@ def product_search(b_dim: int, c_dim: int, gamma, eps, strategy="exhaustive",
         if osc <= eps:
             return rp.SearchReport(True, fp_b, osc, examined, label, eps)
     return rp.SearchReport(False, best_fp, best_osc, examined, label, eps)
+
+
+def hausdorff_by_ranks(s, t, spec: FieldSpec, ambient: int) -> Fraction:
+    """The Hausdorff distance between two spans of flattened ambient x ambient matrices, from
+    the rank of every difference of an element of one and an element of the other, with no
+    early exit. Each span is expanded as every combination of its basis by Matrix sums."""
+    def elements(fp):
+        basis = [Matrix(spec, ambient, ambient, list(vec)) for vec in fp]
+        return [sum((m.scale(c) for m, c in zip(basis, coeffs)), Matrix.zero(spec, ambient))
+                for coeffs in product(range(spec.q), repeat=len(fp))]
+
+    es, et = elements(s), elements(t)
+    worst = max(max(min(mx.rank(u - v) for v in et) for u in es),
+                max(min(mx.rank(u - v) for u in es) for v in et))
+    return Fraction(worst, ambient)
 
 
 def lipschitz_checks(evaluator, fps, c_dim, distance):

@@ -167,21 +167,21 @@ def test_amalgamate_command(tmp_path, gf2, rng):
 
 
 def test_amalgamate_square_that_does_not_commute_exit_2(tmp_path, gf2, rng, monkeypatch):
-    import rankmetric.cli as cli
+    import rankmetric.embeddings as embeddings
 
     phi0 = Homomorphism.inclusion(4, 2, gf2).conjugate(random_unit(gf2, 4, rng))
     phi1 = Homomorphism.inclusion(6, 2, gf2).conjugate(random_unit(gf2, 6, rng))
     p0, p1 = tmp_path / "p0.txt", tmp_path / "p1.txt"
     p0.write_text(phi0.to_text())
     p1.write_text(phi1.to_text())
-    amalgamate, twist = cli.amalgamate, random_unit(gf2, 24, rng)
+    amalgamate, twist = embeddings.amalgamate, random_unit(gf2, 24, rng)
 
     def broken(phi0, phi1):
         # one leg conjugated by a unit the square does not absorb
         c, psi0, psi1 = amalgamate(phi0, phi1)
         return c, psi0, psi1.conjugate(twist)
 
-    monkeypatch.setattr(cli, "amalgamate", broken)
+    monkeypatch.setattr(embeddings, "amalgamate", broken)
     code, out = _run(["amalgamate", "--phi0", str(p0), "--phi1", str(p1)])
     assert code == 2
     assert out.startswith("error InvariantViolated: ") and out.count("\n") == 1

@@ -1,9 +1,11 @@
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import rankmetric.matrix as mx
 from rankmetric.errors import (
     DimensionMismatch,
     InvariantViolated,
@@ -12,8 +14,8 @@ from rankmetric.errors import (
     NotLipschitz,
     TooLarge,
 )
-from rankmetric.gf import field_make
-from rankmetric.matrix import Matrix, rank
+from rankmetric.gf import field_for_order, field_make
+from rankmetric.matrix import Matrix, invert, random_matrix, random_unit
 from rankmetric.ramsey import (
     COPY_ELEMENT_LIMIT,
     Coloring,
@@ -34,7 +36,7 @@ from rankmetric.ramsey import (
     span_fingerprint,
 )
 
-from oracles import det_leibniz
+from oracles import det_leibniz, hausdorff_by_ranks
 
 
 # -- closed-form orders -------------------------------------------------------
@@ -195,8 +197,6 @@ def test_copy_distance_self(gf2):
 def test_copy_distance_symmetric_and_exhaustive_oracle(gf2):
     # oracle: Hausdorff distance via explicit pairwise ranks over the
     # full element sets of two conjugate scalar-span copies in M_2
-    from rankmetric.matrix import invert
-
     mats = base_copy_basis(1, 2, gf2)
     fp0 = span_fingerprint(mats, gf2, 2)
     elements = copy_elements(fp0, gf2, 2)
@@ -207,15 +207,7 @@ def test_copy_distance_symmetric_and_exhaustive_oracle(gf2):
     copies = _copies_m2_f2(gf2)
     s, t = copies[0], copies[1]
     assert copy_distance(s, t, gf2, 4) == copy_distance(t, s, gf2, 4)
-    es = copy_elements(s, gf2, 4)
-    et = copy_elements(t, gf2, 4)
-    def rd(u, v):
-        return rank(Matrix(gf2, 4, 4, [a ^ b for a, b in zip(u, v)]))
-    worst = max(
-        max(min(rd(u, v) for v in et) for u in es),
-        max(min(rd(u, v) for u in es) for v in et),
-    )
-    assert copy_distance(s, t, gf2, 4) == Fraction(worst, 4)
+    assert copy_distance(s, t, gf2, 4) == hausdorff_by_ranks(s, t, gf2, 4)
 
 
 def test_copy_distance_metric_axioms(gf2):
@@ -229,6 +221,73 @@ def test_copy_distance_metric_axioms(gf2):
         dtu = copy_distance(t, u, gf2, 4)
         dsu = copy_distance(s, u, gf2, 4)
         assert dsu <= dst + dtu
+
+
+def _spans(spec, n, count, rng):
+    """Seeded spans of two n x n matrices, as fingerprints. Each after the first adds a
+    matrix of rank at most r, r random, to one basis matrix of an earlier span, so pairs
+    of spans lie at different distances."""
+    bases = [(random_matrix(spec, n, n, rng), random_matrix(spec, n, n, rng))]
+    while len(bases) < count:
+        a, b = rng.choice(bases)
+        r = rng.randrange(1, n + 1)
+        bases.append((b, a + random_matrix(spec, n, r, rng) * random_matrix(spec, r, n, rng)))
+    return [span_fingerprint(list(basis), spec, n) for basis in bases]
+
+
+def test_copy_distance_matches_pairwise_ranks_on_the_packed_path(gf2):
+    # the nearest-element search stops early, yet the distance is the exhaustive one: the
+    # base copy of M_2 in M_4 against every other copy, then seeded pairs of copies
+    copies = _copies_m2_f2(gf2)
+    seen = set()
+    for fp in copies[1:]:
+        d = copy_distance(copies[0], fp, gf2, 4)
+        assert d == hausdorff_by_ranks(copies[0], fp, gf2, 4)
+        seen.add(d)
+    assert len(seen) > 1
+    rng = random.Random(2901)
+    for _ in range(200):
+        s, t = rng.sample(copies, 2)
+        assert copy_distance(s, t, gf2, 4) == hausdorff_by_ranks(s, t, gf2, 4)
+
+
+def test_copy_distance_matches_pairwise_ranks_in_the_table_family(gf2, monkeypatch):
+    monkeypatch.setattr(mx, "_FORCE_GENERIC", True)
+    copies, rng = _copies_m2_f2(gf2), random.Random(2902)
+    for _ in range(40):
+        s, t = rng.sample(copies, 2)
+        assert copy_distance(s, t, gf2, 4) == hausdorff_by_ranks(s, t, gf2, 4)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_copy_distance_matches_pairwise_ranks_over_larger_fields(q):
+    spec, rng = field_for_order(q), random.Random(2903 + q)
+    seen = set()
+    for s, t in combinations(_spans(spec, 3, 6, rng), 2):
+        d = copy_distance(s, t, spec, 3)
+        assert d == hausdorff_by_ranks(s, t, spec, 3) == copy_distance(t, s, spec, 3)
+        seen.add(d)
+    assert len(seen) > 1
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_copy_distance_unchanged_by_one_conjugation(q, forced, monkeypatch):
+    # x -> u x u^-1 is an isometry of the rank metric that carries spans to spans
+    monkeypatch.setattr(mx, "_FORCE_GENERIC", forced)
+    spec, rng = field_for_order(q), random.Random(2904 + q)
+    pairs = [(s, t, 3) for s, t in combinations(_spans(spec, 3, 4 if q < 9 else 3, rng), 2)]
+    if q == 2:
+        pairs += [(*rng.sample(_copies_m2_f2(spec), 2), 4) for _ in range(10)]
+    seen = set()
+    for s, t, n in pairs:
+        u = random_unit(spec, n, rng)
+        ui = invert(u)
+        us, ut = (span_fingerprint([u * Matrix(spec, n, n, list(vec)) * ui for vec in fp],
+                                   spec, n) for fp in (s, t))
+        seen.add(copy_distance(s, t, spec, n))
+        assert copy_distance(us, ut, spec, n) == copy_distance(s, t, spec, n)
+    assert len(seen) > 1
 
 
 def test_distinct_copies_are_at_least_one_step_apart(gf2):
