@@ -15,29 +15,14 @@ of their attributes, so a process that only counts copies never compiles them.
 
 import importlib.util as _util
 import sys as _sys
+from _thread import RLock as _RLock
 
 from .errors import RankMetricError
 from .gf import FieldElement, FieldSpec, field_make
-from .matrix import (
-    Matrix,
-    RankDistance,
-    Subspace,
-    kassabov_generators,
-    kernel_basis,
-    kron,
-    matrix_units,
-    rank,
-    rank_distance,
-)
-from .ramsey import (
-    Coloring,
-    copy_distance,
-    count_copies,
-    monochromatic_search,
-    oscillation,
-    ramsey_dimension,
-    sl_order,
-)
+from .matrix import (Matrix, RankDistance, Subspace, kassabov_generators, kernel_basis, kron,
+                     matrix_units, rank, rank_distance)
+from .ramsey import (Coloring, copy_distance, count_copies, monochromatic_search, oscillation,
+                     ramsey_dimension, sl_order)
 
 # the names re-exported from each lazily loaded module
 _LAZY = {
@@ -51,13 +36,32 @@ _LAZY = {
 }
 _OWNER = {name: module for module, names in _LAZY.items() for name in names}
 
+_LOCK = _RLock()
+_RUNNING = set()  # names of the modules running now, on the thread that holds _LOCK
+
+
+class _LazyModule(type(_sys)):
+    """A submodule that runs on the first access to any attribute, under ``_LOCK``: it becomes
+    a plain module only when it has run, so another thread meanwhile waits for it."""
+
+    def __getattribute__(self, attr):
+        with _LOCK:
+            spec = object.__getattribute__(self, "__spec__")
+            if type(self) is _LazyModule and spec.name not in _RUNNING:  # else running here
+                _RUNNING.add(spec.name)
+                try:
+                    spec.loader.exec_module(self)
+                finally:
+                    _RUNNING.discard(spec.name)
+                self.__class__ = type(_sys)
+        return object.__getattribute__(self, attr)
+
+
 for _name in _LAZY:
     _full = f"{__name__}.{_name}"
     if _full not in _sys.modules:  # a reload keeps the modules already registered
-        _spec = _util.find_spec(_full)
-        _spec.loader = _util.LazyLoader(_spec.loader)
-        _sys.modules[_full] = _util.module_from_spec(_spec)
-        _spec.loader.exec_module(_sys.modules[_full])
+        _sys.modules[_full] = _util.module_from_spec(_util.find_spec(_full))
+        _sys.modules[_full].__class__ = _LazyModule
     globals()[_name] = _sys.modules[_full]
 __all__ = [name for name in globals() if not name.startswith("_")] + list(_OWNER)
 
@@ -66,6 +70,10 @@ def __getattr__(name):
     if name not in _OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(globals()[_OWNER[name]], name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_OWNER))
 
 
 __version__ = "0.1.0"

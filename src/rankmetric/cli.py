@@ -19,15 +19,8 @@ from fractions import Fraction
 
 from .errors import FormatError, InvariantViolated, OutcomeError, RankMetricError, TooLarge
 from .gf import field_for_order
-from .matrix import (
-    Matrix,
-    kassabov_generators,
-    rank,
-    rank_distance,
-    read_matrices,
-    read_matrix,
-    write_matrix,
-)
+from .matrix import (Matrix, kassabov_generators, rank, rank_distance, read_matrices,
+                     read_matrix, write_matrix)
 from . import embeddings, fraisse, ramsey, stability
 
 

@@ -58,6 +58,7 @@ import importlib, json, sys
 import rankmetric
 first, exports = sys.argv[1], json.loads(sys.argv[2])
 unknown = hasattr(rankmetric, "no_such_name")
+unlisted = [name for names in exports.values() for name in names if name not in dir(rankmetric)]
 unloaded = [m for m in exports if type(sys.modules["rankmetric." + m]).__name__ == "_LazyModule"]
 
 
@@ -76,7 +77,35 @@ ways = {"package": lambda module, name: getattr(rankmetric, name),
 order = [first] + [way for way in ways if way != first]
 differ = [name for module, names in exports.items() for name in names
           if len({id(ways[way](module, name)) for way in order}) != 1]
-print(json.dumps([unknown, unloaded, differ]))
+print(json.dumps([unknown, unlisted, unloaded, differ]))
+"""
+
+# threads behind a barrier make the first access to each lazy module together, each asking
+# for a name its module defines last
+THREADS = """
+import sys, threading
+import rankmetric
+sys.setswitchinterval(1e-6)
+failed = []
+
+
+def reach(barrier, module, name):
+    barrier.wait()
+    try:
+        getattr(getattr(rankmetric, module), name)
+    except Exception as exc:
+        failed.append(f"{module}.{name}: {exc!r}")
+
+
+for module, name in [("embeddings", "amalgamate"), ("stability", "repair"),
+                     ("fraisse", "_graph")]:
+    barrier = threading.Barrier(4)
+    threads = [threading.Thread(target=reach, args=(barrier, module, name)) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+print(failed)
 """
 
 
@@ -159,10 +188,18 @@ def test_every_exported_name_is_one_object_by_every_route(first):
     assert sum(map(len, EXPORTS.values())) == 42
     proc = _fresh(LOOKUPS, [first, json.dumps(EXPORTS)])
     assert proc.returncode == 0, proc.stderr
-    unknown, unloaded, differ = json.loads(proc.stdout)
+    unknown, unlisted, unloaded, differ = json.loads(proc.stdout)
     assert unknown is False
+    assert unlisted == []
     assert sorted(unloaded) == LAZY  # neither a bare import nor an unknown name runs them
     assert differ == []
+
+
+def test_first_use_from_several_threads_at_once():
+    for _ in range(3):
+        proc = _fresh(THREADS, [])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "[]\n"
 
 
 def test_unknown_names_are_not_exported():
