@@ -9,8 +9,10 @@ back-and-forth errors (:mod:`rankmetric.fraisse`), and copy counting with
 explicit partition-dimension bounds (:mod:`rankmetric.ramsey`). All
 arithmetic is exact; nothing here ever rounds.
 
-``embeddings``, ``stability`` and ``fraisse`` run only on the first access to one
-of their attributes, so a process that only counts copies never compiles them.
+Only ``errors`` and ``gf`` run on import; the other modules run on first use (the
+first read, write or delete of an attribute, or for ``families``, the GF(3) and table
+row families, a matrix over another field than GF(2)). So the explicit bound never
+compiles ``matrix``, and a GF(2) census never ``families``.
 """
 
 import importlib.util as _util
@@ -19,13 +21,13 @@ from _thread import RLock as _RLock
 
 from .errors import RankMetricError
 from .gf import FieldElement, FieldSpec, field_make
-from .matrix import (Matrix, RankDistance, Subspace, kassabov_generators, kernel_basis, kron,
-                     matrix_units, rank, rank_distance)
-from .ramsey import (Coloring, copy_distance, count_copies, monochromatic_search, oscillation,
-                     ramsey_dimension, sl_order)
 
 # the names re-exported from each lazily loaded module
 _LAZY = {
+    "matrix": ("Matrix", "RankDistance", "Subspace", "kassabov_generators", "kernel_basis", "kron",
+               "matrix_units", "rank", "rank_distance"),
+    "ramsey": ("Coloring", "copy_distance", "count_copies", "monochromatic_search", "oscillation",
+               "ramsey_dimension", "sl_order"),
     "embeddings": ("DeltaEmbedding", "Homomorphism", "amalgamate", "iota", "iota_embedding",
                    "skolem_noether_conjugator"),
     "stability": ("RelationDefect", "RepairCertificate", "relation_defect", "repair",
@@ -41,8 +43,9 @@ _RUNNING = set()  # names of the modules running now, on the thread that holds _
 
 
 class _LazyModule(type(_sys)):
-    """A submodule that runs on the first access to any attribute, under ``_LOCK``: it becomes
-    a plain module only when it has run, so another thread meanwhile waits for it."""
+    """A submodule that runs on the first read, write or delete of any attribute, under
+    ``_LOCK``: it becomes a plain module only when it has run, so another thread meanwhile
+    waits for it. A read then resolves as in a plain module, its own ``__getattr__`` too."""
 
     def __getattribute__(self, attr):
         with _LOCK:
@@ -53,8 +56,16 @@ class _LazyModule(type(_sys)):
                     spec.loader.exec_module(self)
                 finally:
                     _RUNNING.discard(spec.name)
-                self.__class__ = type(_sys)
-        return object.__getattribute__(self, attr)
+                object.__setattr__(self, "__class__", type(_sys))
+        return type(_sys).__getattribute__(self, attr)
+
+    def __setattr__(self, attr, value):
+        self.__spec__  # a read runs the module, so that running it cannot undo the write
+        type(_sys).__setattr__(self, attr, value)
+
+    def __delattr__(self, attr):
+        self.__spec__  # as in __setattr__
+        type(_sys).__delattr__(self, attr)
 
 
 for _name in _LAZY:

@@ -19,9 +19,7 @@ from fractions import Fraction
 
 from .errors import FormatError, InvariantViolated, OutcomeError, RankMetricError, TooLarge
 from .gf import field_for_order
-from .matrix import (Matrix, kassabov_generators, rank, rank_distance, read_matrices,
-                     read_matrix, write_matrix)
-from . import embeddings, fraisse, ramsey, stability
+from . import embeddings, fraisse, matrix, ramsey, stability
 
 
 def _guard_dim(n: int):
@@ -56,8 +54,8 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
-def _load_matrix(path: str) -> Matrix:
-    m = read_matrix(_read_text(path))
+def _load_matrix(path: str) -> matrix.Matrix:
+    m = matrix.read_matrix(_read_text(path))
     _guard_dim(max(m.rows, m.cols))
     return m
 
@@ -75,20 +73,20 @@ def _emit_or_write(out, path, text: str):
 
 def _cmd_rank(args, out):
     m = _load_matrix(args.input)
-    out.write(f"rank {rank(m)}\n")
+    out.write(f"rank {matrix.rank(m)}\n")
 
 
 def _cmd_dist(args, out):
     x = _load_matrix(args.x)
     y = _load_matrix(args.y)
-    out.write(f"dist {rank_distance(x, y)}\n")
+    out.write(f"dist {matrix.rank_distance(x, y)}\n")
 
 
 def _cmd_gens(args, out):
     _guard_dim(args.n)
     spec = field_for_order(args.q)
-    a, b = kassabov_generators(args.n, spec)
-    text = write_matrix(a) + write_matrix(b)
+    a, b = matrix.kassabov_generators(args.n, spec)
+    text = matrix.write_matrix(a) + matrix.write_matrix(b)
     d = stability.relation_defect(a, b, args.n)
     nums, den = d.components_over_common_denominator()
     text += "defect " + " ".join(f"{v}/{den}" for v in nums) + "\n"
@@ -99,12 +97,12 @@ def _cmd_iota(args, out):
     x = _load_matrix(args.input)
     _guard_dim(args.n)
     y = embeddings.iota(args.n, args.m, x)
-    text = write_matrix(y)
+    text = matrix.write_matrix(y)
     _emit_or_write(out, args.out, text)
 
 
 def _read_pair(path: str):
-    mats = read_matrices(_read_text(path), 2)
+    mats = matrix.read_matrices(_read_text(path), 2)
     for m in mats:
         _guard_dim(max(m.rows, m.cols))
     return mats
@@ -137,7 +135,7 @@ def _cmd_homog(args, out):
     psi = _load(embeddings.DeltaEmbedding, args.psi)
     beta, residual = fraisse.approximate_homogeneity(phi, psi)
     out.write(f"residual {residual.numerator}/{residual.denominator}\n")
-    text = write_matrix(beta)
+    text = matrix.write_matrix(beta)
     _emit_or_write(out, args.out, text)
 
 
@@ -182,7 +180,7 @@ def _cmd_amalgamate(args, out):
     c, psi0, psi1 = embeddings.amalgamate(phi0, phi1)
     out.write(f"c {c}\n")
     if any(psi0.apply(phi0.apply(g)) != psi1.apply(phi1.apply(g))
-           for g in kassabov_generators(phi0.m, phi0.spec)):
+           for g in matrix.kassabov_generators(phi0.m, phi0.spec)):
         raise InvariantViolated("amalgamated square does not commute on the generators")
     out.write("commutes exact\n")
     if args.out0:
@@ -195,7 +193,7 @@ def _cmd_conjugator(args, out):
     phi0 = _load(embeddings.Homomorphism, args.phi0)
     phi1 = _load(embeddings.Homomorphism, args.phi1)
     u = embeddings.skolem_noether_conjugator(phi0, phi1)
-    text = write_matrix(u)
+    text = matrix.write_matrix(u)
     _emit_or_write(out, args.out, text)
 
 
@@ -229,7 +227,7 @@ def _cmd_ramsey_search(args, out):
         value = _fraction(args.coloring.split(":", 1)[1])
         gamma = ramsey.constant_coloring(value, args.a, args.c, spec)
     elif args.coloring == "distance-to-copy":
-        base = ramsey.span_fingerprint(ramsey.base_copy_basis(args.a, args.c, spec), spec, args.c)
+        base = matrix.span_fingerprint(matrix.base_copy_basis(args.a, args.c, spec), spec, args.c)
         gamma = ramsey.distance_to_copy_coloring(base, args.a, args.c, spec)
     else:
         raise FormatError(f"unknown coloring {args.coloring!r}")
@@ -292,7 +290,8 @@ _COMMANDS = [
 ]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv=None) -> argparse.ArgumentParser:
+    """Every subcommand, with its options only if argv names it (all of them without argv)."""
     p = argparse.ArgumentParser(
         prog="rankmetric",
         description="exact computations in matrix algebras under the rank metric",
@@ -300,19 +299,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name, func, text, options in _COMMANDS:
         s = sub.add_parser(name, help=text)
-        for opt in options:
-            key, kwargs = (opt, _OPTIONS[opt]) if isinstance(opt, str) else opt
-            s.add_argument(f"--{key}", **kwargs)
-        s.set_defaults(func=func)
+        if argv is None or name in argv:
+            for opt in options:
+                key, kwargs = (opt, _OPTIONS[opt]) if isinstance(opt, str) else opt
+                s.add_argument(f"--{key}", **kwargs)
+            s.set_defaults(func=func)
     return p
 
 
 def run(argv, out=None) -> int:
     """Parse and execute one command; returns the exit status."""
     out = out or sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     # the report reaches out only once the whole command has succeeded

@@ -24,26 +24,19 @@ from fractions import Fraction
 from .errors import (DimensionMismatch, InvalidParameter, InvariantViolated, NotDivisor,
                      NotLipschitz, TooLarge)
 from .gf import FieldSpec, field_for_order, prime_power
-from .matrix import (
-    Matrix,
-    base_copy_basis,
-    code_units,
-    copy_fingerprint,
-    coset_span_keys,
-    kron,
-    random_unit,
-    rank,
-    rank_table,
-    span_codes,
-    span_fingerprint,
-    span_key,
-)
+from . import matrix
 
 # An enumeration touching more than this many matrices fails fast.
 ENUMERATION_LIMIT = 1 << 20
 # Copies with more than this many elements refuse exhaustive distances.
 COPY_ELEMENT_LIMIT = 4096
 ORDER_BIT_LIMIT = 14284  # longer ints pass the 4300 digits Python prints by default
+
+
+def __getattr__(name):  # PEP 562: matrix's census helpers, read here too (bench, tests)
+    if name in ("base_copy_basis", "coset_span_keys", "span_fingerprint", "span_key"):
+        return getattr(matrix, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _power(q: int, e: int) -> int:
@@ -87,16 +80,17 @@ def _check_enumeration(n: int, q: int):
 def iterate_units(n: int, spec: FieldSpec):
     """All invertible n x n matrices, in integer-encoding order (guarded)."""
     _check_enumeration(n, spec.q)
-    yield from code_units(spec, n)
+    yield from matrix.code_units(spec, n)
 
 
 def _coset_walk(b: int, s: int, spec: FieldSpec):
     """``coset_span_keys`` over GL_b (guarded) by H = GL_(b/s) (x) GL_s from ``iterate_units``
     (kron(cv, w / c) = kron(v, w) kept once), or H = GL_b in one pass if b/s or s is 1."""
     _check_enumeration(b, spec.q)
-    pairs = (kron(v, w) for v in iterate_units(b // s, spec) for w in iterate_units(s, spec))
+    pairs = (matrix.kron(v, w) for v in iterate_units(b // s, spec)
+             for w in iterate_units(s, spec))
     hs = iterate_units(b, spec) if s in (1, b) else list(dict.fromkeys(pairs))
-    return coset_span_keys(hs, spec, b, s, gl_order(b, spec.q))
+    return matrix.coset_span_keys(hs, spec, b, s, gl_order(b, spec.q))
 
 
 @functools.cache
@@ -106,7 +100,7 @@ def _copy_units(a: int, b: int, spec: FieldSpec) -> dict:
     The census is deterministic, so the walk runs once per (a, b, field). Each copy is one
     coset, as by Skolem-Noether its stabilizer is H, so each coset's first unit is its copy's.
     """
-    return {copy_fingerprint(key, spec, b): g for g, key, _ in _coset_walk(b, b // a, spec)}
+    return {matrix.copy_fingerprint(key, spec, b): g for g, key, _ in _coset_walk(b, b // a, spec)}
 
 
 def _closed_form(a: int, b: int, q: int) -> int:
@@ -119,7 +113,7 @@ def count_copies(a: int, b: int, q_or_spec, method: str = "brute_force") -> int:
 
     One walk of the units by cosets of H = GL_a (x) GL_(b/a) (``coset_span_keys``, guarded
     by ``TooLarge``) gives both counts: ``brute_force``, the distinct keys, and
-    ``orbit_stabilizer``, sl_order(b, q) divided by the stabilizer of the standard copy
+    ``orbit_stabilizer``, sl_order(b, q) divided by the stabilizer of the first copy walked
     modulo scalars, |H| times the cosets keyed like it, with orbit times stabilizer checked
     against |GL_b|. Both must equal the closed form |GL_b| (q - 1) / |GL_a| |GL_(b/a)| of
     ``ramsey_dimension``, else ``InvariantViolated``; ``method`` names the count returned.
@@ -128,11 +122,10 @@ def count_copies(a: int, b: int, q_or_spec, method: str = "brute_force") -> int:
     _check_enumeration(b, spec.q)  # before base_copy_basis builds b x b matrices
     if method not in ("brute_force", "orbit_stabilizer"):
         raise InvalidParameter(f"unknown method {method!r}")
-    base_copy_basis(a, b, spec)  # a must divide b
-    base_key = span_key(Matrix.identity(spec, b), b // a)
+    matrix.base_copy_basis(a, b, spec)  # a must divide b
     walk = [(key, size) for _, key, size in _coset_walk(b, b // a, spec)]
     distinct = len({key for key, _ in walk})
-    stab = sum(size for key, size in walk if key == base_key)
+    stab = sum(size for key, size in walk if key == walk[0][0])
     q, aut, units = spec.q, sl_order(b, spec.q), gl_order(b, spec.q)
     # the q - 1 scalar units lie in the stabilizer, the stabilizer modulo
     # them divides |SL|, and orbit times stabilizer is the unit group
@@ -164,9 +157,9 @@ def copy_elements(fp: tuple, spec: FieldSpec, ambient: int) -> list[tuple]:
     q, dim_span = spec.q, len(fp)
     count = q ** dim_span
     _check_copy(fp, ambient, count)
-    coeffs = Matrix(spec, count, dim_span,
-                    [code // q ** i % q for code in range(count) for i in range(dim_span)])
-    basis = Matrix(spec, dim_span, ambient * ambient, [v for vec in fp for v in vec])
+    coeffs = matrix.Matrix(spec, count, dim_span,
+                           [code // q ** i % q for code in range(count) for i in range(dim_span)])
+    basis = matrix.Matrix(spec, dim_span, ambient * ambient, [v for vec in fp for v in vec])
     return list(map(tuple, (coeffs * basis).row_lists()))
 
 
@@ -174,7 +167,7 @@ def copy_elements(fp: tuple, spec: FieldSpec, ambient: int) -> list[tuple]:
 def _packed_elements(fp: tuple, ambient: int) -> list[int]:
     """Every element of a GF(2) span as a flattened int, in copy_elements order."""
     _check_copy(fp, ambient, 1 << len(fp))
-    return span_codes(fp, ambient)
+    return matrix.span_codes(fp, ambient)
 
 
 def copy_distance(s: tuple, t: tuple, spec: FieldSpec, ambient: int) -> Fraction:
@@ -187,7 +180,7 @@ def copy_distance(s: tuple, t: tuple, spec: FieldSpec, ambient: int) -> Fraction
     if s == t:
         return Fraction(0)
     worst = 0
-    table = rank_table(spec, ambient)
+    table = matrix.rank_table(spec, ambient)
     if table is not None:
         ps = _packed_elements(s, ambient)
         pt = _packed_elements(t, ambient)
@@ -213,8 +206,8 @@ def copy_distance(s: tuple, t: tuple, spec: FieldSpec, ambient: int) -> Fraction
         for u in one:
             nearest = ambient
             for v in other:
-                d = rank(Matrix(spec, ambient, ambient,
-                                [spec.sub_v(x, y) for x, y in zip(u, v)]))
+                d = matrix.rank(matrix.Matrix(spec, ambient, ambient,
+                                              [spec.sub_v(x, y) for x, y in zip(u, v)]))
                 if d <= worst:
                     break
                 nearest = min(nearest, d)
@@ -229,10 +222,11 @@ class Coloring:
     Values are cached; every new evaluation is checked against every
     previous one and the coloring is rejected (``NotLipschitz``) the
     moment a pair violates the contract. The cached fingerprints are also
-    grouped by value, so each distinct value's gap is computed once.
+    grouped by value, and each distinct value's far groups (those whose gap
+    to it passes 1/c) are worked out once, again only when a new value appears.
     """
 
-    __slots__ = ("evaluator", "a_dim", "c_dim", "spec", "_cache", "_by_value")
+    __slots__ = ("evaluator", "a_dim", "c_dim", "spec", "_cache", "_by_value", "_far")
 
     def __init__(self, evaluator, a_dim: int, c_dim: int, spec: FieldSpec):
         self.evaluator = evaluator
@@ -242,6 +236,7 @@ class Coloring:
         self._cache: dict[tuple, Fraction] = {}
         # value -> [(evaluation index, fingerprint, value)] in evaluation order
         self._by_value: dict[Fraction, list] = {}
+        self._far: dict[Fraction, tuple] = {}  # value -> (gaps by value, its far groups)
 
     def value(self, fp: tuple) -> Fraction:
         cached = self._cache.get(fp)
@@ -250,17 +245,22 @@ class Coloring:
         v = Fraction(self.evaluator(fp))
         if not 0 <= v <= 1:
             raise NotLipschitz(f"coloring value {v} outside [0, 1]")
-        # distinct fingerprints are distinct spans, so one holds an element
-        # outside the other and copy_distance >= 1/c: a smaller gap is safe
-        step = Fraction(1, self.c_dim)
-        gaps = {w: abs(v - w) for w in self._by_value}
-        far = [group for w, group in self._by_value.items() if gaps[w] > step]
+        far = self._far.get(v)
+        if far is None:
+            # distinct fingerprints are distinct spans, so one holds an element
+            # outside the other and copy_distance >= 1/c: a smaller gap is safe
+            step = Fraction(1, self.c_dim)
+            gaps = {w: abs(v - w) for w in self._by_value}
+            far = self._far[v] = gaps, [g for w, g in self._by_value.items() if gaps[w] > step]
+        gaps, groups = far
         # merged by evaluation index, the pairs are measured in evaluation order
-        for _, other_fp, other_v in heapq.merge(*far):
+        for _, other_fp, other_v in heapq.merge(*groups):
             if gaps[other_v] > copy_distance(fp, other_fp, self.spec, self.c_dim):
                 raise NotLipschitz(
                     "coloring moves faster than the copy metric allows"
                 )
+        if v not in self._by_value:
+            self._far.clear()  # every far group list may gain this value's group
         self._by_value.setdefault(v, []).append((len(self._cache), fp, v))
         self._cache[fp] = v
         return v
@@ -453,11 +453,13 @@ def monochromatic_search(b_dim: int, c_dim: int, gamma: Coloring, eps,
         raise DimensionMismatch("coloring ambient does not match c")
     if min(a_dim, b_dim, c_dim) < 1 or c_dim % b_dim != 0 or b_dim % a_dim != 0:
         raise NotDivisor("need positive a, b, c with a | b and b | c")
-    # h M_a h^-1 in M_b lifts into M_c as the copy of M_a conjugated by h (x) I_s; a = b
-    # needs no lifts, as its one lifted copy is the B-copy itself
+    # h M_a h^-1 in M_b lifts into M_c as the copy of M_a conjugated by h (x) I_s; no lifts for
+    # a = b (the B-copy itself) or a = 1 (the scalar line, refused where its census would be)
     s = c_dim // b_dim
-    lifts = [] if a_dim == b_dim else [kron(h, Matrix.identity(spec, s))
-                                       for h in _copy_units(a_dim, b_dim, spec).values()]
+    if a_dim == 1:
+        _check_enumeration(b_dim, spec.q)
+    lifts = [] if a_dim in (1, b_dim) else [matrix.kron(h, matrix.Matrix.identity(spec, s))
+                                            for h in _copy_units(a_dim, b_dim, spec).values()]
     if strategy == "exhaustive":
         keyed, label = _coset_walk(c_dim, s, spec), "exhaustive"
     elif strategy == "random":
@@ -465,14 +467,16 @@ def monochromatic_search(b_dim: int, c_dim: int, gamma: Coloring, eps,
             raise InvalidParameter(f"trials must be at least 1, got {trials}")
         _check_enumeration(c_dim, spec.q)
         rng = random.Random(seed)
-        keyed = ((g, span_key(g, s)) for g in (random_unit(spec, c_dim, rng)
-                                                 for _ in range(trials)))
+        keyed = ((g, matrix.span_key(g, s)) for g in (matrix.random_unit(spec, c_dim, rng)
+                                                        for _ in range(trials)))
         label = f"random:{seed}:{trials}"
     else:
         raise InvalidParameter(f"unknown strategy {strategy!r}")
+    scalars = None
+    if a_dim == 1:
+        scalars = [matrix.span_fingerprint([matrix.Matrix.identity(spec, c_dim)], spec, c_dim)]
 
-    best_fp = None
-    best_osc = None
+    best_key = best_osc = None
     examined = 0
     seen = set()
     for g, key, *_ in keyed:
@@ -480,13 +484,15 @@ def monochromatic_search(b_dim: int, c_dim: int, gamma: Coloring, eps,
             continue
         seen.add(key)
         examined += 1
-        fp_b = copy_fingerprint(key, spec, c_dim)
-        inside = [copy_fingerprint(span_key(g * h, c_dim // a_dim), spec, c_dim)
-                  for h in lifts] or [fp_b]
+        if lifts:
+            inside = [matrix.copy_fingerprint(matrix.span_key(g * h, c_dim // a_dim), spec, c_dim)
+                      for h in lifts]
+        else:
+            inside = scalars or [matrix.copy_fingerprint(key, spec, c_dim)]
         osc = oscillation(gamma, inside)
         if best_osc is None or osc < best_osc:
-            best_osc = osc
-            best_fp = fp_b
+            best_osc, best_key = osc, key
         if osc <= eps:
-            return SearchReport(True, fp_b, osc, examined, label, eps)
-    return SearchReport(False, best_fp, best_osc, examined, label, eps)
+            break
+    return SearchReport(osc <= eps, matrix.copy_fingerprint(best_key, spec, c_dim), best_osc,
+                        examined, label, eps)

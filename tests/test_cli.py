@@ -646,3 +646,52 @@ def test_parser_declares_every_subcommand_and_option_as_pinned():
             (tuple(a.option_strings), a.dest, a.type, a.required, a.default,
              None if a.choices is None else tuple(a.choices), a.help) for a in actions]))
     assert seen == _PARSER
+
+
+def _parser_cases():
+    """(id, argv) per failing or help parse: the top level, and for each subcommand --help, a
+    missing required option, a bad choices value (else a bad int) and an unknown argument."""
+    from rankmetric.cli import _build_parser
+    cases = [("top-help", ["--help"]), ("top-missing", []), ("top-choice", ["nosuch"]),
+             ("top-extra", ["--nosuch"]), ("top-extra-first", ["--nosuch", "rank", "--in", "x"])]
+    sub = _build_parser()._actions[-1]
+    for name, parser in sub.choices.items():
+        actions = parser._actions[1:]
+        full = [name]
+        for a in actions:
+            if a.required:
+                full += [a.option_strings[0], a.choices[0] if a.choices else "2"]
+        bad = next((a for a in actions if a.choices), None) or next(
+            (a for a in actions if a.type is int), None)
+        cases += [(f"{name}-help", [name, "--help"]),
+                  (f"{name}-missing", full[:1] + full[3:]),
+                  (f"{name}-extra", full + ["extra"])]
+        if bad is not None:
+            cases.append((f"{name}-bad", full + [bad.option_strings[0], "nosuch"]))
+    return cases
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in _parser_cases()],
+                         ids=[case for case, _ in _parser_cases()])
+def test_parser_of_the_named_subcommands_parses_as_the_full_parser(argv):
+    # run declares only the options of the subcommands its argv names; each failing or
+    # --help parse must exit, print and complain exactly as the parser with every option
+    import contextlib
+    from rankmetric.cli import _build_parser
+
+    def full(args):
+        try:
+            _build_parser().parse_args(args)
+        except SystemExit as exc:
+            return 2 if exc.code else 0
+        return None  # parsed: a case that runs a command proves nothing here
+
+    def captured(parse):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = parse(list(argv))
+        return code, out.getvalue(), err.getvalue()
+
+    want = captured(full)
+    assert want[0] is not None and (want[1] or want[2])
+    assert captured(lambda args: run(args, io.StringIO())) == want

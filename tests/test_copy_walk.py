@@ -92,7 +92,7 @@ def _walk_args(q, b, s):
     """The arguments ramsey's walk passes to coset_span_keys: (H as a list, spec, b, s, order)."""
     calls = []
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(rp, "coset_span_keys", lambda hs, *rest: calls.append((list(hs), *rest)) or [])
+        m.setattr(mx, "coset_span_keys", lambda hs, *rest: calls.append((list(hs), *rest)) or [])
         list(rp._coset_walk(b, s, field_for_order(q)))
     return calls[0]
 
@@ -347,7 +347,7 @@ def test_equal_a_and_b_walks_only_gl_c(b, c, monkeypatch):
         walks.append((n, s))
         return real(hs, spec, n, s, order)
 
-    monkeypatch.setattr(rp, "coset_span_keys", recording)
+    monkeypatch.setattr(mx, "coset_span_keys", recording)
     spec = field_make(2)
     report = rp.monochromatic_search(b, c, rp.constant_coloring(Fraction(1, 2), b, c, spec), -1)
     assert walks == [(c, c // b)] and not report.found

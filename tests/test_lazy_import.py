@@ -1,9 +1,9 @@
 """What a new interpreter compiles, prints and exports.
 
-The other test modules import ``rankmetric.embeddings``, ``stability`` and
-``fraisse`` at the top, so in this process those modules are always loaded.
-Only a new interpreter reaches them before their first use: each test here
-runs its command or lookup in one.
+The other test modules import ``rankmetric.matrix``, ``ramsey``, ``embeddings``,
+``stability`` and ``fraisse`` at the top, so in this process those modules are
+always loaded. Only a new interpreter reaches them before their first use: each
+test here runs its command or lookup in one.
 """
 
 import importlib
@@ -21,8 +21,9 @@ from rankmetric.embeddings import DeltaEmbedding, Homomorphism
 from rankmetric.matrix import Matrix, kassabov_generators, kron, random_unit, write_matrix
 
 PACKAGE = os.path.dirname(os.path.abspath(rankmetric.__file__))
-LAZY = ["embeddings", "fraisse", "stability"]
-CENSUS_MODULES = ["__init__", "cli", "errors", "gf", "matrix", "ramsey"]
+LAZY = ["embeddings", "fraisse", "matrix", "ramsey", "stability"]
+BOUND_MODULES = ["__init__", "cli", "errors", "gf", "ramsey"]
+CENSUS_MODULES = sorted(BOUND_MODULES + ["matrix"])  # over GF(2): no families
 
 # the names the package exported when every module loaded with it, by owning module
 EXPORTS = {
@@ -97,8 +98,8 @@ def reach(barrier, module, name):
         failed.append(f"{module}.{name}: {exc!r}")
 
 
-for module, name in [("embeddings", "amalgamate"), ("stability", "repair"),
-                     ("fraisse", "_graph")]:
+for module, name in [("ramsey", "monochromatic_search"), ("matrix", "read_matrices"),
+                     ("embeddings", "amalgamate"), ("stability", "repair"), ("fraisse", "_graph")]:
     barrier = threading.Barrier(4)
     threads = [threading.Thread(target=reach, args=(barrier, module, name)) for _ in range(4)]
     for thread in threads:
@@ -106,6 +107,29 @@ for module, name in [("embeddings", "amalgamate"), ("stability", "repair"),
     for thread in threads:
         thread.join()
 print(failed)
+"""
+
+# writes or deletes a name on a lazy module before anything has run it, then reads it back
+WRITES = """
+import json, sys
+import rankmetric
+module, name, how = sys.argv[1:]
+lazy = sys.modules["rankmetric." + module]
+if how == "write":
+    setattr(lazy, name, "patched")
+else:
+    delattr(lazy, name)
+print(json.dumps([getattr(lazy, name, "gone"), type(lazy).__name__]))
+"""
+
+# the first read of a lazy module is of a name it serves through its own __getattr__
+SERVED = """
+import json, sys
+import rankmetric
+module, name, owner = sys.argv[1:]
+value = getattr(sys.modules["rankmetric." + module], name)
+print(json.dumps([value is getattr(sys.modules["rankmetric." + owner], name),
+                  type(sys.modules["rankmetric." + module]).__name__]))
 """
 
 
@@ -128,10 +152,12 @@ def _in_process(argv):
       "--coloring", "constant:1/3"], CENSUS_MODULES),
     (["ramsey-search", "--a", "2", "--b", "2", "--c", "4", "--q", "2", "--eps", "-1",
       "--coloring", "distance-to-copy"], CENSUS_MODULES),
-    (["ramsey-bound", "--a", "2", "--b", "4", "--q", "2", "--eps", "1/2"], CENSUS_MODULES),
-    (["backforth", "--rounds", "3", "--q", "2"], sorted(CENSUS_MODULES + LAZY)),
+    (["ramsey-bound", "--a", "2", "--b", "4", "--q", "2", "--eps", "1/2"], BOUND_MODULES),
+    (["copies", "--a", "1", "--b", "2", "--q", "3"], sorted(CENSUS_MODULES + ["families"])),
+    (["backforth", "--rounds", "3", "--q", "3"],
+     sorted({*CENSUS_MODULES, *LAZY, "families"} - {"ramsey"})),
 ], ids=["copies-brute-force", "copies-orbit-stabilizer", "search-constant",
-        "search-distance-to-copy", "ramsey-bound", "backforth"])
+        "search-distance-to-copy", "ramsey-bound", "copies-gf3", "backforth"])
 def test_command_compiles_only_the_modules_it_runs(argv, modules, tmp_path):
     # no bytecode is read or written, so every module the command imports is compiled once
     proc = _fresh(COMPILES, argv, {"PYTHONPYCACHEPREFIX": str(tmp_path / "pycache"),
@@ -217,3 +243,27 @@ def test_reload_keeps_the_registered_modules():
     assert {name: sys.modules[f"rankmetric.{name}"] for name in LAZY} == modules
     assert {name: getattr(rankmetric, name) for name in LAZY} == modules
     assert rankmetric.repair is repair
+
+
+# per lazy module a name it defines; for matrix the switch that the differential tests set
+WRITTEN = {"matrix": "_FORCE_GENERIC", "ramsey": "copy_distance", "embeddings": "compose",
+           "stability": "repair", "fraisse": "back_and_forth"}
+
+
+@pytest.mark.parametrize("how", ["write", "delete"])
+@pytest.mark.parametrize("module", LAZY)
+def test_first_write_or_delete_runs_the_module_first(module, how):
+    # a write before the module has run must not be undone when it runs, nor a delete
+    proc = _fresh(WRITES, [module, WRITTEN[module], how])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["patched" if how == "write" else "gone", "module"]
+
+
+@pytest.mark.parametrize("module, name, owner", [
+    ("matrix", "_g_rref", "families"), ("matrix", "_TABLE", "families"),
+    ("ramsey", "span_fingerprint", "matrix"), ("ramsey", "base_copy_basis", "matrix")])
+def test_first_read_of_a_name_the_module_serves(module, name, owner):
+    # the benchmark's layer tracing reads matrix._g_rref and ramsey.span_fingerprint first
+    proc = _fresh(SERVED, [module, name, owner])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [True, "module"]
