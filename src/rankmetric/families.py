@@ -194,9 +194,8 @@ _PLANES = matrix._BITS._replace(
     identity=lambda n: [(1 << i, 0) for i in range(n)],
     add=lambda a, b, spec: tuple(map(_t_add, a, b)),
     sub=lambda a, b, spec: tuple([_t_add(x, y[::-1]) for x, y in zip(a, b)]),
-    neg=lambda a, spec: tuple([r[::-1] for r in a]),
-    # the scalars are 0, 1 and 2 = -1
-    scale=lambda a, s, spec: (a if s == 1 else _PLANES.neg(a, spec)) if s else ((0, 0),) * len(a),
+    # the scalars are 0, 1 and 2 = -1, which swaps the planes
+    scale=lambda a, s, spec: a if s == 1 else tuple([r[::-1] if s else (0, 0) for r in a]),
     mul=lambda a, b, spec, c: _t_mul(a, b),
     transpose=_t_transpose,
     echelon=lambda table, rows, ncols, spec: _t_echelon(table, rows, ncols),
@@ -215,7 +214,6 @@ _TABLE = matrix._Family(
     identity=lambda n: [bytes(i) + b"\1" + bytes(n - 1 - i) for i in range(n)],
     add=_g_sum,
     sub=lambda a, b, spec: _g_sum(a, b, spec, spec._neg[1]),
-    neg=lambda a, spec: _TABLE.scale(a, spec._neg[1], spec),
     scale=lambda a, s, spec: tuple(bytes(a).translate(_bytes_of(spec)[0][s])),
     mul=_g_mul,
     transpose=_g_transpose,

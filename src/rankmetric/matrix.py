@@ -11,10 +11,11 @@ rows of bytes, one encoding per byte, so a row operation is a translate
 through a field table and one whole-row sum.
 
 A family is one entry of the ``_Family`` table: how a matrix keeps it, and
-whole-matrix pack, unpack, zero, identity, sum, difference, negation,
-scaling, product, transpose, an echelon loop over many rows (not a per-row
-insert), rref, the side-by-side join and cut steps that ``invert`` and
-``kernel_basis`` share, and the unit-row test of ``permutation_columns``.
+whole-matrix pack, unpack, zero, identity, sum, difference, scaling (a
+negation is a scaling by -1), product, transpose, an echelon loop over
+many rows (not a per-row insert), rref, the side-by-side join and cut
+steps that ``invert`` and ``kernel_basis`` share, and the unit-row test
+of ``permutation_columns``.
 So each ``Matrix`` operation has one code path, and a new family is one
 more entry. No matrix stores its family, since a matrix built before a test
 sets ``_FORCE_GENERIC`` must run in the table family after it. A matrix
@@ -36,6 +37,12 @@ the appended block of the rows of [m^T | I] that reduce to zero on m^T, for
 m one matrix or several stacked, its rows the parts' transposes laid side
 by side. Other modules hold rows only as ``row_forms`` gives them.
 
+Outside entries become encodings in one place, the ``Matrix`` constructor,
+by one rule: an element of this field, or an integer as ``operator.index``
+reads it, reduced mod q. ``Subspace`` and ``echelon_insert`` build a Matrix
+of their vectors and take its ``row_forms``. Canonical input passes one
+``bytes()`` conversion and one translate test, at C speed.
+
 Distances are exact: ``rank_distance`` returns a ``RankDistance`` holding
 the raw (rank, ambient) pair, compared by cross-multiplication. A subspace
 is the Matrix of its reduced echelon basis, the unique canonical
@@ -50,7 +57,7 @@ from collections.abc import Callable
 from fractions import Fraction
 from functools import cache, reduce, total_ordering
 from itertools import chain
-from operator import xor
+from operator import index, xor
 from typing import NamedTuple
 
 from .errors import (
@@ -243,14 +250,34 @@ class Matrix:
     __slots__ = ("spec", "rows", "cols", "_ent", "_rw", "_t")
 
     def __init__(self, spec: FieldSpec, rows: int, cols: int, entries):
+        """Outside entries as encodings, each an element of this field or an integer as
+        ``operator.index`` reads it, reduced mod q; another field's element is a SpecMismatch,
+        anything else a FormatError. Only entries that are not all bytes are walked one by one."""
         _check_dims(rows, cols)
-        vals = _encodings(entries, spec)
-        if len(vals) != rows * cols:
-            raise DimensionMismatch(f"expected {rows * cols} entries, got {len(vals)}")
+        vals, q = tuple(entries), spec.q  # read once, so a one-shot iterator is walked in full
+        try:
+            raw = bytes(vals)
+        except (TypeError, ValueError):  # not all integers, or one below 0 or above 255
+            raw = bytearray()
+            for e in vals:
+                if isinstance(e, FieldElement):
+                    if e.spec != spec:
+                        raise SpecMismatch("entry from a different field")
+                    raw.append(e.val)
+                else:
+                    try:
+                        raw.append(index(e) % q)
+                    except TypeError:
+                        msg = f"entry {e!r} is neither an int nor a field element"
+                        raise FormatError(msg) from None
+        if raw.translate(None, _CODES[:q]):  # a byte q or more: reduced by one translate
+            raw = raw.translate((_CODES[:q] * (256 // q + 1))[:256])
+        if len(raw) != rows * cols:
+            raise DimensionMismatch(f"expected {rows * cols} entries, got {len(raw)}")
         self.spec = spec
         self.rows = rows
         self.cols = cols
-        self._ent = tuple(vals)
+        self._ent = tuple(raw)
         self._rw = self._t = None
 
     @classmethod
@@ -361,8 +388,7 @@ class Matrix:
         return self._like(f, f.sub(f.store(self), f.store(other), self.spec))
 
     def __neg__(self) -> "Matrix":
-        f = _family(self.spec)
-        return self._like(f, f.neg(f.store(self), self.spec))
+        return self.scale(self.spec._neg[1])
 
     def scale(self, value) -> "Matrix":
         f = _family(self.spec)
@@ -433,7 +459,6 @@ class _Family(NamedTuple):
     identity: Callable  # n -> rows of the identity
     add: Callable       # store, store, spec -> store; so is sub
     sub: Callable
-    neg: Callable       # store, spec -> store
     scale: Callable     # store, scalar encoding, spec -> store
     mul: Callable       # rows, rows, spec, product cols -> store
     transpose: Callable  # rows, cols -> store of the transpose
@@ -453,7 +478,6 @@ _BITS = _Family(
     identity=lambda n: [1 << i for i in range(n)],
     add=lambda a, b, spec: tuple(map(xor, a, b)),
     sub=lambda a, b, spec: tuple(map(xor, a, b)),
-    neg=lambda a, spec: a,
     scale=lambda a, s, spec: a if s else (0,) * len(a),
     mul=lambda a, b, spec, c: _b_mul(a, b),
     transpose=lambda rows, c: _b_transpose(rows, c),
@@ -463,34 +487,6 @@ _BITS = _Family(
     cut=lambda rows, n: tuple([r >> n for r in rows]),
     unit=lambda r: -1 if r & (r - 1) else r.bit_length() - 1,
 )
-
-
-def _encodings(entries, spec: FieldSpec) -> list[int]:
-    """Outside entries as canonical encodings: ints (bools too) reduced mod q and elements
-    of this field. Another field's element is a SpecMismatch, anything else a FormatError."""
-    vals = []
-    for e in entries:
-        if isinstance(e, FieldElement):
-            if e.spec != spec:
-                raise SpecMismatch("entry from a different field")
-            vals.append(e.val)
-        elif isinstance(e, int):
-            vals.append(e % spec.q)
-        else:
-            raise FormatError(f"entry {e!r} is neither an int nor a field element")
-    return vals
-
-
-def _pack_outside(f: _Family, entries, rows, cols, spec: FieldSpec):
-    """Rows in f of outside row-major entries, read as ``Matrix(...)`` reads them;
-    canonical input passes one bytes conversion and one translate test."""
-    try:
-        raw = bytes(entries)
-    except (TypeError, ValueError):  # not all ints, or one below 0 or above 255
-        raw = None
-    if raw is None or raw.translate(None, _CODES[:spec.q]):
-        raw = bytes(_encodings(entries, spec))
-    return f.pack(raw, rows, cols)
 
 
 def row_forms(m: Matrix) -> list:
@@ -516,9 +512,9 @@ def row_span(spec: FieldSpec, rows, ncols: int) -> Subspace:
 def echelon_insert(table, vec, spec: FieldSpec, width: int | None = None) -> bool:
     """Store a vector of encodings, or a ``row_forms`` row of this width, in an echelon table
     (an empty dict at first, filled only by this function) if it is independent of it."""
-    f, n = _family(spec), len(vec) if width is None else width
-    row = _pack_outside(f, vec, 1, n, spec)[0] if width is None else vec
-    return f.echelon(table, [row], n, spec) == 1
+    n = len(vec) if width is None else width
+    row = row_forms(Matrix(spec, 1, n, vec))[0] if width is None else vec
+    return _family(spec).echelon(table, [row], n, spec) == 1
 
 
 class Subspace:
@@ -535,9 +531,8 @@ class Subspace:
         vecs = [list(v) for v in vectors]
         if any(len(v) != ambient_dim for v in vecs):
             raise DimensionMismatch("vector of wrong length")
-        f, flat = _family(spec), list(chain.from_iterable(vecs))
-        rows = _pack_outside(f, flat, len(vecs), ambient_dim, spec)
-        self.matrix = row_span(spec, rows, ambient_dim).matrix
+        m = Matrix(spec, len(vecs), ambient_dim, chain.from_iterable(vecs))
+        self.matrix = row_span(spec, row_forms(m), ambient_dim).matrix
 
     @classmethod
     def _of(cls, m: Matrix) -> "Subspace":
@@ -944,8 +939,6 @@ def write_matrix(m: Matrix) -> str:
 
 
 def _parse_matrix_lines(lines, start: int) -> tuple[Matrix, int]:
-    if start >= len(lines):
-        raise FormatError("missing matrix header")
     head = lines[start].split()
     if len(head) != 3:
         raise FormatError(f"bad matrix header: {lines[start]!r}")
@@ -975,11 +968,7 @@ def _parse_matrix_lines(lines, start: int) -> tuple[Matrix, int]:
 
 def read_matrix(text: str) -> Matrix:
     """Parse exactly one matrix block; trailing garbage is rejected."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    m, nxt = _parse_matrix_lines(lines, 0)
-    if nxt != len(lines):
-        raise FormatError("trailing garbage after matrix block")
-    return m
+    return read_matrices(text, 1)[0]
 
 
 def read_matrices(text: str, count: int | None = None) -> list[Matrix]:

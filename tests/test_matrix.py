@@ -121,6 +121,22 @@ def test_metric_axioms_random_triples(q, n, rng):
         assert dxz <= dxy + dyz
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_rank_distance_is_a_metric_on_every_2x2_triple(q):
+    # every 2 x 2 matrix over GF(q): one table of distances, then every triple through it
+    spec = field_make(q)
+    mats = [Matrix(spec, 2, 2, code) for code in itertools.product(range(q), repeat=4)]
+    dists = [[rank_distance(x, y) for y in mats] for x in mats]
+    assert {d.denominator for row in dists for d in row} == {2}
+    table = [[d.numerator for d in row] for row in dists]
+    cols = list(zip(*table))
+    assert table == [list(c) for c in cols]  # symmetric
+    assert all((d == 0) == (i == j) for i, row in enumerate(table) for j, d in enumerate(row))
+    # d(x, z) <= d(x, y) + d(y, z) for every y at once: the least such sum over y
+    for row in table:
+        assert all(row[k] <= min(map(int.__add__, row, cols[k])) for k in range(len(mats)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 16 - 1), st.integers(0, 2 ** 16 - 1))
 def test_metric_symmetry_and_triangle_hypothesis(cx, cy):
@@ -909,6 +925,28 @@ def test_outside_entries_are_read_as_matrix_reads_them(q, forced, monkeypatch):
             with pytest.raises(error):
                 build([bad, 1])
 
+    class Index:  # an integer only through __index__, like a NumPy integer
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    # read as q - 1 and 1, whichever builder reads them
+    index_row = [Index(q - 1), Index(q + 1)]
+    assert Matrix(spec, 1, 2, index_row) == Matrix(spec, 1, 2, [q - 1, 1])
+    assert Subspace(spec, 2, [index_row]) == Subspace(spec, 2, [[q - 1, 1]])
+    tables = {}, {}
+    assert mx.echelon_insert(tables[0], index_row, spec)
+    assert mx.echelon_insert(tables[1], [q - 1, 1], spec) and tables[0] == tables[1]
+    with pytest.raises(TypeError):  # bytes(4) would be four zeros
+        Matrix(spec, 2, 2, 4)
+    wild = [q - 1, 0, q + 2, 1, 255, 2 * q]  # all bytes, some q or more
+    want = Matrix(spec, 2, 3, [v % q for v in wild])
+    assert Matrix(spec, 2, 3, iter(wild)) == Matrix(spec, 2, 3, wild) == want
+    assert Matrix(spec, 2, 3, (v for v in [*wild[:5], -q])) == want  # read once, in full
+    assert Matrix(spec, 2, 3, bytes(wild)) == Matrix(spec, 2, 3, bytearray(wild)) == want
+
 
 def _coordinates(spec, rows, cols, cells, rng):
     """Random nonzero encodings at the given cells: the coordinate dict and its matrix."""
@@ -1056,8 +1094,10 @@ def test_matrix_text_roundtrip(rng):
 
 def test_matrix_text_rejects_trailing_garbage(gf2, rng):
     m = random_matrix(gf2, 2, 2, rng)
-    with pytest.raises(FormatError):
-        read_matrix(write_matrix(m) + "1 1\n")
+    # a partial block, no block at all, and a second whole block
+    for text in (write_matrix(m) + "1 1\n", "", " \n\n", write_matrix(m) * 2):
+        with pytest.raises(FormatError):
+            read_matrix(text)
 
 
 def test_matrix_text_rejects_bad_entries(gf2):
