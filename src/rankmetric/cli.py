@@ -96,9 +96,7 @@ def _cmd_gens(args, out):
 def _cmd_iota(args, out):
     x = _load_matrix(args.input)
     _guard_dim(args.n)
-    y = embeddings.iota(args.n, args.m, x)
-    text = matrix.write_matrix(y)
-    _emit_or_write(out, args.out, text)
+    _emit_or_write(out, args.out, matrix.write_matrix(embeddings.iota(args.n, args.m, x)))
 
 
 def _read_pair(path: str):
@@ -135,8 +133,7 @@ def _cmd_homog(args, out):
     psi = _load(embeddings.DeltaEmbedding, args.psi)
     beta, residual = fraisse.approximate_homogeneity(phi, psi)
     out.write(f"residual {residual.numerator}/{residual.denominator}\n")
-    text = matrix.write_matrix(beta)
-    _emit_or_write(out, args.out, text)
+    _emit_or_write(out, args.out, matrix.write_matrix(beta))
 
 
 def _cmd_extend(args, out):
@@ -193,8 +190,7 @@ def _cmd_conjugator(args, out):
     phi0 = _load(embeddings.Homomorphism, args.phi0)
     phi1 = _load(embeddings.Homomorphism, args.phi1)
     u = embeddings.skolem_noether_conjugator(phi0, phi1)
-    text = matrix.write_matrix(u)
-    _emit_or_write(out, args.out, text)
+    _emit_or_write(out, args.out, matrix.write_matrix(u))
 
 
 def _cmd_slorder(args, out):

@@ -16,8 +16,8 @@ One representation, with a validating front:
 
 Only this module knows how a conjugator is stored: the tower code asks it
 for ``back_embedding``, ``intertwining_unit`` and ``image_distance``. An
-image scatters the element's nonzero entries through P, then conjugates
-by T if there is a twist: ``apply`` fills a dense matrix from the scatter
+image is the element's copies scattered through P by ``matrix.block_image``,
+straight into the field's store, then conjugated by T if there is a twist
 (``iota`` is ``iota_embedding`` applied). ``image_distance`` scatters the
 moved copies only, strided slices of each map's images that the other map
 places differently, with no per-dimension compose. Nothing multiplies by P.
@@ -49,6 +49,7 @@ from .gf import FieldSpec
 from .matrix import (
     Matrix,
     RankDistance,
+    block_image,
     column_stack,
     coordinate_rank,
     image_basis,
@@ -100,20 +101,6 @@ def _runs(count: int, step: int, values):
 def _tile(images, copies: int, total: int) -> tuple[int, ...]:
     """``copies`` copies of a permutation down the diagonal, then 1 up to ``total``."""
     return tuple(chain(_runs(copies, len(images), images), range(copies * len(images), total)))
-
-
-def _scattered(images, copies: int, x: Matrix, pad: int) -> Matrix:
-    """P (x^{+copies} (+) pad * 1) P^{-1} as a dense matrix; ``pad`` is 0 or 1. Entry
-    (i, j) of each copy of x lands at (pos[i], pos[j]) for the copy's rows pos."""
-    n, m = len(images), x.rows
-    out = [0] * (n * n)
-    nonzero = [(divmod(k, m), v) for k, v in enumerate(x.entries) if v]
-    for pos in (images[c * m:(c + 1) * m] for c in range(copies)):
-        for (i, j), v in nonzero:
-            out[pos[i] * n + pos[j]] = v
-    for j in images[copies * m:] if pad else ():
-        out[j * n + j] = 1
-    return Matrix._trusted(x.spec, n, n, tuple(out))
 
 
 def _shuffle_conjugator(m: int, k: int) -> tuple[int, ...]:
@@ -208,7 +195,7 @@ class DeltaEmbedding:
             raise SpecMismatch("element over a different field")
         if x.rows != self.m or x.cols != self.m:
             raise DimensionMismatch(f"element must be {self.m}x{self.m}")
-        y = _scattered(self._images, self.mult, x, 0)
+        y = block_image(x, self._images, self.mult)
         return y if self._twist is None else self._twist[0] * y * self._twist[1]
 
     def generator_images(self) -> tuple[Matrix, Matrix]:
@@ -299,7 +286,7 @@ def compose(outer: DeltaEmbedding, inner: DeltaEmbedding) -> DeltaEmbedding:
                        _merge_permutation(k2, n, k1, m, p))
     twist = outer._twist
     if inner._twist is not None:
-        s, s_inv = (_scattered(outer._images, k2, t, 1) for t in inner._twist)
+        s, s_inv = (block_image(t, outer._images, k2, 1) for t in inner._twist)
         twist = (s, s_inv) if twist is None else (twist[0] * s, s_inv * twist[1])
     return _embedding(m, p, k1 * k2, outer.spec, images, twist)
 
@@ -332,7 +319,7 @@ def back_embedding(phi: DeltaEmbedding, total: int) -> DeltaEmbedding:
                        _inverse(_merge_permutation(s, n, phi.mult, m, total)),
                        _tile(_inverse(phi._images), s, total))
     # the tiled T_phi^-1 moves left of the permutation as a scatter, as in compose
-    twist = phi._twist and tuple(_scattered(images, s, t, 1) for t in reversed(phi._twist))
+    twist = phi._twist and tuple(block_image(t, images, s, 1) for t in reversed(phi._twist))
     return _embedding(n, total, s, phi.spec, images, twist)
 
 
@@ -482,7 +469,7 @@ def amalgamate(phi0: Homomorphism, phi1: Homomorphism):
         # scatters of phi's own pair, so no product and no inversion
         e = phi.embedding
         images = _composed(iota_embedding(phi.n, a, spec)._images, _inverse(e._images))
-        twist = e._twist and tuple(_scattered(images, 1, t, 0) for t in reversed(e._twist))
+        twist = e._twist and tuple(block_image(t, images, 1) for t in reversed(e._twist))
         # x -> iota(u x u^-1)
         return Homomorphism._of(compose(iota_embedding(c, phi.n, spec),
                                         _embedding(phi.n, phi.n, 1, spec, images, twist)))

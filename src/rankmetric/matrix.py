@@ -35,7 +35,8 @@ form. An inverse and a kernel are each one elimination of rows with the
 identity appended: the inverse is the appended block of [m | I], the kernel
 the appended block of the rows of [m^T | I] that reduce to zero on m^T, for
 m one matrix or several stacked, its rows the parts' transposes laid side
-by side. Other modules hold rows only as ``row_forms`` gives them.
+by side. Other modules hold rows only as ``row_forms`` gives them, and get
+block images P (x^{+k} (+) 1) P^{-1} in the family's store from ``block_image``.
 
 Outside entries become encodings in one place, the ``Matrix`` constructor,
 by one rule: an element of this field, or an integer as ``operator.index``
@@ -499,6 +500,30 @@ def column_stack(spec: FieldSpec, rows, nrows: int) -> Matrix:
     """The Matrix whose columns are ``row_forms`` rows nrows long: one transpose."""
     f = _family(spec)
     return f.made(spec, nrows, len(rows), f.transpose(rows, nrows))
+
+
+def block_image(x: Matrix, images, copies: int, pad: int = 0) -> Matrix:
+    """P (x^{+copies} (+) pad * 1) P^{-1} for P e_j = e_{images[j]}, pad 0 or 1: copy c of x sits on
+    rows pos = images[c m:(c + 1) m], entry (i, j) at (pos[i], pos[j]). Built in the family's store,
+    so nothing is packed: rows as x's rows times the unit rows at pos, flat entries in place."""
+    spec, n, m, f = x.spec, len(images), x.rows, _family(x.spec)
+    copied = [images[c * m:(c + 1) * m] for c in range(copies)]
+    rest = images[copies * m:] if pad else ()
+    if f.store is f.rows:  # a family that keeps rows: GF(2) and GF(3) when native
+        out, unit, rows = list(f.zero(n, n)), f.identity(n), f.rows(x)
+        for pos in copied:
+            for i, row in zip(pos, f.mul(rows, [unit[j] for j in pos], spec, n)):
+                out[i] = row
+        for j in rest:
+            out[j] = unit[j]
+    else:
+        out, nonzero = [0] * (n * n), [(divmod(k, m), v) for k, v in enumerate(x.entries) if v]
+        for pos in copied:
+            for (i, j), v in nonzero:
+                out[pos[i] * n + pos[j]] = v
+        for j in rest:
+            out[j * n + j] = 1
+    return f.made(spec, n, n, tuple(out))
 
 
 def row_span(spec: FieldSpec, rows, ncols: int) -> Subspace:
@@ -974,8 +999,7 @@ def read_matrix(text: str) -> Matrix:
 def read_matrices(text: str, count: int | None = None) -> list[Matrix]:
     """Parse consecutive matrix blocks from one text blob."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    out = []
-    pos = 0
+    out, pos = [], 0
     while pos < len(lines):
         m, pos = _parse_matrix_lines(lines, pos)
         out.append(m)

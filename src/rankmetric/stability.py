@@ -73,13 +73,8 @@ class RelationDefect:
     def components_over_common_denominator(self) -> tuple[list[int], int]:
         """All five numerators over the common denominator n * ambient."""
         den = self.n * self.ambient
-        nums = []
-        for comp in (self.d_xn, self.d_yn, self.d_rel):
-            nums.append(comp.numerator * self.n)
-        for comp in (self.d_rx, self.d_ry):
-            frac = comp * den
-            nums.append(int(frac))
-        return nums, den
+        nums = [comp.numerator * self.n for comp in (self.d_xn, self.d_yn, self.d_rel)]
+        return nums + [int(comp * den) for comp in (self.d_rx, self.d_ry)], den
 
     def to_text(self) -> str:
         lines = [f"DEFECT {self.n} {self.ambient}",

@@ -15,7 +15,9 @@ back-and-forth probe error from two dense images. ``ladder_w_chain`` and
 ``intersect`` before each became one joint kernel,
 ``permutation_images_by_entries`` the conjugator test that read all n^2
 entries, and ``stacked_kernel`` the joint kernel that transposed the stacked
-matrix whole. ``image_distance_by_scatters`` ranks a probe error from every
+matrix whole. ``block_image_by_entries`` writes an embedding's image as a flat
+entry list, as the embeddings did before they built images in the field's rows.
+``image_distance_by_scatters`` ranks a probe error from every
 copy of both maps, as ``image_distance`` did before it scattered only the
 moved copies, and ``moved_by_tuples`` finds those copies as a tuple per copy
 even when a copy is one row. ``shuffle_by_steps``, ``tile_by_steps``,
@@ -377,6 +379,18 @@ def _scatter(images, copies: int, x: Matrix):
     for pos in (images[c * m:(c + 1) * m] for c in range(copies)):
         for (i, j), v in nonzero:
             yield (pos[i], pos[j]), v
+
+
+def block_image_by_entries(x: Matrix, images, copies: int, pad: int = 0) -> Matrix:
+    """``matrix.block_image`` as embeddings built every image before it wrote the field's
+    rows: the copies' nonzero entries and the padding 1s written into one flat n^2 list."""
+    n, m = len(images), x.rows
+    out = [0] * (n * n)
+    for (i, j), v in _scatter(images, copies, x):
+        out[i * n + j] = v
+    for j in images[copies * m:] if pad else ():
+        out[j * n + j] = 1
+    return Matrix(x.spec, n, n, out)
 
 
 def image_distance_by_scatters(left, right, x: Matrix) -> RankDistance:

@@ -32,6 +32,7 @@ from rankmetric.embeddings import (
     block_embedding,
     compose,
     iota_embedding,
+    skolem_noether_conjugator,
 )
 from rankmetric.fraisse import (
     approximate_extension,
@@ -392,3 +393,26 @@ def test_permutation_test_on_rows_matches_the_entry_test(q, forced, monkeypatch)
                 assert tuple(sorted(range(n), key=cols.__getitem__)) == want == e._images
                 assert _is_permutation_path(e)
         assert DeltaEmbedding(1, n, n, p)._images == tuple(images)
+
+
+def test_every_unital_m2_to_m4_over_gf2_is_conjugate_to_the_base_and_amalgamates():
+    # the class axioms on every object at the smallest size: the 3,360 unital maps M_2 -> M_4
+    # over GF(2), the inclusion conjugated by each of the 20,160 units of GL_4(2), whose
+    # images are built as block images, are each conjugate to the inclusion by their
+    # Skolem-Noether unit, and each amalgamates with it into a square commuting on both
+    # generators, compared by entries
+    spec = field_for_order(2)
+    base = Homomorphism.inclusion(4, 2, spec)
+    maps = {}
+    for g in mx.code_units(spec, 4):
+        phi = base.conjugate(g)
+        maps.setdefault((phi.img_a, phi.img_b), phi)
+    assert len(maps) == 20160 // 6  # |GL_4(2)| / |GL_2(2)|
+    for images, phi in maps.items():
+        u = skolem_noether_conjugator(base, phi)
+        ui = invert(u)
+        assert [u * g * ui for g in (base.img_a, base.img_b)] == list(images)
+        c, psi0, psi1 = amalgamate(base, phi)
+        assert c == 16
+        for g0, g1 in zip((base.img_a, base.img_b), images):
+            assert psi0.apply(g0).entries == psi1.apply(g1).entries

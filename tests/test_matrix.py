@@ -983,6 +983,32 @@ def test_coordinate_rank_matches_dense_rank(q, forced, rng, monkeypatch):
     assert mx.coordinate_rank(spec, ones) == 1
 
 
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_block_image_matches_the_flat_entry_scatter(q, forced, monkeypatch):
+    # GF(2) and GF(3) images are products with unit rows, the table family's flat entries
+    # written in place: each must equal the flat list, and come in the running family's store
+    spec, rng = field_for_order(q), random.Random(f"block-image/{q}")
+    shapes = [(1, 0, 1), (2, 0, 3), (1, 1, 0), (1, 4, 2), (3, 2, 0)]  # (m, copies, spare rows)
+    shapes += [(rng.randrange(1, 5), rng.randrange(0, 5), rng.randrange(0, 4)) for _ in range(20)]
+    cases = []
+    for m, copies, spare in shapes:
+        n = m * copies + spare
+        shuffled = rng.sample(range(n), n)
+        x = random_matrix(spec, m, m, rng)
+        held = x * Matrix.identity(spec, m)  # kept as rows over GF(2) and GF(3), as entries else
+        cases += [(x, tuple(range(n)), copies), (held, tuple(shuffled), copies)]
+    monkeypatch.setattr(mx, "_FORCE_GENERIC", forced)
+    in_rows = q in (2, 3) and not forced
+    for x, images, copies in cases:
+        for pad in (0, 1):
+            got = mx.block_image(x, images, copies, pad)
+            assert (got._rw is not None, got._ent is not None) == (in_rows, not in_rows)
+            want = oracles.block_image_by_entries(x, images, copies, pad)
+            assert got == want and got.entries == want.entries
+            assert mx.row_forms(got) == mx.row_forms(want)
+
+
 def test_the_family_lookup_is_the_one_decision_point():
     # only _family reads _FORCE_GENERIC or compares q with 2 or 3
     tree = ast.parse(pathlib.Path(mx.__file__).read_text())

@@ -24,8 +24,8 @@ from rankmetric.stability import (
     v_space,
     w_chain,
 )
-from oracles import (delta_for_target, direct_sum, ladder_repair, ladder_v_space, ladder_w_chain,
-                     mat_vec, residual_matrix)
+from oracles import (block_image_by_entries, delta_for_target, direct_sum, ladder_repair,
+                     ladder_v_space, ladder_w_chain, mat_vec, residual_matrix)
 
 
 def exact_model(n, m, spec):
@@ -380,3 +380,56 @@ def test_repair_makes_at_most_n_plus_2_kernels(gf2, monkeypatch):
     _, _, cert = repair(x, y, n)
     assert cert.dim_V < 14  # the complement was needed
     assert 0 < len(calls) <= n + 2
+
+
+def _conjugated(u, *mats):
+    ui = invert(u)
+    return [u * m * ui for m in mats]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_repair_of_a_conjugated_model_runs_the_twisted_images(q):
+    # a model pair conjugated by a random unit gets a change of basis B that is no
+    # permutation, so psi keeps B as its twist and its images are B (g^{+mult} (+) 0) B^-1:
+    # the path that benchmark pairs, each repaired by a permutation, never take
+    spec, rng = field_for_order(q), random.Random(f"twisted-repair/{q}")
+    for n, mult, pad in [(2, 5, 0), (3, 4, 2)]:
+        x, y = (direct_sum([g], pad) for g in exact_model(n, mult, spec))
+        psi, b, _ = repair(*_conjugated(random_unit(spec, x.rows, rng), x, y), n)
+        assert psi._twist is not None
+        for g in kassabov_generators(n, spec):
+            want = b * block_image_by_entries(g, range(x.rows), mult) * invert(b)
+            assert psi.apply(g) == want
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_a_conjugated_pair_certifies_the_same_defect_and_repair(q, forced, monkeypatch):
+    # conjugation is an isometry that carries the relations, the chain and V along, so the
+    # defect and every certified number but d_x and d_y are the same; those two may move, as
+    # the complement is completed from standard basis vectors, but stay within the bound
+    monkeypatch.setattr(mx, "_FORCE_GENERIC", forced)
+    spec, rng = field_for_order(q), random.Random(f"conjugated-repair/{q}")
+    repaired = 0
+    for n, mult, pad, bumps in [(2, 6, 0, 1), (3, 4, 2, 1), (2, 5, 1, 2), (3, 3, 0, 0)]:
+        x, y = (direct_sum([g], pad) for g in exact_model(n, mult, spec))
+        amb = x.rows
+        for _ in range(bumps):
+            unit = Matrix.unit(spec, amb, rng.randrange(1, amb + 1), rng.randrange(1, amb + 1))
+            bump = unit.scale(rng.randrange(1, q))
+            x, y = (x + bump, y) if rng.randrange(2) else (x, y + bump)
+        pairs = [(x, y), _conjugated(random_unit(spec, amb, rng), x, y)]
+        assert len({relation_defect(*pair, n).to_text() for pair in pairs}) == 1
+        try:
+            cert = repair(x, y, n)[2]
+        except NotRepairable:
+            with pytest.raises(NotRepairable):
+                repair(*pairs[1], n)
+            continue
+        certs, repaired = [cert, repair(*pairs[1], n)[2]], repaired + 1
+        kept = [[ln for ln in c.to_text().splitlines() if not ln.startswith(("d_x", "d_y"))]
+                for c in certs]
+        assert kept[0] == kept[1]
+        for c in certs:
+            assert max(c.d_x.as_fraction(), c.d_y.as_fraction()) <= c.residual_rank_bound
+    assert repaired >= 3
